@@ -281,25 +281,34 @@ def _cmd_verify_energy(cfg: Config, man: Manifest) -> int:
     return EXIT_OK if passed else EXIT_CRITERIA
 
 
+def _check_nodes(path: str, data, **nodes) -> None:
+    """A state dump is only read back onto the grid it was written on."""
+    for name, expected in nodes.items():
+        if not np.array_equal(data[name], expected):
+            raise ConfigError(f"{path}: the dumped {name} nodes are not those "
+                              "of the configured grid")
+
+
 def _cmd_report(cfg: Config, man: Manifest, run_dir: str) -> int:
     grid, agrid = _grids(cfg)
-    profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
     sym_path = os.path.join(run_dir, "state_sym.csv")
     axi_path = os.path.join(run_dir, "state_axi.csv")
     if os.path.exists(sym_path):
         data = np.genfromtxt(sym_path, delimiter=",", names=True)
+        _check_nodes(sym_path, data, r=grid.nodes)
         state = SymState(float(data["t"][0]), grid,
                          np.asarray(data["rho"]), np.asarray(data["u"]))
     elif os.path.exists(axi_path):
         data = np.genfromtxt(axi_path, delimiter=",", names=True)
-        nt = agrid.n_cells
-        nr = grid.nodes.size
+        rr, tt = np.meshgrid(grid.nodes, agrid.centers, indexing="ij")
+        _check_nodes(axi_path, data, r=rr.ravel(), theta=tt.ravel())
         state = AxiState(float(data["t"][0]), grid, agrid,
-                         np.asarray(data["rho"]).reshape(nr, nt),
-                         np.asarray(data["u_r"]).reshape(nr, nt),
-                         np.asarray(data["u_theta"]).reshape(nr, nt))
+                         np.asarray(data["rho"]).reshape(rr.shape),
+                         np.asarray(data["u_r"]).reshape(rr.shape),
+                         np.asarray(data["u_theta"]).reshape(rr.shape))
     else:
         raise FileNotFoundError(f"no state dump found under {run_dir!r}")
+    profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
     rep = relative_energy(state, profile, cfg.params)
     _dump_reports(man.add("energy_report.csv"), [rep])
     man.finish(True, {"source": run_dir})
@@ -323,6 +332,9 @@ def dispatch(subcommand: str, cfg: Config, out_dir: str, run_dir: str = ".") -> 
         if subcommand == "report":
             return _cmd_report(cfg, man, run_dir)
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -344,9 +356,6 @@ def main(argv=None) -> int:
         "report"])
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (modules are single-threaded; "
-                             "values > 1 are accepted and ignored)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for manufactured-corpus sampling")
     parser.add_argument("--run-dir", default=".",

@@ -1,4 +1,4 @@
-"""Shared discrete derivative operators and quadrature weights on the grids.
+"""Stencil weights, shared discrete operators and quadrature weights on the grids.
 
 Centered second-order stencils in the interior, one-sided second-order at
 the boundaries; the angular direction works on staggered cell centers and
@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .fd import fornberg_weights
 from .grids import AngularGrid, RadialGrid
 
-__all__ = ["SymOps", "AxiOps", "trapezoid_weights", "sphere_area"]
+__all__ = ["SymOps", "AxiOps", "fornberg_weights", "trapezoid_weights", "sphere_area"]
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -29,16 +28,47 @@ def sphere_area(n: int) -> float:
     return float(2.0 * np.pi ** (n / 2.0) / _gamma(n / 2.0))
 
 
+def fornberg_weights(z, x, m: int) -> np.ndarray:
+    """Weights of derivatives 0..m at z from the nodes x (Fornberg's algorithm).
+
+    Batched over windows: z has shape (...) and x shape (..., width), and the
+    result w has shape (m+1, ..., width) with sum_j w[k, ..., j] f(x[..., j])
+    approximating the k-th derivative at z.  Each window runs the same
+    recursion, so a batched row equals the single-window call bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    n = x.shape[-1]
+    w = np.zeros((m + 1,) + x.shape)
+    c1 = 1.0
+    c4 = x[..., 0] - z
+    w[0, ..., 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[..., i] - z
+        for j in range(i):
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    w[k, ..., i] = c1 * (k * w[k - 1, ..., i - 1]
+                                         - c5 * w[k, ..., i - 1]) / c2
+                w[0, ..., i] = -c1 * c5 * w[0, ..., i - 1] / c2
+            for k in range(mn, 0, -1):
+                w[k, ..., j] = (c4 * w[k, ..., j] - k * w[k - 1, ..., j]) / c3
+            w[0, ..., j] = c4 * w[0, ..., j] / c3
+        c1 = c2
+    return w
+
+
 def _stencil_table(x: np.ndarray, width: int, order: int):
     """Per-node windows and weights: out[i] = sum_k w[i,k] f(idx[i,k])."""
     n = x.size
-    idx = np.empty((n, width), dtype=int)
-    wts = np.empty((n, width))
-    for i in range(n):
-        lo = min(max(i - (width - 1) // 2, 0), n - width)
-        idx[i] = np.arange(lo, lo + width)
-        wts[i] = fornberg_weights(x[i], x[lo:lo + width], order)[order]
-    return idx, wts
+    lo = np.clip(np.arange(n) - (width - 1) // 2, 0, n - width)
+    idx = lo[:, None] + np.arange(width)
+    return idx, fornberg_weights(x, x[idx], order)[order]
 
 
 class _Deriv:
@@ -115,6 +145,44 @@ class AxiOps:
         # sin(theta) v_theta is even across the poles (odd times odd)
         return (self.d_r(r**2 * v_r) / r**2
                 + self.d_theta(s * v_theta, parity=1) / (r * s))
+
+    def grad(self, f: np.ndarray):
+        """(d_r f, d_theta f / r) of an even scalar."""
+        return self.d_r(f), self.d_theta(f, parity=1) / self.r[:, None]
+
+    def conv(self, a_r, a_t, w_r, w_t):
+        """(a . grad) w plus the curvature couplings of the moving frame."""
+        r = self.r[:, None]
+        c_r = (a_r * self.d_r(w_r) + a_t * self.d_theta(w_r, parity=1) / r
+               - a_t * w_t / r)
+        c_t = (a_r * self.d_r(w_t) + a_t * self.d_theta(w_t, parity=-1) / r
+               + a_t * w_r / r)
+        return c_r, c_t
+
+    def vec_lap(self, w_r, w_t):
+        """Vector Laplacian of w = w_r r_hat + w_t theta_hat."""
+        r = self.r[:, None]
+        s = self.sin[None, :]
+        cot = (self.cos / self.sin)[None, :]
+        l_r = (self.d2_r(w_r) + 2.0 * self.d_r(w_r) / r
+               + self.d2_theta(w_r, parity=1) / r**2
+               + cot * self.d_theta(w_r, parity=1) / r**2
+               - 2.0 * w_r / r**2
+               - 2.0 * self.d_theta(w_t, parity=-1) / r**2
+               - 2.0 * cot * w_t / r**2)
+        l_t = (self.d2_r(w_t) + 2.0 * self.d_r(w_t) / r
+               + self.d2_theta(w_t, parity=-1) / r**2
+               + cot * self.d_theta(w_t, parity=-1) / r**2
+               + 2.0 * self.d_theta(w_r, parity=1) / r**2
+               - w_t / (r * s) ** 2)
+        return l_r, l_t
+
+    def visc(self, w_r, w_t, mu: float, lam: float):
+        """Viscous operator mu lap w + (mu + lam) grad div w."""
+        l_r, l_t = self.vec_lap(w_r, w_t)
+        d = self.div(w_r, w_t)
+        return (mu * l_r + (mu + lam) * self.d_r(d),
+                mu * l_t + (mu + lam) * self.d_theta(d, parity=1) / self.r[:, None])
 
     def integral(self, f: np.ndarray) -> float:
         return float(np.sum(self.w_vol * f))

@@ -411,42 +411,8 @@ def _reformulation_axi(state: AxiState, prev: AxiState, dt: float,
                        ops: AxiOps | None = None) -> ReformResult:
     if ops is None:
         ops = AxiOps(state.grid, state.agrid)
-    r = ops.r[:, None]
-    cot = (ops.cos / ops.sin)[None, :]
-    s = ops.sin[None, :]
     mu, lam = params.mu, params.lam
     rho_p, q_p = params.rho_plus, float(q_coeff(params.rho_plus, params))
-
-    def grad(f):
-        return ops.d_r(f), ops.d_theta(f, parity=1) / r
-
-    def conv(a_r, a_t, w_r, w_t):
-        # (a . grad) w plus the curvature couplings of the moving frame
-        c_r = (a_r * ops.d_r(w_r) + a_t * ops.d_theta(w_r, parity=1) / r
-               - a_t * w_t / r)
-        c_t = (a_r * ops.d_r(w_t) + a_t * ops.d_theta(w_t, parity=-1) / r
-               + a_t * w_r / r)
-        return c_r, c_t
-
-    def vec_lap(w_r, w_t):
-        l_r = (ops.d2_r(w_r) + 2.0 * ops.d_r(w_r) / r
-               + ops.d2_theta(w_r, parity=1) / r**2
-               + cot * ops.d_theta(w_r, parity=1) / r**2
-               - 2.0 * w_r / r**2
-               - 2.0 * ops.d_theta(w_t, parity=-1) / r**2
-               - 2.0 * cot * w_t / r**2)
-        l_t = (ops.d2_r(w_t) + 2.0 * ops.d_r(w_t) / r
-               + ops.d2_theta(w_t, parity=-1) / r**2
-               + cot * ops.d_theta(w_t, parity=-1) / r**2
-               + 2.0 * ops.d_theta(w_r, parity=1) / r**2
-               - w_t / (r * s) ** 2)
-        return l_r, l_t
-
-    def visc(w_r, w_t):
-        l_r, l_t = vec_lap(w_r, w_t)
-        d = ops.div(w_r, w_t)
-        return (mu * l_r + (mu + lam) * ops.d_r(d),
-                mu * l_t + (mu + lam) * ops.d_theta(d, parity=1) / r)
 
     rho, u_r, u_t = state.rho, state.u_r, state.u_theta
     rt2 = np.repeat(profile.rho_t[:, None], ops.theta.size, axis=1)
@@ -457,34 +423,34 @@ def _reformulation_axi(state: AxiState, prev: AxiState, dt: float,
     phi0 = prev.rho - rt2
     psi_r0, psi_t0 = prev.u_r - ut2, prev.u_theta
 
-    g_rho = grad(rho)
+    g_rho = ops.grad(rho)
     orig_cont = ((rho - prev.rho) / dt + u_r * g_rho[0] + u_t * g_rho[1]
                  + rho * ops.div(u_r, u_t))
     div_psi = ops.div(psi_r, psi_t)
     div_ut = ops.div(ut2, zero)
-    g_phi = grad(phi)
-    g_rt = grad(rt2)
+    g_phi = ops.grad(phi)
+    g_rt = ops.grad(rt2)
     f0 = (-phi * div_psi + (rho_p - rt2) * div_psi
           - psi_r * g_rt[0] - psi_t * g_rt[1] - phi * div_ut)
     st1 = ut2 * g_rt[0] + rt2 * div_ut
     reform_cont = ((phi - phi0) / dt + u_r * g_phi[0] + u_t * g_phi[1]
                    + rho_p * div_psi - f0 + st1)
 
-    lu_r, lu_t = visc(u_r, u_t)
-    co_r, co_t = conv(u_r, u_t, u_r, u_t)
+    lu_r, lu_t = ops.visc(u_r, u_t, mu, lam)
+    co_r, co_t = ops.conv(u_r, u_t, u_r, u_t)
     orig_mom = np.stack([
         (u_r - prev.u_r) / dt + co_r + q_coeff(rho, params) * g_rho[0] - lu_r / rho,
         (u_t - prev.u_theta) / dt + co_t + q_coeff(rho, params) * g_rho[1]
         - lu_t / rho,
     ])
 
-    lut_r, lut_t = visc(ut2, zero)
-    lap_psi = vec_lap(psi_r, psi_t)
-    gdiv_psi = (ops.d_r(div_psi), ops.d_theta(div_psi, parity=1) / r)
-    c_pp = conv(psi_r, psi_t, psi_r, psi_t)
-    c_up = conv(ut2, zero, psi_r, psi_t)
-    c_pu = conv(psi_r, psi_t, ut2, zero)
-    c_uu = conv(ut2, zero, ut2, zero)
+    lut_r, lut_t = ops.visc(ut2, zero, mu, lam)
+    lap_psi = ops.vec_lap(psi_r, psi_t)
+    gdiv_psi = ops.grad(div_psi)
+    c_pp = ops.conv(psi_r, psi_t, psi_r, psi_t)
+    c_up = ops.conv(ut2, zero, psi_r, psi_t)
+    c_pu = ops.conv(psi_r, psi_t, ut2, zero)
+    c_uu = ops.conv(ut2, zero, ut2, zero)
     dp_gap = (dpressure(rho, params) - dpressure(rt2, params)) / rho
     st2 = [rt2 * c_uu[0] + dpressure(rt2, params) * g_rt[0] - lut_r,
            rt2 * c_uu[1] + dpressure(rt2, params) * g_rt[1] - lut_t]

@@ -10,29 +10,22 @@ makes the pole faces carry zero flux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import eval_legendre
 
 from .discrete import AxiOps
-from .energy import (
-    composite_monitor,
-    density_corridor,
-    reformulation_residual,
-    relative_energy,
-)
 from .grids import AngularGrid
 from .params import FluidParams, pressure, sound_speed
-from .states import AxiState, SymState, compatibility_residual, perturb_axi
+from .states import AxiState, boundary_momentum_residual, perturb_axi
 from .steady import SteadyProfile
 from .evolve_sym import (
     CFLViolation,
-    MONITOR_C,
     PositivityLoss,
     RunResult,
     SymSolver,
-    _envelope_ok,
+    _relax,
     onesided_first,
     radial_flux_div,
     radial_visc_div,
@@ -87,7 +80,7 @@ class AxiSolver:
     """Method-of-lines axisymmetric solver bound to a steady profile."""
 
     def __init__(self, profile: SteadyProfile, params: FluidParams,
-                 agrid: AngularGrid, forcing=None, selfcheck: bool = True):
+                 agrid: AngularGrid, forcing=None):
         if params.dim_n != 3:
             raise ValueError("the evolution solver is three-dimensional")
         self.profile = profile
@@ -104,8 +97,7 @@ class AxiSolver:
         self.sin_edge = np.sin(agrid.nodes)  # zero at both poles
         self.visc = 2.0 * params.mu + params.lam
         self.bc_far = lambda t: (profile.rho_t[-1], profile.u_t[-1])
-        if selfcheck:
-            viscous_formula_selfcheck()
+        viscous_formula_selfcheck()
 
     # -- angular flux divergence: (1/(r sin)) d_theta(sin q u_theta) ---------
     def _theta_flux_div(self, q: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
@@ -350,110 +342,27 @@ def viscous_formula_selfcheck(tol: float = 1e-5):
     _SELFCHECK_DONE = True
 
 
-def boundary_momentum_residual(state: AxiState, params: FluidParams) -> float:
-    """Worst momentum-balance residual on the r = 1 ring (one-sided stencils)."""
-    ops = AxiOps(state.grid, state.agrid)
-    r = ops.r[:, None]
-    s = ops.sin[None, :]
-    cot = (ops.cos / ops.sin)[None, :]
-    rho, u_r, u_t = state.rho, state.u_r, state.u_theta
-    prs = pressure(rho, params)
-
-    conv_r = (rho * (u_r * ops.d_r(u_r) + u_t * ops.d_theta(u_r, parity=1) / r
-                     - u_t**2 / r))
-    conv_t = (rho * (u_r * ops.d_r(u_t) + u_t * ops.d_theta(u_t, parity=-1) / r
-                     + u_r * u_t / r))
-    div_u = ops.div(u_r, u_t)
-    lap_r = (ops.d2_r(u_r) + 2.0 * ops.d_r(u_r) / r
-             + ops.d2_theta(u_r, parity=1) / r**2
-             + cot * ops.d_theta(u_r, parity=1) / r**2
-             - 2.0 * u_r / r**2 - 2.0 * ops.d_theta(u_t, parity=-1) / r**2
-             - 2.0 * cot * u_t / r**2)
-    lap_t = (ops.d2_r(u_t) + 2.0 * ops.d_r(u_t) / r
-             + ops.d2_theta(u_t, parity=-1) / r**2
-             + cot * ops.d_theta(u_t, parity=-1) / r**2
-             + 2.0 * ops.d_theta(u_r, parity=1) / r**2 - u_t / (r * s) ** 2)
-    res_r = (-conv_r - ops.d_r(prs) + params.mu * lap_r
-             + (params.mu + params.lam) * ops.d_r(div_u))
-    res_t = (-conv_t - ops.d_theta(prs, parity=1) / r + params.mu * lap_t
-             + (params.mu + params.lam) * ops.d_theta(div_u, parity=1) / r)
-    return float(max(np.max(np.abs(res_r[0])), np.max(np.abs(res_t[0]))))
-
-
 def run_axi_stability(profile: SteadyProfile, params: FluidParams,
                       agrid: AngularGrid, config: AxiRunConfig) -> RunResult:
     """Integrate a mode-perturbed profile and grade decay per Legendre mode."""
     solver = AxiSolver(profile, params, agrid)
-    # unperturbed twin: the radial scheme is shared, so a theta-independent
-    # base stays theta-independent and can be stepped by the 1D solver
-    sym_solver = SymSolver(profile, params)
-    base = SymState(0.0, profile.grid, profile.rho_t.copy(),
-                    profile.u_t.copy())
-    sym_solver.apply_bc(base)
     state = perturb_axi(profile, agrid, config.amplitude, config.support,
                         ell=config.mode_ell)
-    compat = compatibility_residual(state, profile, params)
-    solver.apply_bc(state)
 
-    def base_view(b):
-        z = np.zeros_like(b.rho)
-        return SteadyProfile(grid=profile.grid, params=params, rho_t=b.rho,
-                             u_t=b.u_rad, d_rho=z, d_u=z, d2_rho=z, d2_u=z,
-                             mass_flux=float(params.u_b * b.rho[0]))
-
-    def sup_of(st, b):
-        phi = st.rho - b.rho[:, None]
-        psi_r = st.u_r - b.u_rad[:, None]
-        return float(np.max(np.sqrt(phi**2 + psi_r**2 + st.u_theta**2)))
-
-    def modes_of(st, b):
-        phi = st.rho - b.rho[:, None]
+    def measure(st, base):
+        phi = st.rho - base.rho[:, None]
+        psi_r = st.u_r - base.u_rad[:, None]
         amp = legendre_amplitudes(phi, agrid, config.n_modes)
-        return np.max(np.abs(amp), axis=1)
+        return [float(np.max(np.sqrt(phi**2 + psi_r**2 + st.u_theta**2))),
+                *np.max(np.abs(amp), axis=1)]
 
-    times = [0.0]
-    reports = [relative_energy(state, base_view(base), params,
-                               dt_fields=solver.dt_fields(state))]
-    sups = [sup_of(state, base)]
-    mode_hist = [modes_of(state, base)]
-    corridor_ok = density_corridor(state, params)
-
-    steps = 0
-    dt_used = []
-    reform_gap = None
-    reform_checks = 0
-    reform_ops = AxiOps(state.grid, agrid) if config.reform_every else None
-    while state.t < config.t_end - 1e-12:
-        dt = solver.cfl_dt(state, config.cfl_safety)
-        if config.dt is not None:
-            dt = min(dt, config.dt)
-        dt = min(dt, config.t_end - state.t)
-        prev = state
-        state = solver.step(state, dt, safety=config.cfl_safety)
-        base = sym_solver.step(base, dt, safety=config.cfl_safety)
-        steps += 1
-        dt_used.append(dt)
-        if config.reform_every and steps % config.reform_every == 0:
-            rr = reformulation_residual(state, prev, dt, profile, params,
-                                        ops=reform_ops)
-            gap = rr.max_gap / (1.0 + rr.orig_res)
-            reform_gap = gap if reform_gap is None else max(reform_gap, gap)
-            reform_checks += 1
-        if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
-            times.append(state.t)
-            sups.append(sup_of(state, base))
-            mode_hist.append(modes_of(state, base))
-            reports.append(relative_energy(state, base_view(base), params,
-                                           dt_fields=solver.dt_fields(state)))
-            corridor_ok = corridor_ok and density_corridor(state, params)
-
-    times = np.asarray(times)
-    sups = np.asarray(sups)
-    mode_hist = np.asarray(mode_hist)  # (n_out, n_modes)
-    peak = float(np.max(sups))
-    tail_sel = times >= 0.9 * config.t_end
-    decay = peak / max(float(np.max(sups[tail_sel])), 1e-300)
-
+    h_min = float(min(np.min(solver.dr), solver.r[0] * agrid.dtheta))
+    # unperturbed twin: the radial scheme is shared, so a theta-independent
+    # base stays theta-independent and can be stepped by the 1D solver
+    res, samples = _relax(solver, SymSolver(profile, params), state, config,
+                          measure, h_min)
+    mode_hist = np.asarray([s[1:] for s in samples])  # (n_out, n_modes)
+    tail_sel = res.times >= 0.9 * config.t_end
     mode_floor = 1e-3 * params.rho_plus * config.amplitude
     mode_series = {}
     modes_ok = True
@@ -462,22 +371,8 @@ def run_axi_stability(profile: SteadyProfile, params: FluidParams,
         mode_series[ell] = series
         if series[0] > mode_floor:  # carried by the initial perturbation
             m_decay = np.max(series) / max(np.max(series[tail_sel]), 1e-300)
-            modes_ok = modes_ok and (m_decay >= config.decay_target)
-
-    _, uphill = composite_monitor(reports)
-    e_peak = max(r.total_relative_energy for r in reports)
-    h_min = float(min(np.min(solver.dr), solver.r[0] * agrid.dtheta))
-    tau = MONITOR_C * (float(np.mean(dt_used)) + h_min**2) * max(e_peak, 1e-300)
-    env_ok = _envelope_ok(times, sups, target=config.decay_target)  # reported, not graded
-    ok = (decay >= config.decay_target) and modes_ok and corridor_ok \
-        and (uphill <= tau)
-    reason = "decayed" if decay >= config.decay_target else "DNF: decay target missed"
-    if not modes_ok:
-        reason = "mode decay target missed"
-    return RunResult(
-        passed=ok, reason=reason, decay_factor=decay, corridor_ok=corridor_ok,
-        monitor_uphill=uphill, tau_scheme=tau, envelope_ok=env_ok, steps=steps,
-        times=times, sup_series=sups, reports=reports, final_state=state,
-        compat=compat, mode_series=mode_series, reform_gap=reform_gap,
-        reform_checks=reform_checks,
-    )
+            modes_ok = modes_ok and bool(m_decay >= config.decay_target)
+    # the envelope is reported, not graded
+    return replace(res, passed=res.passed and modes_ok,
+                   reason=res.reason if modes_ok else "mode decay target missed",
+                   mode_series=mode_series)

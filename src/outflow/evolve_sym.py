@@ -11,7 +11,7 @@ to u_b; the truncation boundary holds the stationary profile values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,6 +129,7 @@ class SymSolver:
         self.profile = profile
         self.params = params
         self.forcing = forcing
+        self.ops = SymOps(profile.grid, params.dim_n)
         self.r = profile.grid.nodes
         self.dr = np.diff(self.r)
         self.r_face = 0.5 * (self.r[:-1] + self.r[1:])
@@ -277,6 +278,82 @@ def _envelope_ok(times, sups, n_windows: int = 20, slack: float = 1.05,
     return True
 
 
+def _relax(solver, twin: SymSolver, state, config, measure, h_min: float):
+    """Step a perturbed state beside its unperturbed twin and grade the gap.
+
+    The twin starts on the stationary wave and takes the same time steps;
+    it is the spherical solver in both geometries (the axisymmetric scheme
+    reduces to the radial one on theta-independent states).  Every
+    `output_every` steps and at t_end, measure(state, base) samples the
+    perturbation as a list whose first entry is its sup norm.  The result is
+    graded on decay, the density corridor and the energy-balance monitor;
+    callers add their own criteria.  Returns the result and the samples.
+    """
+    profile, params = solver.profile, solver.params
+    compat = compatibility_residual(state, profile, params)
+    base = SymState(0.0, profile.grid, profile.rho_t.copy(), profile.u_t.copy())
+    twin.apply_bc(base)
+    solver.apply_bc(state)
+
+    times, samples, reports = [], [], []
+    corridor_ok = True
+
+    def sample(st, b):
+        nonlocal corridor_ok
+        z = np.zeros_like(b.rho)
+        view = SteadyProfile(grid=profile.grid, params=params, rho_t=b.rho,
+                             u_t=b.u_rad, d_rho=z, d_u=z, d2_rho=z, d2_u=z,
+                             mass_flux=float(params.u_b * b.rho[0]))
+        times.append(st.t)
+        samples.append(measure(st, b))
+        reports.append(relative_energy(st, view, params,
+                                       dt_fields=solver.dt_fields(st)))
+        corridor_ok = corridor_ok and density_corridor(st, params)
+
+    sample(state, base)
+    steps = 0
+    dt_used = []
+    reform_gap = None
+    reform_checks = 0
+    while state.t < config.t_end - 1e-12:
+        dt = solver.cfl_dt(state, config.cfl_safety)
+        if config.dt is not None:
+            dt = min(dt, config.dt)
+        dt = min(dt, config.t_end - state.t)
+        prev = state
+        state = solver.step(state, dt, safety=config.cfl_safety)
+        base = twin.step(base, dt, safety=config.cfl_safety)
+        steps += 1
+        dt_used.append(dt)
+        if config.reform_every and steps % config.reform_every == 0:
+            res = reformulation_residual(state, prev, dt, profile, params,
+                                         ops=solver.ops)
+            gap = res.max_gap / (1.0 + res.orig_res)
+            reform_gap = gap if reform_gap is None else max(reform_gap, gap)
+            reform_checks += 1
+        if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
+            sample(state, base)
+
+    times = np.asarray(times)
+    sups = np.asarray([s[0] for s in samples])
+    peak = float(np.max(sups))
+    tail = float(np.max(sups[times >= 0.9 * config.t_end]))
+    decay = peak / max(tail, 1e-300)
+    _, uphill = composite_monitor(reports)
+    e_peak = max(r.total_relative_energy for r in reports)
+    tau = MONITOR_C * (float(np.mean(dt_used)) + h_min**2) * max(e_peak, 1e-300)
+    env_ok = _envelope_ok(times, sups, target=config.decay_target)
+
+    ok = (decay >= config.decay_target) and corridor_ok and (uphill <= tau)
+    reason = "decayed" if decay >= config.decay_target else "DNF: decay target missed"
+    return RunResult(
+        passed=ok, reason=reason, decay_factor=decay, corridor_ok=corridor_ok,
+        monitor_uphill=uphill, tau_scheme=tau, envelope_ok=env_ok, steps=steps,
+        times=times, sup_series=sups, reports=reports, final_state=state,
+        compat=compat, reform_gap=reform_gap, reform_checks=reform_checks,
+    ), samples
+
+
 def run_sym_stability(profile: SteadyProfile, params: FluidParams,
                       config: SymRunConfig) -> RunResult:
     """Integrate a perturbed stationary wave and grade the relaxation run.
@@ -292,72 +369,11 @@ def run_sym_stability(profile: SteadyProfile, params: FluidParams,
     nonincreasing up to scheme tolerance.
     """
     solver = SymSolver(profile, params)
-    base = SymState(0.0, profile.grid, profile.rho_t.copy(), profile.u_t.copy())
-    solver.apply_bc(base)
     state = perturb_sym(profile, config.amplitude, config.support)
-    compat = compatibility_residual(state, profile, params)
-    solver.apply_bc(state)
 
-    def base_view(b):
-        z = np.zeros_like(b.rho)
-        return SteadyProfile(grid=profile.grid, params=params, rho_t=b.rho,
-                             u_t=b.u_rad, d_rho=z, d_u=z, d2_rho=z, d2_u=z,
-                             mass_flux=float(params.u_b * b.rho[0]))
+    def measure(st, base):
+        return [float(np.max(np.hypot(st.rho - base.rho, st.u_rad - base.u_rad)))]
 
-    times = [0.0]
-    reports = [relative_energy(state, base_view(base), params,
-                               dt_fields=solver.dt_fields(state))]
-    phi = state.rho - base.rho
-    psi = state.u_rad - base.u_rad
-    sups = [float(np.max(np.hypot(phi, psi)))]
-    corridor_ok = density_corridor(state, params)
-
-    steps = 0
-    h_min = float(np.min(solver.dr))
-    dt_used = []
-    reform_gap = None
-    reform_checks = 0
-    reform_ops = SymOps(state.grid, params.dim_n) if config.reform_every else None
-    while state.t < config.t_end - 1e-12:
-        dt = solver.cfl_dt(state, config.cfl_safety)
-        if config.dt is not None:
-            dt = min(dt, config.dt)
-        dt = min(dt, config.t_end - state.t)
-        prev = state
-        state = solver.step(state, dt, safety=config.cfl_safety)
-        base = solver.step(base, dt, safety=config.cfl_safety)
-        steps += 1
-        dt_used.append(dt)
-        if config.reform_every and steps % config.reform_every == 0:
-            res = reformulation_residual(state, prev, dt, profile, params,
-                                         ops=reform_ops)
-            gap = res.max_gap / (1.0 + res.orig_res)
-            reform_gap = gap if reform_gap is None else max(reform_gap, gap)
-            reform_checks += 1
-        if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
-            phi = state.rho - base.rho
-            psi = state.u_rad - base.u_rad
-            sups.append(float(np.max(np.hypot(phi, psi))))
-            times.append(state.t)
-            reports.append(relative_energy(state, base_view(base), params,
-                                           dt_fields=solver.dt_fields(state)))
-            corridor_ok = corridor_ok and density_corridor(state, params)
-
-    times = np.asarray(times)
-    sups = np.asarray(sups)
-    peak = float(np.max(sups))
-    tail = float(np.max(sups[times >= 0.9 * config.t_end]))
-    decay = peak / max(tail, 1e-300)
-    _, uphill = composite_monitor(reports)
-    e_peak = max(r.total_relative_energy for r in reports)
-    tau = MONITOR_C * (float(np.mean(dt_used)) + h_min**2) * max(e_peak, 1e-300)
-    env_ok = _envelope_ok(times, sups, target=config.decay_target)
-
-    ok = (decay >= config.decay_target) and corridor_ok and (uphill <= tau) and env_ok
-    reason = "decayed" if decay >= config.decay_target else "DNF: decay target missed"
-    return RunResult(
-        passed=ok, reason=reason, decay_factor=decay, corridor_ok=corridor_ok,
-        monitor_uphill=uphill, tau_scheme=tau, envelope_ok=env_ok, steps=steps,
-        times=times, sup_series=sups, reports=reports, final_state=state,
-        compat=compat, reform_gap=reform_gap, reform_checks=reform_checks,
-    )
+    res, _ = _relax(solver, solver, state, config, measure,
+                    h_min=float(np.min(solver.dr)))
+    return replace(res, passed=res.passed and res.envelope_ok)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fd import fornberg_weights
+from .discrete import fornberg_weights
 
 __all__ = [
     "AxisDegeneracy",

@@ -89,7 +89,7 @@ def mms_error_axi(params, r_max, m_r, n_theta, dt, t_fin, fns):
     def forcing(t, r, theta):
         return (s_rho_f(rr, tt, t), s_mr_f(rr, tt, t), s_mt_f(rr, tt, t))
 
-    solver = AxiSolver(prof, params, agrid, forcing=forcing, selfcheck=False)
+    solver = AxiSolver(prof, params, agrid, forcing=forcing)
     solver.bc_far = lambda t: (rho_f(r_max, agrid.centers, t),
                                ur_f(r_max, np.pi / 2, t))
     st = AxiState(0.0, grid, agrid, rho_f(rr, tt, 0.0), ur_f(rr, tt, 0.0),

@@ -121,6 +121,13 @@ def test_evolve_and_report_roundtrip(tmp_path):
                  "--run-dir", str(out)]) == EXIT_OK
     data = np.genfromtxt(rep_out / "energy_report.csv", delimiter=",", names=True)
     assert data["total_relative_energy"] >= 0.0
+    # the dump is not read back onto a grid it was not written on
+    other = _write(tmp_path, (tmp_path / "run.conf").read_text().replace(
+        "r_max = 30", "r_max = 20"), name="other.conf")
+    bad_out = tmp_path / "rep_other"
+    assert main(["report", "--config", other, "--out", str(bad_out),
+                 "--run-dir", str(out)]) == EXIT_CONFIG
+    assert not (bad_out / "energy_report.csv").exists()
 
 
 def test_failed_decay_gives_criteria_exit(tmp_path):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import outflow
 from outflow import AngularGrid, RadialGrid, compatibility_residual, perturb_axi, perturb_sym
 from outflow.states import SymState, smooth_bump
 
@@ -88,3 +93,24 @@ def test_state_checks(small_profile, acc_params):
     st.rho[3] = -1.0
     with pytest.raises(ValueError):
         st.check(acc_params)
+
+
+def test_states_residuals_do_not_import_the_axisymmetric_solver():
+    """The boundary residuals live below the solvers: computing one loads no solver."""
+    code = "\n".join([
+        "import sys",
+        "from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady",
+        "from outflow.states import compatibility_residual, perturb_axi",
+        "params = FluidParams(u_b=-0.05)",
+        "profile = solve_steady(params, RadialGrid.uniform(20.0, 32))",
+        "state = perturb_axi(profile, AngularGrid(n_cells=8), 0.02, (1.5, 3.0))",
+        "compatibility_residual(state, profile, params)",
+        "loaded = sorted(m for m in sys.modules if m.startswith('outflow.evolve'))",
+        "assert not loaded, loaded",
+    ])
+    src = os.path.dirname(os.path.dirname(outflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
