@@ -2,7 +2,8 @@
 
 All numeric output is CSV with 17 significant digits so runs are diffable;
 the JSON run manifest is written last by atomic rename, and lists every
-file the run produced together with its PASS/FAIL verdict.
+file the run produced together with its PASS/FAIL verdict.  A run that
+stops on an error writes one too, with the exit code and the error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -77,13 +79,16 @@ class Manifest:
         return os.path.join(self.out_dir, name)
 
     def finish(self, passed: bool, criteria: dict) -> None:
+        """Write the manifest; a failed run lists only the outputs it wrote."""
         self.data["passed"] = bool(passed)
         self.data["criteria"] = criteria
         self.data["finished_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-        for name in self.data["outputs"]:
-            if not os.path.exists(os.path.join(self.out_dir, name)):
-                raise RuntimeError(f"declared output missing: {name}")
+        missing = [name for name in self.data["outputs"]
+                   if not os.path.exists(os.path.join(self.out_dir, name))]
+        if passed and missing:
+            raise RuntimeError(f"declared output missing: {missing[0]}")
+        self.data["outputs"] = [n for n in self.data["outputs"] if n not in missing]
         tmp = os.path.join(self.out_dir, ".manifest.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True,
@@ -136,24 +141,28 @@ def _cmd_steady(cfg: Config, man: Manifest) -> int:
         abs(profile.rho_t[-1] - cfg.params.rho_plus) / cfg.params.rho_plus)
 
     lines = [f"mass_flux m = {m:.17g}", f"rho(1) = {float(profile.rho_t[0]):.17g}"]
+    rates_ok = True  # a window too short to fit is reported, not failed
     try:
         rep = verify_decay(profile, slope_tol=cfg.slope_tol)
         lines.append(f"fit window: [{rep.window[0]:.6g}, {rep.window[1]:.6g}]")
         for key in rep.slopes:
             ok = abs(rep.slopes[key] - rep.targets[key]) <= rep.tolerances[key]
+            rates_ok = rates_ok and bool(ok)
             lines.append(
                 f"{key}: slope = {rep.slopes[key]:+.4f}  target = "
                 f"{rep.targets[key]:+d}  prefactor_ratio = "
                 f"{rep.prefactor_ratio[key]:.4g}  {'PASS' if ok else 'FAIL'}")
         checks["rate_report"] = "written"
+        checks["rate_fit"] = rates_ok
     except FitWindowTooSmall as exc:
         lines.append(f"rate fit skipped: {exc}")
+        checks["rate_fit"] = f"skipped: {exc}"
     with open(man.add("rate_report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    passed = all(checks.get(k, True) for k in
-                 ("mass_flux_ok", "rho_increasing", "speed_decreasing",
-                  "div_positive"))
+    passed = rates_ok and all(checks.get(k, True) for k in
+                              ("mass_flux_ok", "rho_increasing",
+                               "speed_decreasing", "div_positive"))
     man.finish(passed, checks)
     return EXIT_OK if passed else EXIT_CRITERIA
 
@@ -307,7 +316,8 @@ def _cmd_report(cfg: Config, man: Manifest, run_dir: str) -> int:
                          np.asarray(data["u_r"]).reshape(rr.shape),
                          np.asarray(data["u_theta"]).reshape(rr.shape))
     else:
-        raise FileNotFoundError(f"no state dump found under {run_dir!r}")
+        raise ConfigError(f"no state dump (state_sym.csv or state_axi.csv) "
+                          f"found under {run_dir!r}")
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
     rep = relative_energy(state, profile, cfg.params)
     _dump_reports(man.add("energy_report.csv"), [rep])
@@ -315,7 +325,17 @@ def _cmd_report(cfg: Config, man: Manifest, run_dir: str) -> int:
     return EXIT_OK
 
 
+def _failed(man: Manifest, code: int, exc: Exception, label: str = "error",
+            **detail) -> int:
+    """Report an error and record it in the manifest; returns the exit code."""
+    print(f"{label}: {exc}", file=sys.stderr)
+    man.finish(False, {"exit_code": code, "error": type(exc).__name__,
+                       "message": str(exc), **detail})
+    return code
+
+
 def dispatch(subcommand: str, cfg: Config, out_dir: str, run_dir: str = ".") -> int:
+    """Run one subcommand; every exit, failed ones included, writes a manifest."""
     os.makedirs(out_dir, exist_ok=True)
     man = Manifest(subcommand, cfg, out_dir)
     try:
@@ -333,17 +353,17 @@ def dispatch(subcommand: str, cfg: Config, out_dir: str, run_dir: str = ".") -> 
             return _cmd_report(cfg, man, run_dir)
         raise ValueError(f"unknown subcommand {subcommand!r}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _failed(man, EXIT_CONFIG, exc, "config error")
     except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return _failed(man, EXIT_NONCONVERGENCE, exc, iterations=exc.iterations,
+                       residual=exc.last_residual)
     except (CFLViolation, PositivityLoss) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
+        return _failed(man, EXIT_STABILITY, exc)
     except (FitWindowTooSmall, TailNotConverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+        return _failed(man, EXIT_DIAGNOSTIC, exc)
+    except Exception as exc:
+        return _failed(man, EXIT_UNEXPECTED, exc, "unexpected error",
+                       traceback=traceback.format_exc())
 
 
 def main(argv=None) -> int:

@@ -95,9 +95,10 @@ class SymOps:
         self.w_vol = area * self.r ** (dim_n - 1) * trapezoid_weights(self.r)
         self.boundary_area = area  # sphere of radius 1
 
-    def div_radial(self, v: np.ndarray) -> np.ndarray:
-        """Divergence of the radial field v(r) r_hat."""
-        return self.d1(v) + (self.dim_n - 1) * v / self.r
+    def div_radial(self, v: np.ndarray, dv: np.ndarray | None = None) -> np.ndarray:
+        """Divergence of the radial field v(r) r_hat; dv may carry d1(v)."""
+        dv = self.d1(v) if dv is None else dv
+        return dv + (self.dim_n - 1) * v / self.r
 
     def integral(self, f: np.ndarray) -> float:
         return float(np.sum(self.w_vol * f))
@@ -150,37 +151,49 @@ class AxiOps:
         """(d_r f, d_theta f / r) of an even scalar."""
         return self.d_r(f), self.d_theta(f, parity=1) / self.r[:, None]
 
-    def conv(self, a_r, a_t, w_r, w_t):
+    def first_derivs(self, w_r, w_t):
+        """(d_r w_r, d_theta w_r, d_r w_t, d_theta w_t) of w = w_r r_hat + w_t theta_hat.
+
+        `conv`, `vec_lap` and `visc` take them as `dw`, so a caller that
+        applies several of them to one field differentiates it once.
+        """
+        return (self.d_r(w_r), self.d_theta(w_r, parity=1),
+                self.d_r(w_t), self.d_theta(w_t, parity=-1))
+
+    def conv(self, a_r, a_t, w_r, w_t, dw=None):
         """(a . grad) w plus the curvature couplings of the moving frame."""
+        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w_r, w_t) if dw is None else dw
         r = self.r[:, None]
-        c_r = (a_r * self.d_r(w_r) + a_t * self.d_theta(w_r, parity=1) / r
-               - a_t * w_t / r)
-        c_t = (a_r * self.d_r(w_t) + a_t * self.d_theta(w_t, parity=-1) / r
-               + a_t * w_r / r)
+        c_r = a_r * dr_r + a_t * dt_r / r - a_t * w_t / r
+        c_t = a_r * dr_t + a_t * dt_t / r + a_t * w_r / r
         return c_r, c_t
 
-    def vec_lap(self, w_r, w_t):
+    def vec_lap(self, w_r, w_t, dw=None):
         """Vector Laplacian of w = w_r r_hat + w_t theta_hat."""
+        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w_r, w_t) if dw is None else dw
         r = self.r[:, None]
         s = self.sin[None, :]
         cot = (self.cos / self.sin)[None, :]
-        l_r = (self.d2_r(w_r) + 2.0 * self.d_r(w_r) / r
+        l_r = (self.d2_r(w_r) + 2.0 * dr_r / r
                + self.d2_theta(w_r, parity=1) / r**2
-               + cot * self.d_theta(w_r, parity=1) / r**2
+               + cot * dt_r / r**2
                - 2.0 * w_r / r**2
-               - 2.0 * self.d_theta(w_t, parity=-1) / r**2
+               - 2.0 * dt_t / r**2
                - 2.0 * cot * w_t / r**2)
-        l_t = (self.d2_r(w_t) + 2.0 * self.d_r(w_t) / r
+        l_t = (self.d2_r(w_t) + 2.0 * dr_t / r
                + self.d2_theta(w_t, parity=-1) / r**2
-               + cot * self.d_theta(w_t, parity=-1) / r**2
-               + 2.0 * self.d_theta(w_r, parity=1) / r**2
+               + cot * dt_t / r**2
+               + 2.0 * dt_r / r**2
                - w_t / (r * s) ** 2)
         return l_r, l_t
 
-    def visc(self, w_r, w_t, mu: float, lam: float):
-        """Viscous operator mu lap w + (mu + lam) grad div w."""
-        l_r, l_t = self.vec_lap(w_r, w_t)
-        d = self.div(w_r, w_t)
+    def visc(self, w_r, w_t, mu: float, lam: float, dw=None, div=None):
+        """Viscous operator mu lap w + (mu + lam) grad div w.
+
+        dw may carry `first_derivs(w_r, w_t)` and div `div(w_r, w_t)`.
+        """
+        l_r, l_t = self.vec_lap(w_r, w_t, dw)
+        d = self.div(w_r, w_t) if div is None else div
         return (mu * l_r + (mu + lam) * self.d_r(d),
                 mu * l_t + (mu + lam) * self.d_theta(d, parity=1) / self.r[:, None])
 

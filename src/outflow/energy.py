@@ -25,7 +25,9 @@ __all__ = [
     "energy_norm",
     "density_corridor",
     "reformulation_residual",
+    "reformulation_terms",
     "ReformResult",
+    "ReformTerms",
     "composite_monitor",
     "SUP_GROUP",
     "INT_GROUP",
@@ -353,9 +355,60 @@ class ReformResult:
                          np.max(np.abs(self.orig_momentum - self.reform_momentum))))
 
 
+@dataclass(frozen=True, eq=False)
+class ReformTerms:
+    """The terms of the reformulation check that depend on (rho~, u~) alone.
+
+    `reformulation_terms` builds them once; a run hands the one holder to
+    every `reformulation_residual` call.  `stat` names its arrays as the
+    residual formulas do: derivatives of the stationary fields, P'(rho~)
+    and the stationary residuals st1 and st2.
+    """
+
+    profile: SteadyProfile
+    params: FluidParams
+    ops: object
+    stat: dict
+
+
+def reformulation_terms(profile: SteadyProfile, params: FluidParams, ops) -> ReformTerms:
+    """Stationary terms of the reformulation check on SymOps or AxiOps."""
+    visc = 2.0 * params.mu + params.lam
+    if isinstance(ops, SymOps):
+        d = ops.d1
+        rt, ut = profile.rho_t, profile.u_t
+        d_rt, d_ut = d(rt), d(ut)
+        div_ut = ops.div_radial(ut, d_ut)
+        dp_rt = dpressure(rt, params)
+        stat = {
+            "d_rt": d_rt, "d_ut": d_ut, "div_ut": div_ut, "dp_rt": dp_rt,
+            "st1": ut * d_rt + rt * div_ut,
+            "st2": rt * ut * d_ut + dp_rt * d_rt - visc * d(div_ut),
+        }
+    elif isinstance(ops, AxiOps):
+        rt2 = np.repeat(profile.rho_t[:, None], ops.theta.size, axis=1)
+        ut2 = np.repeat(profile.u_t[:, None], ops.theta.size, axis=1)
+        zero = np.zeros_like(rt2)
+        g_rt = ops.grad(rt2)
+        div_ut = ops.div(ut2, zero)
+        d_ut = ops.first_derivs(ut2, zero)
+        lut = ops.visc(ut2, zero, params.mu, params.lam, d_ut, div_ut)
+        c_uu = ops.conv(ut2, zero, ut2, zero, d_ut)
+        dp_rt = dpressure(rt2, params)
+        stat = {
+            "rt2": rt2, "ut2": ut2, "zero": zero, "g_rt": g_rt, "div_ut": div_ut,
+            "d_ut": d_ut, "c_uu": c_uu, "dp_rt": dp_rt,
+            "st1": ut2 * g_rt[0] + rt2 * div_ut,
+            "st2": [rt2 * c_uu[i] + dp_rt * g_rt[i] - lut[i] for i in range(2)],
+        }
+    else:
+        raise TypeError("ops must be SymOps or AxiOps")
+    return ReformTerms(profile, params, ops, stat)
+
+
 def reformulation_residual(state, state_prev, dt: float,
                            profile: SteadyProfile, params: FluidParams,
-                           ops=None) -> ReformResult:
+                           ops=None, terms: ReformTerms | None = None) -> ReformResult:
     """Discrete residuals of the governing system and of its linearised form.
 
     Both sides are assembled from the same collocation derivatives, so they
@@ -364,107 +417,117 @@ def reformulation_residual(state, state_prev, dt: float,
     the discrete profile does not annihilate the discrete operator exactly.
     The momentum equations are compared in velocity form (divided by rho);
     for radial fields the viscous operator is (2 mu + lam) d_r(div).
+    `terms` are the stationary terms from `reformulation_terms`; without
+    them they are built here, on `ops` or on operators of the state's grid.
     """
     if not density_corridor(state, params):
         raise ValueError("density outside the a-priori corridor")
-    if isinstance(state, AxiState):
-        return _reformulation_axi(state, state_prev, dt, profile, params, ops)
-    if ops is None:
-        ops = SymOps(state.grid, params.dim_n)
+    axi = isinstance(state, AxiState)
+    if terms is None:
+        if ops is None:
+            ops = (AxiOps(state.grid, state.agrid) if axi
+                   else SymOps(state.grid, params.dim_n))
+        terms = reformulation_terms(profile, params, ops)
+    elif (terms.profile is not profile or terms.params != params
+          or (ops is not None and ops is not terms.ops)):
+        raise ValueError("the reformulation terms were built for another "
+                         "profile, fluid or operator set")
+    if axi != isinstance(terms.ops, AxiOps):
+        raise ValueError("the reformulation terms are of the other geometry")
+    if axi:
+        return _reformulation_axi(state, state_prev, dt, params, terms)
+    return _reformulation_sym(state, state_prev, dt, params, terms)
+
+
+def _reformulation_sym(state: SymState, prev: SymState, dt: float,
+                       params: FluidParams, terms: ReformTerms) -> ReformResult:
+    ops, st = terms.ops, terms.stat
     d = ops.d1
     visc = 2.0 * params.mu + params.lam
     rho_p, q_p = params.rho_plus, float(q_coeff(params.rho_plus, params))
 
     rho, u = state.rho, state.u_rad
-    rho0, u0 = state_prev.rho, state_prev.u_rad
-    rt, ut = profile.rho_t, profile.u_t
+    rho0, u0 = prev.rho, prev.u_rad
+    rt, ut = terms.profile.rho_t, terms.profile.u_t
+    d_rt, d_ut = st["d_rt"], st["d_ut"]
     phi, psi = rho - rt, u - ut
     phi0, psi0 = rho0 - rt, u0 - ut
 
-    div_u = ops.div_radial(u)
-    div_psi = ops.div_radial(psi)
-    div_ut = ops.div_radial(ut)
+    d_rho, d_u, d_phi, d_psi = d(rho), d(u), d(phi), d(psi)
+    div_u = ops.div_radial(u, d_u)
+    div_psi = ops.div_radial(psi, d_psi)
+    q_rho = q_coeff(rho, params)
 
-    orig_cont = (rho - rho0) / dt + u * d(rho) + rho * div_u
-    f0 = (-phi * div_psi + (rho_p - rt) * div_psi - psi * d(rt) - phi * div_ut)
-    st1 = ut * d(rt) + rt * div_ut
-    reform_cont = (phi - phi0) / dt + u * d(phi) + rho_p * div_psi - f0 + st1
+    orig_cont = (rho - rho0) / dt + u * d_rho + rho * div_u
+    f0 = (-phi * div_psi + (rho_p - rt) * div_psi - psi * d_rt - phi * st["div_ut"])
+    reform_cont = (phi - phi0) / dt + u * d_phi + rho_p * div_psi - f0 + st["st1"]
 
     lap_u = d(div_u)
     lap_psi = d(div_psi)
-    lap_ut = d(div_ut)
-    orig_mom = ((u - u0) / dt + u * d(u) + q_coeff(rho, params) * d(rho)
+    orig_mom = ((u - u0) / dt + u * d_u + q_rho * d_rho
                 - visc * lap_u / rho)
     f_visc = -((rho - rho_p) / (rho_p * rho)) * visc * lap_psi
-    f_tilde = (-psi * d(psi) - ut * d(psi) - psi * d(ut)
-               - (phi / rho) * ut * d(ut)
-               + (q_p - q_coeff(rho, params)) * d(phi)
-               - ((dpressure(rho, params) - dpressure(rt, params)) / rho) * d(rt))
-    st2 = rt * ut * d(ut) + dpressure(rt, params) * d(rt) - visc * lap_ut
-    reform_mom = ((psi - psi0) / dt - visc * lap_psi / rho_p + q_p * d(phi)
-                  - (f_visc + f_tilde) + st2 / rho)
+    f_tilde = (-psi * d_psi - ut * d_psi - psi * d_ut
+               - (phi / rho) * ut * d_ut
+               + (q_p - q_rho) * d_phi
+               - ((dpressure(rho, params) - st["dp_rt"]) / rho) * d_rt)
+    reform_mom = ((psi - psi0) / dt - visc * lap_psi / rho_p + q_p * d_phi
+                  - (f_visc + f_tilde) + st["st2"] / rho)
     return ReformResult(orig_cont, reform_cont, orig_mom, reform_mom)
 
 
 def _reformulation_axi(state: AxiState, prev: AxiState, dt: float,
-                       profile: SteadyProfile, params: FluidParams,
-                       ops: AxiOps | None = None) -> ReformResult:
-    if ops is None:
-        ops = AxiOps(state.grid, state.agrid)
+                       params: FluidParams, terms: ReformTerms) -> ReformResult:
+    ops, st = terms.ops, terms.stat
     mu, lam = params.mu, params.lam
     rho_p, q_p = params.rho_plus, float(q_coeff(params.rho_plus, params))
 
     rho, u_r, u_t = state.rho, state.u_r, state.u_theta
-    rt2 = np.repeat(profile.rho_t[:, None], ops.theta.size, axis=1)
-    ut2 = np.repeat(profile.u_t[:, None], ops.theta.size, axis=1)
-    zero = np.zeros_like(rt2)
+    rt2, ut2, zero, g_rt = st["rt2"], st["ut2"], st["zero"], st["g_rt"]
     phi = rho - rt2
     psi_r, psi_t = u_r - ut2, u_t
     phi0 = prev.rho - rt2
     psi_r0, psi_t0 = prev.u_r - ut2, prev.u_theta
 
     g_rho = ops.grad(rho)
+    div_u = ops.div(u_r, u_t)
     orig_cont = ((rho - prev.rho) / dt + u_r * g_rho[0] + u_t * g_rho[1]
-                 + rho * ops.div(u_r, u_t))
+                 + rho * div_u)
     div_psi = ops.div(psi_r, psi_t)
-    div_ut = ops.div(ut2, zero)
     g_phi = ops.grad(phi)
-    g_rt = ops.grad(rt2)
     f0 = (-phi * div_psi + (rho_p - rt2) * div_psi
-          - psi_r * g_rt[0] - psi_t * g_rt[1] - phi * div_ut)
-    st1 = ut2 * g_rt[0] + rt2 * div_ut
+          - psi_r * g_rt[0] - psi_t * g_rt[1] - phi * st["div_ut"])
     reform_cont = ((phi - phi0) / dt + u_r * g_phi[0] + u_t * g_phi[1]
-                   + rho_p * div_psi - f0 + st1)
+                   + rho_p * div_psi - f0 + st["st1"])
 
-    lu_r, lu_t = ops.visc(u_r, u_t, mu, lam)
-    co_r, co_t = ops.conv(u_r, u_t, u_r, u_t)
+    q_rho = q_coeff(rho, params)
+    d_u = ops.first_derivs(u_r, u_t)
+    lu_r, lu_t = ops.visc(u_r, u_t, mu, lam, d_u, div_u)
+    co_r, co_t = ops.conv(u_r, u_t, u_r, u_t, d_u)
     orig_mom = np.stack([
-        (u_r - prev.u_r) / dt + co_r + q_coeff(rho, params) * g_rho[0] - lu_r / rho,
-        (u_t - prev.u_theta) / dt + co_t + q_coeff(rho, params) * g_rho[1]
-        - lu_t / rho,
+        (u_r - prev.u_r) / dt + co_r + q_rho * g_rho[0] - lu_r / rho,
+        (u_t - prev.u_theta) / dt + co_t + q_rho * g_rho[1] - lu_t / rho,
     ])
 
-    lut_r, lut_t = ops.visc(ut2, zero, mu, lam)
-    lap_psi = ops.vec_lap(psi_r, psi_t)
+    d_psi = ops.first_derivs(psi_r, psi_t)
+    lap_psi = ops.vec_lap(psi_r, psi_t, d_psi)
     gdiv_psi = ops.grad(div_psi)
-    c_pp = ops.conv(psi_r, psi_t, psi_r, psi_t)
-    c_up = ops.conv(ut2, zero, psi_r, psi_t)
-    c_pu = ops.conv(psi_r, psi_t, ut2, zero)
-    c_uu = ops.conv(ut2, zero, ut2, zero)
-    dp_gap = (dpressure(rho, params) - dpressure(rt2, params)) / rho
-    st2 = [rt2 * c_uu[0] + dpressure(rt2, params) * g_rt[0] - lut_r,
-           rt2 * c_uu[1] + dpressure(rt2, params) * g_rt[1] - lut_t]
+    c_pp = ops.conv(psi_r, psi_t, psi_r, psi_t, d_psi)
+    c_up = ops.conv(ut2, zero, psi_r, psi_t, d_psi)
+    c_pu = ops.conv(psi_r, psi_t, ut2, zero, st["d_ut"])
+    c_uu = st["c_uu"]
+    dp_gap = (dpressure(rho, params) - st["dp_rt"]) / rho
     reform = []
     for i in range(2):
         f_visc = -((rho - rho_p) / (rho_p * rho)) * (
             mu * lap_psi[i] + (mu + lam) * gdiv_psi[i])
         f_tilde = (-c_pp[i] - c_up[i] - c_pu[i] - (phi / rho) * c_uu[i]
-                   + (q_p - q_coeff(rho, params)) * g_phi[i]
+                   + (q_p - q_rho) * g_phi[i]
                    - dp_gap * g_rt[i])
         dpsi_dt = ((psi_r - psi_r0) if i == 0 else (psi_t - psi_t0)) / dt
         reform.append(dpsi_dt - (mu / rho_p) * lap_psi[i]
                       - ((mu + lam) / rho_p) * gdiv_psi[i] + q_p * g_phi[i]
-                      - (f_visc + f_tilde) + st2[i] / rho)
+                      - (f_visc + f_tilde) + st["st2"][i] / rho)
     return ReformResult(orig_cont, reform_cont, orig_mom, np.stack(reform))
 
 

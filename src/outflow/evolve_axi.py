@@ -17,12 +17,13 @@ from scipy.special import eval_legendre
 
 from .discrete import AxiOps
 from .grids import AngularGrid
-from .params import FluidParams, pressure, sound_speed
+from .params import FluidParams, pressure_unchecked, sound_speed
 from .states import AxiState, boundary_momentum_residual, perturb_axi
 from .steady import SteadyProfile
 from .evolve_sym import (
     CFLViolation,
     PositivityLoss,
+    RadialScheme,
     RunResult,
     SymSolver,
     _relax,
@@ -76,92 +77,96 @@ def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = 5):
     return np.linalg.solve(gram, rhs)
 
 
-class AxiSolver:
+class AxiSolver(RadialScheme):
     """Method-of-lines axisymmetric solver bound to a steady profile."""
 
     def __init__(self, profile: SteadyProfile, params: FluidParams,
                  agrid: AngularGrid, forcing=None):
-        if params.dim_n != 3:
-            raise ValueError("the evolution solver is three-dimensional")
-        self.profile = profile
-        self.params = params
+        super().__init__(profile, params, forcing)
         self.agrid = agrid
-        self.forcing = forcing
-        self.ops = AxiOps(profile.grid, agrid)
-        self.r = profile.grid.nodes
-        self.dr = np.diff(self.r)
-        self.r_face = 0.5 * (self.r[:-1] + self.r[1:])
-        edges = np.concatenate([[self.r[0]], self.r_face, [self.r[-1]]])
-        self.dual_vol = (edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0
-        self.dface = np.diff(edges)[1:-1]
-        self.sin_edge = np.sin(agrid.nodes)  # zero at both poles
-        self.visc = 2.0 * params.mu + params.lam
-        self.bc_far = lambda t: (profile.rho_t[-1], profile.u_t[-1])
+        self.ops = ops = AxiOps(profile.grid, agrid)
+        # (r, theta) grid constants, broadcast once
+        r = self.r[:, None]
+        s = ops.sin[None, :]
+        self.r_col = r
+        self.r2_col = self.r2[:, None]
+        self.sin_row = s
+        self.cot_row = (ops.cos / ops.sin)[None, :]
+        self.r_sin = r * s
+        self.r2_sin = r**2 * s
+        self.r_sin_sq = (r * s) ** 2
+        self.r_sin_dtheta = r * s * agrid.dtheta
+        self.sin_face_w = np.sin(agrid.nodes)[None, 1:-1] * 0.5  # zero at both poles
+        self.rf2_col = (self.r_face**2)[:, None]
+        self.dr_col = self.dr[:, None]
+        self.dface_r2 = self.dface[:, None] * (self.r[1:-1] ** 2)[:, None]
+        self.dr_pair_col = self.dr_pair[:, None]
+        self.h_cell = np.minimum(self.h[:, None], r * agrid.dtheta)
+        self.h_cell2 = self.h_cell**2
         viscous_formula_selfcheck()
 
     # -- angular flux divergence: (1/(r sin)) d_theta(sin q u_theta) ---------
     def _theta_flux_div(self, q: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
         g = q * u_theta
         flux = np.zeros((q.shape[0], self.agrid.n_cells + 1))
-        flux[:, 1:-1] = self.sin_edge[None, 1:-1] * 0.5 * (g[:, :-1] + g[:, 1:])
-        r = self.r[:, None]
-        s = self.ops.sin[None, :]
-        return (flux[:, 1:] - flux[:, :-1]) / (r * s * self.agrid.dtheta)
+        flux[:, 1:-1] = self.sin_face_w * (g[:, :-1] + g[:, 1:])
+        return (flux[:, 1:] - flux[:, :-1]) / self.r_sin_dtheta
 
     def _lap_radial(self, f: np.ndarray) -> np.ndarray:
         """(1/r^2) d_r(r^2 d_r f) with face-centered first derivatives."""
-        g_face = (self.r_face**2)[:, None] * (f[1:] - f[:-1]) / self.dr[:, None]
+        g_face = self.rf2_col * (f[1:] - f[:-1]) / self.dr_col
         out = np.zeros_like(f)
-        out[1:-1] = (g_face[1:] - g_face[:-1]) / (
-            self.dface[:, None] * (self.r[1:-1] ** 2)[:, None])
+        out[1:-1] = (g_face[1:] - g_face[:-1]) / self.dface_r2
         return out
 
-    def rhs(self, state: AxiState):
-        """(rho_t, mr_t, mt_t); boundary rows are zeroed for BC application."""
+    def rhs(self, state: AxiState, checked: bool = False):
+        """(rho_t, mr_t, mt_t); boundary rows are zeroed for BC application.
+
+        checked=True skips the positivity scan of a density that the caller
+        has already scanned (the stages of `step` do).
+        """
         p = self.params
         ops = self.ops
-        r = self.r[:, None]
-        s = ops.sin[None, :]
-        cot = (ops.cos / ops.sin)[None, :]
+        r, r2, s = self.r_col, self.r2_col, self.sin_row
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
-        if np.any(rho <= 0.0):
+        if not checked and (rho <= 0.0).any():
             raise PositivityLoss(f"density hit zero at t = {state.t:.6g}")
         m_r = rho * u_r
         m_t = rho * u_t
 
-        rho_t, _ = radial_flux_div(self.r, self.r_face, self.dual_vol, m_r)
-        rho_t[0] = -onesided_first(self.r, (self.r**2)[:, None] * m_r) / self.r[0] ** 2
+        rho_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_r)
+        rho_t[0] = -onesided_first(self.r, r2 * m_r) / self.r[0] ** 2
         rho_t -= self._theta_flux_div(rho, u_t)
         rho_t[-1] = 0.0
 
-        prs = pressure(rho, p)
-        div_ang = ops.d_theta(s * u_t, parity=1) / (r * s)
-        div_u = ops.d_r(r**2 * u_r) / r**2 + div_ang
+        prs = pressure_unchecked(rho, p)
+        div_ang = ops.d_theta(s * u_t, parity=1) / self.r_sin
+        div_u = ops.d_r(r2 * u_r) / r2 + div_ang
+        dth_ur = ops.d_theta(u_r, parity=1)
+        dth_ut = ops.d_theta(u_t, parity=-1)
 
         # radial momentum
-        mr_t, _ = radial_flux_div(self.r, self.r_face, self.dual_vol, m_r * u_r)
+        mr_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_r * u_r)
         mr_t -= self._theta_flux_div(m_r, u_t)
         mr_t += rho * u_t**2 / r
-        mr_t[1:-1] -= (prs[2:] - prs[:-2]) / (self.r[2:] - self.r[:-2])[:, None]
-        w = radial_visc_w(self.r, self.r_face, self.dr, u_r)
-        visc_r = self.visc * radial_visc_div(self.r_face, self.dface, w)
-        visc_r += p.mu * (ops.d_theta(s * ops.d_theta(u_r, parity=1), parity=1)
-                          / (r**2 * s)
-                          - 2.0 * ops.d_theta(u_t, parity=-1) / r**2
-                          - 2.0 * cot * u_t / r**2)
+        mr_t[1:-1] -= (prs[2:] - prs[:-2]) / self.dr_pair_col
+        w = radial_visc_w(self.r2, self.dr_rf2, u_r)
+        visc_r = self.visc * radial_visc_div(self.dface, w)
+        visc_r += p.mu * (ops.d_theta(s * dth_ur, parity=1) / self.r2_sin
+                          - 2.0 * dth_ut / r2
+                          - 2.0 * self.cot_row * u_t / r2)
         visc_r += (p.mu + p.lam) * ops.d_r(div_ang)
         mr_t += visc_r
 
         # polar momentum
-        mt_t, _ = radial_flux_div(self.r, self.r_face, self.dual_vol, m_t * u_r)
+        mt_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_t * u_r)
         mt_t -= self._theta_flux_div(m_t, u_t)
         mt_t -= rho * u_r * u_t / r
         mt_t -= ops.d_theta(prs, parity=1) / r
         visc_t = p.mu * (self._lap_radial(u_t)
-                         + ops.d_theta(s * ops.d_theta(u_t, parity=-1), parity=-1)
-                         / (r**2 * s)
-                         + 2.0 * ops.d_theta(u_r, parity=1) / r**2
-                         - u_t / (r * s) ** 2)
+                         + ops.d_theta(s * dth_ut, parity=-1) / self.r2_sin
+                         + 2.0 * dth_ur / r2
+                         - u_t / self.r_sin_sq)
         visc_t += (p.mu + p.lam) * ops.d_theta(div_u, parity=1) / r
         mt_t += visc_t
 
@@ -189,13 +194,12 @@ class AxiSolver:
         }
 
     def cfl_dt(self, state: AxiState, safety: float) -> float:
+        """safety x the advective and viscous limit; raises ValueError on a
+        nonpositive density."""
         c = sound_speed(state.rho, self.params)
-        h_r = np.minimum(np.concatenate([self.dr[:1], self.dr]),
-                         np.concatenate([self.dr, self.dr[-1:]]))[:, None]
-        h_cell = np.minimum(h_r, self.r[:, None] * self.agrid.dtheta)
         speed = np.hypot(state.u_r, state.u_theta) + c
-        adv = h_cell / speed
-        visc = h_cell**2 * state.rho / self.visc
+        adv = self.h_cell / speed
+        visc = self.h_cell2 * state.rho / self.visc
         return float(safety * min(np.min(adv), np.min(visc)))
 
     def apply_bc(self, state: AxiState) -> None:
@@ -206,8 +210,11 @@ class AxiSolver:
         state.u_r[-1] = u_far
         state.u_theta[-1] = 0.0
 
-    def step(self, state: AxiState, dt: float, safety: float = 0.4) -> AxiState:
-        limit = self.cfl_dt(state, 1.0)
+    def step(self, state: AxiState, dt: float, safety: float = 0.4,
+             limit: float | None = None) -> AxiState:
+        """One SSP two-stage step, as `SymSolver.step`."""
+        if limit is None:
+            limit = self.cfl_dt(state, 1.0)
         if dt > safety * limit * 1.05:
             raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
         s1 = self._euler(state, dt)
@@ -216,7 +223,7 @@ class AxiSolver:
         rho = 0.5 * (state.rho + s2.rho)
         m_r = 0.5 * (state.rho * state.u_r + s2.rho * s2.u_r)
         m_t = 0.5 * (state.rho * state.u_theta + s2.rho * s2.u_theta)
-        if np.any(rho <= 0.0):
+        if (rho <= 0.0).any():
             raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
         out = AxiState(state.t + dt, state.grid, state.agrid, rho,
                        m_r / rho, m_t / rho)
@@ -224,9 +231,9 @@ class AxiSolver:
         return out
 
     def _euler(self, state: AxiState, dt: float) -> AxiState:
-        rho_t, mr_t, mt_t = self.rhs(state)
+        rho_t, mr_t, mt_t = self.rhs(state, checked=True)
         rho = state.rho + dt * rho_t
-        if np.any(rho <= 0.0):
+        if (rho <= 0.0).any():
             raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
         m_r = state.rho * state.u_r + dt * mr_t
         m_t = state.rho * state.u_theta + dt * mt_t
@@ -246,7 +253,7 @@ class AxiSolver:
     def mass_balance(self, state: AxiState):
         """FV mass rate against boundary fluxes (theta fluxes telescope away)."""
         m_r = state.rho * state.u_r
-        rho_t, flux = radial_flux_div(self.r, self.r_face, self.dual_vol, m_r)
+        rho_t, flux = radial_flux_div(self.face_w, self.dual_vol, m_r)
         rho_t = rho_t - self._theta_flux_div(state.rho, state.u_theta)
         w_ang = 2.0 * np.pi * self.ops.sin * self.agrid.dtheta
         interior = float(np.sum(

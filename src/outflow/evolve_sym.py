@@ -21,9 +21,10 @@ from .energy import (
     composite_monitor,
     density_corridor,
     reformulation_residual,
+    reformulation_terms,
     relative_energy,
 )
-from .params import FluidParams, pressure, sound_speed
+from .params import FluidParams, pressure_unchecked, sound_speed
 from .states import SymState, compatibility_residual, perturb_sym
 from .steady import SteadyProfile
 
@@ -75,29 +76,32 @@ class SymRunConfig:
 
 
 def _col(r: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return r.reshape(r.shape + (1,) * (like.ndim - 1))
+    return r if like.ndim == 1 else r.reshape(r.shape + (1,) * (like.ndim - 1))
 
 
-def radial_flux_div(r, r_face, dual_vol, g):
+def radial_flux_div(face_w, dual_vol, g):
     """-(1/r^2)(r^2 g)_r in interface-flux form on interior nodes.
 
-    g is the advected quantity times velocity at the nodes; returns the
-    divergence on nodes 1..M-1 (zeros at both ends, which carry boundary
-    treatment instead).
+    g is the advected quantity times velocity at the nodes; face_w is
+    r_face**2 * 0.5.  Returns the divergence on nodes 1..M-1 (zeros at both
+    ends, which carry boundary treatment instead) and the face fluxes.
     """
-    flux = _col(r_face**2, g) * 0.5 * (g[:-1] + g[1:])
-    out = np.zeros_like(g)
+    flux = _col(face_w, g) * (g[:-1] + g[1:])
+    out = np.zeros(g.shape)
     out[1:-1] = -(flux[1:] - flux[:-1]) / _col(dual_vol, g)
     return out, flux
 
 
-def radial_visc_w(r, r_face, dr, u):
-    """Face values of (r^2 u)_r / r^2, the radial viscous stress kernel."""
-    r2u = _col(r**2, u) * u
-    return (r2u[1:] - r2u[:-1]) / (_col(dr, u) * _col(r_face**2, u))
+def radial_visc_w(r2, dr_rf2, u):
+    """Face values of (r^2 u)_r / r^2, the radial viscous stress kernel.
+
+    r2 is r**2 at the nodes and dr_rf2 is dr * r_face**2 on the faces.
+    """
+    r2u = _col(r2, u) * u
+    return (r2u[1:] - r2u[:-1]) / _col(dr_rf2, u)
 
 
-def radial_visc_div(r_face, dface, w):
+def radial_visc_div(dface, w):
     """Derivative of the face kernel back to interior nodes."""
     out_shape = (w.shape[0] + 1,) + w.shape[1:]
     out = np.zeros(out_shape)
@@ -120,8 +124,14 @@ def onesided_first(r, f, at: int = 0):
     return w0 * f0 + w1 * f1 + w2 * f2
 
 
-class SymSolver:
-    """Method-of-lines radial solver bound to a steady profile."""
+class RadialScheme:
+    """What both explicit solvers share: the profile, the fluid and the
+    radial finite-volume grid constants.
+
+    Every array here depends on the radial nodes alone.  Each is built once,
+    from the expression the right-hand side would otherwise evaluate on
+    every call, so the stepping is bitwise that of evaluating it per call.
+    """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
         if params.dim_n != 3:
@@ -129,35 +139,53 @@ class SymSolver:
         self.profile = profile
         self.params = params
         self.forcing = forcing
-        self.ops = SymOps(profile.grid, params.dim_n)
-        self.r = profile.grid.nodes
-        self.dr = np.diff(self.r)
-        self.r_face = 0.5 * (self.r[:-1] + self.r[1:])
-        edges = np.concatenate([[self.r[0]], self.r_face, [self.r[-1]]])
-        self.dual_vol = (edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0
-        self.dface = np.diff(np.concatenate([[self.r[0]], self.r_face, [self.r[-1]]]))[1:-1]
         self.visc = 2.0 * params.mu + params.lam
         self.bc_far = lambda t: (profile.rho_t[-1], profile.u_t[-1])
+        r = self.r = profile.grid.nodes
+        self.dr = np.diff(r)
+        self.r_face = 0.5 * (r[:-1] + r[1:])
+        edges = np.concatenate([[r[0]], self.r_face, [r[-1]]])
+        self.dual_vol = (edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0
+        self.dface = np.diff(edges)[1:-1]
+        self.r2 = r**2
+        self.face_w = self.r_face**2 * 0.5
+        self.dr_rf2 = self.dr * self.r_face**2
+        self.dr_pair = r[2:] - r[:-2]  # centred pressure gradient
+        # CFL cell size: the smaller of the two intervals at each node
+        self.h = np.minimum(np.concatenate([self.dr[:1], self.dr]),
+                            np.concatenate([self.dr, self.dr[-1:]]))
+        self.h2 = self.h**2
 
-    def rhs(self, state: SymState):
-        """(rho_t, m_t) with m = rho u; boundary nodes handled one-sided."""
-        p = self.params
+
+class SymSolver(RadialScheme):
+    """Method-of-lines radial solver bound to a steady profile."""
+
+    def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
+        super().__init__(profile, params, forcing)
+        self.ops = SymOps(profile.grid, params.dim_n)
+
+    def rhs(self, state: SymState, checked: bool = False):
+        """(rho_t, m_t) with m = rho u; boundary nodes handled one-sided.
+
+        checked=True skips the positivity scan of a density that the caller
+        has already scanned (the stages of `step` do).
+        """
         r = self.r
         rho, u = state.rho, state.u_rad
-        if np.any(rho <= 0.0):
+        if not checked and (rho <= 0.0).any():
             raise PositivityLoss(f"density hit zero at t = {state.t:.6g}")
         m = rho * u
 
-        rho_t, _ = radial_flux_div(r, self.r_face, self.dual_vol, m)
+        rho_t, _ = radial_flux_div(self.face_w, self.dual_vol, m)
         # outflow wall: one-sided into-domain continuity, no density condition
-        rho_t[0] = -onesided_first(r, r**2 * m) / r[0] ** 2
+        rho_t[0] = -onesided_first(r, self.r2 * m) / r[0] ** 2
         rho_t[-1] = 0.0  # Dirichlet-to-profile
 
-        m_t, _ = radial_flux_div(r, self.r_face, self.dual_vol, m * u)
-        prs = pressure(rho, p)
-        m_t[1:-1] -= (prs[2:] - prs[:-2]) / (r[2:] - r[:-2])
-        w = radial_visc_w(r, self.r_face, self.dr, u)
-        m_t += self.visc * radial_visc_div(self.r_face, self.dface, w)
+        m_t, _ = radial_flux_div(self.face_w, self.dual_vol, m * u)
+        prs = pressure_unchecked(rho, self.params)
+        m_t[1:-1] -= (prs[2:] - prs[:-2]) / self.dr_pair
+        w = radial_visc_w(self.r2, self.dr_rf2, u)
+        m_t += self.visc * radial_visc_div(self.dface, w)
         m_t[0] = 0.0
         m_t[-1] = 0.0
         if self.forcing is not None:
@@ -174,11 +202,11 @@ class SymSolver:
         return {"rho_t": rho_t, "u_t": u_t}
 
     def cfl_dt(self, state: SymState, safety: float) -> float:
+        """safety x the advective and viscous limit; raises ValueError on a
+        nonpositive density."""
         c = sound_speed(state.rho, self.params)
-        h = np.minimum(np.concatenate([self.dr[:1], self.dr]),
-                       np.concatenate([self.dr, self.dr[-1:]]))
-        adv = h / (np.abs(state.u_rad) + c)
-        visc = h**2 * state.rho / self.visc
+        adv = self.h / (np.abs(state.u_rad) + c)
+        visc = self.h2 * state.rho / self.visc
         return float(safety * min(np.min(adv), np.min(visc)))
 
     def apply_bc(self, state: SymState) -> None:
@@ -187,9 +215,15 @@ class SymSolver:
         state.rho[-1] = rho_far
         state.u_rad[-1] = u_far
 
-    def step(self, state: SymState, dt: float, safety: float = 0.4) -> SymState:
-        """One SSP two-stage step; raises on CFL violation or positivity loss."""
-        limit = self.cfl_dt(state, 1.0)
+    def step(self, state: SymState, dt: float, safety: float = 0.4,
+             limit: float | None = None) -> SymState:
+        """One SSP two-stage step; raises on CFL violation or positivity loss.
+
+        limit is cfl_dt(state, 1.0), which also checks the density of state;
+        a caller that has just computed it passes it on.
+        """
+        if limit is None:
+            limit = self.cfl_dt(state, 1.0)
         if dt > safety * limit * 1.05:  # slack for a fixed dt on a drifting state
             raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
         s1 = self._euler(state, dt)
@@ -197,24 +231,24 @@ class SymSolver:
         s2 = self._euler(s1, dt)
         rho = 0.5 * (state.rho + s2.rho)
         m = 0.5 * (state.rho * state.u_rad + s2.rho * s2.u_rad)
-        if np.any(rho <= 0.0):
+        if (rho <= 0.0).any():
             raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
         out = SymState(state.t + dt, state.grid, rho, m / rho)
         self.apply_bc(out)
         return out
 
     def _euler(self, state: SymState, dt: float) -> SymState:
-        rho_t, m_t = self.rhs(state)
+        rho_t, m_t = self.rhs(state, checked=True)
         rho_new = state.rho + dt * rho_t
         m_new = state.rho * state.u_rad + dt * m_t
-        if np.any(rho_new <= 0.0):
+        if (rho_new <= 0.0).any():
             raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
         return SymState(state.t + dt, state.grid, rho_new, m_new / rho_new)
 
     def mass_balance(self, state: SymState):
         """Rate of change of the finite-volume mass vs boundary fluxes."""
         m = state.rho * state.u_rad
-        rho_t, flux = radial_flux_div(self.r, self.r_face, self.dual_vol, m)
+        rho_t, flux = radial_flux_div(self.face_w, self.dual_vol, m)
         interior = float(np.sum(self.dual_vol * rho_t[1:-1]))
         boundary = float(flux[0] - flux[-1])
         return interior, boundary
@@ -315,19 +349,23 @@ def _relax(solver, twin: SymSolver, state, config, measure, h_min: float):
     dt_used = []
     reform_gap = None
     reform_checks = 0
+    terms = (reformulation_terms(profile, params, solver.ops)
+             if config.reform_every else None)
     while state.t < config.t_end - 1e-12:
-        dt = solver.cfl_dt(state, config.cfl_safety)
+        limit = solver.cfl_dt(state, 1.0)
+        dt = config.cfl_safety * limit
         if config.dt is not None:
             dt = min(dt, config.dt)
         dt = min(dt, config.t_end - state.t)
         prev = state
-        state = solver.step(state, dt, safety=config.cfl_safety)
+        state = solver.step(state, dt, safety=config.cfl_safety, limit=limit)
+        # the twin is another state: its step computes and checks its own limit
         base = twin.step(base, dt, safety=config.cfl_safety)
         steps += 1
         dt_used.append(dt)
         if config.reform_every and steps % config.reform_every == 0:
             res = reformulation_residual(state, prev, dt, profile, params,
-                                         ops=solver.ops)
+                                         terms=terms)
             gap = res.max_gap / (1.0 + res.orig_res)
             reform_gap = gap if reform_gap is None else max(reform_gap, gap)
             reform_checks += 1

@@ -73,14 +73,19 @@ def require_valid(params: FluidParams) -> None:
 
 
 def _check_positive_density(rho) -> None:
-    if np.any(np.asarray(rho) <= 0.0):
+    if (np.asarray(rho) <= 0.0).any():
         raise ValueError("density must be positive")
 
 
 def pressure(rho, params: FluidParams):
     """P(rho) = K rho^gamma."""
     _check_positive_density(rho)
-    return params.k_pressure * np.asarray(rho, dtype=float) ** params.gamma
+    return pressure_unchecked(np.asarray(rho, dtype=float), params)
+
+
+def pressure_unchecked(rho: np.ndarray, params: FluidParams) -> np.ndarray:
+    """P(rho) of a density array the caller has already checked positive."""
+    return params.k_pressure * rho ** params.gamma
 
 
 def dpressure(rho, params: FluidParams):

@@ -8,6 +8,7 @@ r^(1-n) prefactor dominate it.
 import time
 
 import numpy as np
+import pytest
 
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady, verify_decay
 from outflow.energy import h_identities, potential_energy, potential_energy_quadrature
@@ -129,6 +130,7 @@ def test_criterion_06_energy_identities():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_reformulation_equivalence(sym_acceptance_run,
                                                 axi_acceptance_run):
     sym_res, _ = sym_acceptance_run
@@ -141,6 +143,7 @@ def test_criterion_07_reformulation_equivalence(sym_acceptance_run,
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_spherical_stability(sym_acceptance_run):
     res, wall = sym_acceptance_run
     ok = (res.decay_factor >= 10.0 and res.corridor_ok and res.envelope_ok
@@ -156,6 +159,7 @@ def test_criterion_08_spherical_stability(sym_acceptance_run):
     assert wall <= 300.0
 
 
+@pytest.mark.slow
 def test_criterion_09_axisymmetric_stability(axi_acceptance_run, axi_profile,
                                              acc_params):
     res, wall = axi_acceptance_run
@@ -207,6 +211,7 @@ def test_criterion_09_axisymmetric_stability(axi_acceptance_run, axi_profile,
     assert wall <= 1200.0
 
 
+@pytest.mark.slow
 def test_criterion_10_convergence_orders(acc_params):
     prof = solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
     fns = manufactured_sym(acc_params, 5.0)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from outflow.cli import EXIT_CONFIG, EXIT_CRITERIA, EXIT_OK, main
+from outflow import cli
+from outflow.cli import EXIT_CONFIG, EXIT_CRITERIA, EXIT_NONCONVERGENCE, EXIT_OK, main
 from outflow.config import (
     Config,
     ConstraintViolation,
@@ -146,3 +148,64 @@ def test_config_text_round_trips_keys(tmp_path):
     assert "gamma" in text and "nodes_theta" in text
     # hash input is stable across calls
     assert text == config_text(Config())
+
+
+def test_failed_runs_leave_a_manifest(tmp_path):
+    """An error exit still writes manifest.json with the code and the error."""
+    conf = _write(tmp_path, "u_b = -200\n")
+    out = tmp_path / "steady"
+    assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_NONCONVERGENCE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["outputs"] == []
+    crit = manifest["criteria"]
+    assert crit["exit_code"] == EXIT_NONCONVERGENCE
+    assert crit["error"] == "NonConvergence"
+    assert "did not converge" in crit["message"]
+    assert crit["iterations"] >= 1 and crit["residual"] > 0.0
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "rep"
+    assert main(["report", "--run-dir", str(empty), "--out", str(out)]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["criteria"]["exit_code"] == EXIT_CONFIG
+    assert manifest["criteria"]["error"] == "ConfigError"
+    assert "no state dump" in manifest["criteria"]["message"]
+
+
+def test_steady_verdict_includes_the_rate_report(tmp_path, monkeypatch):
+    # the default configuration fits all five rates
+    out = tmp_path / "default"
+    assert main(["steady", "--out", str(out)]) == EXIT_OK
+    rate_lines = [line for line in (out / "rate_report.txt").read_text().splitlines()
+                  if ": slope = " in line]
+    assert len(rate_lines) == 5 and all(line.endswith("PASS") for line in rate_lines)
+    assert json.loads((out / "manifest.json").read_text())["criteria"]["rate_fit"] is True
+
+    # a window too short to fit is reported and does not fail the run
+    conf = _write(tmp_path, "u_b = -0.05\nr_max = 60\nnodes_r = 256\n"
+                            "grid_kind = geometric\n")
+    out = tmp_path / "short"
+    assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is True
+    assert manifest["criteria"]["rate_fit"].startswith("skipped: ")
+
+    # a failed rate line fails the run
+    real = cli.verify_decay
+
+    def off_target(profile, **kw):
+        rep = real(profile, **kw)
+        slopes = dict(rep.slopes, d_u=rep.slopes["d_u"] + 1.0)
+        return dataclasses.replace(rep, slopes=slopes)
+
+    monkeypatch.setattr(cli, "verify_decay", off_target)
+    out = tmp_path / "fail"
+    assert main(["steady", "--out", str(out)]) == EXIT_CRITERIA
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["criteria"]["rate_fit"] is False
+    assert any(line.startswith("d_u:") and line.endswith("FAIL")
+               for line in (out / "rate_report.txt").read_text().splitlines())

@@ -61,7 +61,10 @@ def test_weights_differentiate_polynomials_exactly(zx, data):
         terms = w[k] * poly(x)
         exact = poly.deriv(k)(z) if k else poly(z)
         scale = np.sum(np.abs(terms), axis=-1) + np.abs(exact)
-        assert np.all(np.abs(np.sum(terms, axis=-1) - exact) <= 1e-9 * scale)
+        # a relative bound cannot hold below the normal range: a subnormal
+        # coefficient leaves a one-ulp gap of 5e-324 on a 1e-323 scale
+        floor = np.finfo(float).tiny
+        assert np.all(np.abs(np.sum(terms, axis=-1) - exact) <= 1e-9 * scale + floor)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outflow import FluidParams
-from outflow.discrete import SymOps
+from outflow import AngularGrid, FluidParams
+from outflow.discrete import AxiOps, SymOps
 from outflow.energy import (
     EnergyReport,
     composite_monitor,
@@ -15,10 +15,11 @@ from outflow.energy import (
     potential_energy,
     potential_energy_quadrature,
     reformulation_residual,
+    reformulation_terms,
     relative_energy,
     sobolev_norm,
 )
-from outflow.states import SymState, perturb_sym
+from outflow.states import AxiState, SymState, perturb_sym
 
 
 def test_reference_values():
@@ -228,3 +229,60 @@ def test_report_rejects_negative_fields():
         EnergyReport(t=0.0, total_relative_energy=-1.0, viscous_dissipation=0.0,
                      boundary_H=0.0, weighted_phi=0.0, weighted_radial_psi=0.0,
                      sup_perturbation=0.0)
+
+
+def _reform_pair(profile, params, agrid=None):
+    """A perturbed state and its predecessor one small step earlier."""
+    r = profile.r
+    bump = 0.02 * np.exp(-((r - 3.0) / 0.8) ** 2)
+    if agrid is None:
+        def at(t):
+            u = profile.u_t + 0.5 * bump * np.sin(t)
+            u[0] = params.u_b
+            return SymState(t, profile.grid, profile.rho_t + bump * np.cos(t), u)
+    else:
+        ang = 1.0 + 0.3 * np.cos(agrid.centers)[None, :]
+        nt = agrid.n_cells
+
+        def at(t):
+            u_r = (np.repeat(profile.u_t[:, None], nt, 1)
+                   + 0.5 * bump[:, None] * ang * np.sin(t))
+            u_r[0] = params.u_b
+            u_t = 0.3 * bump[:, None] * np.sin(agrid.centers)[None, :] * np.sin(t)
+            return AxiState(t, profile.grid, agrid,
+                            profile.rho_t[:, None] + bump[:, None] * ang * np.cos(t),
+                            u_r, u_t)
+    return at(1e-3), at(0.0)
+
+
+@pytest.mark.parametrize("geometry", ["sym", "axi"])
+def test_reformulation_terms_built_once_give_the_same_bits(small_profile, acc_params,
+                                                           geometry):
+    agrid = AngularGrid(n_cells=16) if geometry == "axi" else None
+    ops = (AxiOps(small_profile.grid, agrid) if agrid is not None
+           else SymOps(small_profile.grid, acc_params.dim_n))
+    st, prev = _reform_pair(small_profile, acc_params, agrid)
+    terms = reformulation_terms(small_profile, acc_params, ops)
+    fresh = reformulation_residual(st, prev, 1e-3, small_profile, acc_params)
+    for held in (reformulation_residual(st, prev, 1e-3, small_profile, acc_params,
+                                        terms=terms),
+                 reformulation_residual(st, prev, 1e-3, small_profile, acc_params,
+                                        ops=ops, terms=terms)):
+        for name in ("orig_continuity", "reform_continuity", "orig_momentum",
+                     "reform_momentum"):
+            assert getattr(held, name).tobytes() == getattr(fresh, name).tobytes()
+    assert fresh.max_gap <= 1e-8 * (1.0 + fresh.orig_res)
+
+
+def test_reformulation_terms_refuse_another_profile(small_profile, run_profile,
+                                                    acc_params):
+    terms = reformulation_terms(small_profile, acc_params,
+                                SymOps(small_profile.grid, acc_params.dim_n))
+    st, prev = _reform_pair(run_profile, acc_params)
+    with pytest.raises(ValueError):
+        reformulation_residual(st, prev, 1e-3, run_profile, acc_params, terms=terms)
+    # the same profile under other fluid parameters is another stationary state
+    st, prev = _reform_pair(small_profile, acc_params)
+    with pytest.raises(ValueError):
+        reformulation_residual(st, prev, 1e-3, small_profile,
+                               FluidParams(mu=2.0, u_b=acc_params.u_b), terms=terms)

@@ -142,6 +142,7 @@ def test_cfl_violation(small_profile, acc_params, agrid):
 
 
 
+@pytest.mark.slow
 def test_manufactured_solution_order_axi(acc_params):
     fns = manufactured_axi(acc_params, 5.0)
     e1 = mms_error_axi(acc_params, 5.0, 64, 12, 4.0e-4, 0.2, fns)
@@ -169,3 +170,49 @@ def test_stability_run_short(small_profile, acc_params, agrid):
     assert res.passed, res.summary()
     assert res.reform_gap is not None and res.reform_gap <= 1e-8
     assert res.compat[0] == 0.0
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_step_with_given_limit_is_bitwise_the_same(small_profile, acc_params, agrid,
+                                                   forced):
+    """step(s, dt, limit=cfl_dt(s, 1)) reproduces step(s, dt) bit for bit."""
+    forcing = None
+    if forced:
+        fns = manufactured_axi(acc_params, small_profile.grid.r_max)
+        rr, tt = np.meshgrid(small_profile.r, agrid.centers, indexing="ij")
+
+        def forcing(t, r, theta):
+            return fns[3](rr, tt, t), fns[4](rr, tt, t), fns[5](rr, tt, t)
+
+    solver = AxiSolver(small_profile, acc_params, agrid, forcing=forcing)
+    st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
+    solver.apply_bc(st)
+    dt = solver.cfl_dt(st, 0.4)
+    for _ in range(5):
+        a = solver.step(st, dt)
+        b = solver.step(st, dt, limit=solver.cfl_dt(st, 1.0))
+        assert a.t == b.t
+        for name in ("rho", "u_r", "u_theta"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        st = a
+
+
+def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_params,
+                                                          agrid, monkeypatch):
+    """One 2D limit for the perturbed step, one 1D limit in the twin's step."""
+    calls = {"axi": 0, "sym": 0}
+
+    def counted(cls, key):
+        cfl_dt = cls.cfl_dt
+
+        def wrapper(self, state, safety):
+            calls[key] += 1
+            return cfl_dt(self, state, safety)
+        monkeypatch.setattr(cls, "cfl_dt", wrapper)
+
+    counted(AxiSolver, "axi")
+    counted(SymSolver, "sym")
+    cfg = AxiRunConfig(t_end=0.1, output_every=20, decay_target=1.0, reform_every=10)
+    res = run_axi_stability(small_profile, acc_params, agrid, cfg)
+    assert res.steps > 10
+    assert calls == {"axi": res.steps, "sym": res.steps}

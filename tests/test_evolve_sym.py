@@ -93,6 +93,7 @@ def mms_profile(acc_params):
     return solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
 
 
+@pytest.mark.slow
 def test_manufactured_solution_order(acc_params, mms_profile):
     """Joint space-time refinement shows at least second order."""
     fns = manufactured_sym(acc_params, 5.0)
@@ -102,6 +103,7 @@ def test_manufactured_solution_order(acc_params, mms_profile):
     assert order >= 1.9, (e1, e2, order)
 
 
+@pytest.mark.slow
 def test_step_doubling_second_order_in_time(acc_params, mms_profile):
     fns = manufactured_sym(acc_params, 5.0)
     errs = [mms_error(acc_params, mms_profile, 128, dt, 0.128, fns)
@@ -160,3 +162,40 @@ def test_truncation_radius_insensitivity(acc_params):
     assert np.max(np.abs(r2[: overlap.sum()] - r1[overlap])) == 0.0
     gap = np.max(np.abs(phi1[overlap] - phi2[: overlap.sum()]))
     assert gap <= 0.05 * max(np.max(np.abs(phi1[overlap])), 1e-12)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_step_with_given_limit_is_bitwise_the_same(small_profile, acc_params, forced):
+    """step(s, dt, limit=cfl_dt(s, 1)) reproduces step(s, dt) bit for bit."""
+    forcing = None
+    if forced:
+        fns = manufactured_sym(acc_params, small_profile.grid.r_max)
+        forcing = lambda t, r: (fns[2](r, t), fns[3](r, t))  # noqa: E731
+    solver = SymSolver(small_profile, acc_params, forcing=forcing)
+    st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
+    solver.apply_bc(st)
+    dt = solver.cfl_dt(st, 0.4)
+    for _ in range(5):
+        a = solver.step(st, dt)
+        b = solver.step(st, dt, limit=solver.cfl_dt(st, 1.0))
+        assert a.t == b.t
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.u_rad.tobytes() == b.u_rad.tobytes()
+        st = a
+
+
+def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_params,
+                                                          monkeypatch):
+    """One limit for the perturbed step and one inside the twin's own step."""
+    calls = []
+    cfl_dt = SymSolver.cfl_dt
+
+    def counted(self, state, safety):
+        calls.append(safety)
+        return cfl_dt(self, state, safety)
+
+    monkeypatch.setattr(SymSolver, "cfl_dt", counted)
+    cfg = SymRunConfig(t_end=0.2, output_every=20, decay_target=1.0, reform_every=10)
+    res = run_sym_stability(small_profile, acc_params, cfg)
+    assert res.steps > 10
+    assert len(calls) == 2 * res.steps
