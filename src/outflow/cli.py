@@ -27,8 +27,8 @@ from .energy import (
     potential_energy_quadrature,
     relative_energy,
 )
-from .evolve_axi import AxiRunConfig, CFLViolation, PositivityLoss, run_axi_stability
-from .evolve_sym import SymRunConfig, run_sym_stability
+from .evolve_axi import AxiRunConfig, run_axi_stability
+from .evolve_sym import CFLViolation, PositivityLoss, SymRunConfig, run_sym_stability
 from .grids import AngularGrid, RadialGrid
 from .opchecks import TailNotConverged, run_verify_ops
 from .params import FluidParams
@@ -62,10 +62,12 @@ def _write_rows(path, header, rows):
 
 
 class Manifest:
-    def __init__(self, subcommand: str, cfg: Config, out_dir: str):
+    def __init__(self, subcommand: str, cfg: Config | None, out_dir: str):
+        """cfg is None when the configuration failed to load."""
         self.data = {
             "subcommand": subcommand,
-            "config_sha256": hashlib.sha256(config_text(cfg).encode()).hexdigest(),
+            "config_sha256": None if cfg is None else
+            hashlib.sha256(config_text(cfg).encode()).hexdigest(),
             "version": __version__,
             "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": [],
@@ -182,16 +184,21 @@ def _dump_reports(path, reports):
     )
 
 
+def _run_fields(cfg: Config) -> dict:
+    """Run-config fields common to both geometries; an unset decay target
+    keeps the run config's own default."""
+    fields = dict(t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
+                  amplitude=cfg.amplitude, support=(cfg.support_lo, cfg.support_hi),
+                  output_every=cfg.output_every)
+    if cfg.decay_target is not None:
+        fields["decay_target"] = cfg.decay_target
+    return fields
+
+
 def _cmd_evolve_sym(cfg: Config, man: Manifest) -> int:
     grid, _ = _grids(cfg)
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
-    run_cfg = SymRunConfig(
-        t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
-        amplitude=cfg.amplitude, support=(cfg.support_lo, cfg.support_hi),
-        output_every=cfg.output_every,
-        decay_target=cfg.decay_target if cfg.decay_target is not None else 10.0,
-    )
-    res = run_sym_stability(profile, cfg.params, run_cfg)
+    res = run_sym_stability(profile, cfg.params, SymRunConfig(**_run_fields(cfg)))
     st: SymState = res.final_state
     _write_csv(man.add("state_sym.csv"),
                ["t", "r", "rho", "u"],
@@ -211,12 +218,7 @@ def _cmd_evolve_sym(cfg: Config, man: Manifest) -> int:
 def _cmd_evolve_axi(cfg: Config, man: Manifest) -> int:
     grid, agrid = _grids(cfg)
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
-    run_cfg = AxiRunConfig(
-        t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
-        amplitude=cfg.amplitude, support=(cfg.support_lo, cfg.support_hi),
-        mode_ell=cfg.mode_ell, output_every=cfg.output_every,
-        decay_target=cfg.decay_target if cfg.decay_target is not None else 5.0,
-    )
+    run_cfg = AxiRunConfig(mode_ell=cfg.mode_ell, **_run_fields(cfg))
     res = run_axi_stability(profile, cfg.params, agrid, run_cfg)
     st: AxiState = res.final_state
     rr, tt = np.meshgrid(st.grid.nodes, st.agrid.centers, indexing="ij")
@@ -385,8 +387,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else Config()
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        os.makedirs(args.out, exist_ok=True)
+        return _failed(Manifest(args.subcommand, None, args.out), EXIT_CONFIG,
+                       exc, "config error")
     if args.seed is not None:
         cfg.seed = args.seed
     try:

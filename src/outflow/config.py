@@ -93,33 +93,40 @@ _CONF_KEYS = {
 
 
 def parse_config(path: str) -> Config:
-    """Read `key = value` lines; '#' starts a comment; unknown keys reject."""
+    """Read `key = value` lines; '#' starts a comment; unknown keys reject.
+
+    A file that cannot be read as UTF-8 text is a ConfigError too.
+    """
     param_kw: dict = {}
     conf_kw: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(ln, raw.rstrip("\n"), "expected 'key = value'")
-            key, _, value = (piece.strip() for piece in line.partition("="))
-            if key in _PARAM_KEYS:
-                attr, typ = _PARAM_KEYS[key]
-                try:
-                    param_kw[attr] = typ(value)
-                except ValueError:
-                    raise ParseError(ln, raw.rstrip("\n"),
-                                     f"cannot parse {key} as {typ.__name__}")
-            elif key in _CONF_KEYS:
-                typ = _CONF_KEYS[key]
-                try:
-                    conf_kw[key] = typ(value)
-                except ValueError:
-                    raise ParseError(ln, raw.rstrip("\n"),
-                                     f"cannot parse {key} as {typ.__name__}")
-            else:
-                raise UnknownKey(key)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration file: {exc}") from exc
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(ln, raw.rstrip("\n"), "expected 'key = value'")
+        key, _, value = (piece.strip() for piece in line.partition("="))
+        if key in _PARAM_KEYS:
+            attr, typ = _PARAM_KEYS[key]
+            try:
+                param_kw[attr] = typ(value)
+            except ValueError:
+                raise ParseError(ln, raw.rstrip("\n"),
+                                 f"cannot parse {key} as {typ.__name__}")
+        elif key in _CONF_KEYS:
+            typ = _CONF_KEYS[key]
+            try:
+                conf_kw[key] = typ(value)
+            except ValueError:
+                raise ParseError(ln, raw.rstrip("\n"),
+                                 f"cannot parse {key} as {typ.__name__}")
+        else:
+            raise UnknownKey(key)
     params = FluidParams(**param_kw)
     report = validate_params(params)
     if not report.ok:

@@ -147,10 +147,7 @@ def _sym_gradients(ops: SymOps, psi: np.ndarray):
 def _axi_gradients(ops: AxiOps, psi_r: np.ndarray, psi_t: np.ndarray):
     r = ops.r[:, None]
     cot = (ops.cos / ops.sin)[None, :]
-    dr_pr = ops.d_r(psi_r)
-    dr_pt = ops.d_r(psi_t)
-    dt_pr = ops.d_theta(psi_r, parity=1)
-    dt_pt = ops.d_theta(psi_t, parity=-1)
+    dr_pr, dt_pr, dr_pt, dt_pt = ops.first_derivs(psi_r, psi_t)
     grad_sq = (dr_pr**2 + dr_pt**2
                + ((dt_pr - psi_t) / r) ** 2
                + ((dt_pt + psi_r) / r) ** 2
@@ -186,7 +183,7 @@ def relative_energy(state, profile: SteadyProfile, params: FluidParams,
         w_phi = abs(params.u_b) ** 3 * ops.integral(phi**2 / ops.r**7)
         w_psi = abs(params.u_b) * ops.integral((ops.r * psi) ** 2 / ops.r**9)
         sup = float(np.max(np.hypot(phi, psi)))
-        pieces = _sym_norm_pieces(ops, phi, psi, dt_fields)
+        pieces = _sym_norm_pieces(ops, phi, psi, grad_sq, dt_fields)
     elif isinstance(state, AxiState):
         ops = AxiOps(state.grid, state.agrid)
         phi = state.rho - profile.rho_t[:, None]
@@ -206,7 +203,7 @@ def relative_energy(state, profile: SteadyProfile, params: FluidParams,
         w_phi = abs(params.u_b) ** 3 * ops.integral(phi**2 / r2**7)
         w_psi = abs(params.u_b) * ops.integral((r2 * psi_r) ** 2 / r2**9)
         sup = float(np.max(np.sqrt(phi**2 + psi_r**2 + psi_t**2)))
-        pieces = _axi_norm_pieces(ops, phi, psi_r, psi_t, dt_fields)
+        pieces = _axi_norm_pieces(ops, phi, psi_r, psi_t, grad_sq, dt_fields)
     else:
         raise TypeError(f"unsupported state type {type(state)!r}")
     return EnergyReport(
@@ -216,18 +213,14 @@ def relative_energy(state, profile: SteadyProfile, params: FluidParams,
     )
 
 
-def _sym_norm_pieces(ops: SymOps, phi, psi, dt_fields):
-    n = ops.dim_n
-    r = ops.r
+def _sym_norm_pieces(ops: SymOps, phi, psi, grad_psi_sq, dt_fields):
     d_phi = ops.d1(phi)
-    d2_phi = ops.d2(phi)
-    grad_psi_sq, _ = _sym_gradients(ops, psi)
     pieces = {
         "phi_psi_0": ops.integral(phi**2 + psi**2),
         "phi_psi_1": ops.integral(d_phi**2 + grad_psi_sq),
         "phi_1": ops.integral(d_phi**2),
         "psi_1": ops.integral(grad_psi_sq),
-        "phi_2": ops.integral(d2_phi**2 + (n - 1) * (d_phi / r) ** 2),
+        "phi_2": ops.integral(_sym_scalar_hessian_sq(ops, phi, d_phi)),
     }
     if dt_fields is not None:
         phi_t = dt_fields["rho_t"]
@@ -239,10 +232,8 @@ def _sym_norm_pieces(ops: SymOps, phi, psi, dt_fields):
     return pieces
 
 
-def _axi_norm_pieces(ops: AxiOps, phi, psi_r, psi_t, dt_fields):
-    r = ops.r[:, None]
-    d_phi_sq = ops.d_r(phi) ** 2 + (ops.d_theta(phi, parity=1) / r) ** 2
-    grad_psi_sq, _ = _axi_gradients(ops, psi_r, psi_t)
+def _axi_norm_pieces(ops: AxiOps, phi, psi_r, psi_t, grad_psi_sq, dt_fields):
+    d_phi_sq = _axi_scalar_grad_sq(ops, phi)
     hess = _axi_scalar_hessian_sq(ops, phi)
     pieces = {
         "phi_psi_0": ops.integral(phi**2 + psi_r**2 + psi_t**2),
@@ -253,13 +244,20 @@ def _axi_norm_pieces(ops: AxiOps, phi, psi_r, psi_t, dt_fields):
     }
     if dt_fields is not None:
         phi_t = dt_fields["rho_t"]
-        d_phi_t_sq = (ops.d_r(phi_t) ** 2
-                      + (ops.d_theta(phi_t, parity=1) / r) ** 2)
         pieces["dt_phi_0"] = ops.integral(phi_t**2)
-        pieces["dt_phi_1"] = ops.integral(d_phi_t_sq)
+        pieces["dt_phi_1"] = ops.integral(_axi_scalar_grad_sq(ops, phi_t))
         pieces["dt_psi_0"] = ops.integral(
             dt_fields["u_t"] ** 2 + dt_fields["utheta_t"] ** 2)
     return pieces
+
+
+def _sym_scalar_hessian_sq(ops: SymOps, f, df):
+    """|Hess f|^2 of a radial scalar, given df = f'."""
+    return ops.d2(f) ** 2 + (ops.dim_n - 1) * (df / ops.r) ** 2
+
+
+def _axi_scalar_grad_sq(ops: AxiOps, f):
+    return ops.d_r(f) ** 2 + (ops.d_theta(f, parity=1) / ops.r[:, None]) ** 2
 
 
 def _axi_scalar_hessian_sq(ops: AxiOps, f):
@@ -283,24 +281,18 @@ def sobolev_norm(f: np.ndarray, order: int, ops) -> float:
     """
     if order not in (0, 1, 2):
         raise ValueError("derivative order exceeds the stored differentiability")
-    if isinstance(ops, SymOps):
-        if order == 0:
-            return float(np.sqrt(ops.integral(f**2)))
+    if not isinstance(ops, (SymOps, AxiOps)):
+        raise TypeError("ops must be SymOps or AxiOps")
+    if order == 0:
+        density = f**2
+    elif isinstance(ops, SymOps):
         d1 = ops.d1(f)
-        if order == 1:
-            return float(np.sqrt(ops.integral(d1**2)))
-        d2 = ops.d2(f)
-        return float(np.sqrt(ops.integral(
-            d2**2 + (ops.dim_n - 1) * (d1 / ops.r) ** 2)))
-    if isinstance(ops, AxiOps):
-        if order == 0:
-            return float(np.sqrt(ops.integral(f**2)))
-        r = ops.r[:, None]
-        if order == 1:
-            g = ops.d_r(f) ** 2 + (ops.d_theta(f, parity=1) / r) ** 2
-            return float(np.sqrt(ops.integral(g)))
-        return float(np.sqrt(ops.integral(_axi_scalar_hessian_sq(ops, f))))
-    raise TypeError("ops must be SymOps or AxiOps")
+        density = d1**2 if order == 1 else _sym_scalar_hessian_sq(ops, f, d1)
+    elif order == 1:
+        density = _axi_scalar_grad_sq(ops, f)
+    else:
+        density = _axi_scalar_hessian_sq(ops, f)
+    return float(np.sqrt(ops.integral(density)))
 
 
 def energy_norm(history: list[EnergyReport]) -> float:

@@ -1,8 +1,9 @@
 """Axisymmetric (r, theta) integration of the outflow system.
 
-The non-spherical solver shares the radial flux and viscous kernels of the
-spherically symmetric one, so a theta-independent state reproduces that
-solver's right-hand side to machine precision.  Angular stencils live on
+The non-spherical solver shares the radial flux and viscous kernels, the
+wall row, the boundary conditions and the SSP step of the spherically
+symmetric one (`evolve_sym.RadialScheme`), so a theta-independent state
+reproduces that solver's steps to machine precision.  Angular stencils live on
 staggered cell centers and close over the poles by parity; angular advection
 uses sin(theta)-weighted edge fluxes, which both telescopes mass exactly and
 makes the pole faces carry zero flux.
@@ -18,16 +19,15 @@ from scipy.special import eval_legendre
 from .discrete import AxiOps
 from .grids import AngularGrid
 from .params import FluidParams, pressure_unchecked, sound_speed
-from .states import AxiState, boundary_momentum_residual, perturb_axi
+from .states import AxiState, perturb_axi
 from .steady import SteadyProfile
 from .evolve_sym import (
-    CFLViolation,
-    PositivityLoss,
     RadialScheme,
     RunResult,
+    SymRunConfig,
     SymSolver,
     _relax,
-    onesided_first,
+    check_positive,
     radial_flux_div,
     radial_visc_div,
     radial_visc_w,
@@ -38,27 +38,16 @@ __all__ = [
     "AxiSolver",
     "run_axi_stability",
     "legendre_amplitudes",
-    "boundary_momentum_residual",
     "viscous_formula_selfcheck",
 ]
 
 
 @dataclass
-class AxiRunConfig:
-    t_end: float = 200.0
-    dt: float | None = None
-    cfl_safety: float = 0.4
-    amplitude: float = 0.02
-    support: tuple = (1.5, 3.0)
-    mode_ell: int = 1
+class AxiRunConfig(SymRunConfig):
     output_every: int = 400
     decay_target: float = 5.0
+    mode_ell: int = 1
     n_modes: int = 5  # project onto ell = 0..n_modes-1
-    reform_every: int = 0  # check the linearised-form residual every k steps
-
-    def __post_init__(self):
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
 
 
 def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = 5):
@@ -129,13 +118,13 @@ class AxiSolver(RadialScheme):
         ops = self.ops
         r, r2, s = self.r_col, self.r2_col, self.sin_row
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
-        if not checked and (rho <= 0.0).any():
-            raise PositivityLoss(f"density hit zero at t = {state.t:.6g}")
+        if not checked:
+            check_positive(rho, state.t)
         m_r = rho * u_r
         m_t = rho * u_t
 
         rho_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_r)
-        rho_t[0] = -onesided_first(self.r, r2 * m_r) / self.r[0] ** 2
+        rho_t[0] = self.wall_continuity(m_r)
         rho_t -= self._theta_flux_div(rho, u_t)
         rho_t[-1] = 0.0
 
@@ -185,14 +174,6 @@ class AxiSolver(RadialScheme):
             mt_t[0] = mt_t[-1] = 0.0
         return rho_t, mr_t, mt_t
 
-    def dt_fields(self, state: AxiState):
-        rho_t, mr_t, mt_t = self.rhs(state)
-        return {
-            "rho_t": rho_t,
-            "u_t": (mr_t - state.u_r * rho_t) / state.rho,
-            "utheta_t": (mt_t - state.u_theta * rho_t) / state.rho,
-        }
-
     def cfl_dt(self, state: AxiState, safety: float) -> float:
         """safety x the advective and viscous limit; raises ValueError on a
         nonpositive density."""
@@ -201,44 +182,6 @@ class AxiSolver(RadialScheme):
         adv = self.h_cell / speed
         visc = self.h_cell2 * state.rho / self.visc
         return float(safety * min(np.min(adv), np.min(visc)))
-
-    def apply_bc(self, state: AxiState) -> None:
-        rho_far, u_far = self.bc_far(state.t)
-        state.u_r[0] = self.params.u_b
-        state.u_theta[0] = 0.0
-        state.rho[-1] = rho_far
-        state.u_r[-1] = u_far
-        state.u_theta[-1] = 0.0
-
-    def step(self, state: AxiState, dt: float, safety: float = 0.4,
-             limit: float | None = None) -> AxiState:
-        """One SSP two-stage step, as `SymSolver.step`."""
-        if limit is None:
-            limit = self.cfl_dt(state, 1.0)
-        if dt > safety * limit * 1.05:
-            raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
-        s1 = self._euler(state, dt)
-        self.apply_bc(s1)
-        s2 = self._euler(s1, dt)
-        rho = 0.5 * (state.rho + s2.rho)
-        m_r = 0.5 * (state.rho * state.u_r + s2.rho * s2.u_r)
-        m_t = 0.5 * (state.rho * state.u_theta + s2.rho * s2.u_theta)
-        if (rho <= 0.0).any():
-            raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
-        out = AxiState(state.t + dt, state.grid, state.agrid, rho,
-                       m_r / rho, m_t / rho)
-        self.apply_bc(out)
-        return out
-
-    def _euler(self, state: AxiState, dt: float) -> AxiState:
-        rho_t, mr_t, mt_t = self.rhs(state, checked=True)
-        rho = state.rho + dt * rho_t
-        if (rho <= 0.0).any():
-            raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
-        m_r = state.rho * state.u_r + dt * mr_t
-        m_t = state.rho * state.u_theta + dt * mt_t
-        return AxiState(state.t + dt, state.grid, state.agrid, rho,
-                        m_r / rho, m_t / rho)
 
     def steady_residual(self) -> float:
         nt = self.agrid.n_cells

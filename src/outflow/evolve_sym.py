@@ -56,6 +56,11 @@ class DidNotFinish(RuntimeError):
     """t_end reached before the required decay factor."""
 
 
+def check_positive(rho: np.ndarray, t: float) -> None:
+    if (rho <= 0.0).any():
+        raise PositivityLoss(f"density hit zero at t = {t:.6g}")
+
+
 @dataclass
 class SymRunConfig:
     t_end: float = 200.0
@@ -109,28 +114,16 @@ def radial_visc_div(dface, w):
     return out
 
 
-def onesided_first(r, f, at: int = 0):
-    """Second-order one-sided first derivative at a boundary node."""
-    if at == 0:
-        r0, r1, r2 = r[0], r[1], r[2]
-        f0, f1, f2 = f[0], f[1], f[2]
-    else:
-        r0, r1, r2 = r[-1], r[-2], r[-3]
-        f0, f1, f2 = f[-1], f[-2], f[-3]
-    h1, h2 = r1 - r0, r2 - r0
-    w0 = -(h1 + h2) / (h1 * h2)
-    w1 = h2 / (h1 * (h2 - h1))
-    w2 = -h1 / (h2 * (h2 - h1))
-    return w0 * f0 + w1 * f1 + w2 * f2
-
-
 class RadialScheme:
-    """What both explicit solvers share: the profile, the fluid and the
-    radial finite-volume grid constants.
+    """What both explicit solvers share: the profile, the fluid, the radial
+    finite-volume grid constants, the wall continuity row, the boundary
+    conditions and the two-stage SSP step.
 
     Every array here depends on the radial nodes alone.  Each is built once,
     from the expression the right-hand side would otherwise evaluate on
     every call, so the stepping is bitwise that of evaluating it per call.
+    A subclass supplies `rhs(state, checked)` returning (rho_t, *m_t), one
+    momentum rate per entry of `state.velocity`, and `cfl_dt`.
     """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
@@ -155,6 +148,65 @@ class RadialScheme:
         self.h = np.minimum(np.concatenate([self.dr[:1], self.dr]),
                             np.concatenate([self.dr, self.dr[-1:]]))
         self.h2 = self.h**2
+        # second-order one-sided first derivative at the wall, closed form
+        h1, h2 = r[1] - r[0], r[2] - r[0]
+        self.wall_w = (-(h1 + h2) / (h1 * h2), h2 / (h1 * (h2 - h1)),
+                       -h1 / (h2 * (h2 - h1)))
+
+    def wall_continuity(self, m: np.ndarray):
+        """rho_t at the outflow wall: -(r^2 m)_r / r^2 by one-sided into-domain
+        differences, so no density condition is needed there."""
+        r2m = _col(self.r2[:3], m) * m[:3]
+        w0, w1, w2 = self.wall_w
+        return -(w0 * r2m[0] + w1 * r2m[1] + w2 * r2m[2]) / self.r[0] ** 2
+
+    def dt_fields(self, state):
+        """{"rho_t", "u_t"[, "utheta_t"]}: the time derivatives of the state."""
+        rho_t, *m_t = self.rhs(state)
+        fields = {"rho_t": rho_t}
+        for name, u, mt in zip(("u_t", "utheta_t"), state.velocity, m_t):
+            fields[name] = (mt - u * rho_t) / state.rho
+        return fields
+
+    def apply_bc(self, state) -> None:
+        """Wall: u_r = u_b and no tangential velocity; far end: the profile."""
+        rho_far, u_far = self.bc_far(state.t)
+        u_r, *tangential = state.velocity
+        u_r[0] = self.params.u_b
+        state.rho[-1] = rho_far
+        u_r[-1] = u_far
+        for u in tangential:
+            u[0] = 0.0
+            u[-1] = 0.0
+
+    def step(self, state, dt: float, safety: float = 0.4,
+             limit: float | None = None):
+        """One SSP two-stage step; raises on CFL violation or positivity loss.
+
+        limit is cfl_dt(state, 1.0), which also checks the density of state;
+        a caller that has just computed it passes it on.
+        """
+        if limit is None:
+            limit = self.cfl_dt(state, 1.0)
+        if dt > safety * limit * 1.05:  # slack for a fixed dt on a drifting state
+            raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
+        s1 = self._euler(state, dt)
+        self.apply_bc(s1)
+        s2 = self._euler(s1, dt)
+        rho = 0.5 * (state.rho + s2.rho)
+        m = [0.5 * (state.rho * u0 + s2.rho * u2)
+             for u0, u2 in zip(state.velocity, s2.velocity)]
+        check_positive(rho, state.t + dt)
+        out = state.advanced(state.t + dt, rho, [mk / rho for mk in m])
+        self.apply_bc(out)
+        return out
+
+    def _euler(self, state, dt: float):
+        rho_t, *m_t = self.rhs(state, checked=True)
+        rho = state.rho + dt * rho_t
+        check_positive(rho, state.t + dt)
+        m = [state.rho * u + dt * mt for u, mt in zip(state.velocity, m_t)]
+        return state.advanced(state.t + dt, rho, [mk / rho for mk in m])
 
 
 class SymSolver(RadialScheme):
@@ -170,15 +222,13 @@ class SymSolver(RadialScheme):
         checked=True skips the positivity scan of a density that the caller
         has already scanned (the stages of `step` do).
         """
-        r = self.r
         rho, u = state.rho, state.u_rad
-        if not checked and (rho <= 0.0).any():
-            raise PositivityLoss(f"density hit zero at t = {state.t:.6g}")
+        if not checked:
+            check_positive(rho, state.t)
         m = rho * u
 
         rho_t, _ = radial_flux_div(self.face_w, self.dual_vol, m)
-        # outflow wall: one-sided into-domain continuity, no density condition
-        rho_t[0] = -onesided_first(r, self.r2 * m) / r[0] ** 2
+        rho_t[0] = self.wall_continuity(m)
         rho_t[-1] = 0.0  # Dirichlet-to-profile
 
         m_t, _ = radial_flux_div(self.face_w, self.dual_vol, m * u)
@@ -189,17 +239,12 @@ class SymSolver(RadialScheme):
         m_t[0] = 0.0
         m_t[-1] = 0.0
         if self.forcing is not None:
-            s_rho, s_m = self.forcing(state.t, r)
+            s_rho, s_m = self.forcing(state.t, self.r)
             rho_t = rho_t + s_rho
             m_t = m_t + s_m
             rho_t[-1] = 0.0
             m_t[-1] = 0.0
         return rho_t, m_t
-
-    def dt_fields(self, state: SymState):
-        rho_t, m_t = self.rhs(state)
-        u_t = (m_t - state.u_rad * rho_t) / state.rho
-        return {"rho_t": rho_t, "u_t": u_t}
 
     def cfl_dt(self, state: SymState, safety: float) -> float:
         """safety x the advective and viscous limit; raises ValueError on a
@@ -208,42 +253,6 @@ class SymSolver(RadialScheme):
         adv = self.h / (np.abs(state.u_rad) + c)
         visc = self.h2 * state.rho / self.visc
         return float(safety * min(np.min(adv), np.min(visc)))
-
-    def apply_bc(self, state: SymState) -> None:
-        rho_far, u_far = self.bc_far(state.t)
-        state.u_rad[0] = self.params.u_b
-        state.rho[-1] = rho_far
-        state.u_rad[-1] = u_far
-
-    def step(self, state: SymState, dt: float, safety: float = 0.4,
-             limit: float | None = None) -> SymState:
-        """One SSP two-stage step; raises on CFL violation or positivity loss.
-
-        limit is cfl_dt(state, 1.0), which also checks the density of state;
-        a caller that has just computed it passes it on.
-        """
-        if limit is None:
-            limit = self.cfl_dt(state, 1.0)
-        if dt > safety * limit * 1.05:  # slack for a fixed dt on a drifting state
-            raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
-        s1 = self._euler(state, dt)
-        self.apply_bc(s1)
-        s2 = self._euler(s1, dt)
-        rho = 0.5 * (state.rho + s2.rho)
-        m = 0.5 * (state.rho * state.u_rad + s2.rho * s2.u_rad)
-        if (rho <= 0.0).any():
-            raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
-        out = SymState(state.t + dt, state.grid, rho, m / rho)
-        self.apply_bc(out)
-        return out
-
-    def _euler(self, state: SymState, dt: float) -> SymState:
-        rho_t, m_t = self.rhs(state, checked=True)
-        rho_new = state.rho + dt * rho_t
-        m_new = state.rho * state.u_rad + dt * m_t
-        if (rho_new <= 0.0).any():
-            raise PositivityLoss(f"density hit zero at t = {state.t + dt:.6g}")
-        return SymState(state.t + dt, state.grid, rho_new, m_new / rho_new)
 
     def mass_balance(self, state: SymState):
         """Rate of change of the finite-volume mass vs boundary fluxes."""

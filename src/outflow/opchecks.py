@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .cutoffs import CutoffFamily, build_cutoffs
+from .discrete import sphere_area
 from .sphops import (
+    cart_div,
     cart_grad,
     cart_grad_div,
     cart_lap,
@@ -495,10 +496,6 @@ def rr_insensitivity(V, pts, chart: str = "V", h: float = 0.01):
 # Hardy inequality
 
 
-def _sphere_area(n: int) -> float:
-    return 2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0)
-
-
 def _radial_panels(r_max: float, n_panels: int = 40, n_gauss: int = 12):
     edges = np.geomspace(1.0, r_max, n_panels + 1)
     xg, wg = np.polynomial.legendre.leggauss(n_gauss)
@@ -513,7 +510,7 @@ def hardy_check_radial(f, df, n: int = 3, r_max: float = 400.0):
     """Hardy inequality for radial profiles in dimension n >= 3."""
     if n < 3:
         raise ValueError("the boundary-weighted Hardy inequality needs n >= 3")
-    area = _sphere_area(n)
+    area = sphere_area(n)
 
     def quad(rm):
         r, w = _radial_panels(rm)
@@ -639,18 +636,12 @@ def _operator_rows(sample, h=0.005):
             worst_g = max(worst_g, float(np.max(np.abs(g))))
             worst_l = max(worst_l, float(np.max(np.abs(l))))
         for V in sample.vector_fields.values():
-            d = make_sph_div(V, chart, h)(pts) - cart_div_oracle(V, pts)
+            d = make_sph_div(V, chart, h)(pts) - cart_div(V, pts)
             worst_d = max(worst_d, float(np.max(np.abs(d))))
         rows.append(_row(f"operators/{chart}/grad", worst_g, 1e-5))
         rows.append(_row(f"operators/{chart}/div", worst_d, 1e-5))
         rows.append(_row(f"operators/{chart}/lap", worst_l, 1e-5))
     return rows
-
-
-def cart_div_oracle(V, pts, h: float = 1e-3):
-    from .sphops import cart_div
-
-    return cart_div(V, pts, h)
 
 
 def _cutoff_rows(fam: CutoffFamily, rng):

@@ -32,8 +32,14 @@ class SymState:
     rho: np.ndarray
     u_rad: np.ndarray
 
-    def copy(self) -> "SymState":
-        return SymState(self.t, self.grid, self.rho.copy(), self.u_rad.copy())
+    @property
+    def velocity(self) -> tuple:
+        """The velocity components, radial first."""
+        return (self.u_rad,)
+
+    def advanced(self, t: float, rho: np.ndarray, velocity) -> "SymState":
+        """The state at time t on the same grid."""
+        return SymState(t, self.grid, rho, *velocity)
 
     def check(self, params: FluidParams) -> None:
         if np.any(self.rho <= 0.0):
@@ -58,9 +64,14 @@ class AxiState:
     u_r: np.ndarray
     u_theta: np.ndarray
 
-    def copy(self) -> "AxiState":
-        return AxiState(self.t, self.grid, self.agrid,
-                        self.rho.copy(), self.u_r.copy(), self.u_theta.copy())
+    @property
+    def velocity(self) -> tuple:
+        """The velocity components, radial first."""
+        return (self.u_r, self.u_theta)
+
+    def advanced(self, t: float, rho: np.ndarray, velocity) -> "AxiState":
+        """The state at time t on the same grids."""
+        return AxiState(t, self.grid, self.agrid, rho, *velocity)
 
     def check(self, params: FluidParams) -> None:
         if np.any(self.rho <= 0.0):

@@ -174,6 +174,22 @@ def test_failed_runs_leave_a_manifest(tmp_path):
     assert manifest["criteria"]["error"] == "ConfigError"
     assert "no state dump" in manifest["criteria"]["message"]
 
+    # a config that fails to load, cannot be found or is not UTF-8 text
+    bad = _write(tmp_path, "gamm = 1.4\n")
+    missing = str(tmp_path / "nonexistent.conf")
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"gamma = 1.4\n\xff\xfe = 2\n")
+    cases = ((bad, "UnknownKey"), (missing, "ConfigError"), (str(binary), "ConfigError"))
+    for k, (conf, error) in enumerate(cases):
+        out = tmp_path / f"conf_{k}"
+        assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["passed"] is False
+        assert manifest["config_sha256"] is None
+        assert manifest["criteria"]["exit_code"] == EXIT_CONFIG
+        assert manifest["criteria"]["error"] == error
+        assert manifest["criteria"]["message"]
+
 
 def test_steady_verdict_includes_the_rate_report(tmp_path, monkeypatch):
     # the default configuration fits all five rates

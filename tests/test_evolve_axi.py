@@ -6,14 +6,12 @@ from outflow import AngularGrid
 from outflow.evolve_axi import (
     AxiRunConfig,
     AxiSolver,
-    CFLViolation,
-    boundary_momentum_residual,
     legendre_amplitudes,
     run_axi_stability,
     viscous_formula_selfcheck,
 )
-from outflow.evolve_sym import SymSolver
-from outflow.states import AxiState, SymState, perturb_axi
+from outflow.evolve_sym import CFLViolation, PositivityLoss, SymSolver
+from outflow.states import AxiState, SymState, boundary_momentum_residual, perturb_axi
 
 
 @pytest.fixture(scope="module")
@@ -25,24 +23,58 @@ def test_viscous_component_formulas():
     viscous_formula_selfcheck(tol=1e-5)
 
 
+def _theta_independent_pair(profile, params, agrid):
+    """A radial state and its theta-independent axisymmetric copy."""
+    grid = profile.grid
+    rho = profile.rho_t + 0.02 * np.exp(-((grid.nodes - 2.5) / 0.5) ** 2)
+    u = profile.u_t + 0.01 * np.exp(-((grid.nodes - 3.5) / 0.7) ** 2)
+    u[0] = params.u_b
+    nt = agrid.n_cells
+    st2 = AxiState(0.0, grid, agrid, np.repeat(rho[:, None], nt, 1),
+                   np.repeat(u[:, None], nt, 1), np.zeros((grid.nodes.size, nt)))
+    return SymState(0.0, grid, rho, u), st2
+
+
 def test_reduction_to_radial_solver(small_profile, acc_params, agrid):
     """theta-independent states drive the axisymmetric operator onto the
     radial one exactly, including the shared viscous kernel."""
     solver = AxiSolver(small_profile, acc_params, agrid)
     sym = SymSolver(small_profile, acc_params)
-    grid = small_profile.grid
-    rho = small_profile.rho_t + 0.02 * np.exp(-((grid.nodes - 2.5) / 0.5) ** 2)
-    u = small_profile.u_t + 0.01 * np.exp(-((grid.nodes - 3.5) / 0.7) ** 2)
-    u[0] = acc_params.u_b
-    nt = agrid.n_cells
-    st2 = AxiState(0.0, grid, agrid, np.repeat(rho[:, None], nt, 1),
-                   np.repeat(u[:, None], nt, 1), np.zeros((grid.nodes.size, nt)))
-    st1 = SymState(0.0, grid, rho, u)
+    st1, st2 = _theta_independent_pair(small_profile, acc_params, agrid)
     rt1, mt1 = sym.rhs(st1)
     rt2, mrt2, mtt2 = solver.rhs(st2)
     assert np.max(np.abs(rt2 - rt1[:, None])) <= 1e-10
     assert np.max(np.abs(mrt2 - mt1[:, None])) <= 1e-10
     assert np.max(np.abs(mtt2)) == 0.0
+
+
+def test_dt_fields_reduce_to_radial_solver(small_profile, acc_params, agrid):
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    sym = SymSolver(small_profile, acc_params)
+    st1, st2 = _theta_independent_pair(small_profile, acc_params, agrid)
+    f1, f2 = sym.dt_fields(st1), solver.dt_fields(st2)
+    assert set(f2) == {"rho_t", "u_t", "utheta_t"}
+    assert np.max(np.abs(f2["rho_t"] - f1["rho_t"][:, None])) <= 1e-10
+    assert np.max(np.abs(f2["u_t"] - f1["u_t"][:, None])) <= 1e-10
+    assert np.max(np.abs(f2["utheta_t"])) == 0.0
+
+
+def test_step_tracks_radial_solver(small_profile, acc_params, agrid):
+    """The shared SSP step keeps theta-independent data on the radial
+    solver's trajectory, with no polar velocity."""
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    sym = SymSolver(small_profile, acc_params)
+    st1, st2 = _theta_independent_pair(small_profile, acc_params, agrid)
+    solver.apply_bc(st2)
+    sym.apply_bc(st1)
+    dt = min(solver.cfl_dt(st2, 0.4), sym.cfl_dt(st1, 0.4))
+    for _ in range(50):
+        st1 = sym.step(st1, dt)
+        st2 = solver.step(st2, dt)
+    assert st2.t == st1.t
+    assert np.max(np.abs(st2.rho - st1.rho[:, None])) <= 1e-10
+    assert np.max(np.abs(st2.u_r - st1.u_rad[:, None])) <= 1e-10
+    assert np.max(np.abs(st2.u_theta)) == 0.0
 
 
 def test_steady_profile_near_fixed_point(small_profile, acc_params, agrid):
@@ -136,6 +168,25 @@ def test_cfl_violation(small_profile, acc_params, agrid):
     st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
     with pytest.raises(CFLViolation):
         solver.step(st, solver.cfl_dt(st, 5.0))
+
+
+def test_positivity_loss_raised(small_profile, acc_params, agrid):
+    def drain(t, r, theta):
+        shape = (r.size, theta.size)
+        return np.full(shape, -1e6), np.zeros(shape), np.zeros(shape)
+
+    solver = AxiSolver(small_profile, acc_params, agrid, forcing=drain)
+    st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
+    with pytest.raises(PositivityLoss):
+        solver.step(st, solver.cfl_dt(st, 0.4))
+
+
+def test_run_config_defaults_and_dt_check():
+    cfg = AxiRunConfig()
+    assert (cfg.output_every, cfg.decay_target, cfg.mode_ell, cfg.n_modes) == (400, 5.0, 1, 5)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            AxiRunConfig(dt=dt)
 
 
 

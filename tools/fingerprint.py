@@ -1,0 +1,152 @@
+"""Print one SHA-256 per artefact of a fixed set of small outflow runs.
+
+    python tools/fingerprint.py [CHECKOUT]
+
+CHECKOUT is the root of an outflow source tree (default: the one holding this
+script); its `src/` is imported.  The artefacts are the `RunResult` fields of
+three relaxation runs and every CSV and text file that the CLI writes for
+`steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0` and
+`verify-energy`, plus each subcommand's exit code.  A change meant to keep the
+numbers bitwise is checked by running this on both trees and diffing the
+output.  It runs in about ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import struct
+import sys
+import tempfile
+
+import numpy as np
+
+FLUID = ["gamma = 1.4", "k_pressure = 1.0", "mu = 1.0", "lambda = 0.0",
+         "rho_plus = 1.0", "u_b = -0.05"]
+
+
+def _feed(h, obj) -> None:
+    """Hash obj by value: arrays by dtype, shape and bytes, floats by bits."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"nd{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (bool, np.bool_)):
+        h.update(b"b1" if obj else b"b0")
+    elif isinstance(obj, (int, np.integer)):
+        h.update(f"i{int(obj)};".encode())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(b"f" + struct.pack("<d", float(obj)))
+    elif isinstance(obj, str):
+        h.update(f"s{len(obj)}:".encode() + obj.encode())
+    elif obj is None:
+        h.update(b"N")
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"l{len(obj)}[".encode())
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, dict):
+        h.update(f"d{len(obj)}{{".encode())
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+        h.update(b"}")
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for f in dataclasses.fields(obj):
+            h.update(f.name.encode())
+            _feed(h, getattr(obj, f.name))
+    else:
+        raise TypeError(f"cannot fingerprint {type(obj)!r}")
+
+
+def _digest(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _emit_result(label: str, res) -> None:
+    for f in dataclasses.fields(res):
+        print(f"{_digest(getattr(res, f.name))}  {label}.{f.name}")
+
+
+def run_results() -> None:
+    from outflow.evolve_axi import AxiRunConfig, run_axi_stability
+    from outflow.evolve_sym import SymRunConfig, run_sym_stability
+    from outflow.grids import AngularGrid, RadialGrid
+    from outflow.params import FluidParams
+    from outflow.steady import solve_steady
+
+    params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=0.0,
+                         rho_plus=1.0, u_b=-0.05, dim_n=3)
+    profile = solve_steady(params, RadialGrid.uniform(100.0, 1023), tol=1e-8)
+    for label, dt in (("sym_cfl", None), ("sym_dt", 1e-3)):
+        cfg = SymRunConfig(t_end=1.0, dt=dt, output_every=100, reform_every=10)
+        _emit_result(label, run_sym_stability(profile, params, cfg))
+
+    profile = solve_steady(params, RadialGrid.uniform(20.0, 127), tol=1e-8)
+    cfg = AxiRunConfig(t_end=0.5, output_every=100, reform_every=10)
+    _emit_result("axi", run_axi_stability(profile, params, AngularGrid(n_cells=32),
+                                          cfg))
+
+
+def cli_outputs(work: str) -> None:
+    from outflow.cli import main
+
+    def conf(name: str, lines: list[str]) -> str:
+        path = os.path.join(work, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(FLUID + lines) + "\n")
+        return path
+
+    steady = conf("steady.conf", ["r_max = 200.0", "nodes_r = 2048",
+                                  "grid_kind = geometric"])
+    sym = conf("sym.conf", ["r_max = 30.0", "nodes_r = 192", "t_end = 3.0",
+                            "output_every = 50"])
+    axi = conf("axi.conf", ["r_max = 20.0", "nodes_r = 128", "nodes_theta = 32",
+                            "t_end = 1.0", "output_every = 50"])
+
+    def out(sub: str) -> str:
+        return os.path.join(work, sub)
+
+    runs = [
+        ("steady", ["steady", "--config", steady, "--out", out("steady")]),
+        ("evolve-sym", ["evolve-sym", "--config", sym, "--out", out("evolve-sym")]),
+        ("evolve-axi", ["evolve-axi", "--config", axi, "--out", out("evolve-axi")]),
+        ("report-sym", ["report", "--config", sym, "--out", out("report-sym"),
+                        "--run-dir", out("evolve-sym")]),
+        ("report-axi", ["report", "--config", axi, "--out", out("report-axi"),
+                        "--run-dir", out("evolve-axi")]),
+        ("verify-ops", ["verify-ops", "--seed", "0", "--out", out("verify-ops")]),
+        ("verify-energy", ["verify-energy", "--out", out("verify-energy")]),
+    ]
+    for label, argv in runs:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        print(f"exit {code}  {label}")
+        for name in sorted(os.listdir(out(label))):
+            if name.endswith((".csv", ".txt")):
+                print(f"{_file_digest(os.path.join(out(label), name))}  {label}/{name}")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    run_results()
+    with tempfile.TemporaryDirectory() as work:
+        cli_outputs(work)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
