@@ -31,7 +31,7 @@ from .evolve_axi import AxiRunConfig, run_axi_stability
 from .evolve_sym import CFLViolation, PositivityLoss, SymRunConfig, run_sym_stability
 from .grids import AngularGrid, RadialGrid
 from .opchecks import TailNotConverged, run_verify_ops
-from .params import FluidParams
+from .params import FluidParams, sound_speed
 from .states import AxiState, SymState
 from .steady import FitWindowTooSmall, NonConvergence, div_u_profile, solve_steady, verify_decay
 
@@ -141,6 +141,10 @@ def _cmd_steady(cfg: Config, man: Manifest) -> int:
     checks["residual"] = profile.residual_rst2
     checks["far_field_gap"] = float(
         abs(profile.rho_t[-1] - cfg.params.rho_plus) / cfg.params.rho_plus)
+    # the regime the stability theorem covers; reported, not graded
+    checks["boundary_mach"] = float(
+        abs(cfg.params.u_b) / sound_speed(profile.rho_t[0], cfg.params))
+    checks["subsonic"] = checks["boundary_mach"] < 1.0
 
     lines = [f"mass_flux m = {m:.17g}", f"rho(1) = {float(profile.rho_t[0]):.17g}"]
     rates_ok = True  # a window too short to fit is reported, not failed

@@ -83,11 +83,16 @@ class _Deriv:
 
 
 class SymOps:
-    """Radial collocation derivatives and volume quadrature (dimension n)."""
+    """Radial collocation derivatives and volume quadrature (dimension n).
+
+    The vector-calculus methods carry the names of their `AxiOps`
+    counterparts and work on velocity tuples of one radial component, so
+    code written over `state.velocity` serves both geometries.
+    """
 
     def __init__(self, grid: RadialGrid, dim_n: int = 3):
         self.grid = grid
-        self.r = grid.nodes
+        self.r = self.r_col = grid.nodes
         self.dim_n = dim_n
         self.d1 = _Deriv(self.r, 3, 1)
         self.d2 = _Deriv(self.r, 4, 2)
@@ -95,10 +100,54 @@ class SymOps:
         self.w_vol = area * self.r ** (dim_n - 1) * trapezoid_weights(self.r)
         self.boundary_area = area  # sphere of radius 1
 
-    def div_radial(self, v: np.ndarray, dv: np.ndarray | None = None) -> np.ndarray:
-        """Divergence of the radial field v(r) r_hat; dv may carry d1(v)."""
-        dv = self.d1(v) if dv is None else dv
-        return dv + (self.dim_n - 1) * v / self.r
+    def lift(self, f: np.ndarray) -> np.ndarray:
+        """A radial profile on the state's shape: the profile itself."""
+        return f
+
+    def lift_velocity(self, u: np.ndarray) -> tuple:
+        return (u,)
+
+    def grad(self, f: np.ndarray) -> tuple:
+        return (self.d1(f),)
+
+    def first_derivs(self, w) -> tuple:
+        """(d_r w_r,): the derivatives `div`, `conv` and `vec_grad_sq` take as `dw`."""
+        return (self.d1(w[0]),)
+
+    def div(self, w, dw=None) -> np.ndarray:
+        """Divergence of the radial field w_r(r) r_hat; dw may carry
+        `first_derivs(w)`."""
+        dw = self.first_derivs(w) if dw is None else dw
+        return dw[0] + (self.dim_n - 1) * w[0] / self.r
+
+    def conv(self, a, w, dw=None) -> tuple:
+        """(a . grad) w of radial fields."""
+        dw = self.first_derivs(w) if dw is None else dw
+        return (a[0] * dw[0],)
+
+    def visc(self, w, mu: float, lam: float, dw=None, div=None) -> tuple:
+        """(2 mu + lam) d_r(div w): for a radial field the vector Laplacian is
+        grad div, so this is mu lap w + (mu + lam) grad div w.  dw is not
+        needed; div may carry `div(w)`."""
+        d = self.div(w) if div is None else div
+        return ((2.0 * mu + lam) * self.d1(d),)
+
+    def grad_sq(self, f: np.ndarray) -> np.ndarray:
+        """|grad f|^2 of a radial scalar."""
+        return self.d1(f) ** 2
+
+    def hess_sq(self, f: np.ndarray) -> np.ndarray:
+        """|Hess f|^2 of a radial scalar."""
+        return self.d2(f) ** 2 + (self.dim_n - 1) * (self.d1(f) / self.r) ** 2
+
+    def vec_grad_sq(self, w, dw=None) -> np.ndarray:
+        """|grad w|^2 of the radial field w_r(r) r_hat."""
+        dw = self.first_derivs(w) if dw is None else dw
+        return dw[0] ** 2 + (self.dim_n - 1) * (w[0] / self.r) ** 2
+
+    def wall_integral(self, f) -> float:
+        """Integral over the unit sphere r = 1 of the wall value f."""
+        return self.boundary_area * float(f)
 
     def integral(self, f: np.ndarray) -> float:
         return float(np.sum(self.w_vol * f))
@@ -117,10 +166,12 @@ class AxiOps:
         self.grid = grid
         self.agrid = agrid
         self.r = grid.nodes
+        self.r_col = self.r[:, None]
         self.theta = agrid.centers
         self.dtheta = agrid.dtheta
         self.sin = np.sin(self.theta)
         self.cos = np.cos(self.theta)
+        self.cot_row = (self.cos / self.sin)[None, :]
         self.d_r = _Deriv(self.r, 3, 1)
         self.d2_r = _Deriv(self.r, 4, 2)
         w_r = trapezoid_weights(self.r)
@@ -140,40 +191,57 @@ class AxiOps:
         g = self._pad_theta(f, parity)
         return (g[:, 2:] - 2.0 * g[:, 1:-1] + g[:, :-2]) / self.dtheta**2
 
-    def div(self, v_r: np.ndarray, v_theta: np.ndarray) -> np.ndarray:
-        r = self.r[:, None]
+    def lift(self, f: np.ndarray) -> np.ndarray:
+        """A radial profile repeated along theta."""
+        return np.repeat(f[:, None], self.theta.size, axis=1)
+
+    def lift_velocity(self, u: np.ndarray) -> tuple:
+        """The radial velocity profile u(r) r_hat on the (r, theta) grid."""
+        u2 = self.lift(u)
+        return (u2, np.zeros_like(u2))
+
+    def div(self, w, dw=None) -> np.ndarray:
+        """Divergence of w = w_r r_hat + w_t theta_hat.  It differentiates
+        r^2 w_r and sin(theta) w_t, so the `dw` of the shared signature is
+        not used."""
+        w_r, w_t = w
+        r = self.r_col
         s = self.sin[None, :]
-        # sin(theta) v_theta is even across the poles (odd times odd)
-        return (self.d_r(r**2 * v_r) / r**2
-                + self.d_theta(s * v_theta, parity=1) / (r * s))
+        # sin(theta) w_theta is even across the poles (odd times odd)
+        return (self.d_r(r**2 * w_r) / r**2
+                + self.d_theta(s * w_t, parity=1) / (r * s))
 
     def grad(self, f: np.ndarray):
         """(d_r f, d_theta f / r) of an even scalar."""
-        return self.d_r(f), self.d_theta(f, parity=1) / self.r[:, None]
+        return self.d_r(f), self.d_theta(f, parity=1) / self.r_col
 
-    def first_derivs(self, w_r, w_t):
+    def first_derivs(self, w):
         """(d_r w_r, d_theta w_r, d_r w_t, d_theta w_t) of w = w_r r_hat + w_t theta_hat.
 
-        `conv`, `vec_lap` and `visc` take them as `dw`, so a caller that
-        applies several of them to one field differentiates it once.
+        `conv`, `vec_lap`, `visc` and `vec_grad_sq` take them as `dw`, so a
+        caller that applies several of them to one field differentiates it
+        once.
         """
+        w_r, w_t = w
         return (self.d_r(w_r), self.d_theta(w_r, parity=1),
                 self.d_r(w_t), self.d_theta(w_t, parity=-1))
 
-    def conv(self, a_r, a_t, w_r, w_t, dw=None):
+    def conv(self, a, w, dw=None):
         """(a . grad) w plus the curvature couplings of the moving frame."""
-        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w_r, w_t) if dw is None else dw
-        r = self.r[:, None]
+        (a_r, a_t), (w_r, w_t) = a, w
+        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w) if dw is None else dw
+        r = self.r_col
         c_r = a_r * dr_r + a_t * dt_r / r - a_t * w_t / r
         c_t = a_r * dr_t + a_t * dt_t / r + a_t * w_r / r
         return c_r, c_t
 
-    def vec_lap(self, w_r, w_t, dw=None):
+    def vec_lap(self, w, dw=None):
         """Vector Laplacian of w = w_r r_hat + w_t theta_hat."""
-        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w_r, w_t) if dw is None else dw
-        r = self.r[:, None]
+        w_r, w_t = w
+        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w) if dw is None else dw
+        r = self.r_col
         s = self.sin[None, :]
-        cot = (self.cos / self.sin)[None, :]
+        cot = self.cot_row
         l_r = (self.d2_r(w_r) + 2.0 * dr_r / r
                + self.d2_theta(w_r, parity=1) / r**2
                + cot * dt_r / r**2
@@ -187,15 +255,44 @@ class AxiOps:
                - w_t / (r * s) ** 2)
         return l_r, l_t
 
-    def visc(self, w_r, w_t, mu: float, lam: float, dw=None, div=None):
+    def visc(self, w, mu: float, lam: float, dw=None, div=None):
         """Viscous operator mu lap w + (mu + lam) grad div w.
 
-        dw may carry `first_derivs(w_r, w_t)` and div `div(w_r, w_t)`.
+        dw may carry `first_derivs(w)` and div `div(w)`.
         """
-        l_r, l_t = self.vec_lap(w_r, w_t, dw)
-        d = self.div(w_r, w_t) if div is None else div
+        l_r, l_t = self.vec_lap(w, dw)
+        d = self.div(w) if div is None else div
         return (mu * l_r + (mu + lam) * self.d_r(d),
-                mu * l_t + (mu + lam) * self.d_theta(d, parity=1) / self.r[:, None])
+                mu * l_t + (mu + lam) * self.d_theta(d, parity=1) / self.r_col)
+
+    def grad_sq(self, f: np.ndarray) -> np.ndarray:
+        """|grad f|^2 of an even scalar."""
+        return self.d_r(f) ** 2 + (self.d_theta(f, parity=1) / self.r_col) ** 2
+
+    def hess_sq(self, f: np.ndarray) -> np.ndarray:
+        """|Hess f|^2 of an even scalar."""
+        r = self.r_col
+        fr = self.d_r(f)
+        ft = self.d_theta(f, parity=1)
+        h_rr = self.d2_r(f)
+        h_rt = self.d_r(ft) / r - ft / r**2
+        h_tt = self.d2_theta(f, parity=1) / r**2 + fr / r
+        h_pp = fr / r + self.cot_row * ft / r**2
+        return h_rr**2 + 2.0 * h_rt**2 + h_tt**2 + h_pp**2
+
+    def vec_grad_sq(self, w, dw=None) -> np.ndarray:
+        """|grad w|^2 of w = w_r r_hat + w_t theta_hat."""
+        w_r, w_t = w
+        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w) if dw is None else dw
+        r = self.r_col
+        return (dr_r**2 + dr_t**2
+                + ((dt_r - w_t) / r) ** 2
+                + ((dt_t + w_r) / r) ** 2
+                + ((w_r + self.cot_row * w_t) / r) ** 2)
+
+    def wall_integral(self, f) -> float:
+        """Integral over the unit sphere r = 1 of the wall ring f."""
+        return float(np.sum(self.boundary_w * f))
 
     def integral(self, f: np.ndarray) -> float:
         return float(np.sum(self.w_vol * f))

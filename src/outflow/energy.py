@@ -137,23 +137,32 @@ class EnergyReport:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _sym_gradients(ops: SymOps, psi: np.ndarray):
-    dpsi = ops.d1(psi)
-    grad_sq = dpsi**2 + (ops.dim_n - 1) * (psi / ops.r) ** 2
-    div = dpsi + (ops.dim_n - 1) * psi / ops.r
-    return grad_sq, div
+def _ops_for(state, params: FluidParams):
+    """The discrete operators of the state's geometry, on its grids."""
+    if isinstance(state, SymState):
+        return SymOps(state.grid, params.dim_n)
+    if isinstance(state, AxiState):
+        return AxiOps(state.grid, state.agrid)
+    raise TypeError(f"unsupported state type {type(state)!r}")
 
 
-def _axi_gradients(ops: AxiOps, psi_r: np.ndarray, psi_t: np.ndarray):
-    r = ops.r[:, None]
-    cot = (ops.cos / ops.sin)[None, :]
-    dr_pr, dt_pr, dr_pt, dt_pt = ops.first_derivs(psi_r, psi_t)
-    grad_sq = (dr_pr**2 + dr_pt**2
-               + ((dt_pr - psi_t) / r) ** 2
-               + ((dt_pt + psi_r) / r) ** 2
-               + ((psi_r + cot * psi_t) / r) ** 2)
-    div = ops.div(psi_r, psi_t)
-    return grad_sq, div
+def _check_grids(grid, *others) -> None:
+    """Raise ValueError unless every grid has the nodes of `grid`."""
+    for other in others:
+        if other is not grid and not np.array_equal(other.nodes, grid.nodes):
+            raise ValueError("state, profile and operator grids differ")
+
+
+def _sum_sq(fields, start=0.0):
+    """start + f0**2 + f1**2 + ..., summed left to right."""
+    return sum((f**2 for f in fields), start)
+
+
+def _dot(start, a, b):
+    """start + a0 b0 + a1 b1 + ..., summed left to right."""
+    for x, y in zip(a, b):
+        start = start + x * y
+    return start
 
 
 def relative_energy(state, profile: SteadyProfile, params: FluidParams,
@@ -163,113 +172,50 @@ def relative_energy(state, profile: SteadyProfile, params: FluidParams,
     dt_fields may carry the instantaneous time derivatives {"rho_t", "u_t"
     [, "utheta_t"]} so the report can include the temporal norm pieces.
     """
-    if isinstance(state, SymState):
-        if state.grid is not profile.grid and not np.array_equal(
-                state.grid.nodes, profile.grid.nodes):
-            raise ValueError("state and profile grids differ")
-        ops = SymOps(state.grid, params.dim_n)
-        phi = state.rho - profile.rho_t
-        psi = state.u_rad - profile.u_t
-        grad_sq, div = _sym_gradients(ops, psi)
-        # clamp round-off: the closed form of H cancels catastrophically
-        # when the two densities agree to near machine precision
-        h_gap = np.maximum(potential_energy(state.rho, profile.rho_t, params), 0.0)
-        e_density = 0.5 * state.rho * psi**2 + h_gap
-        total = ops.integral(e_density)
-        dissip = ops.integral(0.5 * params.mu * grad_sq
-                              + (params.mu + params.lam) * div**2)
-        bnd = abs(params.u_b) * ops.boundary_area * float(max(
-            potential_energy(state.rho[0], profile.rho_t[0], params), 0.0))
-        w_phi = abs(params.u_b) ** 3 * ops.integral(phi**2 / ops.r**7)
-        w_psi = abs(params.u_b) * ops.integral((ops.r * psi) ** 2 / ops.r**9)
-        sup = float(np.max(np.hypot(phi, psi)))
-        pieces = _sym_norm_pieces(ops, phi, psi, grad_sq, dt_fields)
-    elif isinstance(state, AxiState):
-        ops = AxiOps(state.grid, state.agrid)
-        phi = state.rho - profile.rho_t[:, None]
-        psi_r = state.u_r - profile.u_t[:, None]
-        psi_t = state.u_theta
-        grad_sq, div = _axi_gradients(ops, psi_r, psi_t)
-        h_gap = np.maximum(
-            potential_energy(state.rho, profile.rho_t[:, None], params), 0.0)
-        e_density = 0.5 * state.rho * (psi_r**2 + psi_t**2) + h_gap
-        total = ops.integral(e_density)
-        dissip = ops.integral(0.5 * params.mu * grad_sq
-                              + (params.mu + params.lam) * div**2)
-        h_ring = np.maximum(
-            potential_energy(state.rho[0], profile.rho_t[0], params), 0.0)
-        bnd = abs(params.u_b) * float(np.sum(ops.boundary_w * h_ring))
-        r2 = ops.r[:, None]
-        w_phi = abs(params.u_b) ** 3 * ops.integral(phi**2 / r2**7)
-        w_psi = abs(params.u_b) * ops.integral((r2 * psi_r) ** 2 / r2**9)
-        sup = float(np.max(np.sqrt(phi**2 + psi_r**2 + psi_t**2)))
-        pieces = _axi_norm_pieces(ops, phi, psi_r, psi_t, grad_sq, dt_fields)
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
+    ops = _ops_for(state, params)
+    _check_grids(state.grid, profile.grid)
+    rt = ops.lift(profile.rho_t)
+    phi = state.rho - rt
+    psi = tuple(u - ut for u, ut in
+                zip(state.velocity, ops.lift_velocity(profile.u_t)))
+    d_psi = ops.first_derivs(psi)
+    grad_sq = ops.vec_grad_sq(psi, d_psi)
+    div = ops.div(psi, d_psi)
+    # clamp round-off: the closed form of H cancels catastrophically
+    # when the two densities agree to near machine precision
+    h_gap = np.maximum(potential_energy(state.rho, rt, params), 0.0)
+    total = ops.integral(0.5 * state.rho * _sum_sq(psi) + h_gap)
+    dissip = ops.integral(0.5 * params.mu * grad_sq
+                          + (params.mu + params.lam) * div**2)
+    h_wall = np.maximum(potential_energy(state.rho[0], rt[0], params), 0.0)
+    r = ops.r_col
     return EnergyReport(
         t=state.t, total_relative_energy=total, viscous_dissipation=dissip,
-        boundary_H=bnd, weighted_phi=w_phi, weighted_radial_psi=w_psi,
-        sup_perturbation=sup, norm_pieces=pieces,
+        boundary_H=abs(params.u_b) * ops.wall_integral(h_wall),
+        weighted_phi=abs(params.u_b) ** 3 * ops.integral(phi**2 / r**7),
+        weighted_radial_psi=abs(params.u_b) * ops.integral(
+            (r * psi[0]) ** 2 / r**9),
+        sup_perturbation=float(np.max(np.sqrt(_sum_sq(psi, phi**2)))),
+        norm_pieces=_norm_pieces(ops, phi, psi, grad_sq, dt_fields),
     )
 
 
-def _sym_norm_pieces(ops: SymOps, phi, psi, grad_psi_sq, dt_fields):
-    d_phi = ops.d1(phi)
+def _norm_pieces(ops, phi, psi, grad_psi_sq, dt_fields):
+    d_phi_sq = ops.grad_sq(phi)
     pieces = {
-        "phi_psi_0": ops.integral(phi**2 + psi**2),
-        "phi_psi_1": ops.integral(d_phi**2 + grad_psi_sq),
-        "phi_1": ops.integral(d_phi**2),
-        "psi_1": ops.integral(grad_psi_sq),
-        "phi_2": ops.integral(_sym_scalar_hessian_sq(ops, phi, d_phi)),
-    }
-    if dt_fields is not None:
-        phi_t = dt_fields["rho_t"]
-        psi_t = dt_fields["u_t"]
-        d_phi_t = ops.d1(phi_t)
-        pieces["dt_phi_0"] = ops.integral(phi_t**2)
-        pieces["dt_phi_1"] = ops.integral(d_phi_t**2)
-        pieces["dt_psi_0"] = ops.integral(psi_t**2)
-    return pieces
-
-
-def _axi_norm_pieces(ops: AxiOps, phi, psi_r, psi_t, grad_psi_sq, dt_fields):
-    d_phi_sq = _axi_scalar_grad_sq(ops, phi)
-    hess = _axi_scalar_hessian_sq(ops, phi)
-    pieces = {
-        "phi_psi_0": ops.integral(phi**2 + psi_r**2 + psi_t**2),
+        "phi_psi_0": ops.integral(_sum_sq(psi, phi**2)),
         "phi_psi_1": ops.integral(d_phi_sq + grad_psi_sq),
         "phi_1": ops.integral(d_phi_sq),
         "psi_1": ops.integral(grad_psi_sq),
-        "phi_2": ops.integral(hess),
+        "phi_2": ops.integral(ops.hess_sq(phi)),
     }
     if dt_fields is not None:
         phi_t = dt_fields["rho_t"]
+        psi_t = [dt_fields[k] for k in ("u_t", "utheta_t")[:len(psi)]]
         pieces["dt_phi_0"] = ops.integral(phi_t**2)
-        pieces["dt_phi_1"] = ops.integral(_axi_scalar_grad_sq(ops, phi_t))
-        pieces["dt_psi_0"] = ops.integral(
-            dt_fields["u_t"] ** 2 + dt_fields["utheta_t"] ** 2)
+        pieces["dt_phi_1"] = ops.integral(ops.grad_sq(phi_t))
+        pieces["dt_psi_0"] = ops.integral(_sum_sq(psi_t))
     return pieces
-
-
-def _sym_scalar_hessian_sq(ops: SymOps, f, df):
-    """|Hess f|^2 of a radial scalar, given df = f'."""
-    return ops.d2(f) ** 2 + (ops.dim_n - 1) * (df / ops.r) ** 2
-
-
-def _axi_scalar_grad_sq(ops: AxiOps, f):
-    return ops.d_r(f) ** 2 + (ops.d_theta(f, parity=1) / ops.r[:, None]) ** 2
-
-
-def _axi_scalar_hessian_sq(ops: AxiOps, f):
-    r = ops.r[:, None]
-    cot = (ops.cos / ops.sin)[None, :]
-    fr = ops.d_r(f)
-    ft = ops.d_theta(f, parity=1)
-    h_rr = ops.d2_r(f)
-    h_rt = ops.d_r(ft) / r - ft / r**2
-    h_tt = ops.d2_theta(f, parity=1) / r**2 + fr / r
-    h_pp = fr / r + cot * ft / r**2
-    return h_rr**2 + 2.0 * h_rt**2 + h_tt**2 + h_pp**2
 
 
 def sobolev_norm(f: np.ndarray, order: int, ops) -> float:
@@ -285,13 +231,8 @@ def sobolev_norm(f: np.ndarray, order: int, ops) -> float:
         raise TypeError("ops must be SymOps or AxiOps")
     if order == 0:
         density = f**2
-    elif isinstance(ops, SymOps):
-        d1 = ops.d1(f)
-        density = d1**2 if order == 1 else _sym_scalar_hessian_sq(ops, f, d1)
-    elif order == 1:
-        density = _axi_scalar_grad_sq(ops, f)
     else:
-        density = _axi_scalar_hessian_sq(ops, f)
+        density = (ops.grad_sq if order == 1 else ops.hess_sq)(f)
     return float(np.sqrt(ops.integral(density)))
 
 
@@ -353,8 +294,9 @@ class ReformTerms:
 
     `reformulation_terms` builds them once; a run hands the one holder to
     every `reformulation_residual` call.  `stat` names its arrays as the
-    residual formulas do: derivatives of the stationary fields, P'(rho~)
-    and the stationary residuals st1 and st2.
+    residual formulas do: the profile on the state's shape (rt, ut),
+    derivatives of the stationary fields, P'(rho~) and the stationary
+    residuals st1 and st2.
     """
 
     profile: SteadyProfile
@@ -365,36 +307,22 @@ class ReformTerms:
 
 def reformulation_terms(profile: SteadyProfile, params: FluidParams, ops) -> ReformTerms:
     """Stationary terms of the reformulation check on SymOps or AxiOps."""
-    visc = 2.0 * params.mu + params.lam
-    if isinstance(ops, SymOps):
-        d = ops.d1
-        rt, ut = profile.rho_t, profile.u_t
-        d_rt, d_ut = d(rt), d(ut)
-        div_ut = ops.div_radial(ut, d_ut)
-        dp_rt = dpressure(rt, params)
-        stat = {
-            "d_rt": d_rt, "d_ut": d_ut, "div_ut": div_ut, "dp_rt": dp_rt,
-            "st1": ut * d_rt + rt * div_ut,
-            "st2": rt * ut * d_ut + dp_rt * d_rt - visc * d(div_ut),
-        }
-    elif isinstance(ops, AxiOps):
-        rt2 = np.repeat(profile.rho_t[:, None], ops.theta.size, axis=1)
-        ut2 = np.repeat(profile.u_t[:, None], ops.theta.size, axis=1)
-        zero = np.zeros_like(rt2)
-        g_rt = ops.grad(rt2)
-        div_ut = ops.div(ut2, zero)
-        d_ut = ops.first_derivs(ut2, zero)
-        lut = ops.visc(ut2, zero, params.mu, params.lam, d_ut, div_ut)
-        c_uu = ops.conv(ut2, zero, ut2, zero, d_ut)
-        dp_rt = dpressure(rt2, params)
-        stat = {
-            "rt2": rt2, "ut2": ut2, "zero": zero, "g_rt": g_rt, "div_ut": div_ut,
-            "d_ut": d_ut, "c_uu": c_uu, "dp_rt": dp_rt,
-            "st1": ut2 * g_rt[0] + rt2 * div_ut,
-            "st2": [rt2 * c_uu[i] + dp_rt * g_rt[i] - lut[i] for i in range(2)],
-        }
-    else:
+    if not isinstance(ops, (SymOps, AxiOps)):
         raise TypeError("ops must be SymOps or AxiOps")
+    _check_grids(profile.grid, ops.grid)
+    rt, ut = ops.lift(profile.rho_t), ops.lift_velocity(profile.u_t)
+    g_rt = ops.grad(rt)
+    d_ut = ops.first_derivs(ut)
+    div_ut = ops.div(ut, d_ut)
+    lut = ops.visc(ut, params.mu, params.lam, d_ut, div_ut)
+    c_uu = ops.conv(ut, ut, d_ut)
+    dp_rt = dpressure(rt, params)
+    stat = {
+        "rt": rt, "ut": ut, "g_rt": g_rt, "div_ut": div_ut, "d_ut": d_ut,
+        "c_uu": c_uu, "dp_rt": dp_rt,
+        "st1": ut[0] * g_rt[0] + rt * div_ut,
+        "st2": [rt * c + dp_rt * g - lu for c, g, lu in zip(c_uu, g_rt, lut)],
+    }
     return ReformTerms(profile, params, ops, stat)
 
 
@@ -407,119 +335,68 @@ def reformulation_residual(state, state_prev, dt: float,
     agree to round-off whenever the source-term algebra is right; the
     stationary residual is carried explicitly on the linearised side because
     the discrete profile does not annihilate the discrete operator exactly.
-    The momentum equations are compared in velocity form (divided by rho);
-    for radial fields the viscous operator is (2 mu + lam) d_r(div).
-    `terms` are the stationary terms from `reformulation_terms`; without
-    them they are built here, on `ops` or on operators of the state's grid.
+    The momentum equations are compared in velocity form (divided by rho),
+    one row per velocity component; for radial fields the viscous operator
+    is (2 mu + lam) d_r(div).  `terms` are the stationary terms from
+    `reformulation_terms`; without them they are built here, on `ops` or on
+    operators of the state's grid.
     """
     if not density_corridor(state, params):
         raise ValueError("density outside the a-priori corridor")
-    axi = isinstance(state, AxiState)
     if terms is None:
-        if ops is None:
-            ops = (AxiOps(state.grid, state.agrid) if axi
-                   else SymOps(state.grid, params.dim_n))
-        terms = reformulation_terms(profile, params, ops)
+        terms = reformulation_terms(
+            profile, params, _ops_for(state, params) if ops is None else ops)
     elif (terms.profile is not profile or terms.params != params
           or (ops is not None and ops is not terms.ops)):
         raise ValueError("the reformulation terms were built for another "
                          "profile, fluid or operator set")
-    if axi != isinstance(terms.ops, AxiOps):
+    ops, st = terms.ops, terms.stat
+    _check_grids(state.grid, state_prev.grid, profile.grid, ops.grid)
+    if len(state.velocity) != len(st["ut"]):
         raise ValueError("the reformulation terms are of the other geometry")
-    if axi:
-        return _reformulation_axi(state, state_prev, dt, params, terms)
-    return _reformulation_sym(state, state_prev, dt, params, terms)
-
-
-def _reformulation_sym(state: SymState, prev: SymState, dt: float,
-                       params: FluidParams, terms: ReformTerms) -> ReformResult:
-    ops, st = terms.ops, terms.stat
-    d = ops.d1
-    visc = 2.0 * params.mu + params.lam
-    rho_p, q_p = params.rho_plus, float(q_coeff(params.rho_plus, params))
-
-    rho, u = state.rho, state.u_rad
-    rho0, u0 = prev.rho, prev.u_rad
-    rt, ut = terms.profile.rho_t, terms.profile.u_t
-    d_rt, d_ut = st["d_rt"], st["d_ut"]
-    phi, psi = rho - rt, u - ut
-    phi0, psi0 = rho0 - rt, u0 - ut
-
-    d_rho, d_u, d_phi, d_psi = d(rho), d(u), d(phi), d(psi)
-    div_u = ops.div_radial(u, d_u)
-    div_psi = ops.div_radial(psi, d_psi)
-    q_rho = q_coeff(rho, params)
-
-    orig_cont = (rho - rho0) / dt + u * d_rho + rho * div_u
-    f0 = (-phi * div_psi + (rho_p - rt) * div_psi - psi * d_rt - phi * st["div_ut"])
-    reform_cont = (phi - phi0) / dt + u * d_phi + rho_p * div_psi - f0 + st["st1"]
-
-    lap_u = d(div_u)
-    lap_psi = d(div_psi)
-    orig_mom = ((u - u0) / dt + u * d_u + q_rho * d_rho
-                - visc * lap_u / rho)
-    f_visc = -((rho - rho_p) / (rho_p * rho)) * visc * lap_psi
-    f_tilde = (-psi * d_psi - ut * d_psi - psi * d_ut
-               - (phi / rho) * ut * d_ut
-               + (q_p - q_rho) * d_phi
-               - ((dpressure(rho, params) - st["dp_rt"]) / rho) * d_rt)
-    reform_mom = ((psi - psi0) / dt - visc * lap_psi / rho_p + q_p * d_phi
-                  - (f_visc + f_tilde) + st["st2"] / rho)
-    return ReformResult(orig_cont, reform_cont, orig_mom, reform_mom)
-
-
-def _reformulation_axi(state: AxiState, prev: AxiState, dt: float,
-                       params: FluidParams, terms: ReformTerms) -> ReformResult:
-    ops, st = terms.ops, terms.stat
     mu, lam = params.mu, params.lam
     rho_p, q_p = params.rho_plus, float(q_coeff(params.rho_plus, params))
 
-    rho, u_r, u_t = state.rho, state.u_r, state.u_theta
-    rt2, ut2, zero, g_rt = st["rt2"], st["ut2"], st["zero"], st["g_rt"]
-    phi = rho - rt2
-    psi_r, psi_t = u_r - ut2, u_t
-    phi0 = prev.rho - rt2
-    psi_r0, psi_t0 = prev.u_r - ut2, prev.u_theta
+    rho, u = state.rho, state.velocity
+    rt, ut, g_rt = st["rt"], st["ut"], st["g_rt"]
+    phi, phi0 = rho - rt, state_prev.rho - rt
+    psi = tuple(w - wt for w, wt in zip(u, ut))
+    psi0 = tuple(w - wt for w, wt in zip(state_prev.velocity, ut))
 
     g_rho = ops.grad(rho)
-    div_u = ops.div(u_r, u_t)
-    orig_cont = ((rho - prev.rho) / dt + u_r * g_rho[0] + u_t * g_rho[1]
-                 + rho * div_u)
-    div_psi = ops.div(psi_r, psi_t)
+    d_u = ops.first_derivs(u)
+    div_u = ops.div(u, d_u)
+    orig_cont = _dot((rho - state_prev.rho) / dt, u, g_rho) + rho * div_u
+    d_psi = ops.first_derivs(psi)
+    div_psi = ops.div(psi, d_psi)
     g_phi = ops.grad(phi)
-    f0 = (-phi * div_psi + (rho_p - rt2) * div_psi
-          - psi_r * g_rt[0] - psi_t * g_rt[1] - phi * st["div_ut"])
-    reform_cont = ((phi - phi0) / dt + u_r * g_phi[0] + u_t * g_phi[1]
+    f0 = -phi * div_psi + (rho_p - rt) * div_psi
+    for p, g in zip(psi, g_rt):
+        f0 = f0 - p * g
+    f0 = f0 - phi * st["div_ut"]
+    reform_cont = (_dot((phi - phi0) / dt, u, g_phi)
                    + rho_p * div_psi - f0 + st["st1"])
 
     q_rho = q_coeff(rho, params)
-    d_u = ops.first_derivs(u_r, u_t)
-    lu_r, lu_t = ops.visc(u_r, u_t, mu, lam, d_u, div_u)
-    co_r, co_t = ops.conv(u_r, u_t, u_r, u_t, d_u)
+    visc_u = ops.visc(u, mu, lam, d_u, div_u)
+    conv_u = ops.conv(u, u, d_u)
     orig_mom = np.stack([
-        (u_r - prev.u_r) / dt + co_r + q_rho * g_rho[0] - lu_r / rho,
-        (u_t - prev.u_theta) / dt + co_t + q_rho * g_rho[1] - lu_t / rho,
-    ])
+        (w - w0) / dt + c + q_rho * g - v / rho
+        for w, w0, c, g, v in zip(u, state_prev.velocity, conv_u, g_rho, visc_u)])
 
-    d_psi = ops.first_derivs(psi_r, psi_t)
-    lap_psi = ops.vec_lap(psi_r, psi_t, d_psi)
-    gdiv_psi = ops.grad(div_psi)
-    c_pp = ops.conv(psi_r, psi_t, psi_r, psi_t, d_psi)
-    c_up = ops.conv(ut2, zero, psi_r, psi_t, d_psi)
-    c_pu = ops.conv(psi_r, psi_t, ut2, zero, st["d_ut"])
-    c_uu = st["c_uu"]
+    visc_psi = ops.visc(psi, mu, lam, d_psi, div_psi)
+    c_pp = ops.conv(psi, psi, d_psi)
+    c_up = ops.conv(ut, psi, d_psi)
+    c_pu = ops.conv(psi, ut, st["d_ut"])
     dp_gap = (dpressure(rho, params) - st["dp_rt"]) / rho
     reform = []
-    for i in range(2):
-        f_visc = -((rho - rho_p) / (rho_p * rho)) * (
-            mu * lap_psi[i] + (mu + lam) * gdiv_psi[i])
-        f_tilde = (-c_pp[i] - c_up[i] - c_pu[i] - (phi / rho) * c_uu[i]
+    for i in range(len(u)):
+        f_visc = -((rho - rho_p) / (rho_p * rho)) * visc_psi[i]
+        f_tilde = (-c_pp[i] - c_up[i] - c_pu[i] - (phi / rho) * st["c_uu"][i]
                    + (q_p - q_rho) * g_phi[i]
                    - dp_gap * g_rt[i])
-        dpsi_dt = ((psi_r - psi_r0) if i == 0 else (psi_t - psi_t0)) / dt
-        reform.append(dpsi_dt - (mu / rho_p) * lap_psi[i]
-                      - ((mu + lam) / rho_p) * gdiv_psi[i] + q_p * g_phi[i]
-                      - (f_visc + f_tilde) + st["st2"][i] / rho)
+        reform.append((psi[i] - psi0[i]) / dt - visc_psi[i] / rho_p
+                      + q_p * g_phi[i] - (f_visc + f_tilde) + st["st2"][i] / rho)
     return ReformResult(orig_cont, reform_cont, orig_mom, np.stack(reform))
 
 

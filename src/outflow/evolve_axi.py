@@ -75,12 +75,10 @@ class AxiSolver(RadialScheme):
         self.agrid = agrid
         self.ops = ops = AxiOps(profile.grid, agrid)
         # (r, theta) grid constants, broadcast once
-        r = self.r[:, None]
+        r = ops.r_col
         s = ops.sin[None, :]
-        self.r_col = r
         self.r2_col = self.r2[:, None]
         self.sin_row = s
-        self.cot_row = (ops.cos / ops.sin)[None, :]
         self.r_sin = r * s
         self.r2_sin = r**2 * s
         self.r_sin_sq = (r * s) ** 2
@@ -116,7 +114,7 @@ class AxiSolver(RadialScheme):
         """
         p = self.params
         ops = self.ops
-        r, r2, s = self.r_col, self.r2_col, self.sin_row
+        r, r2, s = ops.r_col, self.r2_col, self.sin_row
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
         if not checked:
             check_positive(rho, state.t)
@@ -143,7 +141,7 @@ class AxiSolver(RadialScheme):
         visc_r = self.visc * radial_visc_div(self.dface, w)
         visc_r += p.mu * (ops.d_theta(s * dth_ur, parity=1) / self.r2_sin
                           - 2.0 * dth_ut / r2
-                          - 2.0 * self.cot_row * u_t / r2)
+                          - 2.0 * ops.cot_row * u_t / r2)
         visc_r += (p.mu + p.lam) * ops.d_r(div_ang)
         mr_t += visc_r
 
@@ -184,11 +182,9 @@ class AxiSolver(RadialScheme):
         return float(safety * min(np.min(adv), np.min(visc)))
 
     def steady_residual(self) -> float:
-        nt = self.agrid.n_cells
         s = AxiState(0.0, self.profile.grid, self.agrid,
-                     np.repeat(self.profile.rho_t[:, None], nt, axis=1),
-                     np.repeat(self.profile.u_t[:, None], nt, axis=1),
-                     np.zeros((self.r.size, nt)))
+                     self.ops.lift(self.profile.rho_t),
+                     *self.ops.lift_velocity(self.profile.u_t))
         rho_t, mr_t, mt_t = self.rhs(s)
         return float(max(np.max(np.abs(rho_t)), np.max(np.abs(mr_t)),
                          np.max(np.abs(mt_t))))

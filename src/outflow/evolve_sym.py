@@ -31,7 +31,6 @@ from .steady import SteadyProfile
 __all__ = [
     "CFLViolation",
     "PositivityLoss",
-    "DidNotFinish",
     "SymRunConfig",
     "SymSolver",
     "RunResult",
@@ -50,10 +49,6 @@ class CFLViolation(RuntimeError):
 
 class PositivityLoss(RuntimeError):
     pass
-
-
-class DidNotFinish(RuntimeError):
-    """t_end reached before the required decay factor."""
 
 
 def check_positive(rho: np.ndarray, t: float) -> None:

@@ -143,13 +143,12 @@ def _sym_boundary_momentum(rho, u, r, params: FluidParams) -> float:
 def boundary_momentum_residual(state: AxiState, params: FluidParams) -> float:
     """Worst momentum-balance residual on the r = 1 ring (one-sided stencils)."""
     ops = AxiOps(state.grid, state.agrid)
-    rho, u_r, u_t = state.rho, state.u_r, state.u_theta
-    conv_r, conv_t = ops.conv(u_r, u_t, u_r, u_t)
-    visc_r, visc_t = ops.visc(u_r, u_t, params.mu, params.lam)
-    dp_r, dp_t = ops.grad(pressure(rho, params))
-    res_r = -rho * conv_r - dp_r + visc_r
-    res_t = -rho * conv_t - dp_t + visc_t
-    return float(max(np.max(np.abs(res_r[0])), np.max(np.abs(res_t[0]))))
+    rho, u = state.rho, state.velocity
+    conv = ops.conv(u, u)
+    visc = ops.visc(u, params.mu, params.lam)
+    dp = ops.grad(pressure(rho, params))
+    return float(max(np.max(np.abs((-rho * c - g + v)[0]))
+                     for c, g, v in zip(conv, dp, visc)))
 
 
 def compatibility_residual(state, profile: SteadyProfile,

@@ -225,3 +225,22 @@ def test_steady_verdict_includes_the_rate_report(tmp_path, monkeypatch):
     assert manifest["criteria"]["rate_fit"] is False
     assert any(line.startswith("d_u:") and line.endswith("FAIL")
                for line in (out / "rate_report.txt").read_text().splitlines())
+
+
+def test_steady_reports_its_regime(tmp_path):
+    """boundary_mach and subsonic are recorded but do not grade the run."""
+    regimes = {"fast": ("u_b = -20\nr_max = 60\nnodes_r = 256\n", False),
+               "acceptance": ("u_b = -0.05\nr_max = 200\nnodes_r = 2048\n", True)}
+    for name, (text, subsonic) in regimes.items():
+        conf = _write(tmp_path, text + "grid_kind = geometric\n", name=f"{name}.conf")
+        out = tmp_path / name
+        assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["passed"] is True
+        crit = manifest["criteria"]
+        assert crit["subsonic"] is subsonic
+        params = parse_config(conf).params
+        rho_1 = np.genfromtxt(out / "profile.csv", delimiter=",", names=True)["rho_t"][0]
+        c_1 = np.sqrt(params.gamma * params.k_pressure * rho_1 ** (params.gamma - 1.0))
+        assert crit["boundary_mach"] == pytest.approx(abs(params.u_b) / c_1, rel=1e-12)
+        assert (crit["boundary_mach"] < 1.0) is subsonic

@@ -4,7 +4,8 @@
 
 CHECKOUT is the root of an outflow source tree (default: the one holding this
 script); its `src/` is imported.  The artefacts are the `RunResult` fields of
-three relaxation runs and every CSV and text file that the CLI writes for
+three relaxation runs, the arrays of one reformulation check per geometry,
+and every CSV and text file that the CLI writes for
 `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0` and
 `verify-energy`, plus each subcommand's exit code.  A change meant to keep the
 numbers bitwise is checked by running this on both trees and diffing the
@@ -80,23 +81,38 @@ def _emit_result(label: str, res) -> None:
 
 
 def run_results() -> None:
-    from outflow.evolve_axi import AxiRunConfig, run_axi_stability
-    from outflow.evolve_sym import SymRunConfig, run_sym_stability
+    from outflow.energy import reformulation_residual
+    from outflow.evolve_axi import AxiRunConfig, AxiSolver, run_axi_stability
+    from outflow.evolve_sym import SymRunConfig, SymSolver, run_sym_stability
     from outflow.grids import AngularGrid, RadialGrid
     from outflow.params import FluidParams
+    from outflow.states import perturb_axi, perturb_sym
     from outflow.steady import solve_steady
 
     params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=0.0,
                          rho_plus=1.0, u_b=-0.05, dim_n=3)
-    profile = solve_steady(params, RadialGrid.uniform(100.0, 1023), tol=1e-8)
+    sym_profile = solve_steady(params, RadialGrid.uniform(100.0, 1023), tol=1e-8)
     for label, dt in (("sym_cfl", None), ("sym_dt", 1e-3)):
         cfg = SymRunConfig(t_end=1.0, dt=dt, output_every=100, reform_every=10)
-        _emit_result(label, run_sym_stability(profile, params, cfg))
+        _emit_result(label, run_sym_stability(sym_profile, params, cfg))
 
-    profile = solve_steady(params, RadialGrid.uniform(20.0, 127), tol=1e-8)
+    axi_profile = solve_steady(params, RadialGrid.uniform(20.0, 127), tol=1e-8)
+    agrid = AngularGrid(n_cells=32)
     cfg = AxiRunConfig(t_end=0.5, output_every=100, reform_every=10)
-    _emit_result("axi", run_axi_stability(profile, params, AngularGrid(n_cells=32),
-                                          cfg))
+    _emit_result("axi", run_axi_stability(axi_profile, params, agrid, cfg))
+
+    # the reformulation check on one step from the perturbed wave; arrays are
+    # hashed raveled, so a change of shape alone leaves the digest alone
+    for label, profile, solver, state in (
+            ("reform_sym", sym_profile, SymSolver(sym_profile, params),
+             perturb_sym(sym_profile, 0.02, (1.5, 3.0))),
+            ("reform_axi", axi_profile, AxiSolver(axi_profile, params, agrid),
+             perturb_axi(axi_profile, agrid, 0.02, (1.5, 3.0)))):
+        dt = 0.4 * solver.cfl_dt(state, 1.0)
+        res = reformulation_residual(solver.step(state, dt), state, dt, profile,
+                                     params)
+        for f in dataclasses.fields(res):
+            print(f"{_digest(np.ravel(getattr(res, f.name)))}  {label}.{f.name}")
 
 
 def cli_outputs(work: str) -> None:
