@@ -19,7 +19,7 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .config import Config, ConfigError, config_text, parse_config
+from .config import Config, ConfigError, check_config, config_text, parse_config
 from .energy import (
     equivalence_constants,
     h_identities,
@@ -390,12 +390,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config) if args.config else Config()
+        if args.seed is not None:
+            cfg.seed = args.seed
+            check_config(cfg)
     except ConfigError as exc:
         os.makedirs(args.out, exist_ok=True)
         return _failed(Manifest(args.subcommand, None, args.out), EXIT_CONFIG,
                        exc, "config error")
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
         return dispatch(args.subcommand, cfg, args.out, run_dir=args.run_dir)
     except Exception as exc:  # pragma: no cover - defensive

@@ -13,6 +13,7 @@ __all__ = [
     "UnknownKey",
     "ConstraintViolation",
     "parse_config",
+    "check_config",
     "config_text",
 ]
 
@@ -132,11 +133,19 @@ def parse_config(path: str) -> Config:
     if not report.ok:
         raise ConstraintViolation("; ".join(report.violations))
     cfg = Config(params=params, **conf_kw)
+    check_config(cfg)
+    return cfg
+
+
+def check_config(cfg: Config) -> None:
+    """Run-level constraints; every configuration, read from a file or
+    changed on the command line, passes through here before it is used."""
     if cfg.grid_kind not in ("uniform", "geometric"):
         raise ConstraintViolation("grid_kind must be 'uniform' or 'geometric'")
     if not (1.0 < cfg.support_lo < cfg.support_hi < cfg.r_max):
         raise ConstraintViolation("support must satisfy 1 < lo < hi < r_max")
-    return cfg
+    if cfg.seed < 0:
+        raise ConstraintViolation(f"seed must be >= 0, got {cfg.seed}")
 
 
 def config_text(cfg: Config) -> str:

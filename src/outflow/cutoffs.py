@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sphops import radius, unit_vectors
+
 __all__ = [
     "SupportViolation",
     "xi_tilde",
@@ -122,7 +124,7 @@ class CutoffFamily:
 
     def _angle(self, pts, chart):
         pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
+        r = radius(pts)
         pole = pts[..., 2] if chart == "V" else pts[..., 1]
         return np.arccos(np.clip(pole / r, -1.0, 1.0))
 
@@ -138,10 +140,8 @@ class CutoffFamily:
         Near the axis xi' vanishes identically (outside the cutoff support),
         so the otherwise-degenerate theta_hat direction is multiplied by zero.
         """
-        from .sphops import unit_vectors
-
         pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
+        r = radius(pts)
         theta = self._angle(pts, chart)
         coeff = self.xi_prime(theta) / r
         out = np.zeros_like(pts)

@@ -20,6 +20,7 @@ from .sphops import (
     cart_div,
     cart_grad,
     cart_grad_div,
+    cart_grad_sq,
     cart_lap,
     from_spherical,
     make_sph_div,
@@ -27,6 +28,7 @@ from .sphops import (
     make_sph_grad_div,
     make_sph_lap,
     make_sph_vec_lap,
+    radius,
     sph_partial,
     to_spherical,
     unit_vectors,
@@ -38,6 +40,7 @@ __all__ = [
     "CheckRow",
     "commutator_check",
     "rr_cancellation",
+    "HARDY_FIELDS",
     "hardy_check",
     "hardy_check_radial",
     "TailNotConverged",
@@ -93,30 +96,27 @@ def default_corpus(seed: int = 0, n_points: int = 100,
     a = rng.uniform(0.5, 1.5, 8)
     x0 = np.array([1.2, 0.7, -0.5])
 
-    def r_of(x):
-        return np.linalg.norm(x, axis=-1)
-
     scalars = {
-        "radial_exp": lambda x: np.exp(1.0 - r_of(x)),
+        "radial_exp": lambda x: np.exp(1.0 - radius(x)),
         "poly": lambda x: x[..., 0] ** 2 * x[..., 1] - x[..., 2] ** 3,
-        "dipole": lambda x: x[..., 2] / r_of(x) ** 3,
+        "dipole": lambda x: x[..., 2] / radius(x) ** 3,
         "gauss": lambda x: np.exp(-0.5 * np.sum((x - x0) ** 2, axis=-1)),
         "mixed": lambda x: (a[0] * x[..., 0] * x[..., 1]
-                            + a[1] * x[..., 1] * x[..., 2]) / r_of(x) ** 3,
+                            + a[1] * x[..., 1] * x[..., 2]) / radius(x) ** 3,
     }
     vectors = {
         "identity": lambda x: x + 0.0,
         "swirl": lambda x: np.stack(
             [-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])], axis=-1
-        ) * np.exp(1.0 - r_of(x))[..., None],
+        ) * np.exp(1.0 - radius(x))[..., None],
         "vpoly": lambda x: np.stack(
             [a[2] * x[..., 0] * x[..., 1], a[3] * x[..., 2] ** 2,
              a[4] * x[..., 0] * x[..., 2]], axis=-1
-        ) / r_of(x)[..., None] ** 2,
+        ) / radius(x)[..., None] ** 2,
         "vsmooth": lambda x: np.stack(
             [a[5] * x[..., 2], a[6] * x[..., 0], a[7] * x[..., 1]], axis=-1
-        ) * np.exp(1.0 - r_of(x))[..., None],
-        "radial_quad": lambda x: r_of(x)[..., None] * x,
+        ) * np.exp(1.0 - radius(x))[..., None],
+        "radial_quad": lambda x: radius(x)[..., None] * x,
     }
     points = {c: _corpus_points(rng, c, n_points, r_range, margin) for c in ("V", "H")}
     return OpSample(scalar_fields=scalars, vector_fields=vectors, points=points)
@@ -239,7 +239,7 @@ def _comm_lap(F, pts, chart, N, which, h_deep):
     lhs = lhs1 - lhs2
     rhs = np.zeros_like(lhs)
     if which == "theta":
-        r = np.linalg.norm(pts, axis=-1)
+        r = radius(pts)
         for m in range(N):
             k = N - m
             dt = sph_partial(F, chart, _mixed("theta", m, "theta"), h_deep)(pts)
@@ -419,7 +419,7 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
         elif kind == "lap":
             F = sample.scalar_fields[names_s[rng.integers(len(names_s))]]
             lhs, rhs = _comm_lap(F, pts, chart, N, w, h_deep)
-            r = np.linalg.norm(pts, axis=-1)
+            r = radius(pts)
             bound = sum(_string_max(F, pts, chart, m, h_deep, radial=False)
                         for m in range(1, N + 2)) / r**2
         elif kind == "advect":
@@ -435,7 +435,7 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
         else:
             V = sample.vector_fields[names_v[rng.integers(len(names_v))]]
             lhs, rhs = _comm_graddiv(V, pts, chart, N, w, h_deep)
-            r = np.linalg.norm(pts, axis=-1)
+            r = radius(pts)
             bound = _mag(V(pts)) / r**2 + sum(
                 _string_max(
                     sph_partial(V, chart, _orders(w, m), h_deep, vector=True),
@@ -484,7 +484,7 @@ def rr_insensitivity(V, pts, chart: str = "V", h: float = 0.01):
     """route2 must be blind to adding a pure radial field W(r) r_hat, W = r^3."""
 
     def augmented(p):
-        r = np.linalg.norm(p, axis=-1, keepdims=True)
+        r = radius(p, keepdims=True)
         return V(p) + r**2 * p  # W(r) r_hat with W = r^3
 
     _, base = rr_cancellation(V, pts, chart, h)
@@ -532,9 +532,12 @@ def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
     """Hardy inequality ∫|u|^2/|x|^2 + ∮_{|x|=1}|u|^2 <= 2n ∫|grad u|^2.
 
     u is a vectorized Cartesian field (scalar or vector); the gradient falls
-    back to Cartesian finite differences when not supplied.  Raises
-    TailNotConverged when doubling the truncation radius moves either side
-    by more than 1%.
+    back to Cartesian finite differences when not supplied.  The volume rule
+    is geometric radial panels of 8 Gauss radii times an n_theta x n_phi
+    Gauss-trapezoid angular rule; u and |grad u|^2 are evaluated one panel
+    at a time, and the sums still run one radius at a time, in order.
+    Raises TailNotConverged when doubling the truncation radius moves either
+    side by more than 1%.
     """
     if n != 3:
         raise ValueError("volume quadrature is implemented for n = 3; "
@@ -542,44 +545,35 @@ def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
 
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    wphi = 2.0 * np.pi / n_phi
+    s = np.sqrt(1.0 - mu**2)
+    unit = np.stack([
+        np.outer(s, np.cos(phi)),
+        np.outer(s, np.sin(phi)),
+        np.repeat(mu[:, None], n_phi, axis=1),
+    ], axis=-1).reshape(-1, 3)  # the unit sphere, theta-major
+    ang_w = np.repeat(wmu, n_phi) * (2.0 * np.pi / n_phi)
 
     def sq(val):
         return np.sum(val**2, axis=-1) if vector else val**2
 
     def gradsq(pts):
-        if grad is not None:
-            g = grad(pts)
-            return np.sum(g.reshape(g.shape[0], -1) ** 2, axis=1)
-        if vector:
-            return sum(
-                np.sum(cart_grad(lambda p, j=j: u(p)[..., j], pts, h=2e-4) ** 2,
-                       axis=-1)
-                for j in range(3)
-            )
-        return np.sum(cart_grad(u, pts, h=2e-4) ** 2, axis=-1)
-
-    def angular_cloud(r):
-        s = np.sqrt(1.0 - mu**2)
-        x = np.stack([
-            np.outer(s, np.cos(phi)),
-            np.outer(s, np.sin(phi)),
-            np.repeat(mu[:, None], n_phi, axis=1),
-        ], axis=-1)  # (n_theta, n_phi, 3)
-        return r * x
+        if grad is None:
+            return cart_grad_sq(u, pts, h=2e-4, vector=vector)
+        g = grad(pts)
+        return np.sum(g.reshape(g.shape[0], -1) ** 2, axis=1)
 
     def quad(rm):
         rr, wr = _radial_panels(rm, n_panels=max(20, n_r // 8), n_gauss=8)
         vol_lhs = 0.0
         vol_rhs = 0.0
-        for r, w in zip(rr, wr):
-            cloud = angular_cloud(r).reshape(-1, 3)
-            ang_w = np.repeat(wmu, n_phi) * wphi
-            vol_lhs += w * r**2 * np.sum(ang_w * sq(u(cloud)) / r**2)
-            vol_rhs += w * r**2 * np.sum(ang_w * gradsq(cloud))
-        surf_cloud = angular_cloud(1.0).reshape(-1, 3)
-        ang_w = np.repeat(wmu, n_phi) * wphi
-        surface = np.sum(ang_w * sq(u(surf_cloud)))
+        for r_pan, w_pan in zip(rr.reshape(-1, 8), wr.reshape(-1, 8)):
+            cloud = (r_pan[:, None, None] * unit).reshape(-1, 3)
+            u_sq = sq(u(cloud)).reshape(r_pan.size, -1)
+            g_sq = gradsq(cloud).reshape(r_pan.size, -1)
+            for r, w, u_r, g_r in zip(r_pan, w_pan, u_sq, g_sq):
+                vol_lhs += w * r**2 * np.sum(ang_w * u_r / r**2)
+                vol_rhs += w * r**2 * np.sum(ang_w * g_r)
+        surface = np.sum(ang_w * sq(u(unit)))
         return vol_lhs + surface, 2.0 * n * vol_rhs
 
     lhs, rhs = quad(r_max)
@@ -589,6 +583,19 @@ def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
         raise TailNotConverged("quadrature tail beyond r_max exceeds 1%")
     ratio = 0.0 if rhs2 == 0.0 else lhs2 / rhs2
     return lhs2, rhs2, ratio
+
+
+# the Hardy corpus of the verification suite: name -> (field, is_vector)
+HARDY_FIELDS = {
+    "inv_r2": (lambda x: radius(x) ** -2.0, False),
+    "radial_exp": (lambda x: np.exp(1.0 - radius(x)), False),
+    "dipole": (lambda x: x[..., 2] / radius(x) ** 3, False),
+    "skewed_exp": (lambda x: np.exp(1.0 - radius(x))
+                   * (1 + x[..., 0] / (2 * radius(x))), False),
+    "swirl_vec": (lambda x: np.stack([-x[..., 1], x[..., 0],
+                                      np.zeros_like(x[..., 0])], axis=-1)
+                  / radius(x)[..., None] ** 3, True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +654,14 @@ def _operator_rows(sample, h=0.005):
 def _cutoff_rows(fam: CutoffFamily, rng):
     rows = []
     x = rng.normal(size=(4000, 3))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x /= radius(x, keepdims=True)
     x *= rng.uniform(1.0, 6.0, (4000, 1))
     cv, ch = fam.chi_v(x), fam.chi_h(x)
     rows.append(_row("cutoff/partition_min", 1.0 - np.min(cv + ch), 1e-10,
                      note="1 - min(chi_V + chi_H)"))
     rows.append(_row("cutoff/range", max(np.max(cv) - 1.0, -np.min(cv),
                                          np.max(ch) - 1.0, -np.min(ch)), 1e-12))
-    theta_v = np.arccos(np.clip(x[:, 2] / np.linalg.norm(x, axis=1), -1, 1))
+    theta_v = np.arccos(np.clip(x[:, 2] / radius(x), -1, 1))
     outside = (theta_v < np.pi / 9) | (theta_v > 8 * np.pi / 9)
     rows.append(_row("cutoff/support_exact_zero",
                      float(np.max(np.abs(cv[outside]))) if outside.any() else 0.0,
@@ -665,7 +672,7 @@ def _cutoff_rows(fam: CutoffFamily, rng):
         ("chi_H", fam.chi_h, fam.grad_chi_h, "H"),
     ):
         g = grad_fn(pts)
-        rhat = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        rhat = pts / radius(pts, keepdims=True)
         rows.append(_row(f"cutoff/{name}_radial_grad",
                          np.max(np.abs(np.sum(rhat * g, axis=1))), 1e-8))
         azim = np.zeros(pts.shape[0])
@@ -729,21 +736,12 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
         rows.append(_row(f"rr_cancel/{chart}/radial_blind", worst_aug, 1e-4))
 
     # Hardy inequality corpus (n = 3, constant 2n = 6)
-    r_of = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
-    hardy_fields = {
-        "inv_r2": (lambda x: r_of(x) ** -2.0, False),
-        "radial_exp": (lambda x: np.exp(1.0 - r_of(x)), False),
-        "dipole": (lambda x: x[..., 2] / r_of(x) ** 3, False),
-        "skewed_exp": (lambda x: np.exp(1.0 - r_of(x)) * (1 + x[..., 0] / (2 * r_of(x))), False),
-        "swirl_vec": (lambda x: np.stack([-x[..., 1], x[..., 0],
-                                          np.zeros_like(x[..., 0])], axis=-1)
-                      / r_of(x)[..., None] ** 3, True),
-    }
-    for name, (u, is_vec) in hardy_fields.items():
-        lhs, rhs, ratio = hardy_check(u, vector=is_vec)
+    hardy = {name: hardy_check(u, vector=is_vec)
+             for name, (u, is_vec) in HARDY_FIELDS.items()}
+    for name, (lhs, rhs, ratio) in hardy.items():
         rows.append(_row(f"hardy/{name}", max(0.0, (lhs - rhs) / max(rhs, 1e-300)),
                          0.0, note=f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={ratio:.4f}"))
-    lhs, rhs, ratio = hardy_check(lambda x: r_of(x) ** -2.0)
+    lhs, rhs, _ = hardy["inv_r2"]
     rows.append(_row("hardy/inv_r2_closed_form_lhs",
                      abs(lhs - 16 * np.pi / 3) / (16 * np.pi / 3), 1e-3))
     rows.append(_row("hardy/inv_r2_closed_form_rhs",

@@ -24,6 +24,7 @@ from .discrete import fornberg_weights
 __all__ = [
     "AxisDegeneracy",
     "CHARTS",
+    "radius",
     "to_spherical",
     "from_spherical",
     "unit_vectors",
@@ -38,6 +39,7 @@ __all__ = [
     "make_sph_grad_div",
     "sph_grad_div_lap",
     "cart_grad",
+    "cart_grad_sq",
     "cart_div",
     "cart_lap",
     "cart_vec_lap",
@@ -57,11 +59,22 @@ def _check_chart(chart: str) -> None:
         raise ValueError(f"chart must be 'V' or 'H', got {chart!r}")
 
 
+def radius(pts, keepdims: bool = False):
+    """|x| of points (..., 3).
+
+    The same sum of squares in the same order as NumPy's 2-norm along the
+    last axis, so bitwise equal to it, without a 3-long reduction per point.
+    """
+    sq = np.square(np.asarray(pts, dtype=float))
+    r = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    return r[..., None] if keepdims else r
+
+
 def to_spherical(pts, chart: str):
     """Chart coordinates (r, theta, phi) of Cartesian points (..., 3)."""
     _check_chart(chart)
     pts = np.asarray(pts, dtype=float)
-    r = np.linalg.norm(pts, axis=-1)
+    r = radius(pts)
     if chart == "V":
         pole, a, b = pts[..., 2], pts[..., 0], pts[..., 1]
     else:
@@ -87,7 +100,7 @@ def sin_theta(pts, chart: str):
     """sin of the chart polar angle: cylindrical radius over |x|."""
     _check_chart(chart)
     pts = np.asarray(pts, dtype=float)
-    r = np.linalg.norm(pts, axis=-1)
+    r = radius(pts)
     if chart == "V":
         cyl = np.hypot(pts[..., 0], pts[..., 1])
     else:
@@ -99,7 +112,7 @@ def unit_vectors(pts, chart: str, guard: bool = True):
     """Orthonormal (r_hat, theta_hat, phi_hat) of the chart at each point."""
     _check_chart(chart)
     pts = np.asarray(pts, dtype=float)
-    r = np.linalg.norm(pts, axis=-1, keepdims=True)
+    r = radius(pts, keepdims=True)
     rhat = pts / r
     x1 = pts[..., 0]
     if chart == "V":
@@ -130,13 +143,19 @@ def unit_vectors(pts, chart: str, guard: bool = True):
 
 @lru_cache(maxsize=None)
 def _stencil(order: int):
-    """Central nodes and unit-spacing weights, fourth-order accurate."""
+    """Central nodes and unit-spacing weights, fourth-order accurate.
+
+    Nodes of weight exactly 0.0 (the centre of orders 1 and 3) are dropped:
+    such a node adds exactly zero to a stencil sum, so leaving it out saves a
+    field evaluation and changes no result.
+    """
     if order == 0:
         return np.array([0]), np.array([1.0])
     half = (order + 3) // 2
     nodes = np.arange(-half, half + 1)
     w = fornberg_weights(0.0, nodes.astype(float), order)[order]
-    return nodes, w
+    keep = w != 0.0
+    return nodes[keep], w[keep]
 
 
 def sph_partial(field, chart: str, orders, h: float = 0.01, vector: bool = False):
@@ -186,12 +205,12 @@ def cart_partial(field, orders, h: float = 1e-3, vector: bool = False):
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         p = np.atleast_2d(pts)
-        step = h * (1.0 + np.linalg.norm(p, axis=-1))
-        off = np.zeros((n1.size, n2.size, n3.size, p.shape[0], 3))
-        off[..., 0] = n1[:, None, None, None] * step
-        off[..., 1] = n2[None, :, None, None] * step
-        off[..., 2] = n3[None, None, :, None] * step
-        grid = p[None, None, None, :, :] + off
+        step = h * (1.0 + radius(p))
+        # coordinate c of each node is p_c + n_c * step, written in place
+        grid = np.empty((n1.size, n2.size, n3.size, p.shape[0], 3))
+        grid[..., 0] = p[:, 0] + n1[:, None, None, None] * step
+        grid[..., 1] = p[:, 1] + n2[None, :, None, None] * step
+        grid[..., 2] = p[:, 2] + n3[None, None, :, None] * step
         shp = grid.shape[:-1]
         vals = field(grid.reshape(-1, 3)).reshape(shp + ((3,) if vector else ()))
         out = np.einsum("i,j,k,ijkb...->b...", w1, w2, w3, vals)
@@ -241,7 +260,7 @@ def make_sph_div(v, chart: str, h: float = 0.01):
     s_r, s_t, s_p = _scalar_slots(v, chart)
 
     def flux_r(pts):
-        r = np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
+        r = radius(pts)
         return r**2 * s_r(pts)
 
     def flux_t(pts):
@@ -253,7 +272,7 @@ def make_sph_div(v, chart: str, h: float = 0.01):
 
     def div(pts):
         pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
+        r = radius(pts)
         s = sin_theta(pts, chart)
         return d_fr(pts) / r**2 + (d_ft(pts) + d_fp(pts)) / (r * s)
 
@@ -268,7 +287,7 @@ def make_sph_grad(f, chart: str, h: float = 0.01):
 
     def grad(pts):
         pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
+        r = radius(pts)
         s = sin_theta(pts, chart)
         rhat, that, phat = unit_vectors(pts, chart)
         return (
@@ -286,7 +305,7 @@ def make_sph_lap(f, chart: str, h: float = 0.01):
     d_tf = sph_partial(f, chart, (0, 1, 0), h)
 
     def flux_r(pts):
-        r = np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
+        r = radius(pts)
         return r**2 * d_rf(pts)
 
     def flux_t(pts):
@@ -298,7 +317,7 @@ def make_sph_lap(f, chart: str, h: float = 0.01):
 
     def lap(pts):
         pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
+        r = radius(pts)
         s = sin_theta(pts, chart)
         return d2_r(pts) / r**2 + d2_t(pts) / (r**2 * s) + d2_p(pts) / (r * s) ** 2
 
@@ -333,6 +352,20 @@ def sph_grad_div_lap(f, v, pts, chart: str, h: float = 0.01):
 def cart_grad(f, pts, h: float = 1e-3):
     cols = [cart_partial(f, tuple(np.eye(3, dtype=int)[i]), h)(pts) for i in range(3)]
     return np.stack(cols, axis=-1)
+
+
+def cart_grad_sq(f, pts, h: float = 1e-3, vector: bool = False):
+    """|grad F|^2, summed over the components of a vector field.
+
+    One Cartesian partial per axis, a vector pass for a vector field.  The
+    squares are added in axis order per component, then the components in
+    order: the order of summing np.sum(cart_grad(F_j, pts, h)**2, axis=-1)
+    over j, so the result is bitwise that sum.
+    """
+    d = [cart_partial(f, tuple(np.eye(3, dtype=int)[i]), h, vector=vector)(pts)
+         for i in range(3)]
+    s = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    return s[..., 0] + s[..., 1] + s[..., 2] if vector else s
 
 
 def cart_div(v, pts, h: float = 1e-3):

@@ -244,3 +244,18 @@ def test_steady_reports_its_regime(tmp_path):
         c_1 = np.sqrt(params.gamma * params.k_pressure * rho_1 ** (params.gamma - 1.0))
         assert crit["boundary_mach"] == pytest.approx(abs(params.u_b) / c_1, rel=1e-12)
         assert (crit["boundary_mach"] < 1.0) is subsonic
+
+
+@pytest.mark.parametrize("sub, in_file", [("verify-ops", False),
+                                          ("verify-energy", False),
+                                          ("verify-ops", True)])
+def test_negative_seed_is_a_config_error(tmp_path, sub, in_file):
+    """seed < 0 is rejected up front (exit 2), on the command line or in a file."""
+    seed = (["--config", _write(tmp_path, "seed = -1\n")] if in_file
+            else ["--seed", "-1"])
+    out = tmp_path / "out"
+    assert main([sub, *seed, "--out", str(out)]) == EXIT_CONFIG
+    crit = json.loads((out / "manifest.json").read_text())["criteria"]
+    assert crit["exit_code"] == EXIT_CONFIG
+    assert crit["error"] == "ConstraintViolation"
+    assert "seed" in crit["message"]

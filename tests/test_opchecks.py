@@ -3,7 +3,9 @@ import pytest
 
 from outflow import sphops as so
 from outflow.opchecks import (
+    HARDY_FIELDS,
     TailNotConverged,
+    _radial_panels,
     commutator_check,
     default_corpus,
     graddiv_expansion,
@@ -135,6 +137,63 @@ def test_hardy_tail_guard():
     slow = lambda x: r_of(x) ** -0.6  # not square-integrable against r^-2  # noqa: E731
     with pytest.raises(TailNotConverged):
         hardy_check(slow, r_max=30.0)
+
+
+def _hardy_sides_one_radius_at_a_time(u, vector, r_max, n_r, n_theta, n_phi):
+    """Reference volume and surface sums: one angular cloud per radius and the
+    gradient of a vector field one component at a time."""
+    mu, wmu = np.polynomial.legendre.leggauss(n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    s = np.sqrt(1.0 - mu**2)
+    unit = np.stack([np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)),
+                     np.repeat(mu[:, None], n_phi, axis=1)], axis=-1)
+    ang_w = np.repeat(wmu, n_phi) * (2.0 * np.pi / n_phi)
+
+    def sq(val):
+        return np.sum(val**2, axis=-1) if vector else val**2
+
+    def gradsq(pts):
+        if vector:
+            return sum(np.sum(so.cart_grad(lambda p, j=j: u(p)[..., j], pts,
+                                           h=2e-4) ** 2, axis=-1)
+                       for j in range(3))
+        return np.sum(so.cart_grad(u, pts, h=2e-4) ** 2, axis=-1)
+
+    rr, wr = _radial_panels(r_max, n_panels=max(20, n_r // 8), n_gauss=8)
+    vol_lhs = vol_rhs = 0.0
+    for r, w in zip(rr, wr):
+        cloud = (r * unit).reshape(-1, 3)
+        vol_lhs += w * r**2 * np.sum(ang_w * sq(u(cloud)) / r**2)
+        vol_rhs += w * r**2 * np.sum(ang_w * gradsq(cloud))
+    surface = np.sum(ang_w * sq(u((1.0 * unit).reshape(-1, 3))))
+    return vol_lhs + surface, 6.0 * vol_rhs
+
+
+@pytest.mark.parametrize("name", ["skewed_exp", "swirl_vec"])
+def test_hardy_panels_sum_like_one_radius_at_a_time(name):
+    """Evaluating a whole Gauss panel at once leaves both sides bitwise equal.
+
+    Equal totals alone could hide a last-bit change in a term too small to
+    move them, so the per-radius values of |u|^2 and |grad u|^2 on one panel
+    cloud are compared with those of each radius on its own as well.
+    """
+    u, vector = HARDY_FIELDS[name]
+    lhs, rhs, _ = hardy_check(u, vector=vector, r_max=30.0, n_r=160,
+                              n_theta=12, n_phi=12)
+    ref = _hardy_sides_one_radius_at_a_time(u, vector, 60.0, 160, 12, 12)
+    assert (lhs, rhs) == ref
+
+    unit = so.from_spherical(1.0, *np.meshgrid(np.linspace(0.1, 3.0, 12),
+                                               np.linspace(0.0, 6.0, 12)), "V")
+    unit = unit.reshape(-1, 3)
+    radii = np.geomspace(1.0, 120.0, 8)
+    panel = (radii[:, None, None] * unit).reshape(-1, 3)
+    u_pan = u(panel).reshape((8, -1) + u(unit).shape[1:])
+    g_pan = so.cart_grad_sq(u, panel, h=2e-4, vector=vector).reshape(8, -1)
+    for k, r in enumerate(radii):
+        assert np.array_equal(u_pan[k], u(r * unit))
+        assert np.array_equal(g_pan[k], so.cart_grad_sq(u, r * unit, h=2e-4,
+                                                         vector=vector))
 
 
 def test_hardy_radial_general_dimension():

@@ -1,7 +1,13 @@
+from math import perm
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from outflow import sphops as so
+from outflow.opchecks import HARDY_FIELDS
 from outflow.sphops import AxisDegeneracy
 
 
@@ -127,3 +133,58 @@ def test_frame_derivative_relations():
         assert np.max(np.abs(D("p", (0, 0, 1)) + s * rhat + c * that)) <= 1e-6
         for which in ("r", "t", "p"):
             assert np.max(np.abs(D(which, (1, 0, 0)))) <= 1e-6
+
+
+_COORD = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(min_value=-1e-150, max_value=1e-150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=5)
+              .map(lambda shape: shape + (3,)), elements=_COORD))
+def test_radius_is_bitwise_the_norm(x):
+    """radius adds the squares in np.linalg.norm's order, tiny and huge
+    coordinates (underflowing and overflowing squares) included."""
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.array_equal(so.radius(x), np.linalg.norm(x, axis=-1))
+        assert np.array_equal(so.radius(x, keepdims=True),
+                              np.linalg.norm(x, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trimmed_stencils_stay_fourth_order(k):
+    """No zero weight is left, and on a random cloud the weights still
+    differentiate x^j exactly up to round-off for j <= k + 3 (not j = k + 4)."""
+    nodes, w = so._stencil(k)
+    assert np.all(w != 0.0)
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-2.0, 2.0, 64)
+    h = rng.uniform(0.2, 0.5, 64)
+    for j in range(k + 5):
+        terms = w[:, None] * (x + nodes[:, None] * h) ** j
+        got = np.sum(terms, axis=0) / h**k
+        exact = perm(j, k) * x ** max(j - k, 0)
+        roundoff = 1e-13 * np.sum(np.abs(terms), axis=0) / h**k
+        gap = np.abs(got - exact)
+        if j <= k + 3:
+            assert np.all(gap <= roundoff), (k, j)
+        else:
+            assert np.all(gap > roundoff), (k, j)
+
+
+def test_grad_sq_is_one_pass_of_the_componentwise_gradients():
+    """cart_grad_sq takes one vector pass per axis, bitwise equal to summing
+    the scalar gradients of the components, for the swirl of the Hardy corpus."""
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(400, 3))
+    pts *= rng.uniform(1.0, 120.0, (400, 1)) / so.radius(pts, keepdims=True)
+    u, vector = HARDY_FIELDS["swirl_vec"]
+    assert vector
+    per_component = sum(
+        np.sum(so.cart_grad(lambda p, j=j: u(p)[..., j], pts, h=2e-4) ** 2, axis=-1)
+        for j in range(3)
+    )
+    assert np.array_equal(so.cart_grad_sq(u, pts, h=2e-4, vector=True), per_component)
+    f, _ = HARDY_FIELDS["skewed_exp"]
+    assert np.array_equal(so.cart_grad_sq(f, pts, h=2e-4),
+                          np.sum(so.cart_grad(f, pts, h=2e-4) ** 2, axis=-1))

@@ -5,11 +5,12 @@
 CHECKOUT is the root of an outflow source tree (default: the one holding this
 script); its `src/` is imported.  The artefacts are the `RunResult` fields of
 three relaxation runs, the arrays of one reformulation check per geometry,
+the raw (lhs, rhs, ratio) of `hardy_check` for each field of the Hardy corpus,
 and every CSV and text file that the CLI writes for
-`steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0` and
-`verify-energy`, plus each subcommand's exit code.  A change meant to keep the
-numbers bitwise is checked by running this on both trees and diffing the
-output.  It runs in about ten seconds on two cores.
+`steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0`,
+`verify-ops --seed 7` and `verify-energy`, plus each subcommand's exit code.
+A change meant to keep the numbers bitwise is checked by running this on both
+trees and diffing the output.  It runs in about fifteen seconds on two cores.
 """
 
 from __future__ import annotations
@@ -115,6 +116,33 @@ def run_results() -> None:
             print(f"{_digest(np.ravel(getattr(res, f.name)))}  {label}.{f.name}")
 
 
+def _r(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+# the Hardy corpus of `verify-ops`, copied here so that any checkout's
+# hardy_check can be fingerprinted on the same fields
+HARDY_FIELDS = {
+    "inv_r2": (lambda x: _r(x) ** -2.0, False),
+    "radial_exp": (lambda x: np.exp(1.0 - _r(x)), False),
+    "dipole": (lambda x: x[..., 2] / _r(x) ** 3, False),
+    "skewed_exp": (lambda x: np.exp(1.0 - _r(x)) * (1 + x[..., 0] / (2 * _r(x))),
+                   False),
+    "swirl_vec": (lambda x: np.stack([-x[..., 1], x[..., 0],
+                                      np.zeros_like(x[..., 0])], axis=-1)
+                  / _r(x)[..., None] ** 3, True),
+}
+
+
+def hardy_results() -> None:
+    """The verification table prints a passing Hardy row as 0.0 and its
+    sides to 6 digits; these lines see every bit of them."""
+    from outflow.opchecks import hardy_check
+
+    for name, (u, vector) in HARDY_FIELDS.items():
+        print(f"{_digest(hardy_check(u, vector=vector))}  hardy/{name}")
+
+
 def cli_outputs(work: str) -> None:
     from outflow.cli import main
 
@@ -143,6 +171,8 @@ def cli_outputs(work: str) -> None:
         ("report-axi", ["report", "--config", axi, "--out", out("report-axi"),
                         "--run-dir", out("evolve-axi")]),
         ("verify-ops", ["verify-ops", "--seed", "0", "--out", out("verify-ops")]),
+        ("verify-ops-seed7", ["verify-ops", "--seed", "7", "--out",
+                              out("verify-ops-seed7")]),
         ("verify-energy", ["verify-energy", "--out", out("verify-energy")]),
     ]
     for label, argv in runs:
@@ -159,6 +189,7 @@ def main(argv=None) -> int:
     root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     run_results()
+    hardy_results()
     with tempfile.TemporaryDirectory() as work:
         cli_outputs(work)
     return 0
