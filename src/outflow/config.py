@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .evolve_axi import AxiRunConfig
 from .params import FluidParams, validate_params
 
 __all__ = [
@@ -146,6 +147,10 @@ def check_config(cfg: Config) -> None:
         raise ConstraintViolation("support must satisfy 1 < lo < hi < r_max")
     if cfg.seed < 0:
         raise ConstraintViolation(f"seed must be >= 0, got {cfg.seed}")
+    if not 0 <= cfg.mode_ell < AxiRunConfig.n_modes:
+        raise ConstraintViolation(
+            f"mode_ell must satisfy 0 <= mode_ell < {AxiRunConfig.n_modes} "
+            f"(the Legendre modes the run grades), got {cfg.mode_ell}")
 
 
 def config_text(cfg: Config) -> str:

@@ -180,16 +180,28 @@ class AxiOps:
             self.sin * self.dtheta)[None, :]
         self.boundary_w = 2.0 * np.pi * self.sin * self.dtheta  # r = 1 ring
 
-    def _pad_theta(self, f: np.ndarray, parity: int) -> np.ndarray:
-        return np.concatenate([parity * f[:, :1], f, parity * f[:, -1:]], axis=1)
+    # The angular stencils difference f raveled in C order, one contiguous
+    # pass over every row, which leaves garbage only in the two pole columns
+    # (their neighbours sit in the adjacent rows); those are then written from
+    # the reflected value parity * f, the ghost of the padded stencil.
 
     def d_theta(self, f: np.ndarray, parity: int = 1) -> np.ndarray:
-        g = self._pad_theta(f, parity)
-        return (g[:, 2:] - g[:, :-2]) / (2.0 * self.dtheta)
+        flat = np.ravel(f)
+        out = np.empty(f.shape)
+        np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+        out[:, 0] = f[:, 1] - parity * f[:, 0]
+        out[:, -1] = parity * f[:, -1] - f[:, -2]
+        out /= 2.0 * self.dtheta
+        return out
 
     def d2_theta(self, f: np.ndarray, parity: int = 1) -> np.ndarray:
-        g = self._pad_theta(f, parity)
-        return (g[:, 2:] - 2.0 * g[:, 1:-1] + g[:, :-2]) / self.dtheta**2
+        flat = np.ravel(f)
+        out = np.empty(f.shape)
+        out.reshape(-1)[1:-1] = flat[2:] - 2.0 * flat[1:-1] + flat[:-2]
+        out[:, 0] = f[:, 1] - 2.0 * f[:, 0] + parity * f[:, 0]
+        out[:, -1] = parity * f[:, -1] - 2.0 * f[:, -1] + f[:, -2]
+        out /= self.dtheta**2
+        return out
 
     def lift(self, f: np.ndarray) -> np.ndarray:
         """A radial profile repeated along theta."""

@@ -49,6 +49,13 @@ class AxiRunConfig(SymRunConfig):
     mode_ell: int = 1
     n_modes: int = 5  # project onto ell = 0..n_modes-1
 
+    def __post_init__(self):
+        super().__post_init__()
+        # a mode outside the projection would be graded on aliasing residue
+        if not 0 <= self.mode_ell < self.n_modes:
+            raise ValueError(f"mode_ell must satisfy 0 <= mode_ell < n_modes = "
+                             f"{self.n_modes}, got {self.mode_ell}")
+
 
 def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = 5):
     """Legendre-mode content of a (r, theta) scalar: coefficients per radius.
@@ -67,41 +74,52 @@ def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = 5):
 
 
 class AxiSolver(RadialScheme):
-    """Method-of-lines axisymmetric solver bound to a steady profile."""
+    """Method-of-lines axisymmetric solver bound to a steady profile.
+
+    Every grid array it multiplies a field by is a C-contiguous array of the
+    state's shape (n_r, n_theta), or of its face or interior rows, so no
+    operand of the right-hand side is broadcast.
+    """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams,
                  agrid: AngularGrid, forcing=None):
-        super().__init__(profile, params, forcing)
         self.agrid = agrid
         self.ops = ops = AxiOps(profile.grid, agrid)
-        # (r, theta) grid constants, broadcast once
-        r = ops.r_col
-        s = ops.sin[None, :]
-        self.r2_col = self.r2[:, None]
-        self.sin_row = s
+        super().__init__(profile, params, forcing)
+        n_r = ops.r.size
+        r = self.r
+        s = self.sin = np.repeat(ops.sin[None, :], n_r, axis=0)
+        self.cot = np.repeat(ops.cot_row, n_r, axis=0)
         self.r_sin = r * s
-        self.r2_sin = r**2 * s
-        self.r_sin_sq = (r * s) ** 2
-        self.r_sin_dtheta = r * s * agrid.dtheta
-        self.sin_face_w = np.sin(agrid.nodes)[None, 1:-1] * 0.5  # zero at both poles
-        self.rf2_col = (self.r_face**2)[:, None]
-        self.dr_col = self.dr[:, None]
-        self.dface_r2 = self.dface[:, None] * (self.r[1:-1] ** 2)[:, None]
-        self.dr_pair_col = self.dr_pair[:, None]
-        self.h_cell = np.minimum(self.h[:, None], r * agrid.dtheta)
+        self.r2_sin = self.r2 * s
+        self.r_sin_sq = self.r_sin**2
+        self.r_sin_dtheta = self.r_sin * agrid.dtheta
+        self.dface_r2 = self.dface * self.r2[1:-1]
+        self.h_cell = np.minimum(self.h, r * agrid.dtheta)
         self.h_cell2 = self.h_cell**2
+        # theta face weights sin(theta_face) / 2 over the raveled pairs
+        # (k, k + 1); the last pair of each row straddles two rows and weighs 0
+        face_w = np.zeros(r.shape)
+        face_w[:, :-1] = np.sin(agrid.nodes)[1:-1] * 0.5
+        self.theta_face_w = face_w.ravel()[:-1]
         viscous_formula_selfcheck()
 
     # -- angular flux divergence: (1/(r sin)) d_theta(sin q u_theta) ---------
     def _theta_flux_div(self, q: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
-        g = q * u_theta
-        flux = np.zeros((q.shape[0], self.agrid.n_cells + 1))
-        flux[:, 1:-1] = self.sin_face_w * (g[:, :-1] + g[:, 1:])
-        return (flux[:, 1:] - flux[:, :-1]) / self.r_sin_dtheta
+        """Edge fluxes over the raveled q u_theta: flux[k] lies between its
+        entries k - 1 and k.  Those at the ends of each row are pole faces, or
+        pair two rows, and are set to +0, as a pole face carries no flux."""
+        g = np.ravel(q * u_theta)
+        flux = np.empty(g.size + 1)
+        inner = flux[1:-1]
+        np.add(g[:-1], g[1:], out=inner)
+        inner *= self.theta_face_w
+        flux[::self.agrid.n_cells] = 0.0
+        return (flux[1:] - flux[:-1]).reshape(q.shape) / self.r_sin_dtheta
 
     def _lap_radial(self, f: np.ndarray) -> np.ndarray:
         """(1/r^2) d_r(r^2 d_r f) with face-centered first derivatives."""
-        g_face = self.rf2_col * (f[1:] - f[:-1]) / self.dr_col
+        g_face = self.rf2 * (f[1:] - f[:-1]) / self.dr
         out = np.zeros_like(f)
         out[1:-1] = (g_face[1:] - g_face[:-1]) / self.dface_r2
         return out
@@ -114,7 +132,7 @@ class AxiSolver(RadialScheme):
         """
         p = self.params
         ops = self.ops
-        r, r2, s = ops.r_col, self.r2_col, self.sin_row
+        r, r2, s = self.r, self.r2, self.sin
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
         if not checked:
             check_positive(rho, state.t)
@@ -136,12 +154,12 @@ class AxiSolver(RadialScheme):
         mr_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_r * u_r)
         mr_t -= self._theta_flux_div(m_r, u_t)
         mr_t += rho * u_t**2 / r
-        mr_t[1:-1] -= (prs[2:] - prs[:-2]) / self.dr_pair_col
+        mr_t[1:-1] -= (prs[2:] - prs[:-2]) / self.dr_pair
         w = radial_visc_w(self.r2, self.dr_rf2, u_r)
         visc_r = self.visc * radial_visc_div(self.dface, w)
         visc_r += p.mu * (ops.d_theta(s * dth_ur, parity=1) / self.r2_sin
                           - 2.0 * dth_ut / r2
-                          - 2.0 * ops.cot_row * u_t / r2)
+                          - 2.0 * self.cot * u_t / r2)
         visc_r += (p.mu + p.lam) * ops.d_r(div_ang)
         mr_t += visc_r
 
@@ -163,7 +181,7 @@ class AxiSolver(RadialScheme):
         mt_t[-1] = 0.0
         rho_t[-1] = 0.0
         if self.forcing is not None:
-            s_rho, s_mr, s_mt = self.forcing(state.t, self.r, self.ops.theta)
+            s_rho, s_mr, s_mt = self.forcing(state.t, ops.r, ops.theta)
             rho_t = rho_t + s_rho
             mr_t = mr_t + s_mr
             mt_t = mt_t + s_mt
@@ -195,8 +213,7 @@ class AxiSolver(RadialScheme):
         rho_t, flux = radial_flux_div(self.face_w, self.dual_vol, m_r)
         rho_t = rho_t - self._theta_flux_div(state.rho, state.u_theta)
         w_ang = 2.0 * np.pi * self.ops.sin * self.agrid.dtheta
-        interior = float(np.sum(
-            (self.dual_vol[:, None] * rho_t[1:-1]) * w_ang[None, :]))
+        interior = float(np.sum((self.dual_vol * rho_t[1:-1]) * w_ang[None, :]))
         boundary = float(np.sum((flux[0] - flux[-1]) * w_ang))
         return interior, boundary
 
@@ -302,7 +319,7 @@ def run_axi_stability(profile: SteadyProfile, params: FluidParams,
         return [float(np.max(np.sqrt(phi**2 + psi_r**2 + st.u_theta**2))),
                 *np.max(np.abs(amp), axis=1)]
 
-    h_min = float(min(np.min(solver.dr), solver.r[0] * agrid.dtheta))
+    h_min = float(min(np.min(solver.dr), solver.ops.r[0] * agrid.dtheta))
     # unperturbed twin: the radial scheme is shared, so a theta-independent
     # base stays theta-independent and can be stepped by the 1D solver
     res, samples = _relax(solver, SymSolver(profile, params), state, config,

@@ -73,10 +73,9 @@ class SymRunConfig:
 
 
 # --- radial discrete pieces shared with the axisymmetric solver -------------
-
-
-def _col(r: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return r if like.ndim == 1 else r.reshape(r.shape + (1,) * (like.ndim - 1))
+#
+# Every grid array these take has the shape of the field it meets (RadialScheme
+# builds them so), so no operand is broadcast.
 
 
 def radial_flux_div(face_w, dual_vol, g):
@@ -86,9 +85,9 @@ def radial_flux_div(face_w, dual_vol, g):
     r_face**2 * 0.5.  Returns the divergence on nodes 1..M-1 (zeros at both
     ends, which carry boundary treatment instead) and the face fluxes.
     """
-    flux = _col(face_w, g) * (g[:-1] + g[1:])
+    flux = face_w * (g[:-1] + g[1:])
     out = np.zeros(g.shape)
-    out[1:-1] = -(flux[1:] - flux[:-1]) / _col(dual_vol, g)
+    out[1:-1] = -(flux[1:] - flux[:-1]) / dual_vol
     return out, flux
 
 
@@ -97,15 +96,15 @@ def radial_visc_w(r2, dr_rf2, u):
 
     r2 is r**2 at the nodes and dr_rf2 is dr * r_face**2 on the faces.
     """
-    r2u = _col(r2, u) * u
-    return (r2u[1:] - r2u[:-1]) / _col(dr_rf2, u)
+    r2u = r2 * u
+    return (r2u[1:] - r2u[:-1]) / dr_rf2
 
 
 def radial_visc_div(dface, w):
     """Derivative of the face kernel back to interior nodes."""
     out_shape = (w.shape[0] + 1,) + w.shape[1:]
     out = np.zeros(out_shape)
-    out[1:-1] = (w[1:] - w[:-1]) / _col(dface, w)
+    out[1:-1] = (w[1:] - w[:-1]) / dface
     return out
 
 
@@ -114,10 +113,13 @@ class RadialScheme:
     finite-volume grid constants, the wall continuity row, the boundary
     conditions and the two-stage SSP step.
 
-    Every array here depends on the radial nodes alone.  Each is built once,
-    from the expression the right-hand side would otherwise evaluate on
-    every call, so the stepping is bitwise that of evaluating it per call.
-    A subclass supplies `rhs(state, checked)` returning (rho_t, *m_t), one
+    Each grid constant is built once, from the expression the right-hand side
+    would otherwise evaluate on every call, so the stepping is bitwise that of
+    evaluating it per call.  It is stored in the state's shape, lifted along
+    the state's trailing axes by `self.ops.lift`, so a subclass sets `ops`
+    before calling this constructor.  `r` and `dr`, the radial nodes and
+    intervals, are lifted too; `ops.r` keeps the nodes themselves.  A
+    subclass supplies `rhs(state, checked)` returning (rho_t, *m_t), one
     momentum rate per entry of `state.velocity`, and `cfl_dt`.
     """
 
@@ -129,31 +131,38 @@ class RadialScheme:
         self.forcing = forcing
         self.visc = 2.0 * params.mu + params.lam
         self.bc_far = lambda t: (profile.rho_t[-1], profile.u_t[-1])
-        r = self.r = profile.grid.nodes
-        self.dr = np.diff(r)
-        self.r_face = 0.5 * (r[:-1] + r[1:])
-        edges = np.concatenate([[r[0]], self.r_face, [r[-1]]])
-        self.dual_vol = (edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0
-        self.dface = np.diff(edges)[1:-1]
-        self.r2 = r**2
-        self.face_w = self.r_face**2 * 0.5
-        self.dr_rf2 = self.dr * self.r_face**2
-        self.dr_pair = r[2:] - r[:-2]  # centred pressure gradient
+        lift = self.ops.lift
+        r = profile.grid.nodes
+        dr = np.diff(r)
+        self.r = lift(r)
+        self.dr = lift(dr)
+        r_face = 0.5 * (r[:-1] + r[1:])
+        edges = np.concatenate([[r[0]], r_face, [r[-1]]])
+        dface = np.diff(edges)[1:-1]
+        self.dual_vol = lift((edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0)
+        self.dface = lift(dface)
+        rf2 = r_face**2
+        self.r2 = lift(r**2)
+        self.rf2 = lift(rf2)
+        self.face_w = lift(rf2 * 0.5)
+        self.dr_rf2 = lift(dr * rf2)
+        self.dr_pair = lift(r[2:] - r[:-2])  # centred pressure gradient
         # CFL cell size: the smaller of the two intervals at each node
-        self.h = np.minimum(np.concatenate([self.dr[:1], self.dr]),
-                            np.concatenate([self.dr, self.dr[-1:]]))
-        self.h2 = self.h**2
+        h = np.minimum(np.concatenate([dr[:1], dr]), np.concatenate([dr, dr[-1:]]))
+        self.h = lift(h)
+        self.h2 = lift(h**2)
         # second-order one-sided first derivative at the wall, closed form
         h1, h2 = r[1] - r[0], r[2] - r[0]
         self.wall_w = (-(h1 + h2) / (h1 * h2), h2 / (h1 * (h2 - h1)),
                        -h1 / (h2 * (h2 - h1)))
+        self.wall_r2 = r[0] ** 2
 
     def wall_continuity(self, m: np.ndarray):
         """rho_t at the outflow wall: -(r^2 m)_r / r^2 by one-sided into-domain
         differences, so no density condition is needed there."""
-        r2m = _col(self.r2[:3], m) * m[:3]
+        r2m = self.r2[:3] * m[:3]
         w0, w1, w2 = self.wall_w
-        return -(w0 * r2m[0] + w1 * r2m[1] + w2 * r2m[2]) / self.r[0] ** 2
+        return -(w0 * r2m[0] + w1 * r2m[1] + w2 * r2m[2]) / self.wall_r2
 
     def dt_fields(self, state):
         """{"rho_t", "u_t"[, "utheta_t"]}: the time derivatives of the state."""
@@ -185,22 +194,25 @@ class RadialScheme:
             limit = self.cfl_dt(state, 1.0)
         if dt > safety * limit * 1.05:  # slack for a fixed dt on a drifting state
             raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
-        s1 = self._euler(state, dt)
+        # each stage's momentum rho u, formed once for its Euler update and,
+        # for the first stage, the final average
+        m0 = [state.rho * u for u in state.velocity]
+        s1 = self._euler(state, m0, dt)
         self.apply_bc(s1)
-        s2 = self._euler(s1, dt)
+        s2 = self._euler(s1, [s1.rho * u for u in s1.velocity], dt)
         rho = 0.5 * (state.rho + s2.rho)
-        m = [0.5 * (state.rho * u0 + s2.rho * u2)
-             for u0, u2 in zip(state.velocity, s2.velocity)]
+        m = [0.5 * (mk + s2.rho * u2) for mk, u2 in zip(m0, s2.velocity)]
         check_positive(rho, state.t + dt)
         out = state.advanced(state.t + dt, rho, [mk / rho for mk in m])
         self.apply_bc(out)
         return out
 
-    def _euler(self, state, dt: float):
+    def _euler(self, state, m: list, dt: float):
+        """Forward Euler from state, whose momenta are m."""
         rho_t, *m_t = self.rhs(state, checked=True)
         rho = state.rho + dt * rho_t
         check_positive(rho, state.t + dt)
-        m = [state.rho * u + dt * mt for u, mt in zip(state.velocity, m_t)]
+        m = [mk + dt * mt for mk, mt in zip(m, m_t)]
         return state.advanced(state.t + dt, rho, [mk / rho for mk in m])
 
 
@@ -208,8 +220,8 @@ class SymSolver(RadialScheme):
     """Method-of-lines radial solver bound to a steady profile."""
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
-        super().__init__(profile, params, forcing)
         self.ops = SymOps(profile.grid, params.dim_n)
+        super().__init__(profile, params, forcing)
 
     def rhs(self, state: SymState, checked: bool = False):
         """(rho_t, m_t) with m = rho u; boundary nodes handled one-sided.

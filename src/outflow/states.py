@@ -111,6 +111,8 @@ def perturb_axi(profile: SteadyProfile, agrid: AngularGrid, amplitude: float,
     lo, hi = support
     if not (1.0 < lo < hi < profile.grid.r_max):
         raise ValueError("perturbation support must lie strictly inside (1, r_max)")
+    if ell < 0:  # eval_legendre reads P_-1 as P_0 and P_-2 as P_1
+        raise ValueError(f"Legendre degree ell must be >= 0, got {ell}")
     theta = agrid.centers
     radial = amplitude * smooth_bump(profile.r, lo, hi)
     mode = eval_legendre(ell, np.cos(theta))

@@ -259,3 +259,19 @@ def test_negative_seed_is_a_config_error(tmp_path, sub, in_file):
     assert crit["exit_code"] == EXIT_CONFIG
     assert crit["error"] == "ConstraintViolation"
     assert "seed" in crit["message"]
+
+
+@pytest.mark.parametrize("ell", [-1, -2, 5])
+def test_mode_outside_the_graded_range_is_a_config_error(tmp_path, ell):
+    """mode_ell = -1 would run as P_0, -2 as P_1, and 5 is not among the
+    n_modes = 5 projected modes: each exits 2 before any run, with a manifest."""
+    conf = _write(tmp_path, f"mode_ell = {ell}\n")
+    out = tmp_path / "out"
+    assert main(["evolve-axi", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False
+    crit = manifest["criteria"]
+    assert crit["exit_code"] == EXIT_CONFIG
+    assert crit["error"] == "ConstraintViolation"
+    assert "mode_ell" in crit["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

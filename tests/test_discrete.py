@@ -1,6 +1,7 @@
 """Batched Fornberg weights, the stencil tables built from them, and the
 vector calculus of both operator sets."""
 
+import functools
 import math
 
 import numpy as np
@@ -195,3 +196,49 @@ def test_axi_ops_on_a_lifted_radial_field_reduce_to_sym_ops(a, k, b):
     for name in ("div", "visc"):
         coarse, fine = gaps[name]
         assert fine * 3.0 <= coarse, name
+
+
+def _padded_d_theta(f, parity, dtheta):
+    """The angular stencils as they were first written: pad each row with its
+    parity-reflected ghost cells, then difference along axis 1 (the reference)."""
+    g = np.concatenate([parity * f[:, :1], f, parity * f[:, -1:]], axis=1)
+    return ((g[:, 2:] - g[:, :-2]) / (2.0 * dtheta),
+            (g[:, 2:] - 2.0 * g[:, 1:-1] + g[:, :-2]) / dtheta**2)
+
+
+@functools.lru_cache(maxsize=None)
+def _angular_ops(n_cells):
+    """The stencils use only the angular grid; any row count can be fed in."""
+    return AxiOps(RadialGrid.uniform(3.0, 16), AngularGrid(n_cells=n_cells))
+
+
+# finite values with both signed zeros drawn often
+_values = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(7, 64), st.integers(1, 6), st.sampled_from([1, -1]),
+       st.sampled_from(["C", "F", "strided"]), st.data())
+def test_angular_stencils_equal_the_padded_formula_bit_for_bit(n_cells, n_r, parity,
+                                                               layout, data):
+    """d_theta and d2_theta difference the raveled field and then write the
+    pole columns from the parity closure; every bit, the sign of a zero
+    included, is that of the padded stencil, for any memory layout."""
+    base = np.array(data.draw(st.lists(_values, min_size=n_r * n_cells,
+                                       max_size=n_r * n_cells))).reshape(n_r, n_cells)
+    if layout == "F":
+        f = np.asfortranarray(base)
+    elif layout == "strided":  # every other column of a wider array
+        wide = np.zeros((n_r, 2 * n_cells))
+        wide[:, ::2] = base
+        f = wide[:, ::2]
+    else:
+        f = base
+    assert np.array_equal(f, base)
+    ops = _angular_ops(n_cells)
+    want = _padded_d_theta(base, parity, ops.dtheta)
+    for got, ref in zip((ops.d_theta(f, parity), ops.d2_theta(f, parity)), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))

@@ -189,6 +189,21 @@ def test_run_config_defaults_and_dt_check():
             AxiRunConfig(dt=dt)
 
 
+@pytest.mark.parametrize("ell", [-1, -2, 5])
+def test_run_config_rejects_a_mode_it_cannot_grade(ell):
+    """P_-1 is P_0 and P_-2 is P_1 to eval_legendre, and ell >= n_modes is
+    never projected, so the mode gate would grade another mode or nothing."""
+    with pytest.raises(ValueError, match="mode_ell"):
+        AxiRunConfig(mode_ell=ell)
+    assert AxiRunConfig(mode_ell=5, n_modes=6).mode_ell == 5
+
+
+def test_perturbation_rejects_a_negative_degree(small_profile, agrid):
+    for ell in (-1, -2):
+        with pytest.raises(ValueError, match="ell"):
+            perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=ell)
+
+
 
 
 
@@ -267,3 +282,50 @@ def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_par
     res = run_axi_stability(small_profile, acc_params, agrid, cfg)
     assert res.steps > 10
     assert calls == {"axi": res.steps, "sym": res.steps}
+
+
+def _stepped_state(profile, params, agrid, steps=20):
+    """A perturbed state after a few steps, so that u_theta is nonzero."""
+    solver = AxiSolver(profile, params, agrid)
+    st = perturb_axi(profile, agrid, 0.02, (1.5, 3.0), ell=1)
+    solver.apply_bc(st)
+    dt = solver.cfl_dt(st, 0.4)
+    for _ in range(steps):
+        st = solver.step(st, dt)
+    assert np.max(np.abs(st.u_theta)) > 0.0
+    return solver, st
+
+
+def test_rhs_and_mass_balance_do_not_depend_on_memory_order(small_profile, acc_params,
+                                                            agrid):
+    """The kernels ravel their fields in C order whatever the layout, so a
+    state of Fortran-ordered copies gives the same bits."""
+    solver, st = _stepped_state(small_profile, acc_params, agrid)
+    fst = AxiState(st.t, st.grid, st.agrid, np.asfortranarray(st.rho),
+                   np.asfortranarray(st.u_r), np.asfortranarray(st.u_theta))
+    assert fst.rho.flags.f_contiguous and not fst.rho.flags.c_contiguous
+    for a, b in zip(solver.rhs(st), solver.rhs(fst)):
+        assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+    assert solver.mass_balance(st) == solver.mass_balance(fst)
+
+
+def test_theta_flux_divergence_equals_the_zero_filled_flux_form(small_profile,
+                                                                acc_params, agrid):
+    """The raveled flux zeroes its pole faces and row-straddling pairs to +0,
+    so the divergence keeps the bits of the (n_r, n_theta + 1) flux array
+    with zero pole columns, the sign of every zero included."""
+    solver, st = _stepped_state(small_profile, acc_params, agrid)
+    rng = np.random.default_rng(3)
+    q = st.rho * rng.choice([1.0, -1.0], size=st.rho.shape)
+    u_t = st.u_theta.copy()
+    u_t[:, ::3] = -0.0  # signed zeros reach the faces, both poles included
+    u_t[5] = 0.0
+    face_w = np.sin(agrid.nodes)[None, 1:-1] * 0.5
+    g = q * u_t
+    flux = np.zeros((q.shape[0], agrid.n_cells + 1))
+    flux[:, 1:-1] = face_w * (g[:, :-1] + g[:, 1:])
+    want = (flux[:, 1:] - flux[:, :-1]) / solver.r_sin_dtheta
+    got = solver._theta_flux_div(q, u_t)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.any((want == 0.0) & np.signbit(want))

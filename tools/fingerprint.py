@@ -3,9 +3,13 @@
     python tools/fingerprint.py [CHECKOUT]
 
 CHECKOUT is the root of an outflow source tree (default: the one holding this
-script); its `src/` is imported.  The artefacts are the `RunResult` fields of
+script); its `src/` is imported, and `tests/mms_cases.py` for the manufactured
+forcing.  The artefacts are the `RunResult` fields of
 three relaxation runs, the arrays of one reformulation check per geometry,
-the raw (lhs, rhs, ratio) of `hardy_check` for each field of the Hardy corpus,
+the arrays of the stepping kernels on the final states of the `sym_cfl` and
+`axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
+stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
+each field of the Hardy corpus,
 and every CSV and text file that the CLI writes for
 `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0`,
 `verify-ops --seed 7` and `verify-energy`, plus each subcommand's exit code.
@@ -93,14 +97,20 @@ def run_results() -> None:
     params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=0.0,
                          rho_plus=1.0, u_b=-0.05, dim_n=3)
     sym_profile = solve_steady(params, RadialGrid.uniform(100.0, 1023), tol=1e-8)
+    final = {}
     for label, dt in (("sym_cfl", None), ("sym_dt", 1e-3)):
         cfg = SymRunConfig(t_end=1.0, dt=dt, output_every=100, reform_every=10)
-        _emit_result(label, run_sym_stability(sym_profile, params, cfg))
+        res = run_sym_stability(sym_profile, params, cfg)
+        _emit_result(label, res)
+        final[label] = res.final_state
 
     axi_profile = solve_steady(params, RadialGrid.uniform(20.0, 127), tol=1e-8)
     agrid = AngularGrid(n_cells=32)
     cfg = AxiRunConfig(t_end=0.5, output_every=100, reform_every=10)
-    _emit_result("axi", run_axi_stability(axi_profile, params, agrid, cfg))
+    res = run_axi_stability(axi_profile, params, agrid, cfg)
+    _emit_result("axi", res)
+    kernel_results(params, sym_profile, final["sym_cfl"], axi_profile, agrid,
+                   res.final_state)
 
     # the reformulation check on one step from the perturbed wave; arrays are
     # hashed raveled, so a change of shape alone leaves the digest alone
@@ -114,6 +124,42 @@ def run_results() -> None:
                                      params)
         for f in dataclasses.fields(res):
             print(f"{_digest(np.ravel(getattr(res, f.name)))}  {label}.{f.name}")
+
+
+def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
+                   axi_state) -> None:
+    """One digest per array of each stepping kernel, so that a changed term
+    shows even where a run's totals stay the same.  The axisymmetric state is
+    the final one of the `axi` run, where u_theta is nonzero."""
+    from mms_cases import manufactured_axi
+
+    from outflow.evolve_axi import AxiSolver
+    from outflow.evolve_sym import SymSolver
+
+    sym_rhs = SymSolver(sym_profile, params).rhs(sym_state)
+    for name, arr in zip(("rho_t", "m_t"), sym_rhs):
+        print(f"{_digest(arr)}  kernel/sym_cfl/rhs.{name}")
+
+    fns = manufactured_axi(params, axi_profile.grid.r_max)
+    rr, tt = np.meshgrid(axi_profile.r, agrid.centers, indexing="ij")
+
+    def forcing(t, r, theta):
+        return fns[3](rr, tt, t), fns[4](rr, tt, t), fns[5](rr, tt, t)
+
+    solver = AxiSolver(axi_profile, params, agrid)
+    for label, s in (("rhs", solver),
+                     ("rhs_mms", AxiSolver(axi_profile, params, agrid,
+                                           forcing=forcing))):
+        for name, arr in zip(("rho_t", "mr_t", "mt_t"), s.rhs(axi_state)):
+            print(f"{_digest(arr)}  kernel/axi/{label}.{name}")
+    ops = solver.ops
+    for field in ("rho", "u_r", "u_theta"):
+        f = getattr(axi_state, field)
+        for parity in (1, -1):
+            for stencil in ("d_theta", "d2_theta"):
+                arr = getattr(ops, stencil)(f, parity=parity)
+                print(f"{_digest(arr)}  kernel/axi/{stencil}.{field}.{parity:+d}")
+    print(f"{_digest(solver.mass_balance(axi_state))}  kernel/axi/mass_balance")
 
 
 def _r(x):
@@ -188,6 +234,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "tests"))  # mms_cases
     run_results()
     hardy_results()
     with tempfile.TemporaryDirectory() as work:
