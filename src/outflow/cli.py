@@ -19,7 +19,14 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .config import Config, ConfigError, check_config, config_text, parse_config
+from .config import (
+    Config,
+    ConfigError,
+    ConstraintViolation,
+    check_config,
+    config_text,
+    parse_config,
+)
 from .energy import (
     equivalence_constants,
     h_identities,
@@ -110,11 +117,19 @@ def _json_scalar(obj):
 
 
 def _grids(cfg: Config):
-    if cfg.grid_kind == "geometric":
-        grid = RadialGrid.geometric(cfg.r_max, cfg.nodes_r)
-    else:
-        grid = RadialGrid.uniform(cfg.r_max, cfg.nodes_r)
-    return grid, AngularGrid(n_cells=cfg.nodes_theta)
+    """The radial and angular grids of cfg; a grid that its constructor
+    refuses is a configuration fault (exit 2)."""
+    make = RadialGrid.geometric if cfg.grid_kind == "geometric" else RadialGrid.uniform
+    try:
+        grid = make(cfg.r_max, cfg.nodes_r)
+    except ValueError as exc:
+        raise ConstraintViolation(
+            f"nodes_r = {cfg.nodes_r}, r_max = {cfg.r_max}: {exc}") from exc
+    try:
+        agrid = AngularGrid(n_cells=cfg.nodes_theta)
+    except ValueError as exc:
+        raise ConstraintViolation(f"nodes_theta = {cfg.nodes_theta}: {exc}") from exc
+    return grid, agrid
 
 
 def _cmd_steady(cfg: Config, man: Manifest) -> int:

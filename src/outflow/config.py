@@ -147,10 +147,13 @@ def check_config(cfg: Config) -> None:
         raise ConstraintViolation("support must satisfy 1 < lo < hi < r_max")
     if cfg.seed < 0:
         raise ConstraintViolation(f"seed must be >= 0, got {cfg.seed}")
-    if not 0 <= cfg.mode_ell < AxiRunConfig.n_modes:
-        raise ConstraintViolation(
-            f"mode_ell must satisfy 0 <= mode_ell < {AxiRunConfig.n_modes} "
-            f"(the Legendre modes the run grades), got {cfg.mode_ell}")
+    # the run configuration's own rules on dt, cfl_safety, output_every and
+    # mode_ell, whichever subcommand runs
+    try:
+        AxiRunConfig(dt=cfg.dt, cfl_safety=cfg.cfl_safety,
+                     output_every=cfg.output_every, mode_ell=cfg.mode_ell)
+    except ValueError as exc:
+        raise ConstraintViolation(str(exc)) from exc
 
 
 def config_text(cfg: Config) -> str:

@@ -7,10 +7,19 @@ point, and time stepping is a two-stage strong-stability-preserving scheme.
 The boundary node evolves the density by one-sided into-domain stencils (no
 density condition is needed at an outflow wall) while the velocity is pinned
 to u_b; the truncation boundary holds the stationary profile values.
+
+A relaxation run steps an unperturbed twin of the stationary wave beside the
+perturbed state.  The twin is stepped by a child process forked for the run
+(`_TwinProcess`), so the two lanes use two cores; the child is killed and
+reaped when the run fails, and ends by itself once the run closes its pipe.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,8 +77,15 @@ class SymRunConfig:
     reform_every: int = 0  # check the linearised-form residual every k steps
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        # written as not (x > 0) so that NaN is rejected too
+        if self.dt is not None and not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not self.cfl_safety > 0.0:
+            raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
+        if self.output_every < 1:
+            raise ValueError(f"output_every must be at least 1, got {self.output_every}")
+        if self.reform_every < 0:
+            raise ValueError(f"reform_every must be at least 0, got {self.reform_every}")
 
 
 # --- radial discrete pieces shared with the axisymmetric solver -------------
@@ -328,16 +344,135 @@ def _envelope_ok(times, sups, n_windows: int = 20, slack: float = 1.05,
     return True
 
 
+# --- the unperturbed twin, stepped in a second process -----------------------
+#
+# The run writes one request per step and one per sample to the child; the
+# child answers each sample request with the twin's time and raw field bytes,
+# or with its first failure and the step that raised it.
+
+_STEP, _FETCH = b"s", b"f"
+_REQUEST = struct.Struct("<cd")  # kind, dt
+_REPLY = struct.Struct("<?qdq")  # failed, step count, t, payload bytes
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    chunks = []
+    while n:
+        chunk = os.read(fd, n)
+        if not chunk:
+            raise EOFError("pipe closed")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _serve_twin(twin: SymSolver, base: SymState, safety: float,
+                requests: int, replies: int) -> None:
+    """The child's loop, until its request pipe reaches end of file.
+
+    It steps the twin as the serial run did, `twin.step(base, dt, safety)`,
+    so the twin keeps its own CFL and positivity checks; after a failure it
+    steps no further, as the serial run stopped there.
+    """
+    steps, failure = 0, None
+    while True:
+        try:
+            kind, dt = _REQUEST.unpack(_read_exact(requests, _REQUEST.size))
+        except EOFError:
+            return
+        if kind == _STEP:
+            steps += 1
+            if failure is None:
+                try:
+                    base = twin.step(base, dt, safety=safety)
+                except Exception as exc:
+                    failure = (steps, exc)
+        elif failure is None:
+            payload = base.rho.tobytes() + base.u_rad.tobytes()
+            _write_all(replies, _REPLY.pack(False, steps, base.t, len(payload)) + payload)
+        else:
+            payload = pickle.dumps(failure[1])
+            _write_all(replies, _REPLY.pack(True, failure[0], 0.0, len(payload)) + payload)
+
+
+class _TwinProcess:
+    """The twin of a relaxation run, stepped by a forked child process.
+
+    `step(dt)` hands the child the next step and returns at once;
+    `fetch(through)` waits for the twin after every step handed over.  Used
+    as a context manager: on leaving normally the request pipe is closed, so
+    the child ends, and the child is reaped; on leaving by an exception the
+    child is killed first.  A parent killed from outside closes the pipe too.
+    """
+
+    def __init__(self, twin: SymSolver, base: SymState, safety: float):
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child never returns into the caller's code
+            code = 1
+            try:
+                os.close(requests_w)
+                os.close(replies_r)
+                _serve_twin(twin, base, safety, requests_r, replies_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests_r)
+        os.close(replies_w)
+        self.pid, self._requests, self._replies = pid, requests_w, replies_r
+        self._grid = base.grid
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            os.kill(self.pid, signal.SIGKILL)
+        os.close(self._requests)
+        os.close(self._replies)
+        os.waitpid(self.pid, 0)
+
+    def step(self, dt: float) -> None:
+        _write_all(self._requests, _REQUEST.pack(_STEP, dt))
+
+    def fetch(self, through: int) -> SymState | None:
+        """The twin after every step handed over, rebuilt bit for bit.
+
+        If the twin failed at step `through` or earlier, its exception is
+        raised here instead; if it failed at a later step, None is returned.
+        """
+        _write_all(self._requests, _REQUEST.pack(_FETCH, 0.0))
+        failed, steps, t, size = _REPLY.unpack(_read_exact(self._replies, _REPLY.size))
+        payload = _read_exact(self._replies, size)
+        if failed:
+            if steps <= through:
+                raise pickle.loads(payload) from None
+            return None
+        fields = np.frombuffer(payload, dtype=np.float64).reshape(2, -1).copy()
+        return SymState(t, self._grid, fields[0], fields[1])
+
+
 def _relax(solver, twin: SymSolver, state, config, measure, h_min: float):
     """Step a perturbed state beside its unperturbed twin and grade the gap.
 
     The twin starts on the stationary wave and takes the same time steps;
     it is the spherical solver in both geometries (the axisymmetric scheme
-    reduces to the radial one on theta-independent states).  Every
-    `output_every` steps and at t_end, measure(state, base) samples the
-    perturbation as a list whose first entry is its sup norm.  The result is
-    graded on decay, the density corridor and the energy-balance monitor;
-    callers add their own criteria.  Returns the result and the samples.
+    reduces to the radial one on theta-independent states).  It is stepped
+    by a child process (`_TwinProcess`) while this one steps the state.  A
+    failure of either lane ends the run as the serial loop did: the error of
+    the earlier step is raised, the perturbed lane's when both fail in the
+    same step, and the child is killed and reaped.  Every `output_every`
+    steps and at t_end, measure(state, base) samples the perturbation as a
+    list whose first entry is its sup norm.  The result is graded on decay,
+    the density corridor and the energy-balance monitor; callers add their
+    own criteria.  Returns the result and the samples.
     """
     profile, params = solver.profile, solver.params
     compat = compatibility_residual(state, profile, params)
@@ -367,26 +502,32 @@ def _relax(solver, twin: SymSolver, state, config, measure, h_min: float):
     reform_checks = 0
     terms = (reformulation_terms(profile, params, solver.ops)
              if config.reform_every else None)
-    while state.t < config.t_end - 1e-12:
-        limit = solver.cfl_dt(state, 1.0)
-        dt = config.cfl_safety * limit
-        if config.dt is not None:
-            dt = min(dt, config.dt)
-        dt = min(dt, config.t_end - state.t)
-        prev = state
-        state = solver.step(state, dt, safety=config.cfl_safety, limit=limit)
-        # the twin is another state: its step computes and checks its own limit
-        base = twin.step(base, dt, safety=config.cfl_safety)
-        steps += 1
-        dt_used.append(dt)
-        if config.reform_every and steps % config.reform_every == 0:
-            res = reformulation_residual(state, prev, dt, profile, params,
-                                         terms=terms)
-            gap = res.max_gap / (1.0 + res.orig_res)
-            reform_gap = gap if reform_gap is None else max(reform_gap, gap)
-            reform_checks += 1
-        if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
-            sample(state, base)
+    with _TwinProcess(twin, base, config.cfl_safety) as lane:
+        try:
+            while state.t < config.t_end - 1e-12:
+                limit = solver.cfl_dt(state, 1.0)
+                dt = config.cfl_safety * limit
+                if config.dt is not None:
+                    dt = min(dt, config.dt)
+                dt = min(dt, config.t_end - state.t)
+                lane.step(dt)
+                prev = state
+                state = solver.step(state, dt, safety=config.cfl_safety, limit=limit)
+                steps += 1
+                dt_used.append(dt)
+                if config.reform_every and steps % config.reform_every == 0:
+                    res = reformulation_residual(state, prev, dt, profile, params,
+                                                 terms=terms)
+                    gap = res.max_gap / (1.0 + res.orig_res)
+                    reform_gap = gap if reform_gap is None else max(reform_gap, gap)
+                    reform_checks += 1
+                if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
+                    sample(state, lane.fetch(steps))
+        except Exception:
+            # a twin failure at step `steps` or earlier would have ended a
+            # serial loop, which stepped the twin after the state, first
+            lane.fetch(steps)
+            raise
 
     times = np.asarray(times)
     sups = np.asarray([s[0] for s in samples])
@@ -413,8 +554,10 @@ def run_sym_stability(profile: SteadyProfile, params: FluidParams,
     """Integrate a perturbed stationary wave and grade the relaxation run.
 
     An unperturbed twin of the stationary wave is stepped alongside the
-    perturbed state with the same time steps, and the perturbation is
-    measured as the difference of the two trajectories.  Both converge to
+    perturbed state with the same time steps, in a second process that the
+    run forks and reaps (see `_relax`; a twin failure is raised here as in a
+    serial loop and the child is killed), and the perturbation is measured
+    as the difference of the two trajectories.  Both converge to
     the scheme's own attractor, so decay floors reflect the perturbation
     dynamics rather than the O(h^2) gap between the collocation profile and
     the stepper's equilibrium.  Passes when the sup-norm decays by the

@@ -275,3 +275,39 @@ def test_mode_outside_the_graded_range_is_a_config_error(tmp_path, ell):
     assert crit["error"] == "ConstraintViolation"
     assert "mode_ell" in crit["message"]
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("sub, text, key", [
+    ("steady", "nodes_r = 8\n", "nodes_r"),
+    ("evolve-axi", "nodes_theta = 4\n", "nodes_theta"),
+])
+def test_a_grid_too_small_is_a_config_error(tmp_path, sub, text, key):
+    """A grid that its constructor refuses exits 2, with a manifest."""
+    conf = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([sub, "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+    crit = json.loads((out / "manifest.json").read_text())["criteria"]
+    assert crit["exit_code"] == EXIT_CONFIG
+    assert crit["error"] == "ConstraintViolation"
+    assert key in crit["message"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("cfl_safety = 0.0\n", "cfl_safety"),  # dt = 0 would never advance t
+    ("cfl_safety = -0.4\n", "cfl_safety"),
+    ("cfl_safety = nan\n", "cfl_safety"),
+    ("output_every = 0\n", "output_every"),
+    ("dt = 0.0\n", "dt"),
+    ("dt = -0.001\n", "dt"),
+])
+def test_a_run_value_the_run_cannot_use_is_a_config_error(tmp_path, text, key):
+    """The run configuration's own rule rejects these before any run: exit 2."""
+    conf = _write(tmp_path, text)
+    with pytest.raises(ConstraintViolation, match=key):
+        parse_config(conf)
+    out = tmp_path / "out"
+    assert main(["evolve-sym", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+    crit = json.loads((out / "manifest.json").read_text())["criteria"]
+    assert crit["error"] == "ConstraintViolation"
+    assert key in crit["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

@@ -264,23 +264,31 @@ def test_step_with_given_limit_is_bitwise_the_same(small_profile, acc_params, ag
 
 
 def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_params,
-                                                          agrid, monkeypatch):
-    """One 2D limit for the perturbed step, one 1D limit in the twin's step."""
-    calls = {"axi": 0, "sym": 0}
+                                                          agrid, monkeypatch, tmp_path):
+    """One 2D limit for the perturbed step, one 1D limit in the twin's step.
+
+    The twin steps in a child process, so each call appends one byte naming
+    its solver to a file that both processes write.
+    """
+    log = tmp_path / "cfl_calls"
+    log.write_bytes(b"")
 
     def counted(cls, key):
         cfl_dt = cls.cfl_dt
 
         def wrapper(self, state, safety):
-            calls[key] += 1
+            with open(log, "ab") as fh:
+                fh.write(key)
             return cfl_dt(self, state, safety)
         monkeypatch.setattr(cls, "cfl_dt", wrapper)
 
-    counted(AxiSolver, "axi")
-    counted(SymSolver, "sym")
+    counted(AxiSolver, b"a")
+    counted(SymSolver, b"s")
     cfg = AxiRunConfig(t_end=0.1, output_every=20, decay_target=1.0, reform_every=10)
     res = run_axi_stability(small_profile, acc_params, agrid, cfg)
     assert res.steps > 10
+    data = log.read_bytes()
+    calls = {"axi": data.count(b"a"), "sym": data.count(b"s")}
     assert calls == {"axi": res.steps, "sym": res.steps}
 
 

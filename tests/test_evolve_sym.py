@@ -185,17 +185,33 @@ def test_step_with_given_limit_is_bitwise_the_same(small_profile, acc_params, fo
 
 
 def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_params,
-                                                          monkeypatch):
-    """One limit for the perturbed step and one inside the twin's own step."""
-    calls = []
+                                                          monkeypatch, tmp_path):
+    """One limit for the perturbed step and one inside the twin's own step.
+
+    The twin steps in a child process, so each call appends one byte to a
+    file that both processes write.
+    """
+    log = tmp_path / "cfl_calls"
+    log.write_bytes(b"")
     cfl_dt = SymSolver.cfl_dt
 
     def counted(self, state, safety):
-        calls.append(safety)
+        with open(log, "ab") as fh:
+            fh.write(b".")
         return cfl_dt(self, state, safety)
 
     monkeypatch.setattr(SymSolver, "cfl_dt", counted)
     cfg = SymRunConfig(t_end=0.2, output_every=20, decay_target=1.0, reform_every=10)
     res = run_sym_stability(small_profile, acc_params, cfg)
     assert res.steps > 10
-    assert len(calls) == 2 * res.steps
+    assert len(log.read_bytes()) == 2 * res.steps
+
+
+@pytest.mark.parametrize("fields", [
+    {"cfl_safety": 0.0}, {"cfl_safety": -0.4}, {"cfl_safety": float("nan")},
+    {"output_every": 0}, {"reform_every": -1}, {"dt": 0.0}, {"dt": float("nan")},
+])
+def test_run_config_rejects_values_the_run_cannot_use(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        SymRunConfig(**fields)
+    assert SymRunConfig(cfl_safety=1e-3, output_every=1, reform_every=0, dt=1e-6)
