@@ -35,7 +35,8 @@ from .energy import (
     relative_energy,
 )
 from .evolve_axi import AxiRunConfig, run_axi_stability
-from .evolve_sym import CFLViolation, PositivityLoss, SymRunConfig, run_sym_stability
+from .evolve_sym import (CFLViolation, PositivityLoss, SymRunConfig, SymSolver,
+                         odd_even_content, run_sym_stability)
 from .grids import AngularGrid, RadialGrid
 from .opchecks import TailNotConverged, run_verify_ops
 from .params import FluidParams, sound_speed
@@ -223,15 +224,7 @@ def _cmd_evolve_sym(cfg: Config, man: Manifest) -> int:
                ["t", "r", "rho", "u"],
                [np.full_like(st.rho, st.t), st.grid.nodes, st.rho, st.u_rad])
     _dump_reports(man.add("energy_sym.csv"), res.reports)
-    with open(man.add("run_log.txt"), "w", encoding="utf-8") as fh:
-        fh.write(res.summary() + "\n")
-        fh.write(f"compatibility residuals: {res.compat}\n")
-    man.finish(res.passed, {
-        "decay_factor": res.decay_factor, "corridor": res.corridor_ok,
-        "monitor_uphill": res.monitor_uphill, "tau_scheme": res.tau_scheme,
-        "envelope": res.envelope_ok, "steps": res.steps,
-    })
-    return EXIT_OK if res.passed else EXIT_CRITERIA
+    return _finish_run(man, res, envelope=res.envelope_ok)
 
 
 def _cmd_evolve_axi(cfg: Config, man: Manifest) -> int:
@@ -250,14 +243,19 @@ def _cmd_evolve_axi(cfg: Config, man: Manifest) -> int:
     _write_csv(man.add("modes_axi.csv"),
                ["t"] + [f"ell_{ell}" for ell in sorted(res.mode_series)],
                mode_cols)
+    return _finish_run(man, res)
+
+
+def _finish_run(man: Manifest, res, **criteria) -> int:
+    """Write the run log and the manifest of a relaxation run."""
     with open(man.add("run_log.txt"), "w", encoding="utf-8") as fh:
         fh.write(res.summary() + "\n")
         fh.write(f"compatibility residuals: {res.compat}\n")
     man.finish(res.passed, {
         "decay_factor": res.decay_factor, "corridor": res.corridor_ok,
         "monitor_uphill": res.monitor_uphill, "tau_scheme": res.tau_scheme,
-        "steps": res.steps,
-    })
+        "steps": res.steps, "odd_even": odd_even_content(res.final_state.rho),
+        **criteria})
     return EXIT_OK if res.passed else EXIT_CRITERIA
 
 
@@ -339,8 +337,10 @@ def _cmd_report(cfg: Config, man: Manifest, run_dir: str) -> int:
     else:
         raise ConfigError(f"no state dump (state_sym.csv or state_axi.csv) "
                           f"found under {run_dir!r}")
+    # the reference of the run: the scheme's own equilibrium
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
-    rep = relative_energy(state, profile, cfg.params)
+    reference = SymSolver(profile, cfg.params).equilibrium()
+    rep = relative_energy(state, reference, cfg.params)
     _dump_reports(man.add("energy_report.csv"), [rep])
     man.finish(True, {"source": run_dir})
     return EXIT_OK

@@ -147,10 +147,10 @@ def check_config(cfg: Config) -> None:
         raise ConstraintViolation("support must satisfy 1 < lo < hi < r_max")
     if cfg.seed < 0:
         raise ConstraintViolation(f"seed must be >= 0, got {cfg.seed}")
-    # the run configuration's own rules on dt, cfl_safety, output_every and
-    # mode_ell, whichever subcommand runs
+    # the run configuration's own rules on t_end, dt, cfl_safety,
+    # output_every and mode_ell, whichever subcommand runs
     try:
-        AxiRunConfig(dt=cfg.dt, cfl_safety=cfg.cfl_safety,
+        AxiRunConfig(t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
                      output_every=cfg.output_every, mode_ell=cfg.mode_ell)
     except ValueError as exc:
         raise ConstraintViolation(str(exc)) from exc

@@ -28,9 +28,6 @@ from .evolve_sym import (
     SymSolver,
     _relax,
     check_positive,
-    radial_flux_div,
-    radial_visc_div,
-    radial_visc_w,
 )
 
 __all__ = [
@@ -125,7 +122,9 @@ class AxiSolver(RadialScheme):
         return out
 
     def rhs(self, state: AxiState, checked: bool = False):
-        """(rho_t, mr_t, mt_t); boundary rows are zeroed for BC application.
+        """(rho_t, mr_t, mt_t).  The wall momentum rows and the far polar row
+        are zeroed for BC application; the far density and radial momentum
+        rows are `far_rates`, with the angular viscous terms as a source.
 
         checked=True skips the positivity scan of a density that the caller
         has already scanned (the stages of `step` do).
@@ -139,32 +138,29 @@ class AxiSolver(RadialScheme):
         m_r = rho * u_r
         m_t = rho * u_t
 
-        rho_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_r)
-        rho_t[0] = self.wall_continuity(m_r)
-        rho_t -= self._theta_flux_div(rho, u_t)
-        rho_t[-1] = 0.0
-
         prs = pressure_unchecked(rho, p)
+        rho_t, _, grad = self.continuity(m_r, prs)
+        rho_t -= self._theta_flux_div(rho, u_t)
+
         div_ang = ops.d_theta(s * u_t, parity=1) / self.r_sin
         div_u = ops.d_r(r2 * u_r) / r2 + div_ang
         dth_ur = ops.d_theta(u_r, parity=1)
         dth_ut = ops.d_theta(u_t, parity=-1)
 
-        # radial momentum
-        mr_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_r * u_r)
+        # radial momentum; visc_ang holds the angular viscous terms
+        mr_t = self.advect(m_r * u_r)
         mr_t -= self._theta_flux_div(m_r, u_t)
         mr_t += rho * u_t**2 / r
-        mr_t[1:-1] -= (prs[2:] - prs[:-2]) / self.dr_pair
-        w = radial_visc_w(self.r2, self.dr_rf2, u_r)
-        visc_r = self.visc * radial_visc_div(self.dface, w)
-        visc_r += p.mu * (ops.d_theta(s * dth_ur, parity=1) / self.r2_sin
-                          - 2.0 * dth_ut / r2
-                          - 2.0 * self.cot * u_t / r2)
-        visc_r += (p.mu + p.lam) * ops.d_r(div_ang)
-        mr_t += visc_r
+        mr_t[1:-1] -= grad
+        self.add_radial_visc(u_r, mr_t)
+        visc_ang = p.mu * (ops.d_theta(s * dth_ur, parity=1) / self.r2_sin
+                           - 2.0 * dth_ut / r2
+                           - 2.0 * self.cot * u_t / r2)
+        visc_ang += (p.mu + p.lam) * ops.d_r(div_ang)
+        mr_t += visc_ang
 
         # polar momentum
-        mt_t, _ = radial_flux_div(self.face_w, self.dual_vol, m_t * u_r)
+        mt_t = self.advect(m_t * u_r)
         mt_t -= self._theta_flux_div(m_t, u_t)
         mt_t -= rho * u_r * u_t / r
         mt_t -= ops.d_theta(prs, parity=1) / r
@@ -175,19 +171,16 @@ class AxiSolver(RadialScheme):
         visc_t += (p.mu + p.lam) * ops.d_theta(div_u, parity=1) / r
         mt_t += visc_t
 
-        mr_t[0] = 0.0
-        mr_t[-1] = 0.0
-        mt_t[0] = 0.0
-        mt_t[-1] = 0.0
-        rho_t[-1] = 0.0
+        s_rho, s_m = 0.0, visc_ang[-1]
         if self.forcing is not None:
             s_rho, s_mr, s_mt = self.forcing(state.t, ops.r, ops.theta)
             rho_t = rho_t + s_rho
             mr_t = mr_t + s_mr
             mt_t = mt_t + s_mt
-            rho_t[-1] = 0.0
-            mr_t[0] = mr_t[-1] = 0.0
-            mt_t[0] = mt_t[-1] = 0.0
+            s_rho, s_m = s_rho[-1], s_m + s_mr[-1]
+        mr_t[0] = 0.0
+        mt_t[0] = mt_t[-1] = 0.0
+        rho_t[-1], mr_t[-1] = self.far_rates(rho, u_r, s_rho, s_m)
         return rho_t, mr_t, mt_t
 
     def cfl_dt(self, state: AxiState, safety: float) -> float:
@@ -199,18 +192,15 @@ class AxiSolver(RadialScheme):
         visc = self.h_cell2 * state.rho / self.visc
         return float(safety * min(np.min(adv), np.min(visc)))
 
-    def steady_residual(self) -> float:
-        s = AxiState(0.0, self.profile.grid, self.agrid,
-                     self.ops.lift(self.profile.rho_t),
-                     *self.ops.lift_velocity(self.profile.u_t))
-        rho_t, mr_t, mt_t = self.rhs(s)
-        return float(max(np.max(np.abs(rho_t)), np.max(np.abs(mr_t)),
-                         np.max(np.abs(mt_t))))
+    def state_of(self, rho: np.ndarray, u: np.ndarray) -> AxiState:
+        """The theta-independent state of a radial density and velocity."""
+        return AxiState(0.0, self.profile.grid, self.agrid, self.ops.lift(rho),
+                        *self.ops.lift_velocity(u))
 
     def mass_balance(self, state: AxiState):
         """FV mass rate against boundary fluxes (theta fluxes telescope away)."""
-        m_r = state.rho * state.u_r
-        rho_t, flux = radial_flux_div(self.face_w, self.dual_vol, m_r)
+        rho_t, flux, _ = self.continuity(state.rho * state.u_r,
+                                         pressure_unchecked(state.rho, self.params))
         rho_t = rho_t - self._theta_flux_div(state.rho, state.u_theta)
         w_ang = 2.0 * np.pi * self.ops.sin * self.agrid.dtheta
         interior = float(np.sum((self.dual_vol * rho_t[1:-1]) * w_ang[None, :]))
@@ -309,21 +299,22 @@ def run_axi_stability(profile: SteadyProfile, params: FluidParams,
                       agrid: AngularGrid, config: AxiRunConfig) -> RunResult:
     """Integrate a mode-perturbed profile and grade decay per Legendre mode."""
     solver = AxiSolver(profile, params, agrid)
+    # the radial equilibrium, lifted: the radial scheme is shared, so it is
+    # a fixed point of the axisymmetric step too
+    reference = SymSolver(profile, params).equilibrium()
+    eq = solver.state_of(reference.rho_t, reference.u_t)
     state = perturb_axi(profile, agrid, config.amplitude, config.support,
                         ell=config.mode_ell)
 
-    def measure(st, base):
-        phi = st.rho - base.rho[:, None]
-        psi_r = st.u_r - base.u_rad[:, None]
+    def measure(st):
+        phi = st.rho - eq.rho
+        psi_r = st.u_r - eq.u_r
         amp = legendre_amplitudes(phi, agrid, config.n_modes)
         return [float(np.max(np.sqrt(phi**2 + psi_r**2 + st.u_theta**2))),
                 *np.max(np.abs(amp), axis=1)]
 
     h_min = float(min(np.min(solver.dr), solver.ops.r[0] * agrid.dtheta))
-    # unperturbed twin: the radial scheme is shared, so a theta-independent
-    # base stays theta-independent and can be stepped by the 1D solver
-    res, samples = _relax(solver, SymSolver(profile, params), state, config,
-                          measure, h_min)
+    res, samples = _relax(solver, state, reference, config, measure, h_min)
     mode_hist = np.asarray([s[1:] for s in samples])  # (n_out, n_modes)
     tail_sel = res.times >= 0.9 * config.t_end
     mode_floor = 1e-3 * params.rho_plus * config.amplitude

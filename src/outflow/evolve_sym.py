@@ -1,30 +1,26 @@
 """Explicit time integration of the spherically symmetric outflow system.
 
 Finite-volume mass/momentum update on the radial nodes: interface fluxes on
-the dual mesh give exact discrete mass telescoping, the viscous term uses
-the (r^2 u)_r / r^2 face form so the stationary profile is a near-fixed
-point, and time stepping is a two-stage strong-stability-preserving scheme.
-The boundary node evolves the density by one-sided into-domain stencils (no
-density condition is needed at an outflow wall) while the velocity is pinned
-to u_b; the truncation boundary holds the stationary profile values.
-
-A relaxation run steps an unperturbed twin of the stationary wave beside the
-perturbed state.  The twin is stepped by a child process forked for the run
-(`_TwinProcess`), so the two lanes use two cores; the child is killed and
-reaped when the run fails, and ends by itself once the run closes its pipe.
+the dual mesh give exact discrete mass telescoping, the continuity flux
+carries the Rhie-Chow correction (Rhie & Chow 1983, AIAA J. 21) that couples
+the odd and even density nodes, the viscous term uses the (r^2 u)_r / r^2
+face form, and time stepping is a two-stage strong-stability-preserving
+scheme.  The wall node evolves the density by one-sided into-domain stencils
+(an outflow wall needs no density condition) while the velocity is pinned to
+u_b; at the truncation node the outgoing Riemann invariant follows its own
+equation and the incoming one is held at the far field, so outgoing waves
+leave.  A relaxation run measures its perturbation against the scheme's own
+stationary state (`SymSolver.equilibrium`), a fixed point of `step`.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .discrete import SymOps
+from .discrete import SymOps, fornberg_weights
 from .energy import (
     EnergyReport,
     composite_monitor,
@@ -35,7 +31,7 @@ from .energy import (
 )
 from .params import FluidParams, pressure_unchecked, sound_speed
 from .states import SymState, compatibility_residual, perturb_sym
-from .steady import SteadyProfile
+from .steady import NonConvergence, SteadyProfile
 
 __all__ = [
     "CFLViolation",
@@ -44,12 +40,18 @@ __all__ = [
     "SymSolver",
     "RunResult",
     "run_sym_stability",
+    "odd_even_content",
     "MONITOR_C",
+    "RHIE_CHOW_BETA",
 ]
 
 # scheme constant for the energy-balance monitor gate tau = C (dt + h^2) E_peak;
 # calibrated once on coarse/fine pairs of the acceptance configuration
 MONITOR_C = 25.0
+
+# weight of the Rhie-Chow pressure-gradient gap in the continuity face flux,
+# in units of the acoustic time dr_f / c_f across the face
+RHIE_CHOW_BETA = 0.1
 
 
 class CFLViolation(RuntimeError):
@@ -61,7 +63,8 @@ class PositivityLoss(RuntimeError):
 
 
 def check_positive(rho: np.ndarray, t: float) -> None:
-    if (rho <= 0.0).any():
+    """Raise PositivityLoss unless every density is positive (NaN is not)."""
+    if not rho.min() > 0.0:
         raise PositivityLoss(f"density hit zero at t = {t:.6g}")
 
 
@@ -78,6 +81,8 @@ class SymRunConfig:
 
     def __post_init__(self):
         # written as not (x > 0) so that NaN is rejected too
+        if not (self.t_end > 0.0 and np.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.cfl_safety > 0.0:
@@ -88,55 +93,25 @@ class SymRunConfig:
             raise ValueError(f"reform_every must be at least 0, got {self.reform_every}")
 
 
-# --- radial discrete pieces shared with the axisymmetric solver -------------
-#
-# Every grid array these take has the shape of the field it meets (RadialScheme
-# builds them so), so no operand is broadcast.
-
-
-def radial_flux_div(face_w, dual_vol, g):
-    """-(1/r^2)(r^2 g)_r in interface-flux form on interior nodes.
-
-    g is the advected quantity times velocity at the nodes; face_w is
-    r_face**2 * 0.5.  Returns the divergence on nodes 1..M-1 (zeros at both
-    ends, which carry boundary treatment instead) and the face fluxes.
-    """
-    flux = face_w * (g[:-1] + g[1:])
-    out = np.zeros(g.shape)
-    out[1:-1] = -(flux[1:] - flux[:-1]) / dual_vol
-    return out, flux
-
-
-def radial_visc_w(r2, dr_rf2, u):
-    """Face values of (r^2 u)_r / r^2, the radial viscous stress kernel.
-
-    r2 is r**2 at the nodes and dr_rf2 is dr * r_face**2 on the faces.
-    """
-    r2u = r2 * u
-    return (r2u[1:] - r2u[:-1]) / dr_rf2
-
-
-def radial_visc_div(dface, w):
-    """Derivative of the face kernel back to interior nodes."""
-    out_shape = (w.shape[0] + 1,) + w.shape[1:]
-    out = np.zeros(out_shape)
-    out[1:-1] = (w[1:] - w[:-1]) / dface
-    return out
+def odd_even_content(rho: np.ndarray) -> float:
+    """Amplitude of the grid-scale (odd-even) density mode along r:
+    half of max |rho_i - (rho_{i-1} + rho_{i+1}) / 2|."""
+    return 0.5 * float(np.max(np.abs(rho[1:-1] - 0.5 * (rho[:-2] + rho[2:]))))
 
 
 class RadialScheme:
     """What both explicit solvers share: the profile, the fluid, the radial
-    finite-volume grid constants, the wall continuity row, the boundary
+    finite-volume grid constants, the continuity row, the boundary rows and
     conditions and the two-stage SSP step.
 
     Each grid constant is built once, from the expression the right-hand side
-    would otherwise evaluate on every call, so the stepping is bitwise that of
-    evaluating it per call.  It is stored in the state's shape, lifted along
-    the state's trailing axes by `self.ops.lift`, so a subclass sets `ops`
-    before calling this constructor.  `r` and `dr`, the radial nodes and
-    intervals, are lifted too; `ops.r` keeps the nodes themselves.  A
-    subclass supplies `rhs(state, checked)` returning (rho_t, *m_t), one
-    momentum rate per entry of `state.velocity`, and `cfl_dt`.
+    would otherwise evaluate on every call.  It is stored in the state's
+    shape, lifted along the state's trailing axes by `self.ops.lift`, so a
+    subclass sets `ops` before calling this constructor.  `r` and `dr`, the
+    radial nodes and intervals, are lifted too; `ops.r` keeps the nodes
+    themselves.  A subclass supplies `rhs(state, checked)` returning
+    (rho_t, *m_t), one momentum rate per entry of `state.velocity`,
+    `cfl_dt`, and `state_of(rho, u)`, the state of a radial profile.
     """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
@@ -146,7 +121,8 @@ class RadialScheme:
         self.params = params
         self.forcing = forcing
         self.visc = 2.0 * params.mu + params.lam
-        self.bc_far = lambda t: (profile.rho_t[-1], profile.u_t[-1])
+        far = float(profile.rho_t[-1]), float(profile.u_t[-1])
+        self.bc_far = lambda t: far
         lift = self.ops.lift
         r = profile.grid.nodes
         dr = np.diff(r)
@@ -157,12 +133,19 @@ class RadialScheme:
         dface = np.diff(edges)[1:-1]
         self.dual_vol = lift((edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0)
         self.dface = lift(dface)
+        self.dface_visc = lift(dface / self.visc)
         rf2 = r_face**2
         self.r2 = lift(r**2)
         self.rf2 = lift(rf2)
         self.face_w = lift(rf2 * 0.5)
         self.dr_rf2 = lift(dr * rf2)
         self.dr_pair = lift(r[2:] - r[:-2])  # centred pressure gradient
+        # Rhie-Chow weights r_f^2 d_f / dr_f and r_f^2 d_f / 2 on faces
+        # 1..M-2, with d_f = beta dr_f / c_f from the profile's sound speed
+        c = sound_speed(profile.rho_t, params)
+        d_face = RHIE_CHOW_BETA * dr[1:-1] / (0.5 * (c[1:-2] + c[2:-1]))
+        self.rc_p = lift(rf2[1:-1] * d_face / dr[1:-1])
+        self.rc_g = lift(rf2[1:-1] * d_face * 0.5)
         # CFL cell size: the smaller of the two intervals at each node
         h = np.minimum(np.concatenate([dr[:1], dr]), np.concatenate([dr, dr[-1:]]))
         self.h = lift(h)
@@ -172,13 +155,105 @@ class RadialScheme:
         self.wall_w = (-(h1 + h2) / (h1 * h2), h2 / (h1 * (h2 - h1)),
                        -h1 / (h2 * (h2 - h1)))
         self.wall_r2 = r[0] ** 2
+        # the truncation row's third-order one-sided stencils, as floats:
+        # d_r on the last 4 nodes, (2 mu + lam)(d_rr + (2/r) d_r - 2/r^2) on 5
+        d1 = fornberg_weights(r[-1], r[-4:], 1)[1]
+        visc_w = fornberg_weights(r[-1], r[-5:], 2)[2]
+        visc_w[1:] += 2.0 / r[-1] * d1
+        visc_w[-1] -= 2.0 / r[-1] ** 2
+        self.far_d1 = tuple(d1.tolist())
+        self.far_visc = tuple((self.visc * visc_w).tolist())
+        self.far_2_r = 2.0 / float(r[-1])
+        # c = c_coeff rho^c_exp; the Riemann invariants are u -+ inv_a rho^c_exp
+        # = u -+ 2c/(gamma-1), or u -+ inv_a log(rho) at gamma = 1
+        self.c_coeff = float(np.sqrt(params.gamma * params.k_pressure))
+        self.c_exp = 0.5 * (params.gamma - 1.0)
+        self.inv_a = self.c_coeff / self.c_exp if self.c_exp else self.c_coeff
 
-    def wall_continuity(self, m: np.ndarray):
-        """rho_t at the outflow wall: -(r^2 m)_r / r^2 by one-sided into-domain
-        differences, so no density condition is needed there."""
+    def _flux_div(self, flux: np.ndarray) -> np.ndarray:
+        """-(1/r^2)(r^2 F)_r on the interior nodes from the face fluxes
+        r_f^2 F_f; 0 at both ends, which carry boundary rows instead."""
+        out = np.zeros(self.r.shape)
+        inner = out[1:-1]
+        np.subtract(flux[:-1], flux[1:], out=inner)
+        inner /= self.dual_vol
+        return out
+
+    def advect(self, g: np.ndarray) -> np.ndarray:
+        """`_flux_div` of the face fluxes r_f^2 (g_i + g_{i+1}) / 2."""
+        return self._flux_div(self.face_w * (g[:-1] + g[1:]))
+
+    def add_radial_visc(self, u: np.ndarray, out: np.ndarray) -> None:
+        """Add (2 mu + lam) d_r[(r^2 u)_r / r^2] to the interior nodes of
+        out, the inner derivative taken on the faces."""
+        r2u = self.r2 * u
+        w = (r2u[1:] - r2u[:-1]) / self.dr_rf2
+        out[1:-1] += (w[1:] - w[:-1]) / self.dface_visc
+
+    def continuity(self, m: np.ndarray, prs: np.ndarray):
+        """(rho_t, face fluxes, G) of the radial continuity row.
+
+        G = (p_{i+1} - p_{i-1}) / (r_{i+1} - r_{i-1}) is the centred pressure
+        gradient on the interior nodes, which the momentum row uses too.  On
+        faces 1..M-2 the flux is the Rhie-Chow face flux
+        r_f^2 [(m_i + m_{i+1})/2 - d_f ((p_{i+1} - p_i)/dr_f - (G_i + G_{i+1})/2)];
+        the two end faces carry the plain average.  The wall row of rho_t is
+        -(r^2 m)_r / r^2 by one-sided into-domain differences, and its far
+        row is left 0 for `far_rates`.
+        """
+        grad = (prs[2:] - prs[:-2]) / self.dr_pair
+        flux = self.face_w * (m[:-1] + m[1:])
+        gap = prs[2:-1] - prs[1:-2]
+        gap *= self.rc_p
+        mean = grad[:-1] + grad[1:]
+        mean *= self.rc_g
+        gap -= mean
+        flux[1:-1] -= gap
+        rho_t = self._flux_div(flux)
         r2m = self.r2[:3] * m[:3]
         w0, w1, w2 = self.wall_w
-        return -(w0 * r2m[0] + w1 * r2m[1] + w2 * r2m[2]) / self.wall_r2
+        rho_t[0] = -(w0 * r2m[0] + w1 * r2m[1] + w2 * r2m[2]) / self.wall_r2
+        return rho_t, flux, grad
+
+    def _rows(self, f: np.ndarray, k: int):
+        """The last k radial rows of f, as the far-end arithmetic takes them."""
+        return f[-k:]
+
+    def far_rates(self, rho, u, s_rho=0.0, s_m=0.0):
+        """(rho_t, m_t) at the truncation node from the last five rows.
+
+        The outgoing invariant w+ = u + 2c/(gamma-1) advances by
+        w+_t = -(u + c) d_r w+ - 2cu/r + (V + s_m - u s_rho + c s_rho)/rho,
+        V = (2 mu + lam)(u_rr + 2u_r/r - 2u/r^2), and the incoming one
+        w- = u - 2c/(gamma-1) is held (`apply_bc` imposes its value), so
+        rho_t = rho w+_t / (2c) and u_t = w+_t / 2.  Plain arithmetic on
+        `_rows`: floats for the spherical solver and (n_theta,) arrays for
+        the axisymmetric one, which passes its angular terms in s_m.
+        """
+        rho, u = self._rows(rho, 5), self._rows(u, 5)
+        a0, a1, a2, a3 = self.far_d1
+        e0, e1, e2, e3, e4 = self.far_visc
+        rho_n, u_n = rho[4], u[4]
+        c = self.c_coeff * rho_n ** self.c_exp
+        u_r = a0 * u[1] + a1 * u[2] + a2 * u[3] + a3 * u_n
+        rho_r = a0 * rho[1] + a1 * rho[2] + a2 * rho[3] + a3 * rho_n
+        visc = e0 * u[0] + e1 * u[1] + e2 * u[2] + e3 * u[3] + e4 * u_n
+        speed = u_n + c
+        w_t = (-speed * (u_r + c * rho_r / rho_n) - self.far_2_r * c * u_n
+               + (visc + s_m + (c - u_n) * s_rho) / rho_n)
+        rho_t = 0.5 * rho_n * w_t / c
+        return rho_t, rho_t * speed  # m_t = rho u_t + u rho_t
+
+    def _invariant(self, rho):
+        """int c(rho)/rho drho, the density part of the Riemann invariants."""
+        if self.c_exp == 0.0:
+            return self.inv_a * np.log(rho)
+        return self.inv_a * rho ** self.c_exp
+
+    def steady_residual(self) -> float:
+        """max |rhs| on the profile."""
+        rates = self.rhs(self.state_of(self.profile.rho_t, self.profile.u_t))
+        return float(max(np.max(np.abs(f)) for f in rates))
 
     def dt_fields(self, state):
         """{"rho_t", "u_t"[, "utheta_t"]}: the time derivatives of the state."""
@@ -189,12 +264,19 @@ class RadialScheme:
         return fields
 
     def apply_bc(self, state) -> None:
-        """Wall: u_r = u_b and no tangential velocity; far end: the profile."""
+        """Wall: u_r = u_b.  Far end: the incoming invariant w- takes its
+        value at bc_far(t) and the outgoing w+ keeps the state's.  No
+        tangential velocity at either end."""
         rho_far, u_far = self.bc_far(state.t)
         u_r, *tangential = state.velocity
         u_r[0] = self.params.u_b
-        state.rho[-1] = rho_far
-        u_r[-1] = u_far
+        (rho_n,), (u_n,) = self._rows(state.rho, 1), self._rows(u_r, 1)
+        w_in = u_far - self._invariant(rho_far)
+        w_out = u_n + self._invariant(rho_n)
+        u_r[-1] = 0.5 * (w_out + w_in)
+        ratio = (w_out - w_in) * (0.5 / self.inv_a)  # `_invariant` / inv_a
+        state.rho[-1] = (np.exp(ratio) if self.c_exp == 0.0
+                         else ratio ** (1.0 / self.c_exp))
         for u in tangential:
             u[0] = 0.0
             u[-1] = 0.0
@@ -249,25 +331,24 @@ class SymSolver(RadialScheme):
         if not checked:
             check_positive(rho, state.t)
         m = rho * u
-
-        rho_t, _ = radial_flux_div(self.face_w, self.dual_vol, m)
-        rho_t[0] = self.wall_continuity(m)
-        rho_t[-1] = 0.0  # Dirichlet-to-profile
-
-        m_t, _ = radial_flux_div(self.face_w, self.dual_vol, m * u)
         prs = pressure_unchecked(rho, self.params)
-        m_t[1:-1] -= (prs[2:] - prs[:-2]) / self.dr_pair
-        w = radial_visc_w(self.r2, self.dr_rf2, u)
-        m_t += self.visc * radial_visc_div(self.dface, w)
-        m_t[0] = 0.0
-        m_t[-1] = 0.0
+        rho_t, _, grad = self.continuity(m, prs)
+
+        m_t = self.advect(m * u)
+        m_t[1:-1] -= grad
+        self.add_radial_visc(u, m_t)
+        s_rho = s_m = 0.0
         if self.forcing is not None:
             s_rho, s_m = self.forcing(state.t, self.r)
             rho_t = rho_t + s_rho
             m_t = m_t + s_m
-            rho_t[-1] = 0.0
-            m_t[-1] = 0.0
+            s_rho, s_m = s_rho[-1], s_m[-1]
+        m_t[0] = 0.0
+        rho_t[-1], m_t[-1] = self.far_rates(rho, u, s_rho, s_m)
         return rho_t, m_t
+
+    def _rows(self, f: np.ndarray, k: int):
+        return f[-k:].tolist()  # Python floats: faster than numpy scalars
 
     def cfl_dt(self, state: SymState, safety: float) -> float:
         """safety x the advective and viscous limit; raises ValueError on a
@@ -279,17 +360,76 @@ class SymSolver(RadialScheme):
 
     def mass_balance(self, state: SymState):
         """Rate of change of the finite-volume mass vs boundary fluxes."""
-        m = state.rho * state.u_rad
-        rho_t, flux = radial_flux_div(self.face_w, self.dual_vol, m)
+        rho_t, flux, _ = self.continuity(state.rho * state.u_rad,
+                                         pressure_unchecked(state.rho, self.params))
         interior = float(np.sum(self.dual_vol * rho_t[1:-1]))
         boundary = float(flux[0] - flux[-1])
         return interior, boundary
 
-    def steady_residual(self) -> float:
-        s = SymState(0.0, self.profile.grid, self.profile.rho_t.copy(),
-                     self.profile.u_t.copy())
-        rho_t, m_t = self.rhs(s)
-        return float(max(np.max(np.abs(rho_t)), np.max(np.abs(m_t))))
+    def state_of(self, rho: np.ndarray, u: np.ndarray) -> SymState:
+        """The state of a radial density and velocity (copies)."""
+        return SymState(0.0, self.profile.grid, rho.copy(), u.copy())
+
+    def equilibrium(self) -> SteadyProfile:
+        """The scheme's own stationary state: a fixed point of `step` up to
+        round-off, by Newton's method from the profile.
+
+        Unknowns: rho at every node and u at the interior ones, node by node,
+        so the finite-difference Jacobian is banded and takes one rhs per
+        colour of columns that share no row; u is u_b at the wall and keeps
+        the incoming invariant of bc_far(0) at the far end.  Stops at
+        max|rhs| <= 1e-13, after 10 steps or once it stops halving, and
+        raises NonConvergence unless it is then <= 1e-10.  Returns a profile
+        with the collocation derivatives of its fields and max|rhs| as
+        residual_rst2.
+        """
+        grid, u_b = self.profile.grid, self.params.u_b
+        rho_far, u_far = self.bc_far(0.0)
+        w_in = u_far - self._invariant(rho_far)
+        free = np.ones(2 * self.r.size, bool)  # (rho_i, u_i) node by node
+        free[[1, -1]] = False
+
+        def state(z):
+            x = np.empty(free.size)
+            x[free] = z
+            rho, u = x[0::2].copy(), x[1::2].copy()
+            u[0], u[-1] = u_b, w_in + self._invariant(rho[-1])
+            return SymState(0.0, grid, rho, u)
+
+        def residual(z):
+            return np.column_stack(self.rhs(state(z))).ravel()[free]
+
+        # rows reach 4 columns up (the Rhie-Chow flux) and 8 down (the far row)
+        lower, upper = 8, 4
+        width = lower + upper + 1
+        z = np.column_stack([self.profile.rho_t, self.profile.u_t]).ravel()[free]
+        rows = np.arange(z.size)
+        prev = np.inf
+        for it in range(11):
+            f = residual(z)
+            res = float(np.max(np.abs(f)))
+            if res <= 1e-13 or res > 0.5 * prev or it == 10:
+                break
+            prev = res
+            step = 1.5e-8 * np.maximum(np.abs(z), 1.0)
+            band = np.zeros((width, z.size))
+            for k in range(width):
+                zk = z.copy()
+                zk[k::width] += step[k::width]
+                col = rows - lower + (k - rows + lower) % width
+                ok = (col >= 0) & (col < z.size)
+                band[upper + rows[ok] - col[ok], col[ok]] = (
+                    (residual(zk) - f)[ok] / (zk - z)[col[ok]])
+            z = z - solve_banded((lower, upper), band, f)
+        if not res <= 1e-10:
+            raise NonConvergence(it, res, "the scheme's equilibrium did not "
+                                 f"converge (iterations={it}, residual={res:.3e})")
+        st = state(z)
+        rho, u = st.rho, st.u_rad
+        d1, d2 = self.ops.d1, self.ops.d2
+        return replace(self.profile, rho_t=rho, u_t=u, d_rho=d1(rho), d_u=d1(u),
+                       d2_rho=d2(rho), d2_u=d2(u), mass_flux=float(u_b * rho[0]),
+                       residual_rst2=res, _interp=None)
 
 
 @dataclass
@@ -323,8 +463,9 @@ def _envelope_ok(times, sups, n_windows: int = 20, slack: float = 1.05,
     """Windowed maxima must be nonincreasing (within slack) after the peak.
 
     Enforcement stops once the envelope has fallen below peak/target: the
-    monotone-decay claim is about reaching that line, and rattle at the
-    residual twin-gap floor far beneath it is not an instability.
+    monotone-decay claim is about reaching that line, and rattle far beneath
+    it, at the round-off floor of the gap to the equilibrium, is not an
+    instability.
     """
     if len(times) < 2 * n_windows:
         return True
@@ -344,190 +485,59 @@ def _envelope_ok(times, sups, n_windows: int = 20, slack: float = 1.05,
     return True
 
 
-# --- the unperturbed twin, stepped in a second process -----------------------
-#
-# The run writes one request per step and one per sample to the child; the
-# child answers each sample request with the twin's time and raw field bytes,
-# or with its first failure and the step that raised it.
+def _relax(solver, state, reference: SteadyProfile, config, measure,
+           h_min: float):
+    """Step a perturbed state and grade its gap to the scheme's equilibrium.
 
-_STEP, _FETCH = b"s", b"f"
-_REQUEST = struct.Struct("<cd")  # kind, dt
-_REPLY = struct.Struct("<?qdq")  # failed, step count, t, payload bytes
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = os.read(fd, n)
-        if not chunk:
-            raise EOFError("pipe closed")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _serve_twin(twin: SymSolver, base: SymState, safety: float,
-                requests: int, replies: int) -> None:
-    """The child's loop, until its request pipe reaches end of file.
-
-    It steps the twin as the serial run did, `twin.step(base, dt, safety)`,
-    so the twin keeps its own CFL and positivity checks; after a failure it
-    steps no further, as the serial run stopped there.
-    """
-    steps, failure = 0, None
-    while True:
-        try:
-            kind, dt = _REQUEST.unpack(_read_exact(requests, _REQUEST.size))
-        except EOFError:
-            return
-        if kind == _STEP:
-            steps += 1
-            if failure is None:
-                try:
-                    base = twin.step(base, dt, safety=safety)
-                except Exception as exc:
-                    failure = (steps, exc)
-        elif failure is None:
-            payload = base.rho.tobytes() + base.u_rad.tobytes()
-            _write_all(replies, _REPLY.pack(False, steps, base.t, len(payload)) + payload)
-        else:
-            payload = pickle.dumps(failure[1])
-            _write_all(replies, _REPLY.pack(True, failure[0], 0.0, len(payload)) + payload)
-
-
-class _TwinProcess:
-    """The twin of a relaxation run, stepped by a forked child process.
-
-    `step(dt)` hands the child the next step and returns at once;
-    `fetch(through)` waits for the twin after every step handed over.  Used
-    as a context manager: on leaving normally the request pipe is closed, so
-    the child ends, and the child is reaped; on leaving by an exception the
-    child is killed first.  A parent killed from outside closes the pipe too.
-    """
-
-    def __init__(self, twin: SymSolver, base: SymState, safety: float):
-        requests_r, requests_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child never returns into the caller's code
-            code = 1
-            try:
-                os.close(requests_w)
-                os.close(replies_r)
-                _serve_twin(twin, base, safety, requests_r, replies_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(requests_r)
-        os.close(replies_w)
-        self.pid, self._requests, self._replies = pid, requests_w, replies_r
-        self._grid = base.grid
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            os.kill(self.pid, signal.SIGKILL)
-        os.close(self._requests)
-        os.close(self._replies)
-        os.waitpid(self.pid, 0)
-
-    def step(self, dt: float) -> None:
-        _write_all(self._requests, _REQUEST.pack(_STEP, dt))
-
-    def fetch(self, through: int) -> SymState | None:
-        """The twin after every step handed over, rebuilt bit for bit.
-
-        If the twin failed at step `through` or earlier, its exception is
-        raised here instead; if it failed at a later step, None is returned.
-        """
-        _write_all(self._requests, _REQUEST.pack(_FETCH, 0.0))
-        failed, steps, t, size = _REPLY.unpack(_read_exact(self._replies, _REPLY.size))
-        payload = _read_exact(self._replies, size)
-        if failed:
-            if steps <= through:
-                raise pickle.loads(payload) from None
-            return None
-        fields = np.frombuffer(payload, dtype=np.float64).reshape(2, -1).copy()
-        return SymState(t, self._grid, fields[0], fields[1])
-
-
-def _relax(solver, twin: SymSolver, state, config, measure, h_min: float):
-    """Step a perturbed state beside its unperturbed twin and grade the gap.
-
-    The twin starts on the stationary wave and takes the same time steps;
-    it is the spherical solver in both geometries (the axisymmetric scheme
-    reduces to the radial one on theta-independent states).  It is stepped
-    by a child process (`_TwinProcess`) while this one steps the state.  A
-    failure of either lane ends the run as the serial loop did: the error of
-    the earlier step is raised, the perturbed lane's when both fail in the
-    same step, and the child is killed and reaped.  Every `output_every`
-    steps and at t_end, measure(state, base) samples the perturbation as a
-    list whose first entry is its sup norm.  The result is graded on decay,
-    the density corridor and the energy-balance monitor; callers add their
-    own criteria.  Returns the result and the samples.
+    reference is that equilibrium (`SymSolver.equilibrium`), radial in both
+    geometries: the axisymmetric scheme reduces to the radial one on
+    theta-independent states, so its lift is a fixed point of either step.
+    Every `output_every` steps and at t_end, measure(state) samples the
+    perturbation as a list whose first entry is its sup norm, and the
+    relative energy is taken against reference.  The result is graded on
+    decay, the density corridor and the energy-balance monitor; callers add
+    their own criteria.  Returns the result and the samples.
     """
     profile, params = solver.profile, solver.params
     compat = compatibility_residual(state, profile, params)
-    base = SymState(0.0, profile.grid, profile.rho_t.copy(), profile.u_t.copy())
-    twin.apply_bc(base)
     solver.apply_bc(state)
 
     times, samples, reports = [], [], []
     corridor_ok = True
 
-    def sample(st, b):
+    def sample(st):
         nonlocal corridor_ok
-        z = np.zeros_like(b.rho)
-        view = SteadyProfile(grid=profile.grid, params=params, rho_t=b.rho,
-                             u_t=b.u_rad, d_rho=z, d_u=z, d2_rho=z, d2_u=z,
-                             mass_flux=float(params.u_b * b.rho[0]))
         times.append(st.t)
-        samples.append(measure(st, b))
-        reports.append(relative_energy(st, view, params,
+        samples.append(measure(st))
+        reports.append(relative_energy(st, reference, params,
                                        dt_fields=solver.dt_fields(st)))
         corridor_ok = corridor_ok and density_corridor(st, params)
 
-    sample(state, base)
+    sample(state)
     steps = 0
     dt_used = []
     reform_gap = None
     reform_checks = 0
     terms = (reformulation_terms(profile, params, solver.ops)
              if config.reform_every else None)
-    with _TwinProcess(twin, base, config.cfl_safety) as lane:
-        try:
-            while state.t < config.t_end - 1e-12:
-                limit = solver.cfl_dt(state, 1.0)
-                dt = config.cfl_safety * limit
-                if config.dt is not None:
-                    dt = min(dt, config.dt)
-                dt = min(dt, config.t_end - state.t)
-                lane.step(dt)
-                prev = state
-                state = solver.step(state, dt, safety=config.cfl_safety, limit=limit)
-                steps += 1
-                dt_used.append(dt)
-                if config.reform_every and steps % config.reform_every == 0:
-                    res = reformulation_residual(state, prev, dt, profile, params,
-                                                 terms=terms)
-                    gap = res.max_gap / (1.0 + res.orig_res)
-                    reform_gap = gap if reform_gap is None else max(reform_gap, gap)
-                    reform_checks += 1
-                if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
-                    sample(state, lane.fetch(steps))
-        except Exception:
-            # a twin failure at step `steps` or earlier would have ended a
-            # serial loop, which stepped the twin after the state, first
-            lane.fetch(steps)
-            raise
+    while state.t < config.t_end - 1e-12:
+        limit = solver.cfl_dt(state, 1.0)
+        dt = config.cfl_safety * limit
+        if config.dt is not None:
+            dt = min(dt, config.dt)
+        dt = min(dt, config.t_end - state.t)
+        prev = state
+        state = solver.step(state, dt, safety=config.cfl_safety, limit=limit)
+        steps += 1
+        dt_used.append(dt)
+        if config.reform_every and steps % config.reform_every == 0:
+            res = reformulation_residual(state, prev, dt, profile, params,
+                                         terms=terms)
+            gap = res.max_gap / (1.0 + res.orig_res)
+            reform_gap = gap if reform_gap is None else max(reform_gap, gap)
+            reform_checks += 1
+        if steps % config.output_every == 0 or state.t >= config.t_end - 1e-12:
+            sample(state)
 
     times = np.asarray(times)
     sups = np.asarray([s[0] for s in samples])
@@ -553,24 +563,22 @@ def run_sym_stability(profile: SteadyProfile, params: FluidParams,
                       config: SymRunConfig) -> RunResult:
     """Integrate a perturbed stationary wave and grade the relaxation run.
 
-    An unperturbed twin of the stationary wave is stepped alongside the
-    perturbed state with the same time steps, in a second process that the
-    run forks and reaps (see `_relax`; a twin failure is raised here as in a
-    serial loop and the child is killed), and the perturbation is measured
-    as the difference of the two trajectories.  Both converge to
-    the scheme's own attractor, so decay floors reflect the perturbation
+    The perturbation is measured against the scheme's own stationary state
+    (`SymSolver.equilibrium`), so decay floors reflect the perturbation
     dynamics rather than the O(h^2) gap between the collocation profile and
-    the stepper's equilibrium.  Passes when the sup-norm decays by the
+    the stepper's fixed point.  Passes when the sup-norm decays by the
     target factor with a nonincreasing envelope, the density corridor never
-    breaks, and the cumulative energy balance between the twins is
+    breaks, and the cumulative energy balance relative to the equilibrium is
     nonincreasing up to scheme tolerance.
     """
     solver = SymSolver(profile, params)
+    reference = solver.equilibrium()
     state = perturb_sym(profile, config.amplitude, config.support)
 
-    def measure(st, base):
-        return [float(np.max(np.hypot(st.rho - base.rho, st.u_rad - base.u_rad)))]
+    def measure(st):
+        return [float(np.max(np.hypot(st.rho - reference.rho_t,
+                                      st.u_rad - reference.u_t)))]
 
-    res, _ = _relax(solver, solver, state, config, measure,
+    res, _ = _relax(solver, state, reference, config, measure,
                     h_min=float(np.min(solver.dr)))
     return replace(res, passed=res.passed and res.envelope_ok)

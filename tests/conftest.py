@@ -1,4 +1,3 @@
-import os
 import time
 
 import numpy as np
@@ -7,19 +6,6 @@ import pytest
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady
 from outflow.evolve_axi import AxiRunConfig, run_axi_stability
 from outflow.evolve_sym import SymRunConfig, run_sym_stability
-
-
-@pytest.fixture(autouse=True)
-def no_child_outlives_the_test():
-    """A relaxation run forks a process for its twin; it must have been
-    reaped by the end of the test, on every path."""
-    yield
-    try:
-        pid, status = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail(f"a child process outlived the test (waitpid: pid {pid}, "
-                f"status {status})")
 
 
 @pytest.fixture(scope="session")

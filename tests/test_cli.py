@@ -123,6 +123,11 @@ def test_evolve_and_report_roundtrip(tmp_path):
                  "--run-dir", str(out)]) == EXIT_OK
     data = np.genfromtxt(rep_out / "energy_report.csv", delimiter=",", names=True)
     assert data["total_relative_energy"] >= 0.0
+    # report measures against the run's own reference, the scheme's equilibrium
+    run = np.genfromtxt(out / "energy_sym.csv", delimiter=",", names=True)
+    assert data["total_relative_energy"] == run["total_relative_energy"][-1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0.0 <= manifest["criteria"]["odd_even"] < 1e-3
     # the dump is not read back onto a grid it was not written on
     other = _write(tmp_path, (tmp_path / "run.conf").read_text().replace(
         "r_max = 30", "r_max = 20"), name="other.conf")
@@ -299,6 +304,9 @@ def test_a_grid_too_small_is_a_config_error(tmp_path, sub, text, key):
     ("output_every = 0\n", "output_every"),
     ("dt = 0.0\n", "dt"),
     ("dt = -0.001\n", "dt"),
+    ("t_end = 0.0\n", "t_end"),  # no step would be taken
+    ("t_end = -1.0\n", "t_end"),
+    ("t_end = nan\n", "t_end"),
 ])
 def test_a_run_value_the_run_cannot_use_is_a_config_error(tmp_path, text, key):
     """The run configuration's own rule rejects these before any run: exit 2."""

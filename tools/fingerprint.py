@@ -5,7 +5,8 @@
 CHECKOUT is the root of an outflow source tree (default: the one holding this
 script); its `src/` is imported, and `tests/mms_cases.py` for the manufactured
 forcing.  The artefacts are the `RunResult` fields of
-three relaxation runs, the arrays of one reformulation check per geometry,
+three relaxation runs, the scheme's equilibrium that the runs of each
+geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
 stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
@@ -109,6 +110,7 @@ def run_results() -> None:
     cfg = AxiRunConfig(t_end=0.5, output_every=100, reform_every=10)
     res = run_axi_stability(axi_profile, params, agrid, cfg)
     _emit_result("axi", res)
+    equilibrium_results(params, sym_profile, axi_profile, agrid)
     kernel_results(params, sym_profile, final["sym_cfl"], axi_profile, agrid,
                    res.final_state)
 
@@ -124,6 +126,22 @@ def run_results() -> None:
                                      params)
         for f in dataclasses.fields(res):
             print(f"{_digest(np.ravel(getattr(res, f.name)))}  {label}.{f.name}")
+
+
+def equilibrium_results(params, sym_profile, axi_profile, agrid) -> None:
+    """The scheme's own stationary state as each geometry's run takes it:
+    radial on the `sym_*` grid, lifted onto (r, theta) on the `axi` grids."""
+    from outflow.evolve_axi import AxiSolver
+    from outflow.evolve_sym import SymSolver
+
+    if not hasattr(SymSolver, "equilibrium"):
+        print("absent  equilibrium")
+        return
+    eq = SymSolver(sym_profile, params).equilibrium()
+    print(f"{_digest([eq.rho_t, eq.u_t])}  equilibrium/sym")
+    eq = SymSolver(axi_profile, params).equilibrium()
+    st = AxiSolver(axi_profile, params, agrid).state_of(eq.rho_t, eq.u_t)
+    print(f"{_digest([st.rho, st.u_r, st.u_theta])}  equilibrium/axi")
 
 
 def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
