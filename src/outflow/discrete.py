@@ -2,7 +2,10 @@
 
 Centered second-order stencils in the interior, one-sided second-order at
 the boundaries; the angular direction works on staggered cell centers and
-closes its stencils across the poles by parity reflection.
+closes its stencils across the poles by parity reflection.  No operator
+applies a radial stencil to the output of another, so the one-sided rows at
+the wall stay second order: the viscous operator of each geometry, `visc`,
+differentiates r^(n-1) w_r and the other radial factors once each.
 """
 
 from __future__ import annotations
@@ -126,11 +129,15 @@ class SymOps:
         return (a[0] * dw[0],)
 
     def visc(self, w, mu: float, lam: float, dw=None, div=None) -> tuple:
-        """(2 mu + lam) d_r(div w): for a radial field the vector Laplacian is
-        grad div, so this is mu lap w + (mu + lam) grad div w.  dw is not
-        needed; div may carry `div(w)`."""
-        d = self.div(w) if div is None else div
-        return ((2.0 * mu + lam) * self.d1(d),)
+        """mu lap w + (mu + lam) grad div w of a radial field, which is
+        (2 mu + lam) d_r(div w) = (2 mu + lam) (g'' - (n-1) g' / r) / r^(n-1)
+        with g = r^(n-1) w_r.  Each derivative of g is one stencil, so no
+        stencil differentiates another's output and the wall rows stay second
+        order.  dw and div are not used."""
+        n1 = self.dim_n - 1
+        g = self.r**n1 * w[0]
+        return ((2.0 * mu + lam) * (self.d2(g) - n1 * self.d1(g) / self.r)
+                / self.r**n1,)
 
     def grad_sq(self, f: np.ndarray) -> np.ndarray:
         """|grad f|^2 of a radial scalar."""
@@ -230,7 +237,7 @@ class AxiOps:
     def first_derivs(self, w):
         """(d_r w_r, d_theta w_r, d_r w_t, d_theta w_t) of w = w_r r_hat + w_t theta_hat.
 
-        `conv`, `vec_lap`, `visc` and `vec_grad_sq` take them as `dw`, so a
+        `conv`, `visc` and `vec_grad_sq` take them as `dw`, so a
         caller that applies several of them to one field differentiates it
         once.
         """
@@ -247,35 +254,35 @@ class AxiOps:
         c_t = a_r * dr_t + a_t * dt_t / r + a_t * w_r / r
         return c_r, c_t
 
-    def vec_lap(self, w, dw=None):
-        """Vector Laplacian of w = w_r r_hat + w_t theta_hat."""
+    def visc(self, w, mu: float, lam: float, dw=None, div=None):
+        """Viscous operator mu lap w + (mu + lam) grad div w, written as
+        (2 mu + lam) grad div w - mu curl curl w.
+
+        With g = r^2 w_r, a = d_theta(sin w_t) / sin and the azimuthal
+        vorticity om = d_r w_t + (w_t - d_theta w_r) / r, the radial row
+        differentiates g and a once each and the polar row takes d_r of
+        w_t and of d_theta w_r, so no radial stencil acts on another's output
+        and the wall rows stay second order.  On a theta-independent field om
+        and a vanish exactly: the polar row is 0 and the radial row is
+        `SymOps.visc` up to the rounding of the stencil sums.  dw may carry
+        `first_derivs(w)` and div `div(w)`.
+        """
         w_r, w_t = w
-        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w) if dw is None else dw
+        _, dt_r, dr_t, _ = self.first_derivs(w) if dw is None else dw
+        d = self.div(w) if div is None else div
         r = self.r_col
         s = self.sin[None, :]
-        cot = self.cot_row
-        l_r = (self.d2_r(w_r) + 2.0 * dr_r / r
-               + self.d2_theta(w_r, parity=1) / r**2
-               + cot * dt_r / r**2
-               - 2.0 * w_r / r**2
-               - 2.0 * dt_t / r**2
-               - 2.0 * cot * w_t / r**2)
-        l_t = (self.d2_r(w_t) + 2.0 * dr_t / r
-               + self.d2_theta(w_t, parity=-1) / r**2
-               + cot * dt_t / r**2
-               + 2.0 * dt_r / r**2
-               - w_t / (r * s) ** 2)
-        return l_r, l_t
-
-    def visc(self, w, mu: float, lam: float, dw=None, div=None):
-        """Viscous operator mu lap w + (mu + lam) grad div w.
-
-        dw may carry `first_derivs(w)` and div `div(w)`.
-        """
-        l_r, l_t = self.vec_lap(w, dw)
-        d = self.div(w) if div is None else div
-        return (mu * l_r + (mu + lam) * self.d_r(d),
-                mu * l_t + (mu + lam) * self.d_theta(d, parity=1) / self.r_col)
+        k = 2.0 * mu + lam
+        g = r**2 * w_r
+        a = self.d_theta(s * w_t, parity=1) / s
+        # sin(theta) om is even across the poles (odd times odd)
+        om = dr_t + (w_t - dt_r) / r
+        v_r = (k * ((self.d2_r(g) - 2.0 * self.d_r(g) / r) / r**2
+                    + (self.d_r(a) - a / r) / r)
+               - mu * self.d_theta(s * om, parity=1) / (r * s))
+        v_t = (k * self.d_theta(d, parity=1) / r
+               + mu * (r * self.d2_r(w_t) + 2.0 * dr_t - self.d_r(dt_r)) / r)
+        return v_r, v_t
 
     def grad_sq(self, f: np.ndarray) -> np.ndarray:
         """|grad f|^2 of an even scalar."""

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from .discrete import AxiOps, SymOps
 from .params import FluidParams, dpressure, pressure, q_coeff
-from .states import AxiState, SymState
+from .states import ops_for
 from .steady import SteadyProfile
 
 __all__ = [
@@ -137,15 +137,6 @@ class EnergyReport:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _ops_for(state, params: FluidParams):
-    """The discrete operators of the state's geometry, on its grids."""
-    if isinstance(state, SymState):
-        return SymOps(state.grid, params.dim_n)
-    if isinstance(state, AxiState):
-        return AxiOps(state.grid, state.agrid)
-    raise TypeError(f"unsupported state type {type(state)!r}")
-
-
 def _check_grids(grid, *others) -> None:
     """Raise ValueError unless every grid has the nodes of `grid`."""
     for other in others:
@@ -172,7 +163,7 @@ def relative_energy(state, profile: SteadyProfile, params: FluidParams,
     dt_fields may carry the instantaneous time derivatives {"rho_t", "u_t"
     [, "utheta_t"]} so the report can include the temporal norm pieces.
     """
-    ops = _ops_for(state, params)
+    ops = ops_for(state, params)
     _check_grids(state.grid, profile.grid)
     rt = ops.lift(profile.rho_t)
     phi = state.rho - rt
@@ -336,16 +327,15 @@ def reformulation_residual(state, state_prev, dt: float,
     stationary residual is carried explicitly on the linearised side because
     the discrete profile does not annihilate the discrete operator exactly.
     The momentum equations are compared in velocity form (divided by rho),
-    one row per velocity component; for radial fields the viscous operator
-    is (2 mu + lam) d_r(div).  `terms` are the stationary terms from
-    `reformulation_terms`; without them they are built here, on `ops` or on
-    operators of the state's grid.
+    one row per velocity component, with the viscous term of `ops.visc`.
+    `terms` are the stationary terms from `reformulation_terms`; without
+    them they are built here, on `ops` or on operators of the state's grid.
     """
     if not density_corridor(state, params):
         raise ValueError("density outside the a-priori corridor")
     if terms is None:
         terms = reformulation_terms(
-            profile, params, _ops_for(state, params) if ops is None else ops)
+            profile, params, ops_for(state, params) if ops is None else ops)
     elif (terms.profile is not profile or terms.params != params
           or (ops is not None and ops is not terms.ops)):
         raise ValueError("the reformulation terms were built for another "

@@ -35,7 +35,6 @@ __all__ = [
     "AxiSolver",
     "run_axi_stability",
     "legendre_amplitudes",
-    "viscous_formula_selfcheck",
 ]
 
 
@@ -99,7 +98,6 @@ class AxiSolver(RadialScheme):
         face_w = np.zeros(r.shape)
         face_w[:, :-1] = np.sin(agrid.nodes)[1:-1] * 0.5
         self.theta_face_w = face_w.ravel()[:-1]
-        viscous_formula_selfcheck()
 
     # -- angular flux divergence: (1/(r sin)) d_theta(sin q u_theta) ---------
     def _theta_flux_div(self, q: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
@@ -206,93 +204,6 @@ class AxiSolver(RadialScheme):
         interior = float(np.sum((self.dual_vol * rho_t[1:-1]) * w_ang[None, :]))
         boundary = float(np.sum((flux[0] - flux[-1]) * w_ang))
         return interior, boundary
-
-
-# ---------------------------------------------------------------------------
-# continuum-formula self-check of the viscous operator components
-
-_SELFCHECK_DONE = False
-
-
-def viscous_formula_selfcheck(tol: float = 1e-5):
-    """Compare the spherical-component viscous formulas with Cartesian FD.
-
-    Evaluates mu lap u + (mu+lam) grad div u for a smooth axisymmetric field
-    both by the component formulas the solver discretises and by Cartesian
-    finite differences of the extension; a curvature-term sign error would
-    show up far above the gate.  Runs once per process.
-    """
-    global _SELFCHECK_DONE
-    if _SELFCHECK_DONE:
-        return
-    from .sphops import cart_grad_div, cart_vec_lap, to_spherical, unit_vectors
-
-    def ur_fn(r, th):
-        return np.exp(1.0 - r) * (1.0 + 0.3 * np.cos(th))
-
-    def ut_fn(r, th):
-        return np.exp(1.0 - r) * 0.4 * np.sin(th) * np.cos(th)
-
-    def field(x):
-        r, th, _ = to_spherical(x, "V")
-        rhat, that, _ = unit_vectors(x, "V", guard=False)
-        return ur_fn(r, th)[..., None] * rhat + ut_fn(r, th)[..., None] * that
-
-    rng = np.random.default_rng(7)
-    rr = rng.uniform(1.3, 3.0, 6)
-    th = rng.uniform(0.6, 2.5, 6)
-    ph = rng.uniform(0, 2 * np.pi, 6)
-    from .sphops import from_spherical
-
-    pts = from_spherical(rr, th, ph, "V")
-    rhat, that, _ = unit_vectors(pts, "V")
-
-    h = 1e-4
-    def d(f, i, j, rv, tv):  # mixed FD in (r, theta) of a profile function
-        if (i, j) == (1, 0):
-            return (f(rv + h, tv) - f(rv - h, tv)) / (2 * h)
-        if (i, j) == (0, 1):
-            return (f(rv, tv + h) - f(rv, tv - h)) / (2 * h)
-        if (i, j) == (2, 0):
-            return (f(rv + h, tv) - 2 * f(rv, tv) + f(rv - h, tv)) / h**2
-        if (i, j) == (0, 2):
-            return (f(rv, tv + h) - 2 * f(rv, tv) + f(rv, tv - h)) / h**2
-        return (f(rv + h, tv + h) - f(rv + h, tv - h)
-                - f(rv - h, tv + h) + f(rv - h, tv - h)) / (4 * h**2)
-
-    s, c = np.sin(th), np.cos(th)
-    ur, ut = ur_fn(rr, th), ut_fn(rr, th)
-
-    def lap(f):
-        return (d(f, 2, 0, rr, th) + 2 / rr * d(f, 1, 0, rr, th)
-                + d(f, 0, 2, rr, th) / rr**2
-                + (c / s) * d(f, 0, 1, rr, th) / rr**2)
-
-    lap_r = lap(ur_fn) - 2 * ur / rr**2 - 2 * d(ut_fn, 0, 1, rr, th) / rr**2 \
-        - 2 * (c / s) * ut / rr**2
-    lap_t = lap(ut_fn) + 2 * d(ur_fn, 0, 1, rr, th) / rr**2 - ut / (rr * s) ** 2
-    ddiv_r = (d(ur_fn, 2, 0, rr, th) + 2 * d(ur_fn, 1, 0, rr, th) / rr
-              - 2 * ur / rr**2 + d(ut_fn, 1, 1, rr, th) / rr
-              - d(ut_fn, 0, 1, rr, th) / rr**2
-              + (c / s) * (d(ut_fn, 1, 0, rr, th) / rr - ut / rr**2))
-    ddiv_t = (d(ur_fn, 1, 1, rr, th) + 2 * d(ur_fn, 0, 1, rr, th) / rr
-              + d(ut_fn, 0, 2, rr, th) / rr
-              + (c / s) * d(ut_fn, 0, 1, rr, th) / rr
-              - ut / (rr * s**2)) / rr
-
-    p_mu, p_lam = 1.0, 0.3
-    formula_r = p_mu * lap_r + (p_mu + p_lam) * ddiv_r
-    formula_t = p_mu * lap_t + (p_mu + p_lam) * ddiv_t
-
-    cart = p_mu * cart_vec_lap(field, pts) + (p_mu + p_lam) * cart_grad_div(field, pts)
-    got_r = np.sum(cart * rhat, axis=-1)
-    got_t = np.sum(cart * that, axis=-1)
-    err = max(np.max(np.abs(got_r - formula_r)), np.max(np.abs(got_t - formula_t)))
-    if err > tol:
-        raise AssertionError(
-            f"viscous component formulas disagree with the Cartesian oracle: {err:.3e}"
-        )
-    _SELFCHECK_DONE = True
 
 
 def run_axi_stability(profile: SteadyProfile, params: FluidParams,

@@ -94,9 +94,12 @@ class SymRunConfig:
 
 
 def odd_even_content(rho: np.ndarray) -> float:
-    """Amplitude of the grid-scale (odd-even) density mode along r:
-    half of max |rho_i - (rho_{i-1} + rho_{i+1}) / 2|."""
-    return 0.5 * float(np.max(np.abs(rho[1:-1] - 0.5 * (rho[:-2] + rho[2:]))))
+    """Amplitude of the grid-scale (odd-even) density mode along r: the
+    fourth difference max |rho_{i-2} - 4 rho_{i-1} + 6 rho_i - 4 rho_{i+1}
+    + rho_{i+2}| / 16, which is 1 on a pure (-1)^i mode and O(h^4) on
+    smooth data."""
+    d4 = rho[:-4] - 4.0 * rho[1:-3] + 6.0 * rho[2:-2] - 4.0 * rho[3:-1] + rho[4:]
+    return float(np.max(np.abs(d4))) / 16.0
 
 
 class RadialScheme:

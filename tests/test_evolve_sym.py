@@ -218,7 +218,7 @@ def test_amplitude_sweep(acc_params):
 
 
 def test_truncation_radius_insensitivity(acc_params):
-    """Dirichlet-to-profile far field: R and 2R runs agree where they overlap.
+    """Characteristic far row: R and 2R runs agree where they overlap.
 
     The grids share nodes exactly (h = 0.125 divides both spans), so the
     comparison isolates the truncation boundary; the horizon is long enough
