@@ -77,12 +77,13 @@ def _stencil_table(x: np.ndarray, width: int, order: int):
 class _Deriv:
     def __init__(self, x: np.ndarray, width: int, order: int):
         self.idx, self.wts = _stencil_table(x, width, order)
+        self.cols = list(zip(self.wts.T.copy(), self.idx.T.copy()))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        g = f[self.idx]  # (n, width[, trailing])
-        if g.ndim == 2:
-            return np.einsum("ik,ik->i", self.wts, g)
-        return np.einsum("ik,ikj->ij", self.wts, g)
+        if f.ndim == 1:  # w0 f[i0] + w1 f[i1] + ..., as the einsum sums a column
+            (w, i), *rest = self.cols
+            return sum((wk * f[ik] for wk, ik in rest), w * f[i])
+        return np.einsum("ik,ikj->ij", self.wts, f[self.idx])
 
 
 class SymOps:

@@ -1,19 +1,21 @@
 """Axisymmetric (r, theta) integration of the outflow system.
 
-The non-spherical solver shares the radial flux and viscous kernels, the
-wall row, the boundary conditions and the SSP step of the spherically
-symmetric one (`evolve_sym.RadialScheme`), so a theta-independent state
-reproduces that solver's steps to machine precision.  Angular stencils live on
-staggered cell centers and close over the poles by parity; angular advection
-uses sin(theta)-weighted edge fluxes, which both telescopes mass exactly and
-makes the pole faces carry zero flux.
+The non-spherical solver shares the radial flux kernels, the radial viscous
+matrix K, the wall row, the boundary conditions and the SSP step of the
+spherically symmetric one (`evolve_sym.RadialScheme`): on a theta-independent
+state it reproduces that solver's rates bit for bit and its steps to round-off.
+Angular stencils live on staggered cell centers and close over the poles by
+parity; angular advection uses sin(theta)-weighted edge fluxes, which both
+telescopes mass exactly and makes the pole faces carry zero flux.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
+from scipy import sparse
 from scipy.special import eval_legendre
 
 from .discrete import AxiOps
@@ -28,6 +30,7 @@ from .evolve_sym import (
     SymSolver,
     _relax,
     check_positive,
+    flux_rows,
 )
 
 __all__ = [
@@ -82,20 +85,13 @@ class AxiSolver(RadialScheme):
         self.agrid = agrid
         self.ops = ops = AxiOps(profile.grid, agrid)
         super().__init__(profile, params, forcing)
-        n_r = ops.r.size
-        r = self.r
-        s = self.sin = np.repeat(ops.sin[None, :], n_r, axis=0)
-        self.cot = np.repeat(ops.cot_row, n_r, axis=0)
-        self.r_sin = r * s
-        self.r2_sin = self.r2 * s
-        self.r_sin_sq = self.r_sin**2
-        self.r_sin_dtheta = self.r_sin * agrid.dtheta
-        self.dface_r2 = self.dface * self.r2[1:-1]
-        self.h_cell = np.minimum(self.h, r * agrid.dtheta)
+        self.r_sin_dtheta = self.r * ops.sin * agrid.dtheta
+        self.V = self._viscous_operator()
+        self.h_cell = np.minimum(self.h, self.r * agrid.dtheta)
         self.h_cell2 = self.h_cell**2
         # theta face weights sin(theta_face) / 2 over the raveled pairs
         # (k, k + 1); the last pair of each row straddles two rows and weighs 0
-        face_w = np.zeros(r.shape)
+        face_w = np.zeros(self.r.shape)
         face_w[:, :-1] = np.sin(agrid.nodes)[1:-1] * 0.5
         self.theta_face_w = face_w.ravel()[:-1]
 
@@ -112,64 +108,83 @@ class AxiSolver(RadialScheme):
         flux[::self.agrid.n_cells] = 0.0
         return (flux[1:] - flux[:-1]).reshape(q.shape) / self.r_sin_dtheta
 
-    def _lap_radial(self, f: np.ndarray) -> np.ndarray:
-        """(1/r^2) d_r(r^2 d_r f) with face-centered first derivatives."""
-        g_face = self.rf2 * (f[1:] - f[:-1]) / self.dr
-        out = np.zeros_like(f)
-        out[1:-1] = (g_face[1:] - g_face[:-1]) / self.dface_r2
-        return out
+    def _viscous_operator(self):
+        """The viscous rows as one CSR matrix V on x = [u_r, u_theta, w], with
+        w = `ops.d_theta(u_r, parity=1)` and a = d_theta(sin u_theta) / (r sin):
+          radial: K u_r + mu (d_theta(sin w) / sin - 2 d_theta u_theta
+                  - 2 cot u_theta) / r^2 + (mu + lam) d_r a,
+          polar:  mu (L u_theta + (d_theta(sin d_theta u_theta) / sin - u_theta / sin^2
+                  + 2 w) / r^2) + (mu + lam) (d_theta a + d_r(r^2 w) / r^2) / r,
+        L the flux-form (1/r^2) d_r(r^2 d_r), the other d_r collocation stencils.
+        w is exactly 0 on theta-independent data, so there the polar rows sum
+        zeros and the radial rows sum K's entries in K's order.  The wall rows
+        and the far polar row are empty; the far radial row is the source of
+        `far_rates`.  On [u_r, u_theta] V is [V_0 + V_2 D, V_1], D the d_theta matrix.
+        """
+        ops, mu, mu_lam = self.ops, self.params.mu, self.params.mu + self.params.lam
+        r, s, n_t = ops.r, ops.sin, ops.theta.size
+        diag, eye_t = sparse.diags_array, sparse.eye_array(n_t)
+        kron = partial(sparse.kron, format="csr")  # CSR terms, int32 indices: least memory
+
+        def d_theta(parity):  # the pole rows reflect f with the parity
+            ends = np.r_[-parity, np.zeros(n_t - 2), parity]
+            return diag([-1.0, ends, 1.0], offsets=[-1, 0, 1], shape=(n_t, n_t)) / (2.0 * ops.dtheta)
+        dp, dm = d_theta(1), d_theta(-1)
+        div_t = diag(1.0 / s) @ dp @ diag(s)  # d_theta(sin f) / sin
+        d_r = sparse.csr_array((ops.d_r.wts.ravel(),
+                                (np.repeat(np.arange(r.size), 3), ops.d_r.idx.ravel())))
+        # each term is radial (x) angular; the radial factors zero the dropped rows
+        wall = np.r_[0.0, np.ones(r.size - 1)]
+        rad_w, pol_w = wall / r**2, np.r_[wall[:-1], 0.0] / r**2
+        lap_r = diag(1.0 / r**2) @ flux_rows(r, (0.5 * (r[:-1] + r[1:])) ** 2)
+        rad = [kron(self.K, eye_t),
+               kron(diag(-2.0 * mu * rad_w), dm + diag(ops.cot_row[0]))
+               + kron(mu_lam * diag(wall) @ d_r @ diag(1.0 / r), div_t),
+               kron(diag(mu * rad_w), div_t)]
+        polar = [sparse.csr_array(rad[0].shape),
+                 kron(mu * lap_r, eye_t)
+                 + kron(diag(pol_w), mu * (diag(1.0 / s) @ dm @ diag(s) @ dm
+                                           - diag(1.0 / s**2)) + mu_lam * dp @ div_t),
+                 kron(diag(pol_w) @ (2.0 * mu * sparse.eye_array(r.size)
+                                     + mu_lam * diag(1.0 / r) @ d_r @ diag(r**2)), eye_t)]
+        v = sparse.vstack([sparse.hstack(rad, format="csr"),
+                           sparse.hstack(polar, format="csr")], format="csr")
+        v.indices, v.indptr = v.indices.astype(np.int32), v.indptr.astype(np.int32)
+        return v
 
     def rhs(self, state: AxiState, checked: bool = False):
         """(rho_t, mr_t, mt_t).  The wall momentum rows and the far polar row
         are zeroed for BC application; the far density and radial momentum
-        rows are `far_rates`, with the angular viscous terms as a source.
+        rows are `far_rates`, with the far radial row of `V` as a source.
 
         checked=True skips the positivity scan of a density that the caller
         has already scanned (the stages of `step` do).
         """
-        p = self.params
-        ops = self.ops
-        r, r2, s = self.r, self.r2, self.sin
+        ops, r = self.ops, self.r
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
         if not checked:
             check_positive(rho, state.t)
         m_r = rho * u_r
         m_t = rho * u_t
 
-        prs = pressure_unchecked(rho, p)
+        prs = pressure_unchecked(rho, self.params)
         rho_t, _, grad = self.continuity(m_r, prs)
         rho_t -= self._theta_flux_div(rho, u_t)
-
-        div_ang = ops.d_theta(s * u_t, parity=1) / self.r_sin
-        div_u = ops.d_r(r2 * u_r) / r2 + div_ang
-        dth_ur = ops.d_theta(u_r, parity=1)
-        dth_ut = ops.d_theta(u_t, parity=-1)
-
-        # radial momentum; visc_ang holds the angular viscous terms
+        x = np.concatenate((u_r, u_t, ops.d_theta(u_r, parity=1)), axis=None)
+        visc_r, visc_t = (self.V @ x).reshape((2,) + r.shape)
         mr_t = self.advect(m_r * u_r)
         mr_t -= self._theta_flux_div(m_r, u_t)
         mr_t += rho * u_t**2 / r
         mr_t[1:-1] -= grad
-        self.add_radial_visc(u_r, mr_t)
-        visc_ang = p.mu * (ops.d_theta(s * dth_ur, parity=1) / self.r2_sin
-                           - 2.0 * dth_ut / r2
-                           - 2.0 * self.cot * u_t / r2)
-        visc_ang += (p.mu + p.lam) * ops.d_r(div_ang)
-        mr_t += visc_ang
+        mr_t += visc_r
 
-        # polar momentum
         mt_t = self.advect(m_t * u_r)
         mt_t -= self._theta_flux_div(m_t, u_t)
         mt_t -= rho * u_r * u_t / r
         mt_t -= ops.d_theta(prs, parity=1) / r
-        visc_t = p.mu * (self._lap_radial(u_t)
-                         + ops.d_theta(s * dth_ut, parity=-1) / self.r2_sin
-                         + 2.0 * dth_ur / r2
-                         - u_t / self.r_sin_sq)
-        visc_t += (p.mu + p.lam) * ops.d_theta(div_u, parity=1) / r
         mt_t += visc_t
 
-        s_rho, s_m = 0.0, visc_ang[-1]
+        s_rho, s_m = 0.0, visc_r[-1]
         if self.forcing is not None:
             s_rho, s_mr, s_mt = self.forcing(state.t, ops.r, ops.theta)
             rho_t = rho_t + s_rho

@@ -3,8 +3,8 @@
 Finite-volume mass/momentum update on the radial nodes: interface fluxes on
 the dual mesh give exact discrete mass telescoping, the continuity flux
 carries the Rhie-Chow correction (Rhie & Chow 1983, AIAA J. 21) that couples
-the odd and even density nodes, the viscous term uses the (r^2 u)_r / r^2
-face form, and time stepping is a two-stage strong-stability-preserving
+the odd and even density nodes, the viscous rows are one sparse matrix of
+the (r^2 u)_r / r^2 face form, and time stepping is a two-stage SSP
 scheme.  The wall node evolves the density by one-sided into-domain stencils
 (an outflow wall needs no density condition) while the velocity is pinned to
 u_b; at the truncation node the outgoing Riemann invariant follows its own
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import solve_banded
 
 from .discrete import SymOps, fornberg_weights
@@ -93,6 +94,17 @@ class SymRunConfig:
             raise ValueError(f"reform_every must be at least 0, got {self.reform_every}")
 
 
+def flux_rows(r: np.ndarray, w: np.ndarray):
+    """Sparse (N, N) finite-volume d_r(w d_r f) on the nodes r, w given on the
+    faces and the outer difference over the dual cells; no end-row entries."""
+    n, dr = r.size, np.diff(r)
+    inv = 1.0 / np.diff(0.5 * (r[:-1] + r[1:]))  # 1 / dual-cell width
+    grad = sparse.diags_array([-1.0 / dr, 1.0 / dr], offsets=[0, 1], shape=(n - 1, n))
+    div = sparse.diags_array([np.append(-inv, 0.0), np.append(0.0, inv)],
+                             offsets=[-1, 0], shape=(n, n - 1))
+    return div @ sparse.diags_array(w) @ grad
+
+
 def odd_even_content(rho: np.ndarray) -> float:
     """Amplitude of the grid-scale (odd-even) density mode along r: the
     fourth difference max |rho_{i-2} - 4 rho_{i-1} + 6 rho_i - 4 rho_{i+1}
@@ -104,11 +116,11 @@ def odd_even_content(rho: np.ndarray) -> float:
 
 class RadialScheme:
     """What both explicit solvers share: the profile, the fluid, the radial
-    finite-volume grid constants, the continuity row, the boundary rows and
-    conditions and the two-stage SSP step.
+    finite-volume grid constants, the radial viscous rows K, the continuity
+    row, the boundary rows and conditions and the two-stage SSP step.
 
-    Each grid constant is built once, from the expression the right-hand side
-    would otherwise evaluate on every call.  It is stored in the state's
+    K is a sparse (N, N) matrix; each other grid constant is built once, from
+    the expression the right-hand side would evaluate per call, in the state's
     shape, lifted along the state's trailing axes by `self.ops.lift`, so a
     subclass sets `ops` before calling this constructor.  `r` and `dr`, the
     radial nodes and intervals, are lifted too; `ops.r` keeps the nodes
@@ -124,8 +136,8 @@ class RadialScheme:
         self.params = params
         self.forcing = forcing
         self.visc = 2.0 * params.mu + params.lam
-        far = float(profile.rho_t[-1]), float(profile.u_t[-1])
-        self.bc_far = lambda t: far
+        far_state = float(profile.rho_t[-1]), float(profile.u_t[-1])
+        self.bc_far = lambda t: far_state
         lift = self.ops.lift
         r = profile.grid.nodes
         dr = np.diff(r)
@@ -133,15 +145,10 @@ class RadialScheme:
         self.dr = lift(dr)
         r_face = 0.5 * (r[:-1] + r[1:])
         edges = np.concatenate([[r[0]], r_face, [r[-1]]])
-        dface = np.diff(edges)[1:-1]
         self.dual_vol = lift((edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0)
-        self.dface = lift(dface)
-        self.dface_visc = lift(dface / self.visc)
         rf2 = r_face**2
         self.r2 = lift(r**2)
-        self.rf2 = lift(rf2)
         self.face_w = lift(rf2 * 0.5)
-        self.dr_rf2 = lift(dr * rf2)
         self.dr_pair = lift(r[2:] - r[:-2])  # centred pressure gradient
         # Rhie-Chow weights r_f^2 d_f / dr_f and r_f^2 d_f / 2 on faces
         # 1..M-2, with d_f = beta dr_f / c_f from the profile's sound speed
@@ -158,15 +165,20 @@ class RadialScheme:
         self.wall_w = (-(h1 + h2) / (h1 * h2), h2 / (h1 * (h2 - h1)),
                        -h1 / (h2 * (h2 - h1)))
         self.wall_r2 = r[0] ** 2
-        # the truncation row's third-order one-sided stencils, as floats:
-        # d_r on the last 4 nodes, (2 mu + lam)(d_rr + (2/r) d_r - 2/r^2) on 5
+        # the truncation row's third-order one-sided stencils: d_r on the last
+        # 4 nodes, as floats, and (2 mu + lam)(d_rr + (2/r) d_r - 2/r^2) on 5
         d1 = fornberg_weights(r[-1], r[-4:], 1)[1]
         visc_w = fornberg_weights(r[-1], r[-5:], 2)[2]
         visc_w[1:] += 2.0 / r[-1] * d1
         visc_w[-1] -= 2.0 / r[-1] ** 2
         self.far_d1 = tuple(d1.tolist())
-        self.far_visc = tuple((self.visc * visc_w).tolist())
         self.far_2_r = 2.0 / float(r[-1])
+        # K, the radial viscous rows: (2 mu + lam) d_r[(r^2 u)_r / r^2] in flux
+        # form inside, the one-sided stencil at the truncation node (part of
+        # s_m in `far_rates`) and nothing at the wall
+        n = r.size
+        far = sparse.csr_array((self.visc * visc_w, ([n - 1] * 5, range(n - 5, n))), (n, n))
+        self.K = (self.visc * flux_rows(r, 1.0 / rf2) @ sparse.diags_array(r**2) + far).tocsr()
         # c = c_coeff rho^c_exp; the Riemann invariants are u -+ inv_a rho^c_exp
         # = u -+ 2c/(gamma-1), or u -+ inv_a log(rho) at gamma = 1
         self.c_coeff = float(np.sqrt(params.gamma * params.k_pressure))
@@ -185,13 +197,6 @@ class RadialScheme:
     def advect(self, g: np.ndarray) -> np.ndarray:
         """`_flux_div` of the face fluxes r_f^2 (g_i + g_{i+1}) / 2."""
         return self._flux_div(self.face_w * (g[:-1] + g[1:]))
-
-    def add_radial_visc(self, u: np.ndarray, out: np.ndarray) -> None:
-        """Add (2 mu + lam) d_r[(r^2 u)_r / r^2] to the interior nodes of
-        out, the inner derivative taken on the faces."""
-        r2u = self.r2 * u
-        w = (r2u[1:] - r2u[:-1]) / self.dr_rf2
-        out[1:-1] += (w[1:] - w[:-1]) / self.dface_visc
 
     def continuity(self, m: np.ndarray, prs: np.ndarray):
         """(rho_t, face fluxes, G) of the radial continuity row.
@@ -223,27 +228,25 @@ class RadialScheme:
         return f[-k:]
 
     def far_rates(self, rho, u, s_rho=0.0, s_m=0.0):
-        """(rho_t, m_t) at the truncation node from the last five rows.
+        """(rho_t, m_t) at the truncation node from the last four rows.
 
         The outgoing invariant w+ = u + 2c/(gamma-1) advances by
-        w+_t = -(u + c) d_r w+ - 2cu/r + (V + s_m - u s_rho + c s_rho)/rho,
-        V = (2 mu + lam)(u_rr + 2u_r/r - 2u/r^2), and the incoming one
-        w- = u - 2c/(gamma-1) is held (`apply_bc` imposes its value), so
-        rho_t = rho w+_t / (2c) and u_t = w+_t / 2.  Plain arithmetic on
-        `_rows`: floats for the spherical solver and (n_theta,) arrays for
-        the axisymmetric one, which passes its angular terms in s_m.
+        w+_t = -(u + c) d_r w+ - 2cu/r + (s_m - u s_rho + c s_rho)/rho, s_m
+        the momentum source plus the solver's viscous row there, and the
+        incoming one w- = u - 2c/(gamma-1) is held (`apply_bc` imposes its
+        value), so rho_t = rho w+_t / (2c) and u_t = w+_t / 2.  Plain
+        arithmetic on `_rows`: floats for the spherical solver and
+        (n_theta,) arrays for the axisymmetric one.
         """
-        rho, u = self._rows(rho, 5), self._rows(u, 5)
+        rho, u = self._rows(rho, 4), self._rows(u, 4)
         a0, a1, a2, a3 = self.far_d1
-        e0, e1, e2, e3, e4 = self.far_visc
-        rho_n, u_n = rho[4], u[4]
+        rho_n, u_n = rho[3], u[3]
         c = self.c_coeff * rho_n ** self.c_exp
-        u_r = a0 * u[1] + a1 * u[2] + a2 * u[3] + a3 * u_n
-        rho_r = a0 * rho[1] + a1 * rho[2] + a2 * rho[3] + a3 * rho_n
-        visc = e0 * u[0] + e1 * u[1] + e2 * u[2] + e3 * u[3] + e4 * u_n
+        u_r = a0 * u[0] + a1 * u[1] + a2 * u[2] + a3 * u_n
+        rho_r = a0 * rho[0] + a1 * rho[1] + a2 * rho[2] + a3 * rho_n
         speed = u_n + c
         w_t = (-speed * (u_r + c * rho_r / rho_n) - self.far_2_r * c * u_n
-               + (visc + s_m + (c - u_n) * s_rho) / rho_n)
+               + (s_m + (c - u_n) * s_rho) / rho_n)
         rho_t = 0.5 * rho_n * w_t / c
         return rho_t, rho_t * speed  # m_t = rho u_t + u rho_t
 
@@ -339,13 +342,14 @@ class SymSolver(RadialScheme):
 
         m_t = self.advect(m * u)
         m_t[1:-1] -= grad
-        self.add_radial_visc(u, m_t)
-        s_rho = s_m = 0.0
+        visc = self.K @ u
+        m_t += visc
+        s_rho, s_m = 0.0, float(visc[-1])
         if self.forcing is not None:
-            s_rho, s_m = self.forcing(state.t, self.r)
-            rho_t = rho_t + s_rho
-            m_t = m_t + s_m
-            s_rho, s_m = s_rho[-1], s_m[-1]
+            f_rho, f_m = self.forcing(state.t, self.r)
+            rho_t = rho_t + f_rho
+            m_t = m_t + f_m
+            s_rho, s_m = f_rho[-1], s_m + f_m[-1]
         m_t[0] = 0.0
         rho_t[-1], m_t[-1] = self.far_rates(rho, u, s_rho, s_m)
         return rho_t, m_t

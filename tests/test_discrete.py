@@ -5,6 +5,7 @@ import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,23 @@ def test_axi_ops_on_a_lifted_radial_field_reduce_to_sym_ops(a, k, b):
                 assert gap <= 1e-9 * np.max(np.abs(sy)), name
     coarse, fine = gaps
     assert fine * 3.0 <= coarse
+
+
+@pytest.mark.parametrize("grid", [RadialGrid.uniform(20.0, 127),
+                                  RadialGrid.uniform(100.0, 1023),
+                                  RadialGrid.geometric(200.0, 2048)],
+                         ids=["128", "1024", "2049-geometric"])
+def test_sym_derivatives_equal_every_column_of_the_axi_ones_bit_for_bit(grid):
+    """SymOps.d1 and d2 sum a stencil left to right, as the AxiOps
+    stencils do per column, so the lift of a radial field gives each column
+    of d_r and d2_r the radial result bit for bit."""
+    sym, axi = SymOps(grid, 3), AxiOps(grid, AngularGrid(n_cells=8))
+    f = np.random.default_rng(0).standard_normal(grid.nodes.size) * np.exp(grid.nodes / 7.0)
+    lifted = axi.lift(f)
+    for d_sym, d_axi in ((sym.d1, axi.d_r), (sym.d2, axi.d2_r)):
+        want = d_sym(f)
+        got = d_axi(lifted)
+        assert all(np.array_equal(got[:, j], want) for j in range(8))
 
 
 def _padded_d_theta(f, parity, dtheta):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import sympy as sp
 from mms_cases import manufactured_sym, mms_error
 
-from outflow import RadialGrid, solve_steady
+from outflow import FluidParams, RadialGrid, solve_steady
 from outflow.evolve_sym import (
     CFLViolation,
     PositivityLoss,
@@ -12,6 +13,29 @@ from outflow.evolve_sym import (
     run_sym_stability,
 )
 from outflow.states import SymState, perturb_sym
+
+
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+def test_viscous_rows_converge_to_the_closed_form_at_second_order(kind):
+    """K u against (2 mu + lam) d_r[(r^2 u)_r / r^2] in closed form on r in
+    [1, 5]: order >= 1.8 per halving over the interior rows and on the
+    truncation row; the wall row holds no entry."""
+    params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=0.3,
+                         rho_plus=1.0, u_b=-0.05, dim_n=3)
+    r = sp.symbols("r", positive=True)
+    u_s = sp.exp(1 - r) * (1 + r / 4) + sp.Rational(1, 10) / r**2
+    want_s = (2 * params.mu + params.lam) * sp.diff(sp.diff(r**2 * u_s, r) / r**2, r)
+    u_fn, want_fn = sp.lambdify(r, u_s), sp.lambdify(r, want_s)
+    errs = []
+    for m in (64, 128, 256):
+        grid = getattr(RadialGrid, kind)(5.0, m)
+        K = SymSolver(solve_steady(params, grid, tol=1e-8), params).K
+        assert K.indptr[1] == 0
+        err = np.abs(K @ u_fn(grid.nodes) - want_fn(grid.nodes))
+        errs.append([np.max(err[1:-1]), err[-1]])
+    errs = np.array(errs)
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 1.8), orders
 
 
 def test_rhs_vanishes_on_uniform_rest_state(acc_params):

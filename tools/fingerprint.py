@@ -1,6 +1,7 @@
 """Print one SHA-256 per artefact of a fixed set of small outflow runs.
 
-    python tools/fingerprint.py [CHECKOUT]
+    python tools/fingerprint.py [CHECKOUT] [--save DIR]
+    python tools/fingerprint.py --drift BEFORE AFTER
 
 CHECKOUT is the root of an outflow source tree (default: the one holding this
 script); its `src/` is imported, and `tests/mms_cases.py` for the manufactured
@@ -16,15 +17,23 @@ and every CSV and text file that the CLI writes for
 `verify-ops --seed 7` and `verify-energy`, plus each subcommand's exit code.
 A change meant to keep the numbers bitwise is checked by running this on both
 trees and diffing the output.  It runs in about fifteen seconds on two cores.
+
+With `--save DIR` each line's numbers (the arrays and scalars it hashes, in
+hashing order, or the numbers written in a file) also go to
+`DIR/<line label>.npy`.  A change that must move bits saves both trees and
+runs `--drift` on the two directories, which names every line whose numbers
+differ with its largest absolute and relative drift.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -81,9 +90,73 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+SAVE_DIR = None  # set by --save: where each line's numbers are written
+
+
+def _numbers(obj) -> list:
+    """The numbers that `_feed` hashes, in its order, as float64 arrays."""
+    if isinstance(obj, np.ndarray):
+        return [np.ravel(obj).astype(np.float64)]
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return [np.array([float(obj)])]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _numbers(item)]
+    if isinstance(obj, dict):
+        return [a for key in sorted(obj) for a in _numbers(obj[key])]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _numbers(getattr(obj, f.name))]
+    return []  # strings and None carry no numbers
+
+
+def _save(label: str, parts: list) -> None:
+    path = os.path.join(SAVE_DIR, label + ".npy")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    np.save(path, np.concatenate(parts) if parts else np.zeros(0))
+
+
+def _emit(label: str, obj) -> None:
+    """Print the digest line of obj and, under --save, write its numbers."""
+    print(f"{_digest(obj)}  {label}")
+    if SAVE_DIR is not None:
+        _save(label, _numbers(obj))
+
+
+def _emit_file(label: str, path: str) -> None:
+    """Print the digest line of a file and, under --save, write every number
+    written in it, in order."""
+    print(f"{_file_digest(path)}  {label}")
+    if SAVE_DIR is not None:
+        with open(path, encoding="utf-8") as fh:
+            nums = re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)",
+                              fh.read())
+        _save(label, [np.array(nums, dtype=float)])
+
+
+def drift(before: str, after: str) -> None:
+    """Print, for each line saved under both directories whose numbers
+    differ, the largest absolute difference and that difference relative to
+    the largest magnitude of the line's numbers in `before`."""
+    for root, _, names in sorted(os.walk(before)):
+        for name in sorted(names):
+            path_a = os.path.join(root, name)
+            label = os.path.relpath(path_a, before)[:-len(".npy")]
+            path_b = os.path.join(after, label + ".npy")
+            if not os.path.exists(path_b):
+                print(f"missing  {label}")
+                continue
+            a, b = np.load(path_a), np.load(path_b)
+            if a.shape != b.shape:
+                print(f"shape {a.shape} -> {b.shape}  {label}")
+            elif not np.array_equal(a, b, equal_nan=True):
+                diff = float(np.nanmax(np.abs(a - b)))
+                scale = float(np.nanmax(np.abs(a)))
+                rel = diff / scale if scale > 0.0 else float("inf")
+                print(f"abs {diff:.3e} rel {rel:.3e}  {label}")
+
+
 def _emit_result(label: str, res) -> None:
     for f in dataclasses.fields(res):
-        print(f"{_digest(getattr(res, f.name))}  {label}.{f.name}")
+        _emit(f"{label}.{f.name}", getattr(res, f.name))
 
 
 def run_results() -> None:
@@ -125,7 +198,7 @@ def run_results() -> None:
         res = reformulation_residual(solver.step(state, dt), state, dt, profile,
                                      params)
         for f in dataclasses.fields(res):
-            print(f"{_digest(np.ravel(getattr(res, f.name)))}  {label}.{f.name}")
+            _emit(f"{label}.{f.name}", np.ravel(getattr(res, f.name)))
 
 
 def equilibrium_results(params, sym_profile, axi_profile, agrid) -> None:
@@ -138,10 +211,10 @@ def equilibrium_results(params, sym_profile, axi_profile, agrid) -> None:
         print("absent  equilibrium")
         return
     eq = SymSolver(sym_profile, params).equilibrium()
-    print(f"{_digest([eq.rho_t, eq.u_t])}  equilibrium/sym")
+    _emit("equilibrium/sym", [eq.rho_t, eq.u_t])
     eq = SymSolver(axi_profile, params).equilibrium()
     st = AxiSolver(axi_profile, params, agrid).state_of(eq.rho_t, eq.u_t)
-    print(f"{_digest([st.rho, st.u_r, st.u_theta])}  equilibrium/axi")
+    _emit("equilibrium/axi", [st.rho, st.u_r, st.u_theta])
 
 
 def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
@@ -156,7 +229,7 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
 
     sym_rhs = SymSolver(sym_profile, params).rhs(sym_state)
     for name, arr in zip(("rho_t", "m_t"), sym_rhs):
-        print(f"{_digest(arr)}  kernel/sym_cfl/rhs.{name}")
+        _emit(f"kernel/sym_cfl/rhs.{name}", arr)
 
     fns = manufactured_axi(params, axi_profile.grid.r_max)
     rr, tt = np.meshgrid(axi_profile.r, agrid.centers, indexing="ij")
@@ -169,15 +242,15 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
                      ("rhs_mms", AxiSolver(axi_profile, params, agrid,
                                            forcing=forcing))):
         for name, arr in zip(("rho_t", "mr_t", "mt_t"), s.rhs(axi_state)):
-            print(f"{_digest(arr)}  kernel/axi/{label}.{name}")
+            _emit(f"kernel/axi/{label}.{name}", arr)
     ops = solver.ops
     for field in ("rho", "u_r", "u_theta"):
         f = getattr(axi_state, field)
         for parity in (1, -1):
             for stencil in ("d_theta", "d2_theta"):
                 arr = getattr(ops, stencil)(f, parity=parity)
-                print(f"{_digest(arr)}  kernel/axi/{stencil}.{field}.{parity:+d}")
-    print(f"{_digest(solver.mass_balance(axi_state))}  kernel/axi/mass_balance")
+                _emit(f"kernel/axi/{stencil}.{field}.{parity:+d}", arr)
+    _emit("kernel/axi/mass_balance", solver.mass_balance(axi_state))
 
 
 def _r(x):
@@ -204,7 +277,7 @@ def hardy_results() -> None:
     from outflow.opchecks import hardy_check
 
     for name, (u, vector) in HARDY_FIELDS.items():
-        print(f"{_digest(hardy_check(u, vector=vector))}  hardy/{name}")
+        _emit(f"hardy/{name}", hardy_check(u, vector=vector))
 
 
 def cli_outputs(work: str) -> None:
@@ -245,12 +318,24 @@ def cli_outputs(work: str) -> None:
         print(f"exit {code}  {label}")
         for name in sorted(os.listdir(out(label))):
             if name.endswith((".csv", ".txt")):
-                print(f"{_file_digest(os.path.join(out(label), name))}  {label}/{name}")
+                _emit_file(f"{label}/{name}", os.path.join(out(label), name))
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    global SAVE_DIR
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?",
+                        default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--save", metavar="DIR",
+                        help="write each line's numbers to DIR/<line label>.npy")
+    parser.add_argument("--drift", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two --save directories instead of running")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if args.drift:
+        drift(*args.drift)
+        return 0
+    SAVE_DIR = args.save and os.path.abspath(args.save)
+    root = args.checkout
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "tests"))  # mms_cases
     run_results()
