@@ -59,7 +59,9 @@ class Config:
     support_lo: float = 1.5
     support_hi: float = 3.0
     mode_ell: int = 1
-    output_every: int = 250
+    # about 0.5-1 time units at the advective step of the default grids, so a
+    # t = 200 run keeps hundreds of samples for the envelope gate
+    output_every: int = 15
     decay_target: float | None = None  # default chosen per subcommand
     seed: int = 0
 

@@ -1,12 +1,21 @@
 """Axisymmetric (r, theta) integration of the outflow system.
 
 The non-spherical solver shares the radial flux kernels, the radial viscous
-matrix K, the wall row, the boundary conditions and the SSP step of the
-spherically symmetric one (`evolve_sym.RadialScheme`): on a theta-independent
-state it reproduces that solver's rates bit for bit and its steps to round-off.
-Angular stencils live on staggered cell centers and close over the poles by
-parity; angular advection uses sin(theta)-weighted edge fluxes, which both
-telescopes mass exactly and makes the pole faces carry zero flux.
+matrix K, the wall row, the boundary conditions and the ARS(2,2,2) step of
+the spherically symmetric one (`evolve_sym.RadialScheme`): on a
+theta-independent state it reproduces that solver's rates and steps bit for
+bit.  Angular stencils live on staggered cell centers and close over the
+poles by parity; angular advection uses sin(theta)-weighted edge fluxes,
+which both telescopes mass exactly and makes the pole faces carry zero flux.
+
+The implicit viscous rows of each velocity component are its radial line
+operator plus its own ring operator, R_c (x) I + diag(g_c(r)) (x) L_c, with
+the mixed r-theta terms and the first-order u_r-u_theta ring couplings
+explicit.  A stage solves the radial lines with the radial solver's factor,
+then corrects by the ring part in the eigenbasis of L_c, where it is one
+tridiagonal system per angular mode.  The correction's right-hand side
+is L_c of the radial solution by stencils, exactly 0 on theta-independent
+data, so there the step is the radial one.
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.special import eval_legendre
 
 from .discrete import AxiOps
 from .grids import AngularGrid
-from .params import FluidParams, pressure_unchecked, sound_speed
+from .params import FluidParams, pressure_unchecked
 from .states import AxiState, perturb_axi
 from .steady import SteadyProfile
 from .evolve_sym import (
@@ -28,9 +38,10 @@ from .evolve_sym import (
     RunResult,
     SymRunConfig,
     SymSolver,
+    ViscousLine,
     _relax,
     check_positive,
-    flux_rows,
+    tridiagonal_solver,
 )
 
 __all__ = [
@@ -38,7 +49,15 @@ __all__ = [
     "AxiSolver",
     "run_axi_stability",
     "legendre_amplitudes",
+    "COUPLING_K",
 ]
+
+# the explicit mixed r-theta viscous terms, of weight mu + lam, are damped by
+# the implicit ones, of weight 2 mu + lam, while dt <= K rho dr r dtheta
+# (2 mu + lam) / (mu + lam)^2.  Power iteration on the linearised viscous
+# step puts the stability edge at K = 3.95 to 4.9 on 64 x 16 and 128 x 32
+# cells for lam / mu in {0, 1, 2, 5}.
+COUPLING_K = 3.5
 
 
 @dataclass
@@ -86,9 +105,12 @@ class AxiSolver(RadialScheme):
         self.ops = ops = AxiOps(profile.grid, agrid)
         super().__init__(profile, params, forcing)
         self.r_sin_dtheta = self.r * ops.sin * agrid.dtheta
-        self.V = self._viscous_operator()
+        self.visc_split = self._viscous_operator()
+        self._modes = None  # the rings' eigenbases, built at the first step
         self.h_cell = np.minimum(self.h, self.r * agrid.dtheta)
-        self.h_cell2 = self.h_cell**2
+        self.h_cfl2 = self.h_cell**2
+        mu_lam = params.mu + params.lam  # the coupling limit is couple_h2 x rho
+        self.couple_h2 = COUPLING_K * self.h * self.r * agrid.dtheta * self.visc / mu_lam**2
         # theta face weights sin(theta_face) / 2 over the raveled pairs
         # (k, k + 1); the last pair of each row straddles two rows and weighs 0
         face_w = np.zeros(self.r.shape)
@@ -109,17 +131,25 @@ class AxiSolver(RadialScheme):
         return (flux[1:] - flux[:-1]).reshape(q.shape) / self.r_sin_dtheta
 
     def _viscous_operator(self):
-        """The viscous rows as one CSR matrix V on x = [u_r, u_theta, w], with
-        w = `ops.d_theta(u_r, parity=1)` and a = d_theta(sin u_theta) / (r sin):
+        """The viscous rows as one CSR matrix [V_I, V_E] on [e, x], x = [u_r,
+        u_theta, w] with w = `ops.d_theta(u_r, parity=1)`, and e the same of
+        the remainder u - m / rho_ref.  V = V_I + V_E; with
+        a = d_theta(sin u_theta) / (r sin) it is
           radial: K u_r + mu (d_theta(sin w) / sin - 2 d_theta u_theta
                   - 2 cot u_theta) / r^2 + (mu + lam) d_r a,
           polar:  mu (L u_theta + (d_theta(sin d_theta u_theta) / sin - u_theta / sin^2
                   + 2 w) / r^2) + (mu + lam) (d_theta a + d_r(r^2 w) / r^2) / r,
         L the flux-form (1/r^2) d_r(r^2 d_r), the other d_r collocation stencils.
+        V_I, the implicit rows, holds each component's radial line and ring
+        operator on the interior nodes (`lines` and `rings`): K u_r and
+        mu d_theta(sin w) / sin / r^2, and the u_theta terms of the polar row.
+        V_E holds the rest: the truncation row and the u_theta terms of the
+        radial rows, the w terms of the polar rows.  The wall rows and the far
+        polar row are empty; the far radial row is the source of `far_rates`.
+
         w is exactly 0 on theta-independent data, so there the polar rows sum
-        zeros and the radial rows sum K's entries in K's order.  The wall rows
-        and the far polar row are empty; the far radial row is the source of
-        `far_rates`.  On [u_r, u_theta] V is [V_0 + V_2 D, V_1], D the d_theta matrix.
+        zeros and the radial rows sum K's entries in K's order.  The ring
+        matrices, n_theta x n_theta, are kept for the implicit correction.
         """
         ops, mu, mu_lam = self.ops, self.params.mu, self.params.mu + self.params.lam
         r, s, n_t = ops.r, ops.sin, ops.theta.size
@@ -131,34 +161,80 @@ class AxiSolver(RadialScheme):
             return diag([-1.0, ends, 1.0], offsets=[-1, 0, 1], shape=(n_t, n_t)) / (2.0 * ops.dtheta)
         dp, dm = d_theta(1), d_theta(-1)
         div_t = diag(1.0 / s) @ dp @ diag(s)  # d_theta(sin f) / sin
+        ring_r = (div_t @ dp).toarray()
+        ring_t = (mu * (diag(1.0 / s) @ dm @ diag(s) @ dm - diag(1.0 / s**2))
+                  + mu_lam * dp @ div_t).toarray()
         d_r = sparse.csr_array((ops.d_r.wts.ravel(),
                                 (np.repeat(np.arange(r.size), 3), ops.d_r.idx.ravel())))
         # each term is radial (x) angular; the radial factors zero the dropped rows
         wall = np.r_[0.0, np.ones(r.size - 1)]
-        rad_w, pol_w = wall / r**2, np.r_[wall[:-1], 0.0] / r**2
-        lap_r = diag(1.0 / r**2) @ flux_rows(r, (0.5 * (r[:-1] + r[1:])) ** 2)
-        rad = [kron(self.K, eye_t),
-               kron(diag(-2.0 * mu * rad_w), dm + diag(ops.cot_row[0]))
-               + kron(mu_lam * diag(wall) @ d_r @ diag(1.0 / r), div_t),
-               kron(diag(mu * rad_w), div_t)]
-        polar = [sparse.csr_array(rad[0].shape),
-                 kron(mu * lap_r, eye_t)
-                 + kron(diag(pol_w), mu * (diag(1.0 / s) @ dm @ diag(s) @ dm
-                                           - diag(1.0 / s**2)) + mu_lam * dp @ div_t),
-                 kron(diag(pol_w) @ (2.0 * mu * sparse.eye_array(r.size)
-                                     + mu_lam * diag(1.0 / r) @ d_r @ diag(r**2)), eye_t)]
-        v = sparse.vstack([sparse.hstack(rad, format="csr"),
-                           sparse.hstack(polar, format="csr")], format="csr")
+        inner, far = np.r_[wall[:-1], 0.0], np.r_[np.zeros(r.size - 1), 1.0]
+        r_face = 0.5 * (r[:-1] + r[1:])
+        self.lines = (self.K_line,
+                      ViscousLine(r[1:-1] ** 2 * np.diff(r_face), np.ones(r.size),
+                                  mu * r_face**2 / np.diff(r), self.profile.rho_t, 2))
+        # (g, L, stencil) of each component's ring part g (x) L: u_r's ring is
+        # taken by stencils, so it is exactly 0 on theta-independent data;
+        # u_theta is exactly 0 there, so a dense product serves its ring
+        self.rings = ((mu * inner / r**2, ring_r, lambda q: ops.d_theta(
+                          s * ops.d_theta(q, parity=1), parity=1) / s),
+                      (inner / r**2, ring_t, None))
+        zero = sparse.csr_array((r.size * n_t, r.size * n_t))
+        rad_i = [kron(self.K_line.rows(), eye_t), zero, kron(diag(mu * inner / r**2), div_t)]
+        rad_e = [kron(self.K_far, eye_t),
+                 kron(diag(-2.0 * mu * wall / r**2), dm + diag(ops.cot_row[0]))
+                 + kron(mu_lam * diag(wall) @ d_r @ diag(1.0 / r), div_t),
+                 kron(diag(mu * far / r**2), div_t)]
+        polar_i = [zero, kron(self.lines[1].rows(), eye_t) + kron(diag(inner / r**2), ring_t),
+                   zero]
+        polar_e = [zero, zero,
+                   kron(diag(inner / r**2) @ (2.0 * mu * sparse.eye_array(r.size)
+                                              + mu_lam * diag(1.0 / r) @ d_r @ diag(r**2)),
+                        eye_t)]
+        v = sparse.vstack([sparse.hstack(rad_i + rad_e, format="csr"),
+                           sparse.hstack(polar_i + polar_e, format="csr")], format="csr")
+        v.eliminate_zeros()
         v.indices, v.indptr = v.indices.astype(np.int32), v.indptr.astype(np.int32)
         return v
 
-    def rhs(self, state: AxiState, checked: bool = False):
+    @property
+    def V(self):
+        """The viscous rows V = V_I + V_E on [u_r, u_theta, w], sparse (2N, 3N)."""
+        n = self.visc_split.shape[1] // 2
+        return (self.visc_split[:, :n] + self.visc_split[:, n:]).tocsr()
+
+    def _factor(self, a: float):
+        """Each component's implicit solve at a: the radial lines with the
+        radial factor, for every theta column at once, then the ring
+        correction in the eigenbasis of the ring matrix L, one tridiagonal
+        system per angular mode, all in one tridiagonal solve."""
+        if self._modes is None:
+            self._modes = [_eigen(ring) for _, ring, _ in self.rings]
+        solves = []
+        for line, (g, ring, stencil), (lam, vecs, inv_t) in zip(self.lines, self.rings,
+                                                                self._modes):
+            d, e = line.diagonals(a)
+            radial = tridiagonal_solver(d, e)
+            w = a * line.sigma * g[1:-1] / line.kappa[1:-1]
+            n_t = lam.size
+            corr = tridiagonal_solver((d[None, :] - lam[:, None] * w[None, :]).ravel(),
+                                      np.tile(np.r_[e, 0.0], n_t)[:-1])
+            if stencil is None:
+                to_modes = (lambda q, m=ring.T @ inv_t: q @ m)
+            else:
+                to_modes = (lambda q, f=stencil, m=inv_t: f(q) @ m)
+            solves.append(partial(_ring_corrected, radial, corr, w[:, None], to_modes, vecs.T))
+        return solves
+
+    def rhs(self, state: AxiState, checked: bool = False, split: bool = False):
         """(rho_t, mr_t, mt_t).  The wall momentum rows and the far polar row
         are zeroed for BC application; the far density and radial momentum
-        rows are `far_rates`, with the far radial row of `V` as a source.
+        rows are `far_rates`, with the far radial viscous row as a source.
 
         checked=True skips the positivity scan of a density that the caller
-        has already scanned (the stages of `step` do).
+        has already scanned (the stages of `step` do).  split=True leaves out
+        the implicit part V_I(m / rho_ref) of the viscous rows, so V_I
+        carries the remainder u - m / rho_ref.
         """
         ops, r = self.ops, self.r
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
@@ -170,8 +246,14 @@ class AxiSolver(RadialScheme):
         prs = pressure_unchecked(rho, self.params)
         rho_t, _, grad = self.continuity(m_r, prs)
         rho_t -= self._theta_flux_div(rho, u_t)
-        x = np.concatenate((u_r, u_t, ops.d_theta(u_r, parity=1)), axis=None)
-        visc_r, visc_t = (self.V @ x).reshape((2,) + r.shape)
+        w = ops.d_theta(u_r, parity=1)
+        if split:
+            e_r = u_r - m_r * self.inv_rho_ref
+            e = (e_r, u_t - m_t * self.inv_rho_ref, ops.d_theta(e_r, parity=1))
+        else:
+            e = (u_r, u_t, w)
+        x = np.concatenate(e + (u_r, u_t, w), axis=None)
+        visc_r, visc_t = (self.visc_split @ x).reshape((2,) + r.shape)
         mr_t = self.advect(m_r * u_r)
         mr_t -= self._theta_flux_div(m_r, u_t)
         mr_t += rho * u_t**2 / r
@@ -196,14 +278,19 @@ class AxiSolver(RadialScheme):
         rho_t[-1], mr_t[-1] = self.far_rates(rho, u_r, s_rho, s_m)
         return rho_t, mr_t, mt_t
 
+    def _advective_limit(self, state: AxiState) -> float:
+        """min h / (|u| + c) on the cell size h = min(dr, r dtheta)."""
+        speed = np.hypot(state.u_r, state.u_theta)
+        speed += self._sound_speed(state.rho)
+        return float(np.min(self.h_cell / speed))
+
+    def _remainder_limit(self, rho) -> float:
+        """The split's limit, and that of the explicit mixed terms (`COUPLING_K`)."""
+        return min(self._split_limit(rho, self.h_cfl2), float(np.min(self.couple_h2 * rho)))
+
     def cfl_dt(self, state: AxiState, safety: float) -> float:
-        """safety x the advective and viscous limit; raises ValueError on a
-        nonpositive density."""
-        c = sound_speed(state.rho, self.params)
-        speed = np.hypot(state.u_r, state.u_theta) + c
-        adv = self.h_cell / speed
-        visc = self.h_cell2 * state.rho / self.visc
-        return float(safety * min(np.min(adv), np.min(visc)))
+        """safety x the advective and the remainder limit of `cfl_limits`."""
+        return safety * min(self._advective_limit(state), self._remainder_limit(state.rho))
 
     def state_of(self, rho: np.ndarray, u: np.ndarray) -> AxiState:
         """The theta-independent state of a radial density and velocity."""
@@ -219,6 +306,35 @@ class AxiSolver(RadialScheme):
         interior = float(np.sum((self.dual_vol * rho_t[1:-1]) * w_ang[None, :]))
         boundary = float(np.sum((flux[0] - flux[-1]) * w_ang))
         return interior, boundary
+
+
+def _eigen(ring: np.ndarray):
+    """(lam, S, S^-T) with ring = S diag(lam) S^-1, real when the spectrum is
+    real to round-off.  LAPACK's dgeev returns a conjugate pair as the real
+    and imaginary parts of its vector; when rounding split the pair off a
+    repeated real eigenvalue, those two columns span its real eigenspace."""
+    lam, imag, _, vecs, info = lapack.dgeev(ring, compute_vl=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"ring eigendecomposition failed (info = {info})")
+    if np.max(np.abs(imag)) > 1e-10 * np.max(np.hypot(lam, imag)):
+        first = np.flatnonzero(imag > 0.0)
+        lam = lam + 1j * imag
+        vecs = vecs.astype(complex)
+        vecs[:, first] += 1j * vecs[:, first + 1]
+        vecs[:, first + 1] = vecs[:, first].conj()
+    return lam, vecs, np.linalg.inv(vecs).T
+
+
+def _ring_corrected(radial, corr, w, to_modes, vecs_t, b):
+    """q solving (M (x) I - w (x) L) q = b, M the radial line and L = S
+    diag(lam) S^-1 the ring, from the radial solution q0 = M^-1 b: q = q0 + p
+    with (M (x) I - w (x) L) p = w L q0, solved mode by mode in L's
+    eigenbasis.  to_modes(q0) is L q0 in that basis, (L q0) S^-T row by row."""
+    q = radial(b)
+    n, n_t = q.shape
+    rhs = w * to_modes(q)
+    p = corr(rhs.T.reshape(-1)).reshape(n_t, n).T @ vecs_t
+    return q + (p.real if np.iscomplexobj(p) else p)
 
 
 def run_axi_stability(profile: SteadyProfile, params: FluidParams,

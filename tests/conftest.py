@@ -43,8 +43,10 @@ def axi_profile(acc_params):
 
 @pytest.fixture(scope="session")
 def sym_acceptance_run(run_profile, acc_params):
+    # one sample about every 0.47 time units at the advective step, so the
+    # envelope gate sees about 430 samples
     cfg = SymRunConfig(t_end=200.0, amplitude=0.02, support=(1.5, 3.0),
-                       output_every=250, decay_target=10.0, reform_every=10)
+                       output_every=15, decay_target=10.0, reform_every=10)
     t0 = time.time()
     res = run_sym_stability(run_profile, acc_params, cfg)
     return res, time.time() - t0
@@ -53,8 +55,9 @@ def sym_acceptance_run(run_profile, acc_params):
 @pytest.fixture(scope="session")
 def axi_acceptance_run(axi_profile, acc_params):
     agrid = AngularGrid(n_cells=32)
+    # one sample about every 0.77 time units at the advective step
     cfg = AxiRunConfig(t_end=200.0, amplitude=0.02, support=(1.5, 3.0),
-                       mode_ell=1, output_every=400, decay_target=5.0,
+                       mode_ell=1, output_every=24, decay_target=5.0,
                        reform_every=10)
     t0 = time.time()
     res = run_axi_stability(axi_profile, acc_params, agrid, cfg)

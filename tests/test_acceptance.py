@@ -154,6 +154,7 @@ def test_criterion_08_spherical_stability(sym_acceptance_run):
                     f"wall={wall:.0f}s")
     assert res.decay_factor >= 10.0
     assert res.corridor_ok
+    assert len(res.times) >= 40  # fewer samples and the envelope is not graded
     assert res.envelope_ok
     assert res.monitor_uphill <= res.tau_scheme
     assert wall <= 300.0

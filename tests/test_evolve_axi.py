@@ -10,7 +10,13 @@ from outflow.evolve_axi import (
     legendre_amplitudes,
     run_axi_stability,
 )
-from outflow.evolve_sym import CFLViolation, PositivityLoss, SymSolver
+from outflow.evolve_sym import (
+    ARS_DELTA,
+    ARS_GAMMA,
+    CFLViolation,
+    PositivityLoss,
+    SymSolver,
+)
 from outflow.sphops import (
     cart_grad_div,
     cart_vec_lap,
@@ -182,6 +188,146 @@ def test_step_tracks_radial_solver(small_profile, acc_params, agrid):
     assert np.max(np.abs(st2.rho - st1.rho[:, None])) <= 1e-10
     assert np.max(np.abs(st2.u_r - st1.u_rad[:, None])) <= 1e-10
     assert np.max(np.abs(st2.u_theta)) == 0.0
+
+
+def test_step_is_the_radial_step_bit_for_bit(small_profile, acc_params, agrid):
+    """Over 200 steps theta-independent data keep every bit of the radial
+    solver's density and radial velocity: the explicit rates agree bit for
+    bit, the radial lines share the radial factor, the ring correction is
+    exactly 0 and the far end takes its powers in one arithmetic."""
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    sym = SymSolver(small_profile, acc_params)
+    st1, st2 = _theta_independent_pair(small_profile, acc_params, agrid)
+    solver.apply_bc(st2)
+    sym.apply_bc(st1)
+    dt = solver.cfl_dt(st2, 0.4)
+    for _ in range(200):
+        st1 = sym.step(st1, dt)
+        st2 = solver.step(st2, dt)
+        assert np.array_equal(st2.rho, np.repeat(st1.rho[:, None], agrid.n_cells, 1))
+        assert np.array_equal(st2.u_r, np.repeat(st1.u_rad[:, None], agrid.n_cells, 1))
+        assert np.all(st2.u_theta == 0.0)
+
+
+def test_lifted_equilibrium_is_a_fixed_point_of_step(small_profile, acc_params, agrid):
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    eq = SymSolver(small_profile, acc_params).equilibrium()
+    st = solver.state_of(eq.rho_t, eq.u_t)
+    solver.apply_bc(st)
+    dt = solver.cfl_dt(st, 0.4)
+    for _ in range(200):
+        st = solver.step(st, dt)
+    drift = max(np.max(np.abs(st.rho - eq.rho_t[:, None])),
+                np.max(np.abs(st.u_r - eq.u_t[:, None])), np.max(np.abs(st.u_theta)))
+    assert drift <= 1e-12
+
+
+def test_grid_scale_velocity_mode_decays_monotonically(small_profile, acc_params, agrid):
+    """A 1e-3 (-1)^(i+j) mode in both velocity components on the lifted
+    equilibrium, at 0.4 x the advective limit: 16 x the explicit viscous
+    limit here, where an explicit step would amplify it.  The mode sits on
+    the inner half of the nodes: at the truncation node the characteristic
+    row turns a grid-scale mode into a smooth outgoing wave whatever the step."""
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    eq = SymSolver(small_profile, acc_params).equilibrium()
+    st = solver.state_of(eq.rho_t, eq.u_t)
+    n = eq.rho_t.size
+    i, j = np.arange(1, n // 2)[:, None], np.arange(agrid.n_cells)[None, :]
+    st.u_r[1:n // 2] += 1e-3 * (-1.0) ** (i + j)
+    st.u_theta[1:n // 2] += 1e-3 * (-1.0) ** (i + j)
+    solver.apply_bc(st)
+    adv, visc, _ = solver.cfl_limits(st)
+    assert adv >= 10.0 * visc
+    gaps = []
+    for _ in range(30):
+        gaps.append(max(np.max(np.abs(st.u_r - eq.u_t[:, None])),
+                        np.max(np.abs(st.u_theta))))
+        st = solver.step(st, 0.4 * adv)
+    assert np.all(np.diff(gaps) <= 0.0), gaps
+    assert gaps[-1] <= 0.1 * gaps[0]
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.0])
+def test_implicit_solve_inverts_the_implicit_rows(lam):
+    """Each component's solve returns v with (rho_ref - a V_I) v = m* on the
+    interior rows to round-off, the end values of v given, for a real ring
+    spectrum (lam = 0.3) and one with complex pairs (lam = 2)."""
+    params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=lam,
+                         rho_plus=1.0, u_b=-0.05, dim_n=3)
+    profile = solve_steady(params, RadialGrid.uniform(20.0, 63), tol=1e-8)
+    solver = AxiSolver(profile, params, AngularGrid(n_cells=16))
+    a, rho = 0.02, solver.ops.lift(profile.rho_t)
+    rng = np.random.default_rng(1)
+    m_star, v = rng.standard_normal((2, 2) + rho.shape)
+    v[1, [0, -1]] = 0.0  # u_theta has no end values
+    for k, (line, solve) in enumerate(zip(solver.lines, solver._factor(a))):
+        b = line.load(m_star[k], v[k, 0], v[k, -1], a)
+        v[k, 1:-1] = line.back * solve(b) / rho[1:-1]
+    x = np.concatenate((v[0], v[1], solver.ops.d_theta(v[0], parity=1)), axis=None)
+    n = solver.visc_split.shape[1] // 2
+    res = rho * v - a * (solver.visc_split[:, :n] @ x).reshape(v.shape) - m_star
+    assert np.max(np.abs(res[:, 1:-1])) <= 1e-12
+
+
+def _viscous_step_growth(m_r, n_theta, lam, dt_of, iters=400):
+    """Growth per step of the linearised viscous ARS(2,2,2) step, by power
+    iteration: rho_ref v_t = V_E v + V_I v with V_I implicit, v = 0 on the
+    wall and far rows, on m_r x n_theta cells of r in [1, 20].  dt_of maps
+    the solver and the profile's state to the step."""
+    params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=lam,
+                         rho_plus=1.0, u_b=-0.05, dim_n=3)
+    profile = solve_steady(params, RadialGrid.uniform(20.0, m_r - 1), tol=1e-8)
+    solver = AxiSolver(profile, params, AngularGrid(n_cells=n_theta))
+    dt = dt_of(solver, solver.state_of(profile.rho_t, profile.u_t))
+    a, rho = ARS_GAMMA * dt, solver.ops.lift(profile.rho_t)
+    n = solver.visc_split.shape[1] // 2
+    implicit_rows, explicit_rows = solver.visc_split[:, :n], solver.visc_split[:, n:]
+    solves = solver._factor(a)
+
+    def rate(rows, v):
+        x = np.concatenate((v[0], v[1], solver.ops.d_theta(v[0], parity=1)), axis=None)
+        f = (rows @ x).reshape(v.shape)
+        f[:, [0, -1]] = 0.0
+        return f
+
+    def implicit(m_star):
+        v = np.zeros_like(m_star)
+        for k, (line, solve) in enumerate(zip(solver.lines, solves)):
+            v[k, 1:-1] = line.back * solve(line.load(m_star[k], 0.0, 0.0, a)) / rho[1:-1]
+        return v
+
+    def step(v):
+        e1 = rate(explicit_rows, v)
+        v2 = implicit(rho * v + a * e1)
+        return implicit(rho * v + dt * (ARS_DELTA * e1 + (1.0 - ARS_DELTA) * rate(explicit_rows, v2)
+                                        + (1.0 - ARS_GAMMA) * rate(implicit_rows, v2)))
+
+    v = np.random.default_rng(0).standard_normal((2,) + rho.shape)
+    v[:, [0, -1]] = 0.0
+    ratios = []
+    for _ in range(iters):
+        w = step(v)
+        ratios.append(np.linalg.norm(w) / np.linalg.norm(v))
+        v = w / np.linalg.norm(w)
+    return float(np.exp(np.mean(np.log(ratios[-20:]))))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("m_r, n_theta", [(64, 16), (128, 32)])
+def test_linearised_viscous_step_does_not_grow(m_r, n_theta, lam):
+    """At 0.4 x the advective limit, 8 to 16 x the explicit viscous one,
+    the explicit mixed terms stay damped by the implicit rows."""
+    growth = _viscous_step_growth(m_r, n_theta, lam,
+                                  lambda s, st: 0.4 * s.cfl_limits(st)[0])
+    assert growth <= 1.0, growth
+
+
+@pytest.mark.parametrize("lam", [2.0, 5.0])
+def test_coupling_limit_keeps_the_viscous_step_stable(lam):
+    """For lam > mu the explicit mixed terms bind: at the full CFL limit,
+    safety 1, the linearised viscous step still does not grow."""
+    growth = _viscous_step_growth(128, 32, lam, lambda s, st: s.cfl_dt(st, 1.0))
+    assert growth <= 1.0, growth
 
 
 def test_steady_profile_near_fixed_point(small_profile, acc_params, agrid):
@@ -383,7 +529,7 @@ def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_par
 
     counted(AxiSolver, "axi")
     counted(SymSolver, "sym")
-    cfg = AxiRunConfig(t_end=0.1, output_every=20, decay_target=1.0, reform_every=10)
+    cfg = AxiRunConfig(t_end=1.0, output_every=20, decay_target=1.0, reform_every=10)
     res = run_axi_stability(small_profile, acc_params, agrid, cfg)
     assert res.steps > 10
     assert calls == {"axi": res.steps, "sym": 0}
