@@ -255,7 +255,7 @@ def _finish_run(man: Manifest, res, **criteria) -> int:
         "decay_factor": res.decay_factor, "corridor": res.corridor_ok,
         "monitor_uphill": res.monitor_uphill, "tau_scheme": res.tau_scheme,
         "steps": res.steps, "odd_even": odd_even_content(res.final_state.rho),
-        **criteria})
+        "envelope_graded": res.envelope_graded, **criteria})
     return EXIT_OK if res.passed else EXIT_CRITERIA
 
 

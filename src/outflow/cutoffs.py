@@ -10,6 +10,7 @@ it, which is what makes chi_V + chi_H >= 1 hold to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,9 +86,17 @@ def xi_tilde_prime(theta):
     return np.select(conds, vals, default=np.zeros_like(t))
 
 
+@lru_cache(maxsize=None)
 def _gauss_rule(width: float, n: int = 96):
+    """Gauss-Legendre rule on [-width, width], built once per (width, n).
+
+    Every family of one width shares the two arrays, so they are read-only.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes * width, weights * width
+    nodes, weights = nodes * width, weights * width
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

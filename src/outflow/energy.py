@@ -34,8 +34,17 @@ __all__ = [
 ]
 
 
+# below gamma = 1 + _NEAR_ISOTHERMAL the bracket of the closed form cancels to
+# about (gamma - 1) H and dividing by gamma - 1 magnifies its rounding
+_NEAR_ISOTHERMAL = 0.1
+
+
 def potential_energy(zeta, xi, params: FluidParams):
-    """Potential energy density of zeta relative to xi; convex, zero iff equal."""
+    """Potential energy density of zeta relative to xi; convex, zero iff equal.
+
+    Near gamma = 1 it is evaluated as K xi^gamma (r expm1(a log r)/a - (r - 1))
+    with r = zeta/xi and a = gamma - 1, which carries no 1/a cancellation.
+    """
     zeta = np.asarray(zeta, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if np.any(zeta <= 0.0) or np.any(xi <= 0.0):
@@ -44,6 +53,9 @@ def potential_energy(zeta, xi, params: FluidParams):
     if g == 1.0:
         ratio = zeta / xi
         return k * xi * (1.0 - ratio + ratio * np.log(ratio))
+    if g - 1.0 < _NEAR_ISOTHERMAL:
+        ratio, a = zeta / xi, g - 1.0
+        return k * xi**g * (ratio * np.expm1(a * np.log(ratio)) / a - (ratio - 1.0))
     return k / (g - 1.0) * (zeta**g - xi**g - g * xi ** (g - 1.0) * (zeta - xi))
 
 
@@ -51,10 +63,13 @@ def potential_energy_quadrature(zeta: float, xi: float, params: FluidParams) -> 
     """Defining-integral evaluation zeta * int_xi^zeta (P(z)-P(xi))/z^2 dz."""
     if zeta <= 0.0 or xi <= 0.0:
         raise ValueError("densities must be positive")
-    p_xi = float(pressure(xi, params))
+    # every z lies between xi and zeta, so the integrand runs in plain floats
+    zeta, xi = float(zeta), float(xi)
+    k, g = float(params.k_pressure), float(params.gamma)
+    p_xi = k * xi**g
 
     def integrand(z):
-        return (float(pressure(z, params)) - p_xi) / z**2
+        return (k * z**g - p_xi) / z**2
 
     val, _ = quad(integrand, xi, zeta, epsabs=1e-13, epsrel=1e-12)
     return zeta * val

@@ -623,6 +623,7 @@ class RunResult:
     monitor_uphill: float
     tau_scheme: float
     envelope_ok: bool
+    envelope_graded: bool  # enough samples for _envelope_ok to grade
     steps: int
     times: np.ndarray
     sup_series: np.ndarray
@@ -637,19 +638,30 @@ class RunResult:
         flag = "PASS" if self.passed else "FAIL"
         return (f"{flag} decay={self.decay_factor:.2f} corridor={self.corridor_ok} "
                 f"uphill={self.monitor_uphill:.3e} tau={self.tau_scheme:.3e} "
-                f"envelope={self.envelope_ok} steps={self.steps} ({self.reason})")
+                f"envelope={self.envelope_ok} "
+                f"envelope_graded={self.envelope_graded} "
+                f"steps={self.steps} ({self.reason})")
 
 
-def _envelope_ok(times, sups, n_windows: int = 20, slack: float = 1.05,
-                 target: float = 10.0) -> bool:
+_ENVELOPE_WINDOWS = 20
+
+
+def _envelope_graded(times, n_windows: int = _ENVELOPE_WINDOWS) -> bool:
+    """Whether a run sampled often enough for `_envelope_ok` to grade it."""
+    return len(times) >= 2 * n_windows
+
+
+def _envelope_ok(times, sups, n_windows: int = _ENVELOPE_WINDOWS,
+                 slack: float = 1.05, target: float = 10.0) -> bool:
     """Windowed maxima must be nonincreasing (within slack) after the peak.
 
     Enforcement stops once the envelope has fallen below peak/target: the
     monotone-decay claim is about reaching that line, and rattle far beneath
     it, at the round-off floor of the gap to the equilibrium, is not an
-    instability.
+    instability.  A run with fewer than two samples per window passes
+    ungraded; `_envelope_graded` tells which.
     """
-    if len(times) < 2 * n_windows:
+    if not _envelope_graded(times, n_windows):
         return True
     edges = np.linspace(times[0], times[-1], n_windows + 1)
     env = []
@@ -743,7 +755,8 @@ def _relax(solver, state, reference: SteadyProfile, config, measure,
     reason = "decayed" if decay >= config.decay_target else "DNF: decay target missed"
     return RunResult(
         passed=ok, reason=reason, decay_factor=decay, corridor_ok=corridor_ok,
-        monitor_uphill=uphill, tau_scheme=tau, envelope_ok=env_ok, steps=steps,
+        monitor_uphill=uphill, tau_scheme=tau, envelope_ok=env_ok,
+        envelope_graded=_envelope_graded(times), steps=steps,
         times=times, sup_series=sups, reports=reports, final_state=state,
         compat=compat, reform_gap=reform_gap, reform_checks=reform_checks,
     ), samples

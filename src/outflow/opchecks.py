@@ -3,8 +3,11 @@
 Covers the unit-vector derivative relations, spherical-vs-Cartesian operator
 agreement, the commutator expansions and bounds, the radial-radial
 cancellation in r_hat . lap V - d_r div V, and the Hardy inequality with
-constant 2n.  Everything is numeric: operators under test difference in the
-spherical charts, oracles difference along Cartesian axes.
+constant 2n.  The operator checks are numeric: operators under test
+difference in the spherical charts, oracles difference along Cartesian axes.
+The Hardy corpus carries closed-form gradients (`HARDY_GRADIENTS`);
+`hardy_check` falls back to Cartesian differences for a field given without
+one.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "commutator_check",
     "rr_cancellation",
     "HARDY_FIELDS",
+    "HARDY_GRADIENTS",
     "hardy_check",
     "hardy_check_radial",
     "TailNotConverged",
@@ -598,6 +602,50 @@ HARDY_FIELDS = {
 }
 
 
+_E1 = np.array([1.0, 0.0, 0.0])
+_E3 = np.array([0.0, 0.0, 1.0])
+_SWIRL_J = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _inv_r2_grad(x):
+    return -2.0 * x / radius(x, keepdims=True) ** 4
+
+
+def _radial_exp_grad(x):
+    r = radius(x, keepdims=True)
+    return -np.exp(1.0 - r) * x / r
+
+
+def _dipole_grad(x):
+    r = radius(x, keepdims=True)
+    return _E3 / r**3 - 3.0 * x[..., 2:] * x / r**5
+
+
+def _skewed_exp_grad(x):
+    r = radius(x, keepdims=True)
+    e = np.exp(1.0 - r)
+    x1 = x[..., :1]
+    return -e * (1 + x1 / (2 * r)) * x / r + e * (_E1 / (2 * r) - x1 * x / (2 * r**3))
+
+
+def _swirl_vec_grad(x):
+    """d_j u_i at [..., i, j]: J_ij / r^3 - 3 u_i x_j / r^2, with u = J x / r^3."""
+    r = radius(x)[..., None, None]
+    u = (x @ _SWIRL_J.T)[..., :, None] / r**3
+    return _SWIRL_J / r**3 - 3.0 * u * x[..., None, :] / r**2
+
+
+# closed-form Cartesian gradients of the Hardy corpus, keyed like HARDY_FIELDS;
+# a vector field's is (..., 3, 3), d_j u_i at [..., i, j]
+HARDY_GRADIENTS = {
+    "inv_r2": _inv_r2_grad,
+    "radial_exp": _radial_exp_grad,
+    "dipole": _dipole_grad,
+    "skewed_exp": _skewed_exp_grad,
+    "swirl_vec": _swirl_vec_grad,
+}
+
+
 # ---------------------------------------------------------------------------
 # full verification suite
 
@@ -736,7 +784,7 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
         rows.append(_row(f"rr_cancel/{chart}/radial_blind", worst_aug, 1e-4))
 
     # Hardy inequality corpus (n = 3, constant 2n = 6)
-    hardy = {name: hardy_check(u, vector=is_vec)
+    hardy = {name: hardy_check(u, vector=is_vec, grad=HARDY_GRADIENTS[name])
              for name, (u, is_vec) in HARDY_FIELDS.items()}
     for name, (lhs, rhs, ratio) in hardy.items():
         rows.append(_row(f"hardy/{name}", max(0.0, (lhs - rhs) / max(rhs, 1e-300)),

@@ -137,6 +137,23 @@ def test_evolve_and_report_roundtrip(tmp_path):
     assert not (bad_out / "energy_report.csv").exists()
 
 
+@pytest.mark.parametrize("sub, grid", [
+    ("evolve-sym", ["r_max = 30", "nodes_r = 192"]),
+    ("evolve-axi", ["r_max = 20", "nodes_r = 64", "nodes_theta = 8"]),
+])
+def test_run_manifest_says_whether_the_envelope_was_graded(tmp_path, sub, grid):
+    """A short run has too few samples for the envelope windows: its manifest
+    and run log say that the envelope went ungraded."""
+    conf = _write(tmp_path, "\n".join(grid + [
+        "u_b = -0.05", "t_end = 1.0", "amplitude = 0.02", "output_every = 100",
+        "decay_target = 1.0", ""]))
+    out = tmp_path / "run"
+    main([sub, "--config", conf, "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["criteria"]["envelope_graded"] is False
+    assert "envelope_graded=False" in (out / "run_log.txt").read_text()
+
+
 def test_failed_decay_gives_criteria_exit(tmp_path):
     conf = _write(tmp_path, "\n".join([
         "u_b = -0.05", "r_max = 30", "nodes_r = 192", "t_end = 1.0",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from outflow import AngularGrid, FluidParams
@@ -48,6 +48,22 @@ def test_closed_form_matches_defining_integral(z, x, gamma, k):
     closed = float(potential_energy(z, x, p))
     quad = potential_energy_quadrature(z, x, p)
     assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed))
+
+
+@given(gamma=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+       z=st.floats(0.1, 10.0), x=st.floats(0.1, 10.0))
+@example(gamma=1.0000000000000002, z=1.0, x=2.0)
+@example(gamma=1.00001, z=10.0, x=0.1)
+@settings(max_examples=200, deadline=None)
+def test_quadrature_matches_the_closed_form_to_round_off(gamma, z, x):
+    """Over the whole admissible gamma range, gamma = 1 and gamma just above
+    it included, where the closed form must not lose its digits."""
+    p = FluidParams(gamma=gamma, k_pressure=1.0)
+    closed = float(potential_energy(z, x, p))
+    assert abs(closed - potential_energy_quadrature(z, x, p)) <= 1e-11 * (1.0 + abs(closed))
+    for bad in ((0.0, x), (z, -x)):
+        with pytest.raises(ValueError):
+            potential_energy_quadrature(*bad, p)
 
 
 @given(gamma=st.sampled_from([1.0, 1.4, 2.0]))

@@ -335,3 +335,17 @@ def test_run_config_rejects_values_the_run_cannot_use(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
         SymRunConfig(**fields)
     assert SymRunConfig(cfl_safety=1e-3, output_every=1, reform_every=0, dt=1e-6)
+
+
+@pytest.mark.parametrize("output_every, graded", [(1, True), (20, False)])
+def test_result_says_whether_the_envelope_was_graded(small_profile, acc_params,
+                                                     output_every, graded):
+    """63 steps: sampled every step the run has 64 samples, enough for the 20
+    envelope windows; every 20th step it has 5, and passes ungraded."""
+    cfg = SymRunConfig(t_end=3.0, output_every=output_every, decay_target=1.0,
+                       reform_every=0)
+    res = run_sym_stability(small_profile, acc_params, cfg)
+    assert res.envelope_graded is graded
+    assert (len(res.times) >= 40) is graded
+    assert res.envelope_ok
+    assert f"envelope_graded={graded}" in res.summary()

@@ -4,6 +4,7 @@ import pytest
 from outflow import sphops as so
 from outflow.opchecks import (
     HARDY_FIELDS,
+    HARDY_GRADIENTS,
     TailNotConverged,
     _radial_panels,
     commutator_check,
@@ -194,6 +195,37 @@ def test_hardy_panels_sum_like_one_radius_at_a_time(name):
         assert np.array_equal(u_pan[k], u(r * unit))
         assert np.array_equal(g_pan[k], so.cart_grad_sq(u, r * unit, h=2e-4,
                                                          vector=vector))
+
+
+def test_hardy_gradients_cover_the_corpus():
+    assert HARDY_GRADIENTS.keys() == HARDY_FIELDS.keys()
+
+
+@pytest.mark.parametrize("name", list(HARDY_FIELDS))
+def test_hardy_gradient_matches_cartesian_differences(name):
+    """The closed form against the Cartesian difference oracle, a vector
+    field component by component, on a seeded cloud with r in [1, 120]."""
+    u, vector = HARDY_FIELDS[name]
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(400, 3))
+    x *= rng.uniform(1.0, 120.0, (400, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
+    g = HARDY_GRADIENTS[name](x)
+    if vector:
+        fd = np.stack([so.cart_grad(lambda p, i=i: u(p)[..., i], x)
+                       for i in range(3)], axis=-2)
+    else:
+        fd = so.cart_grad(u, x)
+    assert g.shape == fd.shape
+    assert np.max(np.abs(g - fd)) <= 1e-7 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("name", list(HARDY_FIELDS))
+def test_hardy_check_with_the_closed_gradient_matches_the_fallback(name):
+    u, vector = HARDY_FIELDS[name]
+    lhs_fd, rhs_fd, _ = hardy_check(u, vector=vector)
+    lhs, rhs, _ = hardy_check(u, vector=vector, grad=HARDY_GRADIENTS[name])
+    assert lhs == pytest.approx(lhs_fd, rel=1e-10)
+    assert rhs == pytest.approx(rhs_fd, rel=1e-10)
 
 
 def test_hardy_radial_general_dimension():

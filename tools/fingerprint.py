@@ -11,7 +11,8 @@ geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
 stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
-each field of the Hardy corpus,
+each field of the Hardy corpus, each row of `run_verify_ops(seed=0)` and the
+`potential_energy_quadrature` values of `verify-energy`, term by term,
 and every CSV and text file that the CLI writes for
 `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0`,
 `verify-ops --seed 7` and `verify-energy`, plus each subcommand's exit code.
@@ -134,8 +135,9 @@ def _emit_file(label: str, path: str) -> None:
 
 def drift(before: str, after: str) -> None:
     """Print, for each line saved under both directories whose numbers
-    differ, the largest absolute difference and that difference relative to
-    the largest magnitude of the line's numbers in `before`."""
+    differ, the largest absolute difference, that difference relative to the
+    largest finite magnitude of the line's numbers in `before`, and how many
+    of its numbers moved."""
     for root, _, names in sorted(os.walk(before)):
         for name in sorted(names):
             path_a = os.path.join(root, name)
@@ -148,10 +150,15 @@ def drift(before: str, after: str) -> None:
             if a.shape != b.shape:
                 print(f"shape {a.shape} -> {b.shape}  {label}")
             elif not np.array_equal(a, b, equal_nan=True):
-                diff = float(np.nanmax(np.abs(a - b)))
-                scale = float(np.nanmax(np.abs(a)))
+                # an inf on both sides (a CSV's "inf" tolerance) is no drift
+                moved = (a != b) & ~(np.isnan(a) & np.isnan(b))
+                with np.errstate(invalid="ignore"):
+                    diff = float(np.nanmax(np.abs(a - b)[moved]))
+                finite = np.abs(a[np.isfinite(a)])
+                scale = float(np.max(finite)) if finite.size else 0.0
                 rel = diff / scale if scale > 0.0 else float("inf")
-                print(f"abs {diff:.3e} rel {rel:.3e}  {label}")
+                print(f"abs {diff:.3e} rel {rel:.3e} in {int(moved.sum())} of "
+                      f"{a.size}  {label}")
 
 
 def _emit_result(label: str, res) -> None:
@@ -280,6 +287,25 @@ def hardy_results() -> None:
         _emit(f"hardy/{name}", hardy_check(u, vector=vector))
 
 
+def verify_term_results() -> None:
+    """Term by term what the verification CSVs print rounded or fold into
+    one worst value: each `run_verify_ops(seed=0)` row (name, value, note),
+    and the 400 `potential_energy_quadrature` values of each gamma on
+    `verify-energy`'s (zeta, xi) grid, in the order the CLI takes them."""
+    from outflow.energy import potential_energy_quadrature
+    from outflow.opchecks import run_verify_ops
+    from outflow.params import FluidParams
+
+    for row in run_verify_ops(seed=0):
+        _emit(f"verify_ops_rows/{row.name}", (row.name, row.value, row.note))
+    grid = np.linspace(0.4, 2.5, 20)
+    for gamma in (1.0, 1.4, 2.0):
+        params = FluidParams(gamma=gamma, k_pressure=1.0)
+        _emit(f"energy_quad/gamma_{gamma}",
+              np.array([potential_energy_quadrature(z, x, params)
+                        for z in grid for x in grid]))
+
+
 def cli_outputs(work: str) -> None:
     from outflow.cli import main
 
@@ -340,6 +366,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(root), "tests"))  # mms_cases
     run_results()
     hardy_results()
+    verify_term_results()
     with tempfile.TemporaryDirectory() as work:
         cli_outputs(work)
     return 0
