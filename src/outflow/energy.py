@@ -34,16 +34,15 @@ __all__ = [
 ]
 
 
-# below gamma = 1 + _NEAR_ISOTHERMAL the bracket of the closed form cancels to
-# about (gamma - 1) H and dividing by gamma - 1 magnifies its rounding
-_NEAR_ISOTHERMAL = 0.1
-
-
 def potential_energy(zeta, xi, params: FluidParams):
     """Potential energy density of zeta relative to xi; convex, zero iff equal.
 
-    Near gamma = 1 it is evaluated as K xi^gamma (r expm1(a log r)/a - (r - 1))
-    with r = zeta/xi and a = gamma - 1, which carries no 1/a cancellation.
+    For gamma != 1 it is K xi^gamma (r expm1(a log r)/a - (r - 1)) with
+    r = zeta/xi and a = gamma - 1, r - 1 and log r taken from d = (zeta - xi)/xi
+    so that rounding zeta/xi costs nothing near the diagonal.  It carries no
+    1/a cancellation near gamma = 1, and it is more accurate than the
+    textbook form K/a (zeta^gamma - xi^gamma - gamma xi^a (zeta - xi)) at
+    every gamma.
     """
     zeta = np.asarray(zeta, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -53,10 +52,8 @@ def potential_energy(zeta, xi, params: FluidParams):
     if g == 1.0:
         ratio = zeta / xi
         return k * xi * (1.0 - ratio + ratio * np.log(ratio))
-    if g - 1.0 < _NEAR_ISOTHERMAL:
-        ratio, a = zeta / xi, g - 1.0
-        return k * xi**g * (ratio * np.expm1(a * np.log(ratio)) / a - (ratio - 1.0))
-    return k / (g - 1.0) * (zeta**g - xi**g - g * xi ** (g - 1.0) * (zeta - xi))
+    a, d = g - 1.0, (zeta - xi) / xi
+    return k * xi**g * ((1.0 + d) * np.expm1(a * np.log1p(d)) / a - d)
 
 
 def potential_energy_quadrature(zeta: float, xi: float, params: FluidParams) -> float:

@@ -3,8 +3,10 @@
 Covers the unit-vector derivative relations, spherical-vs-Cartesian operator
 agreement, the commutator expansions and bounds, the radial-radial
 cancellation in r_hat . lap V - d_r div V, and the Hardy inequality with
-constant 2n.  The operator checks are numeric: operators under test
-difference in the spherical charts, oracles difference along Cartesian axes.
+constant 2n.  The operators under test take exact chart derivatives of
+Taylor jets (`sphops.chart_jet`), so every equality between two of their
+compositions holds to round-off; the oracles they are compared with
+difference along Cartesian axes.
 The Hardy corpus carries closed-form gradients (`HARDY_GRADIENTS`);
 `hardy_check` falls back to Cartesian differences for a field given without
 one.
@@ -19,21 +21,19 @@ import numpy as np
 
 from .cutoffs import CutoffFamily, build_cutoffs
 from .discrete import sphere_area
+from .jets import partial
 from .sphops import (
     cart_div,
     cart_grad,
     cart_grad_div,
     cart_grad_sq,
     cart_lap,
+    chart_jet,
     from_spherical,
-    make_sph_div,
-    make_sph_grad,
-    make_sph_grad_div,
-    make_sph_lap,
-    make_sph_vec_lap,
     radius,
-    sph_partial,
-    to_spherical,
+    sph_div,
+    sph_grad,
+    sph_lap,
     unit_vectors,
 )
 
@@ -77,9 +77,9 @@ def _row(name, value, tol, note=""):
 class OpSample:
     """Manufactured smooth fields plus chart-valid evaluation points.
 
-    Fields are entire away from the origin, so stencil samples slightly
-    outside the exterior domain are harmless.  Points keep a margin from the
-    chart axes and from r = 1.
+    Fields are entire away from the origin, so the Cartesian oracles'
+    stencil samples slightly outside the exterior domain are harmless.
+    Points keep a margin from the chart axes and from r = 1.
     """
 
     scalar_fields: dict
@@ -130,18 +130,15 @@ def default_corpus(seed: int = 0, n_points: int = 100,
 # closed-form derivatives of the chart frame (from the frame relations)
 
 
-def _frame(pts, chart):
-    r, theta, _ = to_spherical(pts, chart)
-    rhat, that, phat = unit_vectors(pts, chart, guard=False)
-    return r, np.sin(theta), np.cos(theta), rhat, that, phat
+def _frame(fr):
+    """r, sin theta, cos theta and the frame at the base points of a chart jet."""
+    return tuple(j.value for j in (fr.r, fr.sin, fr.cos, fr.rhat, fr.that, fr.phat))
 
 
-def _d_hat(kind: str, which: str, k: int, pts, chart):
-    """k-th scaled derivative of a unit vector field, closed form."""
-    r, s, c, rhat, that, phat = _frame(pts, chart)
+def _d_hat(kind: str, which: str, k: int, fv):
+    """k-th scaled derivative (k >= 1) of a unit vector field, closed form."""
+    r, s, c, rhat, that, phat = fv
     zero = np.zeros_like(rhat)
-    if k == 0:
-        return {"r": rhat, "theta": that, "phi": phat}[kind]
     if which == "r":
         return zero
     s_, c_ = s[..., None], c[..., None]
@@ -160,21 +157,19 @@ def _d_hat(kind: str, which: str, k: int, pts, chart):
     return table[kind][k - 1]
 
 
-def _d_theta_over_r(which: str, k: int, pts, chart):
-    """k-th scaled derivative of theta_hat / r."""
-    r, s, c, rhat, that, phat = _frame(pts, chart)
+def _d_theta_over_r(which: str, k: int, fv):
+    """k-th scaled derivative (k >= 1) of theta_hat / r."""
+    r, s, c, rhat, that, phat = fv
     if which == "r":
         coeff = (-1.0) ** k * np.prod(np.arange(1, k + 1)) / r ** (k + 1)
         return coeff[..., None] * that
-    return _d_hat("theta", which, k, pts, chart) / r[..., None]
+    return _d_hat("theta", which, k, fv) / r[..., None]
 
 
-def _d_phi_over_rs(which: str, k: int, pts, chart):
-    """k-th scaled derivative of phi_hat / (r sin theta)."""
-    r, s, c, rhat, that, phat = _frame(pts, chart)
+def _d_phi_over_rs(which: str, k: int, fv):
+    """k-th scaled derivative (k >= 1) of phi_hat / (r sin theta)."""
+    r, s, c, rhat, that, phat = fv
     rs = (r * s)[..., None]
-    if k == 0:
-        return phat / rs
     if which == "r":
         coeff = (-1.0) ** k * np.prod(np.arange(1, k + 1)) / (r ** (k + 1) * s)
         return coeff[..., None] * phat
@@ -182,16 +177,16 @@ def _d_phi_over_rs(which: str, k: int, pts, chart):
         # d_theta phi_hat = 0, so only 1/sin differentiates
         inv_s = [None, -c / s**2, (1 + c**2) / s**3, -c * (5 + c**2) / s**4][k]
         return (inv_s / r)[..., None] * phat
-    return _d_hat("phi", "phi", k, pts, chart) / rs
+    return _d_hat("phi", "phi", k, fv) / rs
 
 
-def _d_cot(k: int, pts, chart):
-    _, s, c, *_ = _frame(pts, chart)
+def _d_cot(k: int, fv):
+    _, s, c, *_ = fv
     return [c / s, -1.0 / s**2, 2 * c / s**3, -(2 + 4 * c**2) / s**4][k]
 
 
-def _d_inv_sin2(k: int, pts, chart):
-    _, s, c, *_ = _frame(pts, chart)
+def _d_inv_sin2(k: int, fv):
+    _, s, c, *_ = fv
     return [1.0 / s**2, -2 * c / s**3, (2 + 4 * c**2) / s**4,
             -8 * c * (3 - s**2) / s**5][k]
 
@@ -199,169 +194,100 @@ def _d_inv_sin2(k: int, pts, chart):
 _ORDER_AXIS = {"r": 0, "theta": 1, "phi": 2}
 
 
-def _orders(which: str, k: int):
+def _orders(which: str, k: int, extra: str = "r", j: int = 0):
+    """Orders of d_which^k, times d_extra^j."""
     o = [0, 0, 0]
-    o[_ORDER_AXIS[which]] = k
-    return tuple(o)
-
-
-def _mixed(which: str, k: int, extra: str, j: int = 1):
-    o = list(_orders(which, k))
+    o[_ORDER_AXIS[which]] += k
     o[_ORDER_AXIS[extra]] += j
     return tuple(o)
 
 
 # ---------------------------------------------------------------------------
-# commutators: nested-FD compositions vs closed-form expansions
+# commutators: operator compositions on chart jets vs closed-form expansions;
+# F is a scalar and V a vector field evaluated on the jet of points fr.x
 
 
-def _comm_grad(F, pts, chart, N, which, h_deep):
-    lhs1 = sph_partial(make_sph_grad(F, chart, h_deep), chart,
-                       _orders(which, N), h_deep, vector=True)(pts)
-    lhs2 = make_sph_grad(sph_partial(F, chart, _orders(which, N), h_deep),
-                         chart, h_deep)(pts)
-    lhs = lhs1 - lhs2
-    rhs = np.zeros_like(lhs)
-    for m in range(N):
-        k = N - m
-        dr = sph_partial(F, chart, _mixed(which, m, "r"), h_deep)(pts)
-        dt = sph_partial(F, chart, _mixed(which, m, "theta"), h_deep)(pts)
-        dp = sph_partial(F, chart, _mixed(which, m, "phi"), h_deep)(pts)
-        rhs += comb(N, m) * (
-            _d_hat("r", which, k, pts, chart) * dr[..., None]
-            + _d_theta_over_r(which, k, pts, chart) * dt[..., None]
-            + _d_phi_over_rs(which, k, pts, chart) * dp[..., None]
-        )
+def _frame_term(F, fv, which, k, m):
+    """d_which^k of grad's frame coefficients e_hat/h_e against d_which^m d_e F."""
+    return (_d_hat("r", which, k, fv) * F.deriv(_orders(which, m, "r", 1))[..., None]
+            + _d_theta_over_r(which, k, fv) * F.deriv(_orders(which, m, "theta", 1))[..., None]
+            + _d_phi_over_rs(which, k, fv) * F.deriv(_orders(which, m, "phi", 1))[..., None])
+
+
+def _comm_grad(F, fr, N, which):
+    fv = _frame(fr)
+    o = _orders(which, N)
+    lhs = sph_grad(F, fr).deriv(o) - sph_grad(partial(F, o), fr).value
+    rhs = sum(comb(N, m) * _frame_term(F, fv, which, N - m, m) for m in range(N))
     return lhs, rhs
 
 
-def _comm_lap(F, pts, chart, N, which, h_deep):
-    lhs1 = sph_partial(make_sph_lap(F, chart, h_deep), chart,
-                       _orders(which, N), h_deep)(pts)
-    lhs2 = make_sph_lap(sph_partial(F, chart, _orders(which, N), h_deep),
-                        chart, h_deep)(pts)
-    lhs = lhs1 - lhs2
+def _comm_lap(F, fr, N, which):
+    fv = _frame(fr)
+    o = _orders(which, N)
+    lhs = sph_lap(F, fr).deriv(o) - sph_lap(partial(F, o), fr).value
     rhs = np.zeros_like(lhs)
     if which == "theta":
-        r = radius(pts)
+        r = fv[0]
         for m in range(N):
             k = N - m
-            dt = sph_partial(F, chart, _mixed("theta", m, "theta"), h_deep)(pts)
-            dpp = sph_partial(F, chart, _mixed("theta", m, "phi", 2), h_deep)(pts)
-            rhs += comb(N, m) * (dt * _d_cot(k, pts, chart)
-                                 + dpp * _d_inv_sin2(k, pts, chart)) / r**2
+            dt = F.deriv(_orders("theta", m, "theta", 1))
+            dpp = F.deriv(_orders("theta", m, "phi", 2))
+            rhs += comb(N, m) * (dt * _d_cot(k, fv) + dpp * _d_inv_sin2(k, fv)) / r**2
     # for which == "phi" every coefficient is axisymmetric: the commutator vanishes
     return lhs, rhs
 
 
-def _grad_at(F, pts, chart, pre_orders, h):
-    """Full gradient of (D^pre F) at points, by single mixed stencils."""
-    r, s, c, rhat, that, phat = _frame(pts, chart)
-    o = list(pre_orders)
-
-    def bump(axis):
-        oo = list(o)
-        oo[axis] += 1
-        return tuple(oo)
-
-    dr = sph_partial(F, chart, bump(0), h)(pts)
-    dt = sph_partial(F, chart, bump(1), h)(pts)
-    dp = sph_partial(F, chart, bump(2), h)(pts)
-    return (rhat * dr[..., None] + that * (dt / r)[..., None]
-            + phat * (dp / (r * s))[..., None])
-
-
-def _comm_advect(F, V, pts, chart, N, which, h_deep):
-    gradF = make_sph_grad(F, chart, h_deep)
-
-    def adv(p):
-        return np.sum(V(p) * gradF(p), axis=-1)
-
-    lhs1 = sph_partial(adv, chart, _orders(which, N), h_deep)(pts)
-    dNF = sph_partial(F, chart, _orders(which, N), h_deep)
-    lhs2 = np.sum(V(pts) * make_sph_grad(dNF, chart, h_deep)(pts), axis=-1)
-    lhs = lhs1 - lhs2
+def _comm_advect(F, V, fr, N, which):
+    fv = _frame(fr)
+    o = _orders(which, N)
+    lhs = (np.sum(V * sph_grad(F, fr), axis=-1).deriv(o)
+           - np.sum(V.value * sph_grad(partial(F, o), fr).value, axis=-1))
 
     rhs = np.zeros_like(lhs)
     for k in range(N):
-        dv = sph_partial(V, chart, _orders(which, N - k), h_deep, vector=True)(pts)
-        g = _grad_at(F, pts, chart, _orders(which, k), h_deep)
+        dv = V.deriv(_orders(which, N - k))
+        g = sph_grad(partial(F, _orders(which, k)), fr).value
         rhs += comb(N, k) * np.sum(dv * g, axis=-1)
     for m in range(N):
         for k in range(m + 1, N + 1):
-            coeff = comb(N, k) * comb(k, m)
-            dv = sph_partial(V, chart, _orders(which, N - k), h_deep, vector=True)(pts)
-            dr_m = sph_partial(F, chart, _mixed(which, m, "r"), h_deep)(pts)
-            dt_m = sph_partial(F, chart, _mixed(which, m, "theta"), h_deep)(pts)
-            dp_m = sph_partial(F, chart, _mixed(which, m, "phi"), h_deep)(pts)
-            rhs += coeff * (
-                np.sum(dv * _d_hat("r", which, k - m, pts, chart), axis=-1) * dr_m
-                + np.sum(dv * _d_theta_over_r(which, k - m, pts, chart), axis=-1) * dt_m
-                + np.sum(dv * _d_phi_over_rs(which, k - m, pts, chart), axis=-1) * dp_m
-            )
+            dv = V.deriv(_orders(which, N - k))
+            rhs += comb(N, k) * comb(k, m) * np.sum(
+                dv * _frame_term(F, fv, which, k - m, m), axis=-1)
     return lhs, rhs
 
 
-def graddiv_expansion(V, chart: str, h: float = 0.01):
-    """grad div V assembled term-by-term in the chart frame (scalar slots)."""
-
-    def s_slot(idx):
-        def f(p):
-            hats = unit_vectors(p, chart, guard=False)
-            return np.sum(hats[idx] * V(p), axis=-1)
-
-        return f
-
-    s_r, s_t, s_p = s_slot(0), s_slot(1), s_slot(2)
-
-    def g_cot_over_r2(p):
-        r, th, _ = to_spherical(p, chart)
-        return s_t(p) * np.cos(th) / (r**2 * np.sin(th))
-
-    dp_sp = sph_partial(s_p, chart, (0, 0, 1), h)
-
-    def g_dpsp_over_r2s(p):
-        r, th, _ = to_spherical(p, chart)
-        return dp_sp(p) / (r**2 * np.sin(th))
-
-    P = lambda f, o: sph_partial(f, chart, o, h)  # noqa: E731
-
-    def expansion(pts):
-        r, th, _ = to_spherical(pts, chart)
-        s, c = np.sin(th), np.cos(th)
-        rhat, that, phat = unit_vectors(pts, chart, guard=False)
-        d2V = sph_partial(V, chart, (2, 0, 0), h, vector=True)(pts)
-        out = rhat * np.sum(rhat * d2V, axis=-1)[..., None]
-        out += that * (P(s_r, (1, 1, 0))(pts) / r)[..., None]
-        out += phat * (P(s_r, (1, 0, 1))(pts) / (r * s))[..., None]
-        out += 2.0 * rhat * (P(s_r, (1, 0, 0))(pts) / r - s_r(pts) / r**2)[..., None]
-        out += that * (2.0 * P(s_r, (0, 1, 0))(pts) / r**2)[..., None]
-        out += phat * (2.0 * P(s_r, (0, 0, 1))(pts) / (r**2 * s))[..., None]
-        out += rhat * (P(s_t, (1, 1, 0))(pts) / r - P(s_t, (0, 1, 0))(pts) / r**2)[..., None]
-        out += that * (P(s_t, (0, 2, 0))(pts) / r**2)[..., None]
-        out += phat * (P(s_t, (0, 1, 1))(pts) / (r**2 * s))[..., None]
-        out += rhat * ((P(s_t, (1, 0, 0))(pts) * c) / (r * s)
-                       - s_t(pts) * c / (r**2 * s))[..., None]
-        out += that * P(g_cot_over_r2, (0, 1, 0))(pts)[..., None]
-        out += phat * (P(s_t, (0, 0, 1))(pts) * c / (r**2 * s**2))[..., None]
-        out += rhat * (P(s_p, (1, 0, 1))(pts) / (r * s)
-                       - P(s_p, (0, 0, 1))(pts) / (r**2 * s))[..., None]
-        out += that * P(g_dpsp_over_r2s, (0, 1, 0))(pts)[..., None]
-        out += phat * (P(s_p, (0, 0, 2))(pts) / (r**2 * s**2))[..., None]
-        return out
-
-    return expansion
+def graddiv_expansion(V, fr):
+    """grad div V of an (n, 3) jet on fr, term by term in the chart frame."""
+    c, rhat, that, phat = fr.cos, fr.rhat, fr.that, fr.phat
+    ir, irs = fr.inv_r, fr.inv_rs
+    ir2, ir2s, ir2s2 = ir * ir, ir * irs, irs * irs
+    s_r, s_t, s_p = (np.sum(h * V, axis=-1) for h in (rhat, that, phat))
+    P = partial
+    out = rhat * np.sum(rhat * P(V, (2, 0, 0)), axis=-1)[..., None]
+    out += that * (P(s_r, (1, 1, 0)) * ir)[..., None]
+    out += phat * (P(s_r, (1, 0, 1)) * irs)[..., None]
+    out += 2.0 * rhat * (P(s_r, (1, 0, 0)) * ir - s_r * ir2)[..., None]
+    out += that * (2.0 * P(s_r, (0, 1, 0)) * ir2)[..., None]
+    out += phat * (2.0 * P(s_r, (0, 0, 1)) * ir2s)[..., None]
+    out += rhat * (P(s_t, (1, 1, 0)) * ir - P(s_t, (0, 1, 0)) * ir2)[..., None]
+    out += that * (P(s_t, (0, 2, 0)) * ir2)[..., None]
+    out += phat * (P(s_t, (0, 1, 1)) * ir2s)[..., None]
+    out += rhat * ((P(s_t, (1, 0, 0)) * c) * irs - s_t * c * ir2s)[..., None]
+    out += that * P(s_t * c * ir2s, (0, 1, 0))[..., None]
+    out += phat * (P(s_t, (0, 0, 1)) * c * ir2s2)[..., None]
+    out += rhat * (P(s_p, (1, 0, 1)) * irs - P(s_p, (0, 0, 1)) * ir2s)[..., None]
+    out += that * P(P(s_p, (0, 0, 1)) * ir2s, (0, 1, 0))[..., None]
+    out += phat * (P(s_p, (0, 0, 2)) * ir2s2)[..., None]
+    return out
 
 
-def _comm_graddiv(V, pts, chart, N, which, h_deep):
-    gd = make_sph_grad_div(V, chart, h_deep)
-    dN_V = sph_partial(V, chart, _orders(which, N), h_deep, vector=True)
-    lhs = (sph_partial(gd, chart, _orders(which, N), h_deep, vector=True)(pts)
-           - make_sph_grad_div(dN_V, chart, h_deep)(pts))
-    exp_v = graddiv_expansion(V, chart, h_deep)
-    exp_dNv = graddiv_expansion(dN_V, chart, h_deep)
-    rhs = (sph_partial(exp_v, chart, _orders(which, N), h_deep, vector=True)(pts)
-           - exp_dNv(pts))
+def _comm_graddiv(V, fr, N, which):
+    o = _orders(which, N)
+    dN_V = partial(V, o)
+    lhs = (sph_grad(sph_div(V, fr), fr).deriv(o)
+           - sph_grad(sph_div(dN_V, fr), fr).value)
+    rhs = graddiv_expansion(V, fr).deriv(o) - graddiv_expansion(dN_V, fr).value
     return lhs, rhs
 
 
@@ -374,26 +300,23 @@ def _mag(arr):
     return np.abs(arr)
 
 
-def _string_max(field, pts, chart, length, h, vector=False, radial=True):
-    """Max over all mixed derivative strings of a given length.
+def _string_max(F, length, radial=True):
+    """Max over all mixed derivative strings of a given length of a jet.
 
     radial=False restricts the strings to the two angular derivatives, the
     sense of the plain angular derivative powers in the structural bounds.
     """
     if length == 0:
-        return _mag(field(pts))
+        return _mag(F.value)
     best = 0.0
     for o1 in range((length + 1) if radial else 1):
         for o2 in range(length + 1 - o1):
-            o3 = length - o1 - o2
-            val = sph_partial(field, chart, (o1, o2, o3), h, vector=vector)(pts)
-            best = np.maximum(best, _mag(val))
+            best = np.maximum(best, _mag(F.deriv((o1, o2, length - o1 - o2))))
     return best
 
 
 def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
-                     h_deep: float = 0.01, n_points: int = 24,
-                     which=("theta", "phi"), rng_seed: int = 0):
+                     n_points: int = 24, which=("theta", "phi"), rng_seed: int = 0):
     """Equality and bound test for one commutator kind at one order.
 
     Equality: the commutator evaluated as a difference of operator
@@ -406,6 +329,7 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
     if not 1 <= N <= 3:
         raise ValueError("N must be 1, 2 or 3")
     pts = sample.points[chart][:n_points]
+    fr = chart_jet(pts, chart)
     rng = np.random.default_rng(rng_seed)
     fam = build_cutoffs()
     chi = fam.chi_v(pts) if chart == "V" else fam.chi_h(pts)
@@ -416,36 +340,28 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
     fitted_c = 0.0
     for w in which:
         if kind == "grad":
-            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]]
-            lhs, rhs = _comm_grad(F, pts, chart, N, w, h_deep)
-            bound = sum(_mag(_grad_at(F, pts, chart, _orders(w, m), h_deep))
+            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]](fr.x)
+            lhs, rhs = _comm_grad(F, fr, N, w)
+            bound = sum(_mag(sph_grad(partial(F, _orders(w, m)), fr).value)
                         for m in range(N))
         elif kind == "lap":
-            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]]
-            lhs, rhs = _comm_lap(F, pts, chart, N, w, h_deep)
-            r = radius(pts)
-            bound = sum(_string_max(F, pts, chart, m, h_deep, radial=False)
-                        for m in range(1, N + 2)) / r**2
+            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]](fr.x)
+            lhs, rhs = _comm_lap(F, fr, N, w)
+            bound = sum(_string_max(F, m, radial=False)
+                        for m in range(1, N + 2)) / fr.r.value**2
         elif kind == "advect":
-            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]]
-            V = sample.vector_fields[names_v[rng.integers(len(names_v))]]
-            lhs, rhs = _comm_advect(F, V, pts, chart, N, w, h_deep)
+            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]](fr.x)
+            V = sample.vector_fields[names_v[rng.integers(len(names_v))]](fr.x)
+            lhs, rhs = _comm_advect(F, V, fr, N, w)
             bound = sum(
-                _string_max(F, pts, chart, k, h_deep)
-                * sum(_string_max(V, pts, chart, m, h_deep, vector=True)
-                      for m in range(N - k + 2))
+                _string_max(F, k) * sum(_string_max(V, m) for m in range(N - k + 2))
                 for k in range(1, N + 1)
             )
         else:
-            V = sample.vector_fields[names_v[rng.integers(len(names_v))]]
-            lhs, rhs = _comm_graddiv(V, pts, chart, N, w, h_deep)
-            r = radius(pts)
-            bound = _mag(V(pts)) / r**2 + sum(
-                _string_max(
-                    sph_partial(V, chart, _orders(w, m), h_deep, vector=True),
-                    pts, chart, 2, h_deep, vector=True)
-                for m in range(N)
-            )
+            V = sample.vector_fields[names_v[rng.integers(len(names_v))]](fr.x)
+            lhs, rhs = _comm_graddiv(V, fr, N, w)
+            bound = _mag(V.value) / fr.r.value**2 + sum(
+                _string_max(partial(V, _orders(w, m)), 2) for m in range(N))
         max_err = max(max_err, float(np.max(_mag(lhs - rhs))))
         live = (chi > 1e-12) & (bound > 1e-12)
         if np.any(live):
@@ -455,22 +371,19 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
             "fitted_C": fitted_c}
 
 
-def rr_cancellation(V, pts, chart: str = "V", h: float = 0.01):
+def rr_cancellation(V, pts, chart: str = "V"):
     """Two evaluations of r_hat . lap V - d_r div V, which carry no d_r^2 V.
 
     Route one composes the spherical Laplacian/divergence operators; route
     two evaluates the explicit difference of their frame expansions, from
     which the second radial derivative cancels identically.
     """
-    vec_lap = make_sph_vec_lap(V, chart, h)
-    div_v = make_sph_div(V, chart, h)
-    rhat, that, phat = unit_vectors(pts, chart, guard=False)
-    route1 = (np.sum(rhat * vec_lap(pts), axis=-1)
-              - sph_partial(div_v, chart, (1, 0, 0), h)(pts))
-
-    r, th, _ = to_spherical(pts, chart)
-    s, c = np.sin(th), np.cos(th)
-    D = lambda o: sph_partial(V, chart, o, h, vector=True)(pts)  # noqa: E731
+    fr = chart_jet(pts, chart)
+    VJ = V(fr.x)
+    r, s, c, rhat, that, phat = _frame(fr)
+    route1 = (sum(rhat[:, j] * sph_lap(VJ[..., j], fr).value for j in range(3))
+              - sph_div(VJ, fr).deriv((1, 0, 0)))
+    D = VJ.deriv
     route2 = (
         2.0 / r * np.sum(rhat * D((1, 0, 0)), axis=-1)
         + c / (s * r**2) * np.sum(rhat * D((0, 1, 0)), axis=-1)
@@ -484,15 +397,15 @@ def rr_cancellation(V, pts, chart: str = "V", h: float = 0.01):
     return route1, route2
 
 
-def rr_insensitivity(V, pts, chart: str = "V", h: float = 0.01):
+def rr_insensitivity(V, pts, chart: str = "V"):
     """route2 must be blind to adding a pure radial field W(r) r_hat, W = r^3."""
 
     def augmented(p):
         r = radius(p, keepdims=True)
         return V(p) + r**2 * p  # W(r) r_hat with W = r^3
 
-    _, base = rr_cancellation(V, pts, chart, h)
-    _, aug = rr_cancellation(augmented, pts, chart, h)
+    _, base = rr_cancellation(V, pts, chart)
+    _, aug = rr_cancellation(augmented, pts, chart)
     return float(np.max(np.abs(base - aug)))
 
 
@@ -650,26 +563,25 @@ HARDY_GRADIENTS = {
 # full verification suite
 
 
-def _hat_relation_rows(sample, h=0.005):
+def _hat_relation_rows(sample):
+    """The frame relations, on the Cartesian unit-vector formulas."""
     rows = []
     for chart in ("V", "H"):
-        pts = sample.points[chart][:40]
-        rh = lambda x, c=chart: unit_vectors(x, c, guard=False)[0]  # noqa: E731
-        th = lambda x, c=chart: unit_vectors(x, c, guard=False)[1]  # noqa: E731
-        phv = lambda x, c=chart: unit_vectors(x, c, guard=False)[2]  # noqa: E731
-        _, s, c, rhat, that, phat = _frame(pts, chart)
+        fr = chart_jet(sample.points[chart][:40], chart)
+        hats = unit_vectors(fr.x, chart, guard=False)
+        _, s, c, rhat, that, phat = _frame(fr)
         ss, cc = s[..., None], c[..., None]
-        P = lambda f, o: sph_partial(f, chart, o, h, vector=True)(pts)  # noqa: E731
+        D = lambda j, o: hats[j].deriv(o)  # noqa: E731
         pairs = {
-            "dr_rhat": P(rh, (1, 0, 0)),
-            "dtheta_rhat": P(rh, (0, 1, 0)) - that,
-            "dphi_rhat": P(rh, (0, 0, 1)) - ss * phat,
-            "dr_thetahat": P(th, (1, 0, 0)),
-            "dtheta_thetahat": P(th, (0, 1, 0)) + rhat,
-            "dphi_thetahat": P(th, (0, 0, 1)) - cc * phat,
-            "dr_phihat": P(phv, (1, 0, 0)),
-            "dtheta_phihat": P(phv, (0, 1, 0)),
-            "dphi_phihat": P(phv, (0, 0, 1)) + ss * rhat + cc * that,
+            "dr_rhat": D(0, (1, 0, 0)),
+            "dtheta_rhat": D(0, (0, 1, 0)) - that,
+            "dphi_rhat": D(0, (0, 0, 1)) - ss * phat,
+            "dr_thetahat": D(1, (1, 0, 0)),
+            "dtheta_thetahat": D(1, (0, 1, 0)) + rhat,
+            "dphi_thetahat": D(1, (0, 0, 1)) - cc * phat,
+            "dr_phihat": D(2, (1, 0, 0)),
+            "dtheta_phihat": D(2, (0, 1, 0)),
+            "dphi_phihat": D(2, (0, 0, 1)) + ss * rhat + cc * that,
         }
         for name, resid in pairs.items():
             rows.append(_row(f"frame/{chart}/{name}", np.max(np.abs(resid)), 1e-6))
@@ -680,18 +592,20 @@ def _hat_relation_rows(sample, h=0.005):
     return rows
 
 
-def _operator_rows(sample, h=0.005):
+def _operator_rows(sample):
     rows = []
     for chart in ("V", "H"):
         pts = sample.points[chart]
+        fr = chart_jet(pts, chart)
         worst_g = worst_d = worst_l = 0.0
         for F in sample.scalar_fields.values():
-            g = make_sph_grad(F, chart, h)(pts) - cart_grad(F, pts)
-            l = make_sph_lap(F, chart, h)(pts) - cart_lap(F, pts)
+            FJ = F(fr.x)
+            g = sph_grad(FJ, fr).value - cart_grad(F, pts)
+            l = sph_lap(FJ, fr).value - cart_lap(F, pts)
             worst_g = max(worst_g, float(np.max(np.abs(g))))
             worst_l = max(worst_l, float(np.max(np.abs(l))))
         for V in sample.vector_fields.values():
-            d = make_sph_div(V, chart, h)(pts) - cart_div(V, pts)
+            d = sph_div(V(fr.x), fr).value - cart_div(V, pts)
             worst_d = max(worst_d, float(np.max(np.abs(d))))
         rows.append(_row(f"operators/{chart}/grad", worst_g, 1e-5))
         rows.append(_row(f"operators/{chart}/div", worst_d, 1e-5))
@@ -763,9 +677,10 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
     # grad div expansion against the Cartesian oracle
     for chart in ("V", "H"):
         pts = sample.points[chart][:30]
+        fr = chart_jet(pts, chart)
         worst = 0.0
         for V in sample.vector_fields.values():
-            e = graddiv_expansion(V, chart)(pts) - cart_grad_div(V, pts)
+            e = graddiv_expansion(V(fr.x), fr).value - cart_grad_div(V, pts)
             worst = max(worst, float(np.max(np.abs(e))))
         rows.append(_row(f"graddiv_expansion/{chart}", worst, 1e-4))
 

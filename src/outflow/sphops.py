@@ -7,19 +7,23 @@ the x2 axis (coordinates swap x2 and x3).  The scaled derivatives
     d_r = (x/|x|) . grad,   d_theta = |x| theta_hat . grad,
     d_phi = (cylindrical radius) phi_hat . grad
 
-coincide with the plain coordinate partials of the chart, so they commute
-with each other; all operators here exploit that by differencing in the
-coordinate box with fourth-order stencils.  Fields are vectorized callables
-mapping points of shape (..., 3) to scalars (...) or vectors (..., 3).
+coincide with the plain coordinate partials of the chart, so they commute.
+The spherical operators act on Taylor jets (`jets.Jet`) around a batch of
+points: a field, a vectorized callable from points (..., 3) to scalars or
+vectors, evaluated on `chart_jet(pts, chart).x` is the jet of the field, and
+a chart partial is its exact polynomial derivative.  The Cartesian operators,
+the checks' independent oracles, difference with fourth-order stencils.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .discrete import fornberg_weights
+from .jets import Jet, partial, variables
 
 __all__ = [
     "AxisDegeneracy",
@@ -28,16 +32,12 @@ __all__ = [
     "to_spherical",
     "from_spherical",
     "unit_vectors",
-    "sin_theta",
-    "sph_partial",
+    "ChartJet",
+    "chart_jet",
+    "sph_grad",
+    "sph_div",
+    "sph_lap",
     "cart_partial",
-    "sph_derivative",
-    "make_sph_grad",
-    "make_sph_div",
-    "make_sph_lap",
-    "make_sph_vec_lap",
-    "make_sph_grad_div",
-    "sph_grad_div_lap",
     "cart_grad",
     "cart_grad_sq",
     "cart_div",
@@ -59,13 +59,24 @@ def _check_chart(chart: str) -> None:
         raise ValueError(f"chart must be 'V' or 'H', got {chart!r}")
 
 
+def _points(pts):
+    return pts if isinstance(pts, Jet) else np.asarray(pts, dtype=float)
+
+
+def _place(x1, tangent, pole, chart):
+    """Stack chart-ordered components into Cartesian order (..., 3)."""
+    if chart == "V":
+        return np.stack([x1, tangent, pole], axis=-1)
+    return np.stack([x1, pole, tangent], axis=-1)
+
+
 def radius(pts, keepdims: bool = False):
-    """|x| of points (..., 3).
+    """|x| of points (..., 3), or of a jet of points.
 
     The same sum of squares in the same order as NumPy's 2-norm along the
     last axis, so bitwise equal to it, without a 3-long reduction per point.
     """
-    sq = np.square(np.asarray(pts, dtype=float))
+    sq = np.square(_points(pts))
     r = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     return r[..., None] if keepdims else r
 
@@ -88,30 +99,16 @@ def from_spherical(r, theta, phi, chart: str):
     _check_chart(chart)
     r, theta, phi = np.broadcast_arrays(r, theta, phi)
     s = np.sin(theta)
-    x1 = r * np.cos(phi) * s
-    tangent = r * np.sin(phi) * s
-    pole = r * np.cos(theta)
-    if chart == "V":
-        return np.stack([x1, tangent, pole], axis=-1)
-    return np.stack([x1, pole, tangent], axis=-1)
-
-
-def sin_theta(pts, chart: str):
-    """sin of the chart polar angle: cylindrical radius over |x|."""
-    _check_chart(chart)
-    pts = np.asarray(pts, dtype=float)
-    r = radius(pts)
-    if chart == "V":
-        cyl = np.hypot(pts[..., 0], pts[..., 1])
-    else:
-        cyl = np.hypot(pts[..., 0], pts[..., 2])
-    return cyl / r
+    return _place(r * np.cos(phi) * s, r * np.sin(phi) * s, r * np.cos(theta), chart)
 
 
 def unit_vectors(pts, chart: str, guard: bool = True):
-    """Orthonormal (r_hat, theta_hat, phi_hat) of the chart at each point."""
+    """Orthonormal (r_hat, theta_hat, phi_hat) of the chart at each point.
+
+    Cartesian formulas, so they also run on a jet of points (guard=False).
+    """
     _check_chart(chart)
-    pts = np.asarray(pts, dtype=float)
+    pts = _points(pts)
     r = radius(pts, keepdims=True)
     rhat = pts / r
     x1 = pts[..., 0]
@@ -126,19 +123,63 @@ def unit_vectors(pts, chart: str, guard: bool = True):
             f"(sin theta < {SIN_GUARD:.4f})"
         )
     denom = r[..., 0] * cyl
-    t1 = x1 * pole / denom
-    t_tan = tan * pole / denom
-    t_pole = -(cyl**2) / denom
-    p1 = -tan / cyl
-    p_tan = x1 / cyl
-    zeros = np.zeros_like(x1)
-    if chart == "V":
-        that = np.stack([t1, t_tan, t_pole], axis=-1)
-        phat = np.stack([p1, p_tan, zeros], axis=-1)
-    else:
-        that = np.stack([t1, t_pole, t_tan], axis=-1)
-        phat = np.stack([p1, zeros, p_tan], axis=-1)
+    that = _place(x1 * pole / denom, tan * pole / denom, -(cyl**2) / denom, chart)
+    phat = _place(-tan / cyl, x1 / cyl, np.zeros_like(x1), chart)
     return rhat, that, phat
+
+
+class ChartJet(NamedTuple):
+    """Jets of one chart around points (n, 3): the points x, on which fields
+    are evaluated, r, sin and cos of theta, 1/r, 1/(r sin theta) and the frame."""
+
+    x: Jet
+    r: Jet
+    sin: Jet
+    cos: Jet
+    inv_r: Jet
+    inv_rs: Jet
+    rhat: Jet
+    that: Jet
+    phat: Jet
+
+
+def chart_jet(pts, chart: str) -> ChartJet:
+    """The chart's coordinates, frame and points as jets around each point.
+
+    Raises AxisDegeneracy when a point is too close to the chart's axis, where
+    the operators' 1/sin(theta) factors blow up.
+    """
+    r0, th0, ph0 = to_spherical(np.atleast_2d(pts), chart)
+    if np.any(np.sin(th0) < SIN_GUARD):
+        raise AxisDegeneracy(f"chart derivative too close to the {chart}-chart axis")
+    r, th, ph = variables(r0, th0, ph0)
+    s, c, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    rhat = _place(s * cp, s * sp, c, chart)
+    that = _place(c * cp, c * sp, -s, chart)
+    phat = _place(-sp, cp, np.zeros_like(sp), chart)
+    inv_r = 1.0 / r
+    return ChartJet(r[..., None] * rhat, r, s, c, inv_r, inv_r / s, rhat, that, phat)
+
+
+def sph_grad(f: Jet, fr: ChartJet) -> Jet:
+    """grad F from the spherical formula, F a scalar jet on the chart jet fr."""
+    return (fr.rhat * partial(f, (1, 0, 0))[..., None]
+            + fr.that * (partial(f, (0, 1, 0)) * fr.inv_r)[..., None]
+            + fr.phat * (partial(f, (0, 0, 1)) * fr.inv_rs)[..., None])
+
+
+def sph_div(v: Jet, fr: ChartJet) -> Jet:
+    """div V from the spherical formula, V an (n, 3) jet on fr."""
+    s_r, s_t, s_p = (np.sum(h * v, axis=-1) for h in (fr.rhat, fr.that, fr.phat))
+    return (partial(fr.r**2 * s_r, (1, 0, 0)) * fr.inv_r**2
+            + (partial(fr.sin * s_t, (0, 1, 0)) + partial(s_p, (0, 0, 1))) * fr.inv_rs)
+
+
+def sph_lap(f: Jet, fr: ChartJet) -> Jet:
+    """Laplacian of a scalar jet from the spherical formula."""
+    return (partial(fr.r**2 * partial(f, (1, 0, 0)), (1, 0, 0)) * fr.inv_r**2
+            + partial(fr.sin * partial(f, (0, 1, 0)), (0, 1, 0)) * (fr.inv_r * fr.inv_rs)
+            + partial(f, (0, 0, 2)) * fr.inv_rs**2)
 
 
 @lru_cache(maxsize=None)
@@ -156,42 +197,6 @@ def _stencil(order: int):
     w = fornberg_weights(0.0, nodes.astype(float), order)[order]
     keep = w != 0.0
     return nodes[keep], w[keep]
-
-
-def sph_partial(field, chart: str, orders, h: float = 0.01, vector: bool = False):
-    """Mixed scaled partial d_r^a d_theta^b d_phi^c of a field, as a new field.
-
-    Tensor-product fourth-order stencils in the chart coordinate box; the
-    radial step scales with 1 + r.  Returns a callable with the same
-    vectorized signature as the input field.
-    """
-    _check_chart(chart)
-    a, b, c = orders
-    nr, wr = _stencil(a)
-    nt, wt = _stencil(b)
-    nq, wq = _stencil(c)
-
-    def apply(pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        p = np.atleast_2d(pts)
-        r, th, ph = to_spherical(p, chart)
-        hr = h * (1.0 + r)
-        rr = r[None, :] + nr[:, None] * hr[None, :]
-        tt = th[None, :] + nt[:, None] * h
-        pp = ph[None, :] + nq[:, None] * h
-        grid = from_spherical(
-            rr[:, None, None, :], tt[None, :, None, :], pp[None, None, :, :], chart
-        )
-        shp = grid.shape[:-1]
-        vals = field(grid.reshape(-1, 3))
-        vals = vals.reshape(shp + ((3,) if vector else ()))
-        out = np.einsum("i,j,k,ijkb...->b...", wr, wt, wq, vals)
-        scale = hr**a * h ** (b + c)
-        out = out / (scale[:, None] if vector else scale)
-        return out[0] if single else out
-
-    return apply
 
 
 def cart_partial(field, orders, h: float = 1e-3, vector: bool = False):
@@ -219,132 +224,6 @@ def cart_partial(field, orders, h: float = 1e-3, vector: bool = False):
         return out[0] if single else out
 
     return apply
-
-
-_WHICH = {
-    "r": ("V", (1, 0, 0)),
-    "theta_V": ("V", (0, 1, 0)),
-    "phi_V": ("V", (0, 0, 1)),
-    "theta_H": ("H", (0, 1, 0)),
-    "phi_H": ("H", (0, 0, 1)),
-}
-
-
-def sph_derivative(field, which: str, pts, h: float = 0.01, vector: bool = False):
-    """One scaled derivative (d_r, d_theta or d_phi in either chart) at points."""
-    try:
-        chart, orders = _WHICH[which]
-    except KeyError:
-        raise ValueError(f"unknown derivative {which!r}; options: {sorted(_WHICH)}")
-    r, th, _ = to_spherical(np.atleast_2d(pts), chart)
-    if which != "r" and np.any(np.sin(th) < SIN_GUARD):
-        raise AxisDegeneracy(f"{which} evaluated too close to its chart axis")
-    return sph_partial(field, chart, orders, h=h, vector=vector)(pts)
-
-
-def _scalar_slots(v, chart):
-    """Scalar component fields r_hat.V, theta_hat.V, phi_hat.V of a vector field."""
-
-    def slot(idx):
-        def f(pts):
-            hats = unit_vectors(pts, chart)
-            return np.sum(hats[idx] * v(pts), axis=-1)
-
-        return f
-
-    return slot(0), slot(1), slot(2)
-
-
-def make_sph_div(v, chart: str, h: float = 0.01):
-    """div V from the spherical formula, as a scalar field."""
-    s_r, s_t, s_p = _scalar_slots(v, chart)
-
-    def flux_r(pts):
-        r = radius(pts)
-        return r**2 * s_r(pts)
-
-    def flux_t(pts):
-        return sin_theta(pts, chart) * s_t(pts)
-
-    d_fr = sph_partial(flux_r, chart, (1, 0, 0), h)
-    d_ft = sph_partial(flux_t, chart, (0, 1, 0), h)
-    d_fp = sph_partial(s_p, chart, (0, 0, 1), h)
-
-    def div(pts):
-        pts = np.asarray(pts, dtype=float)
-        r = radius(pts)
-        s = sin_theta(pts, chart)
-        return d_fr(pts) / r**2 + (d_ft(pts) + d_fp(pts)) / (r * s)
-
-    return div
-
-
-def make_sph_grad(f, chart: str, h: float = 0.01):
-    """grad F from the spherical formula, as a vector field."""
-    d_r = sph_partial(f, chart, (1, 0, 0), h)
-    d_t = sph_partial(f, chart, (0, 1, 0), h)
-    d_p = sph_partial(f, chart, (0, 0, 1), h)
-
-    def grad(pts):
-        pts = np.asarray(pts, dtype=float)
-        r = radius(pts)
-        s = sin_theta(pts, chart)
-        rhat, that, phat = unit_vectors(pts, chart)
-        return (
-            rhat * d_r(pts)[..., None]
-            + that * (d_t(pts) / r)[..., None]
-            + phat * (d_p(pts) / (r * s))[..., None]
-        )
-
-    return grad
-
-
-def make_sph_lap(f, chart: str, h: float = 0.01):
-    """Laplacian of a scalar field from the spherical formula."""
-    d_rf = sph_partial(f, chart, (1, 0, 0), h)
-    d_tf = sph_partial(f, chart, (0, 1, 0), h)
-
-    def flux_r(pts):
-        r = radius(pts)
-        return r**2 * d_rf(pts)
-
-    def flux_t(pts):
-        return sin_theta(pts, chart) * d_tf(pts)
-
-    d2_r = sph_partial(flux_r, chart, (1, 0, 0), h)
-    d2_t = sph_partial(flux_t, chart, (0, 1, 0), h)
-    d2_p = sph_partial(f, chart, (0, 0, 2), h)
-
-    def lap(pts):
-        pts = np.asarray(pts, dtype=float)
-        r = radius(pts)
-        s = sin_theta(pts, chart)
-        return d2_r(pts) / r**2 + d2_t(pts) / (r**2 * s) + d2_p(pts) / (r * s) ** 2
-
-    return lap
-
-
-def make_sph_vec_lap(v, chart: str, h: float = 0.01):
-    """Componentwise Laplacian of a vector field (Cartesian components)."""
-    comps = [make_sph_lap(lambda pts, j=j: v(pts)[..., j], chart, h) for j in range(3)]
-
-    def lap(pts):
-        return np.stack([c(pts) for c in comps], axis=-1)
-
-    return lap
-
-
-def make_sph_grad_div(v, chart: str, h: float = 0.01):
-    return make_sph_grad(make_sph_div(v, chart, h), chart, h)
-
-
-def sph_grad_div_lap(f, v, pts, chart: str, h: float = 0.01):
-    """(grad F, div V, lap F) at points, all by the spherical formulas."""
-    return (
-        make_sph_grad(f, chart, h)(pts),
-        make_sph_div(v, chart, h)(pts),
-        make_sph_lap(f, chart, h)(pts),
-    )
 
 
 # Cartesian finite-difference oracles (single-level stencils, high accuracy).

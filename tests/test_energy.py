@@ -66,6 +66,21 @@ def test_quadrature_matches_the_closed_form_to_round_off(gamma, z, x):
             potential_energy_quadrature(*bad, p)
 
 
+@pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0])
+def test_closed_form_is_round_off_exact_against_50_digits(gamma):
+    """300 seeded (zeta, xi) in [0.1, 10]^2 against 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(int(gamma * 10))
+    z, x = rng.uniform(0.1, 10.0, (2, 300))
+    h = potential_energy(z, x, FluidParams(gamma=gamma, k_pressure=1.0))
+    g = mp.mpf(gamma)
+    for zi, xi, hi in zip(z, x, h):
+        zm, xm = mp.mpf(zi), mp.mpf(xi)
+        exact = (zm**g - xm**g - g * xm ** (g - 1) * (zm - xm)) / (g - 1)
+        assert abs(hi - float(exact)) <= 5e-15 * (1.0 + abs(hi)), (zi, xi)
+
+
 @given(gamma=st.sampled_from([1.0, 1.4, 2.0]))
 @settings(max_examples=3, deadline=None)
 def test_identities_randomized(gamma):

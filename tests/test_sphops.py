@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from outflow import sphops as so
+from outflow.jets import partial
 from outflow.opchecks import HARDY_FIELDS
 from outflow.sphops import AxisDegeneracy
 
@@ -42,53 +43,56 @@ def test_axis_degeneracy_raised():
     # same point is comfortably inside the complementary chart
     so.unit_vectors(near_pole, "H")
     with pytest.raises(AxisDegeneracy):
-        so.sph_derivative(lambda x: x[..., 0], "theta_V", near_pole)
+        so.chart_jet(near_pole, "V")
+    assert so.chart_jet(near_pole, "H").x[..., 0].deriv((0, 1, 0)).shape == (1,)
 
 
 def test_scaled_derivatives_of_radius():
-    pts = _sample("V", 20)
-    F = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
-    assert np.max(np.abs(so.sph_derivative(F, "r", pts) - 1.0)) <= 1e-9
-    assert np.max(np.abs(so.sph_derivative(F, "theta_V", pts))) <= 1e-9
-    assert np.max(np.abs(so.sph_derivative(F, "phi_V", pts))) <= 1e-9
+    fr = so.chart_jet(_sample("V", 20), "V")
+    F = so.radius(fr.x)
+    assert np.max(np.abs(F.deriv((1, 0, 0)) - 1.0)) <= 1e-14
+    assert np.max(np.abs(F.deriv((0, 1, 0)))) <= 1e-14
+    assert np.max(np.abs(F.deriv((0, 0, 1)))) <= 1e-14
 
 
 def test_polar_derivative_of_x3():
     """d_theta x3 carries the -cylindrical-radius factor of the V frame."""
     pts = _sample("V", 30, seed=2)
-    F = lambda x: x[..., 2]  # noqa: E731
-    got = so.sph_derivative(F, "theta_V", pts)
+    got = so.chart_jet(pts, "V").x[..., 2].deriv((0, 1, 0))
     want = -np.hypot(pts[:, 0], pts[:, 1])
-    assert np.max(np.abs(got - want)) <= 1e-8
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("chart", ["V", "H"])
 def test_scaled_derivatives_commute(chart):
-    pts = _sample(chart, 20, seed=3)
-    F = lambda x: np.exp(1 - np.linalg.norm(x, axis=-1)) * x[..., 0] * x[..., 1]  # noqa: E731
-    ab = so.sph_partial(F, chart, (1, 1, 0), h=0.005)(pts)
-    inner = so.sph_partial(F, chart, (0, 1, 0), h=0.005)
-    ba = so.sph_partial(inner, chart, (1, 0, 0), h=0.005)(pts)
-    assert np.max(np.abs(ab - ba)) <= 1e-5
+    fr = so.chart_jet(_sample(chart, 20, seed=3), chart)
+    x = fr.x
+    F = np.exp(1 - so.radius(x)) * x[..., 0] * x[..., 1]
+    ab = partial(partial(F, (0, 1, 0)), (1, 0, 0)).value
+    ba = partial(partial(F, (1, 0, 0)), (0, 1, 0)).value
+    assert np.max(np.abs(ab - F.deriv((1, 1, 0)))) <= 1e-14
+    assert np.max(np.abs(ab - ba)) <= 1e-14
 
 
 def test_harmonic_function():
-    pts = _sample("V", 30, seed=4)
-    F = lambda x: 1.0 / np.linalg.norm(x, axis=-1)  # noqa: E731
-    assert np.max(np.abs(so.make_sph_lap(F, "V", h=0.004)(pts))) <= 1e-7
+    fr = so.chart_jet(_sample("V", 30, seed=4), "V")
+    assert np.max(np.abs(so.sph_lap(1.0 / so.radius(fr.x), fr).value)) <= 1e-14
 
 
 def test_grad_div_lap_against_closed_forms():
     pts = _sample("V", 40, seed=5)
-    F = lambda x: x[..., 0] ** 2 * x[..., 1] - x[..., 2] ** 3  # noqa: E731
-    V = lambda x: x + 0.0  # noqa: E731
-    grad, div, lap = so.sph_grad_div_lap(F, V, pts, "V", h=0.005)
+    fr = so.chart_jet(pts, "V")
+    x = fr.x
+    F = x[..., 0] ** 2 * x[..., 1] - x[..., 2] ** 3
+    grad = so.sph_grad(F, fr).value
+    div = so.sph_div(x + 0.0, fr).value
+    lap = so.sph_lap(F, fr).value
     grad_exact = np.stack([2 * pts[:, 0] * pts[:, 1], pts[:, 0] ** 2,
                            -3 * pts[:, 2] ** 2], axis=-1)
     lap_exact = 2 * pts[:, 1] - 6 * pts[:, 2]
-    assert np.max(np.abs(grad - grad_exact)) <= 1e-5
-    assert np.max(np.abs(div - 3.0)) <= 1e-5
-    assert np.max(np.abs(lap - lap_exact)) <= 1e-5
+    assert np.max(np.abs(grad - grad_exact)) <= 1e-12
+    assert np.max(np.abs(div - 3.0)) <= 1e-12
+    assert np.max(np.abs(lap - lap_exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("chart", ["V", "H"])
@@ -97,42 +101,40 @@ def test_spherical_matches_cartesian_oracles(chart):
     F = lambda x: np.exp(-0.5 * np.sum((x - np.array([1.2, 0.7, -0.5])) ** 2,  # noqa: E731
                                        axis=-1))
     V = lambda x: np.stack([x[..., 1] * x[..., 2], x[..., 0] ** 2,  # noqa: E731
-                            np.exp(1 - np.linalg.norm(x, axis=-1))], axis=-1)
-    assert np.max(np.abs(so.make_sph_grad(F, chart, 0.005)(pts)
+                            np.exp(1 - so.radius(x))], axis=-1)
+    fr = so.chart_jet(pts, chart)
+    assert np.max(np.abs(so.sph_grad(F(fr.x), fr).value
                          - so.cart_grad(F, pts))) <= 1e-5
-    assert np.max(np.abs(so.make_sph_div(V, chart, 0.005)(pts)
+    assert np.max(np.abs(so.sph_div(V(fr.x), fr).value
                          - so.cart_div(V, pts))) <= 1e-5
-    assert np.max(np.abs(so.make_sph_lap(F, chart, 0.005)(pts)
+    assert np.max(np.abs(so.sph_lap(F(fr.x), fr).value
                          - so.cart_lap(F, pts))) <= 1e-5
-    assert np.max(np.abs(so.make_sph_grad_div(V, chart, 0.01)(pts)
+    assert np.max(np.abs(so.sph_grad(so.sph_div(V(fr.x), fr), fr).value
                          - so.cart_grad_div(V, pts))) <= 1e-4
 
 
 def test_frame_derivative_relations():
-    """The nine derivative relations of the moving frame, by differencing."""
+    """The nine derivative relations of the moving frame, on the Cartesian
+    unit-vector formulas evaluated on the jet of points."""
     for chart in ("V", "H"):
         pts = _sample(chart, 30, seed=7)
         _, th, _ = so.to_spherical(pts, chart)
         s, c = np.sin(th)[:, None], np.cos(th)[:, None]
         rhat, that, phat = so.unit_vectors(pts, chart)
-        hat = {
-            "r": lambda x, ch=chart: so.unit_vectors(x, ch, guard=False)[0],
-            "t": lambda x, ch=chart: so.unit_vectors(x, ch, guard=False)[1],
-            "p": lambda x, ch=chart: so.unit_vectors(x, ch, guard=False)[2],
-        }
+        hats = so.unit_vectors(so.chart_jet(pts, chart).x, chart, guard=False)
+        hat = dict(zip("rtp", hats))
 
         def D(which, orders):
-            return so.sph_partial(hat[which], chart, orders, 0.005,
-                                  vector=True)(pts)
+            return hat[which].deriv(orders)
 
-        assert np.max(np.abs(D("r", (0, 1, 0)) - that)) <= 1e-6
-        assert np.max(np.abs(D("r", (0, 0, 1)) - s * phat)) <= 1e-6
-        assert np.max(np.abs(D("t", (0, 1, 0)) + rhat)) <= 1e-6
-        assert np.max(np.abs(D("t", (0, 0, 1)) - c * phat)) <= 1e-6
-        assert np.max(np.abs(D("p", (0, 1, 0)))) <= 1e-6
-        assert np.max(np.abs(D("p", (0, 0, 1)) + s * rhat + c * that)) <= 1e-6
+        assert np.max(np.abs(D("r", (0, 1, 0)) - that)) <= 1e-14
+        assert np.max(np.abs(D("r", (0, 0, 1)) - s * phat)) <= 1e-14
+        assert np.max(np.abs(D("t", (0, 1, 0)) + rhat)) <= 1e-14
+        assert np.max(np.abs(D("t", (0, 0, 1)) - c * phat)) <= 1e-14
+        assert np.max(np.abs(D("p", (0, 1, 0)))) <= 1e-14
+        assert np.max(np.abs(D("p", (0, 0, 1)) + s * rhat + c * that)) <= 1e-14
         for which in ("r", "t", "p"):
-            assert np.max(np.abs(D(which, (1, 0, 0)))) <= 1e-6
+            assert np.max(np.abs(D(which, (1, 0, 0)))) <= 1e-14
 
 
 _COORD = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

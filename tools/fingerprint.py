@@ -11,9 +11,9 @@ geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
 stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
-each field of the Hardy corpus, each row of `run_verify_ops(seed=0)` and the
-`potential_energy_quadrature` values of `verify-energy`, term by term,
-and every CSV and text file that the CLI writes for
+each field of the Hardy corpus, each row of `run_verify_ops` for seeds 0, 99
+and 12345 and the `potential_energy_quadrature` values of `verify-energy`,
+term by term, and every CSV and text file that the CLI writes for
 `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0`,
 `verify-ops --seed 7` and `verify-energy`, plus each subcommand's exit code.
 A change meant to keep the numbers bitwise is checked by running this on both
@@ -289,15 +289,18 @@ def hardy_results() -> None:
 
 def verify_term_results() -> None:
     """Term by term what the verification CSVs print rounded or fold into
-    one worst value: each `run_verify_ops(seed=0)` row (name, value, note),
+    one worst value: each `run_verify_ops` row (name, value, note) for seed 0
+    and for seeds 99 and 12345, whose verdict once depended on the corpus,
     and the 400 `potential_energy_quadrature` values of each gamma on
     `verify-energy`'s (zeta, xi) grid, in the order the CLI takes them."""
     from outflow.energy import potential_energy_quadrature
     from outflow.opchecks import run_verify_ops
     from outflow.params import FluidParams
 
-    for row in run_verify_ops(seed=0):
-        _emit(f"verify_ops_rows/{row.name}", (row.name, row.value, row.note))
+    for seed, group in ((0, "verify_ops_rows"), (99, "verify_ops_rows_seed99"),
+                        (12345, "verify_ops_rows_seed12345")):
+        for row in run_verify_ops(seed=seed):
+            _emit(f"{group}/{row.name}", (row.name, row.value, row.note))
     grid = np.linspace(0.4, 2.5, 20)
     for gamma in (1.0, 1.4, 2.0):
         params = FluidParams(gamma=gamma, k_pressure=1.0)
