@@ -1,82 +1,84 @@
 """Truncated Taylor jets in the chart offsets (dr, dtheta, dphi).
 
-A `Jet` holds, for each point of a batch, the Taylor polynomial of total
-degree <= DEGREE of a quantity in the offsets of the chart coordinates from
-that point: 56 coefficients on a leading axis, the quantity's own shape after
-it.  Arithmetic, powers, exp, sqrt, sin, cos and hypot reach it through
-NumPy's ufunc protocol, and np.stack, np.sum and np.zeros_like through the
-function protocol, so a field written for point arrays (..., 3) runs
-unchanged on a jet of points (Griewank & Walther 2008, Evaluating
-Derivatives, ch. 13).  A chart partial is the jet's exact polynomial
-derivative, one degree lower, and a product's coefficients of degree d need
-only its factors' up to d: any composition of at most DEGREE partials is
-exact to round-off, with no step size.  The tables are built on first use.
+A `Jet` of degree d holds, for each point of a batch, the Taylor polynomial
+of total degree <= d of a quantity in the offsets of the chart coordinates
+from that point: C(d + 3, 3) coefficients (1, 4, 10, 20, 35, 56 for d = 0..5)
+on a leading axis, the quantity's own shape after it.  `variables` seeds the
+degree; a sum or product of two jets truncates to the lower one, a constant
+pads to the jet's.  Arithmetic, powers, exp, sqrt, sin, cos and hypot reach
+it through NumPy's ufunc protocol, and np.stack, np.sum and np.zeros_like
+through the function protocol, so a field written for point arrays (..., 3)
+runs unchanged on a jet of points (Griewank & Walther 2008, Evaluating
+Derivatives, ch. 13).  A chart partial of order k is the jet's exact
+polynomial derivative, a jet k degrees lower, and a product's coefficients
+of degree m need only its factors' up to m: at most d partials of a degree-d
+jet compose exactly to round-off, with no step size, bit for bit as at any
+higher degree.  The tables are built per degree on first use.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-__all__ = ["DEGREE", "Jet", "variables", "partial"]
+__all__ = ["Jet", "variables", "partial"]
 
-DEGREE = 5
+# the degree of a jet, read from its coefficient count C(degree + 3, 3)
+_DEGREE = {comb(d + 3, 3): d for d in range(11)}
 
 
 @cache
-def _tables():
+def _tables(degree):
     """Exponents of the monomials (graded) and their index; for the product,
     the factor indices of every pair that survives the truncation and the 0/1
     matrix that sums each pair into its monomial."""
-    exps = [(a, b, d - a - b) for d in range(DEGREE + 1)
+    exps = [(a, b, d - a - b) for d in range(degree + 1)
             for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
     index = {e: n for n, e in enumerate(exps)}
     k, i, j = np.array([(index[(a[0] + b[0], a[1] + b[1], a[2] + b[2])], i, j)
                         for i, a in enumerate(exps) for j, b in enumerate(exps)
-                        if sum(a) + sum(b) <= DEGREE]).T
+                        if sum(a) + sum(b) <= degree]).T
     gather = csr_matrix((np.ones(k.size), (k, np.arange(k.size))),
                         shape=(len(exps), k.size))
     return exps, index, i, j, gather
 
 
 @cache
-def _shift(orders):
-    """Target index, source index and factor of the partial d^orders."""
-    exps, index = _tables()[:2]
-    moves = [(index[e], index[a], prod(map(perm, a, orders))) for e in exps
-             for a in [tuple(map(sum, zip(e, orders)))] if sum(a) <= DEGREE]
-    dst, src, fac = zip(*moves)
-    return np.array(dst), np.array(src), np.array(fac, dtype=float)
+def _shift(orders, degree):
+    """Source index and factor of each coefficient of the partial d^orders
+    of a degree-`degree` jet, a jet of degree `degree - sum(orders)`."""
+    index = _tables(degree)[1]
+    moves = [(index[a], prod(map(perm, a, orders)))
+             for e in _tables(degree - sum(orders))[0]
+             for a in [tuple(map(sum, zip(e, orders)))]]
+    src, fac = zip(*moves)
+    return np.array(src), np.array(fac, dtype=float)
 
 
-def _coeffs(x, pad):
-    """Coefficients of a jet; a constant's as one row, or zero-padded."""
-    if isinstance(x, Jet):
-        return x.c
-    x = np.asarray(x, dtype=float)[None]
-    return np.concatenate([x, np.zeros((len(_tables()[0]) - 1,) + x.shape[1:])]) if pad else x
-
-
-def _pair(a, b, pad=False):
-    """Coefficient blocks of two operands, broadcastable over trailing axes."""
-    ca, cb = _coeffs(a, pad), _coeffs(b, pad)
-    nd = max(ca.ndim, cb.ndim)
-    return [c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:]) for c in (ca, cb)]
+def _blocks(xs, pad=False):
+    """Coefficient blocks of operands, broadcastable over trailing axes, at
+    the lowest degree among their jets; a constant's as one row or padded."""
+    n = min(len(x.c) for x in xs if isinstance(x, Jet))
+    cs = [x.c[:n] if isinstance(x, Jet) else np.asarray(x, dtype=float)[None] for x in xs]
+    cs = [np.concatenate([c, np.zeros((n - 1,) + c.shape[1:])]) if pad and len(c) < n
+          else c for c in cs]
+    nd = max(c.ndim for c in cs)
+    return [c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:]) for c in cs]
 
 
 def _add(a, b):
-    ca, cb = _pair(a, b, pad=True)
+    ca, cb = _blocks((a, b), pad=True)
     return Jet(ca + cb)
 
 
 def _mul(a, b):
-    ca, cb = _pair(a, b)
+    ca, cb = _blocks((a, b))
     if len(ca) == 1 or len(cb) == 1:
         return Jet(ca * cb)
-    i, j, gather = _tables()[2:]
+    i, j, gather = _tables(_DEGREE[len(ca)])[2:]
     terms = ca[i] * cb[j]
     return Jet((gather @ terms.reshape(i.size, -1)).reshape((-1,) + terms.shape[1:]))
 
@@ -96,7 +98,7 @@ def _power(x, p):
     if not isinstance(x, Jet):
         return np.power(x, p)
     # x^p of a non-negative integer p is a polynomial: its series stops at p
-    top = int(p) if p.is_integer() and 0 <= p < DEGREE else DEGREE
+    top = int(p) if p.is_integer() and 0 <= p < x.degree else x.degree
     coeffs, binom = [], 1.0
     for k in range(top + 1):
         coeffs.append(binom * x.c[0] ** (p - k))
@@ -106,14 +108,14 @@ def _power(x, p):
 
 def _exp(x):
     e = np.exp(x.c[0])
-    return _series(x, [e / factorial(k) for k in range(DEGREE + 1)])
+    return _series(x, [e / factorial(k) for k in range(x.degree + 1)])
 
 
 def _trig(x, phase):
     """sin(x + phase pi/2): the k-th derivative is sin(x + (phase + k) pi/2)."""
     s, c = np.sin(x.c[0]), np.cos(x.c[0])
     cycle = (s, c, -s, -c)
-    return _series(x, [cycle[(phase + k) % 4] / factorial(k) for k in range(DEGREE + 1)])
+    return _series(x, [cycle[(phase + k) % 4] / factorial(k) for k in range(x.degree + 1)])
 
 
 _UFUNCS = {
@@ -134,7 +136,7 @@ _UFUNCS = {
 _FUNCTIONS = {
     # axis counts the trailing axes, which sit behind the coefficient axis
     np.stack: lambda arrays, axis=0: Jet(np.stack(
-        [_coeffs(a, pad=True) for a in arrays], axis=axis + (axis >= 0))),
+        _blocks(arrays, pad=True), axis=axis + (axis >= 0))),
     np.sum: lambda a, axis=None: Jet(a.c.sum(
         axis=tuple(range(1, a.c.ndim)) if axis is None else axis + (axis >= 0))),
     np.zeros_like: lambda a: Jet(np.zeros_like(a.c)),
@@ -154,6 +156,11 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         self.c = c
 
     @property
+    def degree(self):
+        """The total degree d, read from the coefficient count."""
+        return _DEGREE[len(self.c)]
+
+    @property
     def value(self):
         """The quantity at the base points."""
         return self.c[0]
@@ -161,9 +168,9 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     def deriv(self, orders):
         """d_r^a d_theta^b d_phi^c at the base points, orders = (a, b, c)."""
         orders = tuple(orders)
-        if sum(orders) > DEGREE:
-            raise ValueError(f"a degree-{DEGREE} jet has no derivative of order {orders}")
-        return prod(map(factorial, orders)) * self.c[_tables()[1][orders]]
+        if sum(orders) > self.degree:
+            raise ValueError(f"a degree-{self.degree} jet has no derivative of order {orders}")
+        return prod(map(factorial, orders)) * self.c[_tables(self.degree)[1][orders]]
 
     def __getitem__(self, key):
         return Jet(self.c[(slice(None),) + (key if isinstance(key, tuple) else (key,))])
@@ -180,21 +187,24 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         return _FUNCTIONS[func](*args, **kwargs)
 
 
-def variables(*base):
-    """One jet per chart coordinate, base + its own offset (broadcast arrays).
+def variables(*base, degree):
+    """One degree-`degree` jet per chart coordinate, base + its own offset
+    (broadcast arrays).
 
     The graded order puts the monomials dr, dtheta, dphi at indices 1 to 3.
     """
     base = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in base))
-    c = np.zeros((len(_tables()[0]), 3) + base[0].shape)
+    c = np.zeros((comb(degree + 3, 3), 3) + base[0].shape)
     c[0] = base
     c[1:4] = np.eye(3).reshape((3, 3) + (1,) * base[0].ndim)
     return tuple(Jet(c[:, k]) for k in range(3))
 
 
 def partial(x, orders):
-    """The exact chart partial d_r^a d_theta^b d_phi^c of a jet, as a jet."""
-    dst, src, fac = _shift(tuple(orders))
-    c = np.zeros_like(x.c)
-    c[dst] = x.c[src] * fac.reshape((-1,) + (1,) * (x.c.ndim - 1))
-    return Jet(c)
+    """The exact chart partial d_r^a d_theta^b d_phi^c of a jet, as a jet
+    `sum(orders)` degrees lower."""
+    orders = tuple(orders)
+    if sum(orders) > x.degree:
+        raise ValueError(f"a degree-{x.degree} jet has no partial of order {orders}")
+    src, fac = _shift(orders, x.degree)
+    return Jet(x.c[src] * fac.reshape((-1,) + (1,) * (x.c.ndim - 1)))

@@ -23,6 +23,7 @@ from .cutoffs import CutoffFamily, build_cutoffs
 from .discrete import sphere_area
 from .jets import partial
 from .sphops import (
+    ChartJet,
     cart_div,
     cart_grad,
     cart_grad_div,
@@ -306,8 +307,6 @@ def _string_max(F, length, radial=True):
     radial=False restricts the strings to the two angular derivatives, the
     sense of the plain angular derivative powers in the structural bounds.
     """
-    if length == 0:
-        return _mag(F.value)
     best = 0.0
     for o1 in range((length + 1) if radial else 1):
         for o2 in range(length + 1 - o1):
@@ -329,7 +328,8 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
     if not 1 <= N <= 3:
         raise ValueError("N must be 1, 2 or 3")
     pts = sample.points[chart][:n_points]
-    fr = chart_jet(pts, chart)
+    # the commutator's lhs differentiates N times an operator of order 1 or 2
+    fr = chart_jet(pts, chart, N + (2 if kind in ("lap", "graddiv") else 1))
     rng = np.random.default_rng(rng_seed)
     fam = build_cutoffs()
     chi = fam.chi_v(pts) if chart == "V" else fam.chi_h(pts)
@@ -376,9 +376,10 @@ def rr_cancellation(V, pts, chart: str = "V"):
 
     Route one composes the spherical Laplacian/divergence operators; route
     two evaluates the explicit difference of their frame expansions, from
-    which the second radial derivative cancels identically.
+    which the second radial derivative cancels identically.  pts are points
+    (n, 3) of the chart, or a chart jet of degree >= 2 already built on them.
     """
-    fr = chart_jet(pts, chart)
+    fr = pts if isinstance(pts, ChartJet) else chart_jet(pts, chart, 2)
     VJ = V(fr.x)
     r, s, c, rhat, that, phat = _frame(fr)
     route1 = (sum(rhat[:, j] * sph_lap(VJ[..., j], fr).value for j in range(3))
@@ -399,14 +400,9 @@ def rr_cancellation(V, pts, chart: str = "V"):
 
 def rr_insensitivity(V, pts, chart: str = "V"):
     """route2 must be blind to adding a pure radial field W(r) r_hat, W = r^3."""
-
-    def augmented(p):
-        r = radius(p, keepdims=True)
-        return V(p) + r**2 * p  # W(r) r_hat with W = r^3
-
-    _, base = rr_cancellation(V, pts, chart)
-    _, aug = rr_cancellation(augmented, pts, chart)
-    return float(np.max(np.abs(base - aug)))
+    fr = pts if isinstance(pts, ChartJet) else chart_jet(pts, chart, 2)
+    augmented = lambda p: V(p) + radius(p, keepdims=True) ** 2 * p  # noqa: E731
+    return float(np.max(np.abs(rr_cancellation(V, fr)[1] - rr_cancellation(augmented, fr)[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +563,7 @@ def _hat_relation_rows(sample):
     """The frame relations, on the Cartesian unit-vector formulas."""
     rows = []
     for chart in ("V", "H"):
-        fr = chart_jet(sample.points[chart][:40], chart)
+        fr = chart_jet(sample.points[chart][:40], chart, 1)
         hats = unit_vectors(fr.x, chart, guard=False)
         _, s, c, rhat, that, phat = _frame(fr)
         ss, cc = s[..., None], c[..., None]
@@ -596,7 +592,7 @@ def _operator_rows(sample):
     rows = []
     for chart in ("V", "H"):
         pts = sample.points[chart]
-        fr = chart_jet(pts, chart)
+        fr = chart_jet(pts, chart, 2)
         worst_g = worst_d = worst_l = 0.0
         for F in sample.scalar_fields.values():
             FJ = F(fr.x)
@@ -638,16 +634,15 @@ def _cutoff_rows(fam: CutoffFamily, rng):
         rows.append(_row(f"cutoff/{name}_radial_grad",
                          np.max(np.abs(np.sum(rhat * g, axis=1))), 1e-8))
         azim = np.zeros(pts.shape[0])
-        sel = chi_fn(pts) > 1e-13  # support lies inside the chart band
+        chi = chi_fn(pts)
+        sel = chi > 1e-13  # support lies inside the chart band
         if np.any(sel):
             _, _, phat = unit_vectors(pts[sel], chart, guard=False)
             azim[sel] = np.abs(np.sum(phat * g[sel], axis=1))
         rows.append(_row(f"cutoff/{name}_azimuthal_grad", np.max(azim), 1e-8))
         gfd = cart_grad(chi_fn, pts, h=2e-4)
         rows.append(_row(f"cutoff/{name}_grad_fd", np.max(np.abs(g - gfd)), 1e-5))
-        chi = chi_fn(pts)
-        mask = chi > 1e-13
-        cfit = float(np.max(np.sum(g[mask] ** 2, axis=1) / chi[mask])) if mask.any() else 0.0
+        cfit = float(np.max(np.sum(g[sel] ** 2, axis=1) / chi[sel])) if sel.any() else 0.0
         rows.append(CheckRow(f"cutoff/{name}_grad_sq_over_chi", cfit, np.inf, True,
                              note="fitted C in |grad chi|^2 <= C chi"))
     return rows
@@ -677,25 +672,24 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
     # grad div expansion against the Cartesian oracle
     for chart in ("V", "H"):
         pts = sample.points[chart][:30]
-        fr = chart_jet(pts, chart)
+        fr = chart_jet(pts, chart, 2)
         worst = 0.0
         for V in sample.vector_fields.values():
             e = graddiv_expansion(V(fr.x), fr).value - cart_grad_div(V, pts)
             worst = max(worst, float(np.max(np.abs(e))))
         rows.append(_row(f"graddiv_expansion/{chart}", worst, 1e-4))
 
-    # radial-radial cancellation
+    # radial-radial cancellation, on one chart jet per chart
     for chart in ("V", "H"):
-        pts = sample.points[chart]
+        fr = chart_jet(sample.points[chart], chart, 2)
         worst = 0.0
         for V in sample.vector_fields.values():
-            r1, r2 = rr_cancellation(V, pts, chart)
+            r1, r2 = rr_cancellation(V, fr)
             worst = max(worst, float(np.max(np.abs(r1 - r2))))
         rows.append(_row(f"rr_cancel/{chart}/two_routes", worst, 1e-4))
-        worst_aug = max(
-            rr_insensitivity(sample.vector_fields["vsmooth"], pts[:40], chart),
-            rr_insensitivity(sample.vector_fields["radial_quad"], pts[:40], chart),
-        )
+        fr40 = ChartJet(*(j[:40] for j in fr))
+        worst_aug = max(rr_insensitivity(sample.vector_fields["vsmooth"], fr40),
+                        rr_insensitivity(sample.vector_fields["radial_quad"], fr40))
         rows.append(_row(f"rr_cancel/{chart}/radial_blind", worst_aug, 1e-4))
 
     # Hardy inequality corpus (n = 3, constant 2n = 6)

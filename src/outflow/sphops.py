@@ -10,7 +10,7 @@ the x2 axis (coordinates swap x2 and x3).  The scaled derivatives
 coincide with the plain coordinate partials of the chart, so they commute.
 The spherical operators act on Taylor jets (`jets.Jet`) around a batch of
 points: a field, a vectorized callable from points (..., 3) to scalars or
-vectors, evaluated on `chart_jet(pts, chart).x` is the jet of the field, and
+vectors, evaluated on `chart_jet(pts, chart, d).x` is its degree-d jet, and
 a chart partial is its exact polynomial derivative.  The Cartesian operators,
 the checks' independent oracles, difference with fourth-order stencils.
 """
@@ -143,8 +143,9 @@ class ChartJet(NamedTuple):
     phat: Jet
 
 
-def chart_jet(pts, chart: str) -> ChartJet:
-    """The chart's coordinates, frame and points as jets around each point.
+def chart_jet(pts, chart: str, degree: int) -> ChartJet:
+    """The chart's coordinates, frame and points as degree-`degree` jets
+    around each point.
 
     Raises AxisDegeneracy when a point is too close to the chart's axis, where
     the operators' 1/sin(theta) factors blow up.
@@ -152,7 +153,7 @@ def chart_jet(pts, chart: str) -> ChartJet:
     r0, th0, ph0 = to_spherical(np.atleast_2d(pts), chart)
     if np.any(np.sin(th0) < SIN_GUARD):
         raise AxisDegeneracy(f"chart derivative too close to the {chart}-chart axis")
-    r, th, ph = variables(r0, th0, ph0)
+    r, th, ph = variables(r0, th0, ph0, degree=degree)
     s, c, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
     rhat = _place(s * cp, s * sp, c, chart)
     that = _place(c * cp, c * sp, -s, chart)
@@ -228,8 +229,11 @@ def cart_partial(field, orders, h: float = 1e-3, vector: bool = False):
 
 # Cartesian finite-difference oracles (single-level stencils, high accuracy).
 
+_EYE = np.eye(3, dtype=int)  # row i: the orders of a first partial along axis i
+
+
 def cart_grad(f, pts, h: float = 1e-3):
-    cols = [cart_partial(f, tuple(np.eye(3, dtype=int)[i]), h)(pts) for i in range(3)]
+    cols = [cart_partial(f, tuple(_EYE[i]), h)(pts) for i in range(3)]
     return np.stack(cols, axis=-1)
 
 
@@ -241,8 +245,7 @@ def cart_grad_sq(f, pts, h: float = 1e-3, vector: bool = False):
     order: the order of summing np.sum(cart_grad(F_j, pts, h)**2, axis=-1)
     over j, so the result is bitwise that sum.
     """
-    d = [cart_partial(f, tuple(np.eye(3, dtype=int)[i]), h, vector=vector)(pts)
-         for i in range(3)]
+    d = [cart_partial(f, tuple(_EYE[i]), h, vector=vector)(pts) for i in range(3)]
     s = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
     return s[..., 0] + s[..., 1] + s[..., 2] if vector else s
 
@@ -250,18 +253,14 @@ def cart_grad_sq(f, pts, h: float = 1e-3, vector: bool = False):
 def cart_div(v, pts, h: float = 1e-3):
     out = 0.0
     for i in range(3):
-        orders = [0, 0, 0]
-        orders[i] = 1
-        out = out + cart_partial(lambda p, i=i: v(p)[..., i], tuple(orders), h)(pts)
+        out = out + cart_partial(lambda p, i=i: v(p)[..., i], tuple(_EYE[i]), h)(pts)
     return out
 
 
 def cart_lap(f, pts, h: float = 1e-3):
     out = 0.0
     for i in range(3):
-        orders = [0, 0, 0]
-        orders[i] = 2
-        out = out + cart_partial(f, tuple(orders), h)(pts)
+        out = out + cart_partial(f, tuple(2 * _EYE[i]), h)(pts)
     return out
 
 
@@ -277,11 +276,7 @@ def cart_grad_div(v, pts, h: float = 1e-3):
     for i in range(3):
         acc = 0.0
         for j in range(3):
-            orders = [0, 0, 0]
-            orders[i] += 1
-            orders[j] += 1
-            acc = acc + cart_partial(
-                lambda p, j=j: v(p)[..., j], tuple(orders), h
-            )(pts)
+            acc = acc + cart_partial(lambda p, j=j: v(p)[..., j],
+                                     tuple(_EYE[i] + _EYE[j]), h)(pts)
         cols.append(acc)
     return np.stack(cols, axis=-1)

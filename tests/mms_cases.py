@@ -1,4 +1,9 @@
-"""Manufactured-solution cases shared by the convergence and acceptance tests."""
+"""Manufactured-solution cases shared by the convergence and acceptance tests.
+
+The forcing is lambdified with common subexpressions (cse=True): the
+unsimplified sympy expressions repeat the same derivatives many times, and
+evaluating each once makes the forced MMS runs about three times faster.
+"""
 
 import numpy as np
 import sympy as sp
@@ -20,7 +25,7 @@ def manufactured_sym(params, r_max):
     s_m = (sp.diff(rho_s * u_s, t) + sp.diff(r**2 * rho_s * u_s**2, r) / r**2
            + sp.diff(prs, r)
            - visc * sp.diff(sp.diff(r**2 * u_s, r) / r**2, r))
-    fns = [sp.lambdify((r, t), expr, "numpy")
+    fns = [sp.lambdify((r, t), expr, "numpy", cse=True)
            for expr in (rho_s, u_s, s_rho, s_m)]
     return fns
 
@@ -39,7 +44,9 @@ def mms_error(params, profile, m, dt, t_fin, fns):
     return max(np.max(np.abs(st.rho - rho_f(grid.nodes, st.t))),
                np.max(np.abs(st.u_rad - u_f(grid.nodes, st.t))))
 
-def manufactured_axi(params, r_max):
+def manufactured_axi(params, r_max, cse=True):
+    """rho, u_r, u_theta and their forcing; cse=False lambdifies without
+    common subexpressions, whose forcing differs by round-off."""
     r, th, t = sp.symbols("r theta t", positive=True)
     w = sp.Rational(13, 10)
     bump_r = sp.exp(-((r - sp.Rational(11, 5)) ** 2))
@@ -76,7 +83,7 @@ def manufactured_axi(params, r_max):
             + sp.diff(r**2 * rho_s * ur_s * ut_s, r) / r**2
             + sp.diff(s * rho_s * ut_s**2, th) / (r * s)
             + rho_s * ur_s * ut_s / r + sp.diff(prs, th) / r - lu_t)
-    return [sp.lambdify((r, th, t), e, "numpy")
+    return [sp.lambdify((r, th, t), e, "numpy", cse=cse)
             for e in (rho_s, ur_s, ut_s, s_rho, s_mr, s_mt)]
 
 def mms_error_axi(params, r_max, m_r, n_theta, dt, t_fin, fns):

@@ -39,7 +39,7 @@ def test_commutator_equality_and_bound(kind, N, corpus):
 def test_commutator_of_constant_vanishes(corpus):
     from outflow.opchecks import _comm_grad, _comm_lap
 
-    fr = so.chart_jet(corpus.points["V"][:10], "V")
+    fr = so.chart_jet(corpus.points["V"][:10], "V", 5)
     const = np.zeros_like(fr.x[..., 0]) + 2.5
     for N in (1, 2, 3):
         lhs, rhs = _comm_grad(const, fr, N, "theta")
@@ -54,7 +54,7 @@ def test_radial_scalar_single_term_expansion(corpus):
     from outflow.opchecks import _comm_grad
 
     pts = corpus.points["V"][:12]
-    fr = so.chart_jet(pts, "V")
+    fr = so.chart_jet(pts, "V", 2)
     lhs, rhs = _comm_grad(np.exp(1.0 - so.radius(fr.x)), fr, 1, "theta")
     r = np.linalg.norm(pts, axis=-1)
     _, that, _ = so.unit_vectors(pts, "V")
@@ -68,7 +68,7 @@ def test_advect_identity_single_term(corpus):
     """[D, (V.grad)]F with V = x, F = r collapses to one expansion term."""
     from outflow.opchecks import _comm_advect
 
-    fr = so.chart_jet(corpus.points["V"][:12], "V")
+    fr = so.chart_jet(corpus.points["V"][:12], "V", 2)
     lhs, rhs = _comm_advect(so.radius(fr.x), fr.x + 0.0, fr, 1, "r")
     # (V . grad)F = r, so [d_r, V.grad]F = d_r r - (V.grad) 1 = ... = 1 - 0
     # direct evaluation: d_r(r) = 1 while (V.grad)(d_r F) = (x.grad)(1) = 0
@@ -79,7 +79,7 @@ def test_advect_identity_single_term(corpus):
 def test_graddiv_expansion_matches_cartesian(corpus):
     for chart in ("V", "H"):
         pts = corpus.points[chart][:20]
-        fr = so.chart_jet(pts, chart)
+        fr = so.chart_jet(pts, chart, 2)
         for V in corpus.vector_fields.values():
             err = np.max(np.abs(graddiv_expansion(V(fr.x), fr).value
                                 - so.cart_grad_div(V, pts)))

@@ -43,12 +43,12 @@ def test_axis_degeneracy_raised():
     # same point is comfortably inside the complementary chart
     so.unit_vectors(near_pole, "H")
     with pytest.raises(AxisDegeneracy):
-        so.chart_jet(near_pole, "V")
-    assert so.chart_jet(near_pole, "H").x[..., 0].deriv((0, 1, 0)).shape == (1,)
+        so.chart_jet(near_pole, "V", 1)
+    assert so.chart_jet(near_pole, "H", 1).x[..., 0].deriv((0, 1, 0)).shape == (1,)
 
 
 def test_scaled_derivatives_of_radius():
-    fr = so.chart_jet(_sample("V", 20), "V")
+    fr = so.chart_jet(_sample("V", 20), "V", 1)
     F = so.radius(fr.x)
     assert np.max(np.abs(F.deriv((1, 0, 0)) - 1.0)) <= 1e-14
     assert np.max(np.abs(F.deriv((0, 1, 0)))) <= 1e-14
@@ -58,14 +58,14 @@ def test_scaled_derivatives_of_radius():
 def test_polar_derivative_of_x3():
     """d_theta x3 carries the -cylindrical-radius factor of the V frame."""
     pts = _sample("V", 30, seed=2)
-    got = so.chart_jet(pts, "V").x[..., 2].deriv((0, 1, 0))
+    got = so.chart_jet(pts, "V", 1).x[..., 2].deriv((0, 1, 0))
     want = -np.hypot(pts[:, 0], pts[:, 1])
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("chart", ["V", "H"])
 def test_scaled_derivatives_commute(chart):
-    fr = so.chart_jet(_sample(chart, 20, seed=3), chart)
+    fr = so.chart_jet(_sample(chart, 20, seed=3), chart, 2)
     x = fr.x
     F = np.exp(1 - so.radius(x)) * x[..., 0] * x[..., 1]
     ab = partial(partial(F, (0, 1, 0)), (1, 0, 0)).value
@@ -75,13 +75,13 @@ def test_scaled_derivatives_commute(chart):
 
 
 def test_harmonic_function():
-    fr = so.chart_jet(_sample("V", 30, seed=4), "V")
+    fr = so.chart_jet(_sample("V", 30, seed=4), "V", 2)
     assert np.max(np.abs(so.sph_lap(1.0 / so.radius(fr.x), fr).value)) <= 1e-14
 
 
 def test_grad_div_lap_against_closed_forms():
     pts = _sample("V", 40, seed=5)
-    fr = so.chart_jet(pts, "V")
+    fr = so.chart_jet(pts, "V", 2)
     x = fr.x
     F = x[..., 0] ** 2 * x[..., 1] - x[..., 2] ** 3
     grad = so.sph_grad(F, fr).value
@@ -102,7 +102,7 @@ def test_spherical_matches_cartesian_oracles(chart):
                                        axis=-1))
     V = lambda x: np.stack([x[..., 1] * x[..., 2], x[..., 0] ** 2,  # noqa: E731
                             np.exp(1 - so.radius(x))], axis=-1)
-    fr = so.chart_jet(pts, chart)
+    fr = so.chart_jet(pts, chart, 2)
     assert np.max(np.abs(so.sph_grad(F(fr.x), fr).value
                          - so.cart_grad(F, pts))) <= 1e-5
     assert np.max(np.abs(so.sph_div(V(fr.x), fr).value
@@ -121,7 +121,7 @@ def test_frame_derivative_relations():
         _, th, _ = so.to_spherical(pts, chart)
         s, c = np.sin(th)[:, None], np.cos(th)[:, None]
         rhat, that, phat = so.unit_vectors(pts, chart)
-        hats = so.unit_vectors(so.chart_jet(pts, chart).x, chart, guard=False)
+        hats = so.unit_vectors(so.chart_jet(pts, chart, 1).x, chart, guard=False)
         hat = dict(zip("rtp", hats))
 
         def D(which, orders):

@@ -11,13 +11,15 @@ geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
 stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
-each field of the Hardy corpus, each row of `run_verify_ops` for seeds 0, 99
-and 12345 and the `potential_energy_quadrature` values of `verify-energy`,
-term by term, and every CSV and text file that the CLI writes for
-`steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops --seed 0`,
-`verify-ops --seed 7` and `verify-energy`, plus each subcommand's exit code.
+each field of the Hardy corpus, the per-point arrays behind the seed-0
+`rr_cancel` and `graddiv_expansion` rows, each row of `run_verify_ops` for
+seeds 0, 99 and 12345 and the `potential_energy_quadrature` values of
+`verify-energy`, term by term, and every CSV and text file that the CLI
+writes for `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops
+--seed 0`, `verify-ops --seed 7` and `verify-energy`, plus each
+subcommand's exit code.
 A change meant to keep the numbers bitwise is checked by running this on both
-trees and diffing the output.  It runs in about fifteen seconds on two cores.
+trees and diffing the output.  It runs in about five seconds on two cores.
 
 With `--save DIR` each line's numbers (the arrays and scalars it hashes, in
 hashing order, or the numbers written in a file) also go to
@@ -238,7 +240,12 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
     for name, arr in zip(("rho_t", "m_t"), sym_rhs):
         _emit(f"kernel/sym_cfl/rhs.{name}", arr)
 
-    fns = manufactured_axi(params, axi_profile.grid.r_max)
+    # the forcing lambdified without common subexpressions, on every tree, so
+    # that these lines follow the solver and not the forcing's round-off
+    try:
+        fns = manufactured_axi(params, axi_profile.grid.r_max, cse=False)
+    except TypeError:  # a tree whose manufactured_axi takes no cse
+        fns = manufactured_axi(params, axi_profile.grid.r_max)
     rr, tt = np.meshgrid(axi_profile.r, agrid.centers, indexing="ij")
 
     def forcing(t, r, theta):
@@ -285,6 +292,29 @@ def hardy_results() -> None:
 
     for name, (u, vector) in HARDY_FIELDS.items():
         _emit(f"hardy/{name}", hardy_check(u, vector=vector))
+
+
+def jet_point_results() -> None:
+    """Per point, what the seed-0 `rr_cancel` and `graddiv_expansion` rows
+    fold into one maximum: route1 and route2 of `rr_cancellation` on the
+    100 corpus points of each chart and each vector field, and the value of
+    `graddiv_expansion` on the first 30, so that a reordered jet sum that
+    leaves a row's maximum alone still shows."""
+    from outflow.opchecks import default_corpus, graddiv_expansion, rr_cancellation
+    from outflow.sphops import chart_jet
+
+    sample = default_corpus(seed=0)
+    for chart in ("V", "H"):
+        pts = sample.points[chart]
+        try:
+            fr = chart_jet(pts[:30], chart, 2)
+        except TypeError:  # a tree whose chart jets all have one degree
+            fr = chart_jet(pts[:30], chart)
+        for name, V in sample.vector_fields.items():
+            _emit(f"jet_points/rr_cancellation/{chart}/{name}",
+                  list(rr_cancellation(V, pts, chart)))
+            _emit(f"jet_points/graddiv_expansion/{chart}/{name}",
+                  graddiv_expansion(V(fr.x), fr).value)
 
 
 def verify_term_results() -> None:
@@ -369,6 +399,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(root), "tests"))  # mms_cases
     run_results()
     hardy_results()
+    jet_point_results()
     verify_term_results()
     with tempfile.TemporaryDirectory() as work:
         cli_outputs(work)
