@@ -56,10 +56,7 @@ _FMT = "%.16e"
 
 def _write_csv(path, header, columns):
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\r\n")
+    _write_rows(path, header, ([_FMT % v for v in row] for row in rows))
 
 
 def _write_rows(path, header, rows):
@@ -215,34 +212,41 @@ def _run_fields(cfg: Config) -> dict:
     return fields
 
 
-def _cmd_evolve_sym(cfg: Config, man: Manifest) -> int:
-    grid, _ = _grids(cfg)
-    profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
-    res = run_sym_stability(profile, cfg.params, SymRunConfig(**_run_fields(cfg)))
-    st: SymState = res.final_state
-    _write_csv(man.add("state_sym.csv"),
-               ["t", "r", "rho", "u"],
-               [np.full_like(st.rho, st.t), st.grid.nodes, st.rho, st.u_rad])
-    _dump_reports(man.add("energy_sym.csv"), res.reports)
-    return _finish_run(man, res, envelope=res.envelope_ok)
+# the velocity columns of each geometry's state dump `state_<geometry>.csv`,
+# which holds t, the nodes, rho and these; `evolve-*` writes it and `report`
+# reads it back by this one spec
+_DUMP_VELOCITY = {"sym": ("u",), "axi": ("u_r", "u_theta")}
 
 
-def _cmd_evolve_axi(cfg: Config, man: Manifest) -> int:
+def _dump_layout(geometry: str, grid, agrid):
+    """The node columns of a geometry's state dump, the shape of its fields
+    and the state class and grids they are read into."""
+    if geometry == "sym":
+        return {"r": grid.nodes}, grid.nodes.shape, SymState, (grid,)
+    rr, tt = np.meshgrid(grid.nodes, agrid.centers, indexing="ij")
+    return {"r": rr.ravel(), "theta": tt.ravel()}, rr.shape, AxiState, (grid, agrid)
+
+
+def _cmd_evolve(cfg: Config, man: Manifest, geometry: str) -> int:
     grid, agrid = _grids(cfg)
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
-    run_cfg = AxiRunConfig(mode_ell=cfg.mode_ell, **_run_fields(cfg))
-    res = run_axi_stability(profile, cfg.params, agrid, run_cfg)
-    st: AxiState = res.final_state
-    rr, tt = np.meshgrid(st.grid.nodes, st.agrid.centers, indexing="ij")
-    _write_csv(man.add("state_axi.csv"),
-               ["t", "r", "theta", "rho", "u_r", "u_theta"],
-               [np.full(rr.size, st.t), rr.ravel(), tt.ravel(),
-                st.rho.ravel(), st.u_r.ravel(), st.u_theta.ravel()])
-    _dump_reports(man.add("energy_axi.csv"), res.reports)
-    mode_cols = [res.times] + [res.mode_series[ell] for ell in sorted(res.mode_series)]
-    _write_csv(man.add("modes_axi.csv"),
-               ["t"] + [f"ell_{ell}" for ell in sorted(res.mode_series)],
-               mode_cols)
+    if geometry == "sym":
+        res = run_sym_stability(profile, cfg.params, SymRunConfig(**_run_fields(cfg)))
+    else:
+        run_cfg = AxiRunConfig(mode_ell=cfg.mode_ell, **_run_fields(cfg))
+        res = run_axi_stability(profile, cfg.params, agrid, run_cfg)
+    st = res.final_state
+    nodes = _dump_layout(geometry, grid, agrid)[0]
+    fields = [np.ravel(f) for f in (st.rho, *st.velocity)]
+    _write_csv(man.add(f"state_{geometry}.csv"),
+               ["t", *nodes, "rho", *_DUMP_VELOCITY[geometry]],
+               [np.full(fields[0].size, st.t), *nodes.values(), *fields])
+    _dump_reports(man.add(f"energy_{geometry}.csv"), res.reports)
+    if geometry == "sym":  # the spherical envelope is graded, the other reported
+        return _finish_run(man, res, envelope=res.envelope_ok)
+    ells = sorted(res.mode_series)
+    _write_csv(man.add("modes_axi.csv"), ["t"] + [f"ell_{ell}" for ell in ells],
+               [res.times] + [res.mode_series[ell] for ell in ells])
     return _finish_run(man, res)
 
 
@@ -274,15 +278,13 @@ def _cmd_verify_ops(cfg: Config, man: Manifest) -> int:
 
 def _cmd_verify_energy(cfg: Config, man: Manifest) -> int:
     rng = np.random.default_rng(cfg.seed)
-    rows = []
     worst_quad = 0.0
     worst_iden = 0.0
+    densities = np.linspace(0.4, 2.5, 20)
     for gamma in (1.0, 1.4, 2.0):
         params = FluidParams(gamma=gamma, k_pressure=cfg.params.k_pressure)
-        zs = np.linspace(0.4, 2.5, 20)
-        xs = np.linspace(0.4, 2.5, 20)
-        for z in zs:
-            for x in xs:
+        for z in densities:
+            for x in densities:
                 closed = float(potential_energy(z, x, params))
                 quad = potential_energy_quadrature(z, x, params)
                 worst_quad = max(worst_quad,
@@ -291,7 +293,6 @@ def _cmd_verify_energy(cfg: Config, man: Manifest) -> int:
         xg = rng.uniform(0.4, 2.5, 400)
         res = h_identities(zg, xg, params)
         worst_iden = max(worst_iden, float(max(np.max(np.abs(r)) for r in res)))
-        rows.append((f"gamma_{gamma}", "done"))
     c_low, c_high = equivalence_constants(0.5, 2.0, cfg.params)
     checks = {
         "quadrature_rel_err": worst_quad,
@@ -309,34 +310,23 @@ def _cmd_verify_energy(cfg: Config, man: Manifest) -> int:
     return EXIT_OK if passed else EXIT_CRITERIA
 
 
-def _check_nodes(path: str, data, **nodes) -> None:
-    """A state dump is only read back onto the grid it was written on."""
-    for name, expected in nodes.items():
-        if not np.array_equal(data[name], expected):
-            raise ConfigError(f"{path}: the dumped {name} nodes are not those "
-                              "of the configured grid")
-
-
 def _cmd_report(cfg: Config, man: Manifest, run_dir: str) -> int:
     grid, agrid = _grids(cfg)
-    sym_path = os.path.join(run_dir, "state_sym.csv")
-    axi_path = os.path.join(run_dir, "state_axi.csv")
-    if os.path.exists(sym_path):
-        data = np.genfromtxt(sym_path, delimiter=",", names=True)
-        _check_nodes(sym_path, data, r=grid.nodes)
-        state = SymState(float(data["t"][0]), grid,
-                         np.asarray(data["rho"]), np.asarray(data["u"]))
-    elif os.path.exists(axi_path):
-        data = np.genfromtxt(axi_path, delimiter=",", names=True)
-        rr, tt = np.meshgrid(grid.nodes, agrid.centers, indexing="ij")
-        _check_nodes(axi_path, data, r=rr.ravel(), theta=tt.ravel())
-        state = AxiState(float(data["t"][0]), grid, agrid,
-                         np.asarray(data["rho"]).reshape(rr.shape),
-                         np.asarray(data["u_r"]).reshape(rr.shape),
-                         np.asarray(data["u_theta"]).reshape(rr.shape))
+    for geometry, velocity in _DUMP_VELOCITY.items():
+        path = os.path.join(run_dir, f"state_{geometry}.csv")
+        if os.path.exists(path):
+            break
     else:
         raise ConfigError(f"no state dump (state_sym.csv or state_axi.csv) "
                           f"found under {run_dir!r}")
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    nodes, shape, state_cls, grids = _dump_layout(geometry, grid, agrid)
+    for name, expected in nodes.items():  # read back only onto the grid it was written on
+        if not np.array_equal(data[name], expected):
+            raise ConfigError(f"{path}: the dumped {name} nodes are not those "
+                              "of the configured grid")
+    state = state_cls(float(data["t"][0]), *grids,
+                      *(np.asarray(data[col]).reshape(shape) for col in ("rho", *velocity)))
     # the reference of the run: the scheme's own equilibrium
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
     reference = SymSolver(profile, cfg.params).equilibrium()
@@ -362,10 +352,8 @@ def dispatch(subcommand: str, cfg: Config, out_dir: str, run_dir: str = ".") -> 
     try:
         if subcommand == "steady":
             return _cmd_steady(cfg, man)
-        if subcommand == "evolve-sym":
-            return _cmd_evolve_sym(cfg, man)
-        if subcommand == "evolve-axi":
-            return _cmd_evolve_axi(cfg, man)
+        if subcommand in ("evolve-sym", "evolve-axi"):
+            return _cmd_evolve(cfg, man, subcommand.removeprefix("evolve-"))
         if subcommand == "verify-ops":
             return _cmd_verify_ops(cfg, man)
         if subcommand == "verify-energy":

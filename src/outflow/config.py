@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .evolve_axi import AxiRunConfig
@@ -116,21 +117,16 @@ def parse_config(path: str) -> Config:
             raise ParseError(ln, raw.rstrip("\n"), "expected 'key = value'")
         key, _, value = (piece.strip() for piece in line.partition("="))
         if key in _PARAM_KEYS:
-            attr, typ = _PARAM_KEYS[key]
-            try:
-                param_kw[attr] = typ(value)
-            except ValueError:
-                raise ParseError(ln, raw.rstrip("\n"),
-                                 f"cannot parse {key} as {typ.__name__}")
+            target, (attr, typ) = param_kw, _PARAM_KEYS[key]
         elif key in _CONF_KEYS:
-            typ = _CONF_KEYS[key]
-            try:
-                conf_kw[key] = typ(value)
-            except ValueError:
-                raise ParseError(ln, raw.rstrip("\n"),
-                                 f"cannot parse {key} as {typ.__name__}")
+            target, attr, typ = conf_kw, key, _CONF_KEYS[key]
         else:
             raise UnknownKey(key)
+        try:
+            target[attr] = typ(value)
+        except ValueError:
+            raise ParseError(ln, raw.rstrip("\n"),
+                             f"cannot parse {key} as {typ.__name__}")
     params = FluidParams(**param_kw)
     report = validate_params(params)
     if not report.ok:
@@ -149,11 +145,16 @@ def check_config(cfg: Config) -> None:
         raise ConstraintViolation("support must satisfy 1 < lo < hi < r_max")
     if cfg.seed < 0:
         raise ConstraintViolation(f"seed must be >= 0, got {cfg.seed}")
-    # the run configuration's own rules on t_end, dt, cfl_safety,
+    for name in ("steady_tol", "slope_tol"):
+        value = getattr(cfg, name)
+        if not (value > 0.0 and math.isfinite(value)):  # NaN fails too
+            raise ConstraintViolation(f"{name} must be positive and finite, got {value}")
+    # the run configuration's own rules on t_end, dt, cfl_safety, amplitude,
     # output_every and mode_ell, whichever subcommand runs
     try:
         AxiRunConfig(t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
-                     output_every=cfg.output_every, mode_ell=cfg.mode_ell)
+                     amplitude=cfg.amplitude, output_every=cfg.output_every,
+                     mode_ell=cfg.mode_ell)
     except ValueError as exc:
         raise ConstraintViolation(str(exc)) from exc
 

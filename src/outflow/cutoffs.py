@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphops import radius, unit_vectors
+from .sphops import to_spherical, unit_vectors
 
 __all__ = [
     "SupportViolation",
@@ -34,69 +34,58 @@ class SupportViolation(ValueError):
     """Mollifier width pushes the cutoff support outside [pi/9, 8pi/9]."""
 
 
-def _check_domain(theta):
+# the profile's pieces between consecutive edges: (centre, offset, sign) is
+# offset + sign Q (t - centre)^2, a sign of 0 the constant offset; past the
+# last edge the profile is 0
+_EDGES = np.array([_PI / 8, _PI / 4, 3 * _PI / 8, 5 * _PI / 8, 3 * _PI / 4, 7 * _PI / 8])
+_PIECES = ((0.0, 0.0, 0), (_PI / 8, 0.0, 1), (3 * _PI / 8, 1.0, -1),
+           (0.0, 1.0, 0), (5 * _PI / 8, 1.0, -1), (7 * _PI / 8, 0.0, 1))
+
+
+def _profile(theta, derivative: bool):
+    """xi~ or its derivative, each point evaluated on its own piece only."""
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < -1e-12) or np.any(theta > _PI + 1e-12):
         raise ValueError("polar angle must lie in [0, pi]")
-    return theta
+    t = np.clip(theta, 0.0, _PI)
+    piece = np.searchsorted(_EDGES, t, side="right")  # the first edge above t
+    out = np.zeros_like(t)
+    for k, (centre, offset, sign) in enumerate(_PIECES):
+        sel = piece == k
+        if sign == 0:
+            out[sel] = 0.0 if derivative else offset
+        elif derivative:
+            out[sel] = sign * 2 * _Q * (t[sel] - centre)
+        else:
+            out[sel] = offset + sign * _Q * (t[sel] - centre) ** 2
+    return out
 
 
 def xi_tilde(theta):
     """Piecewise-quadratic C^1 angular profile: 0 near the poles, 1 near pi/2."""
-    theta = _check_domain(theta)
-    t = np.clip(theta, 0.0, _PI)
-    conds = [
-        t < _PI / 8,
-        t < _PI / 4,
-        t < 3 * _PI / 8,
-        t < 5 * _PI / 8,
-        t < 3 * _PI / 4,
-        t < 7 * _PI / 8,
-    ]
-    vals = [
-        np.zeros_like(t),
-        _Q * (t - _PI / 8) ** 2,
-        1.0 - _Q * (t - 3 * _PI / 8) ** 2,
-        np.ones_like(t),
-        1.0 - _Q * (t - 5 * _PI / 8) ** 2,
-        _Q * (t - 7 * _PI / 8) ** 2,
-    ]
-    return np.select(conds, vals, default=np.zeros_like(t))
+    return _profile(theta, derivative=False)
 
 
 def xi_tilde_prime(theta):
-    theta = _check_domain(theta)
-    t = np.clip(theta, 0.0, _PI)
-    conds = [
-        t < _PI / 8,
-        t < _PI / 4,
-        t < 3 * _PI / 8,
-        t < 5 * _PI / 8,
-        t < 3 * _PI / 4,
-        t < 7 * _PI / 8,
-    ]
-    vals = [
-        np.zeros_like(t),
-        2 * _Q * (t - _PI / 8),
-        -2 * _Q * (t - 3 * _PI / 8),
-        np.zeros_like(t),
-        -2 * _Q * (t - 5 * _PI / 8),
-        2 * _Q * (t - 7 * _PI / 8),
-    ]
-    return np.select(conds, vals, default=np.zeros_like(t))
+    return _profile(theta, derivative=True)
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule(width: float, n: int = 96):
-    """Gauss-Legendre rule on [-width, width], built once per (width, n).
+def _mollifier(width: float, n: int = 96):
+    """Gauss-Legendre nodes on [-width, width] and the quadrature weights of
+    the normalised bump eta / (integral of eta), built once per (width, n).
 
     Every family of one width shares the two arrays, so they are read-only.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes, weights = nodes * width, weights * width
+    eta = np.zeros_like(nodes)
+    inside = np.abs(nodes) < width
+    eta[inside] = np.exp(-1.0 / (1.0 - (nodes[inside] / width) ** 2))
+    kernel = weights * (eta / float(np.sum(weights * eta)))
     nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    kernel.flags.writeable = False
+    return nodes, kernel
 
 
 @dataclass(frozen=True)
@@ -105,24 +94,12 @@ class CutoffFamily:
 
     width: float
     _nodes: np.ndarray
-    _weights: np.ndarray
-
-    def _eta(self, s):
-        w = self.width
-        out = np.zeros_like(s)
-        inside = np.abs(s) < w
-        out[inside] = np.exp(-1.0 / (1.0 - (s[inside] / w) ** 2))
-        return out
-
-    def _norm(self) -> float:
-        return float(np.sum(self._weights * self._eta(self._nodes)))
+    _kernel: np.ndarray
 
     def _convolve(self, theta, kernel_of_base):
         theta = np.asarray(theta, dtype=float)
         shifted = np.clip(theta[..., None] - self._nodes, 0.0, _PI)
-        vals = kernel_of_base(shifted)
-        eta = self._eta(self._nodes) / self._norm()
-        return vals @ (self._weights * eta)
+        return kernel_of_base(shifted) @ self._kernel
 
     def xi(self, theta):
         """Mollified profile, smooth with support exactly [pi/9, 8pi/9]."""
@@ -131,17 +108,9 @@ class CutoffFamily:
     def xi_prime(self, theta):
         return self._convolve(theta, xi_tilde_prime)
 
-    def _angle(self, pts, chart):
-        pts = np.asarray(pts, dtype=float)
-        r = radius(pts)
-        pole = pts[..., 2] if chart == "V" else pts[..., 1]
-        return np.arccos(np.clip(pole / r, -1.0, 1.0))
-
-    def chi_v(self, pts):
-        return self.xi(self._angle(pts, "V"))
-
-    def chi_h(self, pts):
-        return self.xi(self._angle(pts, "H"))
+    def chi(self, pts, chart: str):
+        """The chart's partition function xi(theta) at points (..., 3)."""
+        return self.xi(to_spherical(pts, chart)[1])
 
     def grad_chi(self, pts, chart: str):
         """Exact gradient xi'(theta) theta_hat / r, safe on the chart axis.
@@ -150,8 +119,7 @@ class CutoffFamily:
         so the otherwise-degenerate theta_hat direction is multiplied by zero.
         """
         pts = np.asarray(pts, dtype=float)
-        r = radius(pts)
-        theta = self._angle(pts, chart)
+        r, theta, _ = to_spherical(pts, chart)
         coeff = self.xi_prime(theta) / r
         out = np.zeros_like(pts)
         live = coeff != 0.0
@@ -159,12 +127,6 @@ class CutoffFamily:
             _, that, _ = unit_vectors(pts[live], chart, guard=False)
             out[live] = coeff[live][..., None] * that
         return out
-
-    def grad_chi_v(self, pts):
-        return self.grad_chi(pts, "V")
-
-    def grad_chi_h(self, pts):
-        return self.grad_chi(pts, "H")
 
 
 def build_cutoffs(width: float = DEFAULT_WIDTH, quad_points: int = 96) -> CutoffFamily:
@@ -175,5 +137,5 @@ def build_cutoffs(width: float = DEFAULT_WIDTH, quad_points: int = 96) -> Cutoff
         raise SupportViolation(
             f"width {width:.6f} pushes the support outside [pi/9, 8pi/9]"
         )
-    nodes, weights = _gauss_rule(width, quad_points)
-    return CutoffFamily(width=width, _nodes=nodes, _weights=weights)
+    nodes, kernel = _mollifier(width, quad_points)
+    return CutoffFamily(width=width, _nodes=nodes, _kernel=kernel)

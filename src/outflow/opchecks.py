@@ -23,6 +23,7 @@ from .cutoffs import CutoffFamily, build_cutoffs
 from .discrete import sphere_area
 from .jets import partial
 from .sphops import (
+    CHARTS,
     ChartJet,
     cart_div,
     cart_grad,
@@ -35,6 +36,7 @@ from .sphops import (
     sph_div,
     sph_grad,
     sph_lap,
+    to_spherical,
     unit_vectors,
 )
 
@@ -123,7 +125,7 @@ def default_corpus(seed: int = 0, n_points: int = 100,
         ) * np.exp(1.0 - radius(x))[..., None],
         "radial_quad": lambda x: radius(x)[..., None] * x,
     }
-    points = {c: _corpus_points(rng, c, n_points, r_range, margin) for c in ("V", "H")}
+    points = {c: _corpus_points(rng, c, n_points, r_range, margin) for c in CHARTS}
     return OpSample(scalar_fields=scalars, vector_fields=vectors, points=points)
 
 
@@ -332,33 +334,35 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
     fr = chart_jet(pts, chart, N + (2 if kind in ("lap", "graddiv") else 1))
     rng = np.random.default_rng(rng_seed)
     fam = build_cutoffs()
-    chi = fam.chi_v(pts) if chart == "V" else fam.chi_h(pts)
+    chi = fam.chi(pts, chart)
 
-    names_s = list(sample.scalar_fields)
-    names_v = list(sample.vector_fields)
+    def draw(fields):
+        """One field of the corpus, drawn by the seeded rng, on the chart jet."""
+        return list(fields.values())[rng.integers(len(fields))](fr.x)
+
     max_err = 0.0
     fitted_c = 0.0
     for w in which:
         if kind == "grad":
-            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]](fr.x)
+            F = draw(sample.scalar_fields)
             lhs, rhs = _comm_grad(F, fr, N, w)
             bound = sum(_mag(sph_grad(partial(F, _orders(w, m)), fr).value)
                         for m in range(N))
         elif kind == "lap":
-            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]](fr.x)
+            F = draw(sample.scalar_fields)
             lhs, rhs = _comm_lap(F, fr, N, w)
             bound = sum(_string_max(F, m, radial=False)
                         for m in range(1, N + 2)) / fr.r.value**2
         elif kind == "advect":
-            F = sample.scalar_fields[names_s[rng.integers(len(names_s))]](fr.x)
-            V = sample.vector_fields[names_v[rng.integers(len(names_v))]](fr.x)
+            F = draw(sample.scalar_fields)
+            V = draw(sample.vector_fields)
             lhs, rhs = _comm_advect(F, V, fr, N, w)
             bound = sum(
                 _string_max(F, k) * sum(_string_max(V, m) for m in range(N - k + 2))
                 for k in range(1, N + 1)
             )
         else:
-            V = sample.vector_fields[names_v[rng.integers(len(names_v))]](fr.x)
+            V = draw(sample.vector_fields)
             lhs, rhs = _comm_graddiv(V, fr, N, w)
             bound = _mag(V.value) / fr.r.value**2 + sum(
                 _string_max(partial(V, _orders(w, m)), 2) for m in range(N))
@@ -419,6 +423,19 @@ def _radial_panels(r_max: float, n_panels: int = 40, n_gauss: int = 12):
     return nodes, weights
 
 
+def _doubled_radius(quad, r_max: float):
+    """(lhs, rhs, lhs / rhs) of quad(2 r_max), the Hardy sides truncated at
+    2 r_max, after the test that doubling the radius from r_max moves
+    neither side by more than 1%; raises TailNotConverged otherwise."""
+    lhs, rhs = quad(r_max)
+    lhs2, rhs2 = quad(2.0 * r_max)
+    if abs(lhs2 - lhs) > 0.01 * max(abs(lhs2), 1e-300) or \
+       abs(rhs2 - rhs) > 0.01 * max(abs(rhs2), 1e-300):
+        raise TailNotConverged("quadrature tail beyond r_max exceeds 1%")
+    ratio = 0.0 if rhs2 == 0.0 else lhs2 / rhs2
+    return lhs2, rhs2, ratio
+
+
 def hardy_check_radial(f, df, n: int = 3, r_max: float = 400.0):
     """Hardy inequality for radial profiles in dimension n >= 3."""
     if n < 3:
@@ -431,13 +448,7 @@ def hardy_check_radial(f, df, n: int = 3, r_max: float = 400.0):
         rhs = 2.0 * n * area * np.sum(w * df(r) ** 2 * r ** (n - 1))
         return lhs, rhs
 
-    lhs, rhs = quad(r_max)
-    lhs2, rhs2 = quad(2.0 * r_max)
-    if abs(lhs2 - lhs) > 0.01 * max(lhs2, 1e-300) or \
-       abs(rhs2 - rhs) > 0.01 * max(rhs2, 1e-300):
-        raise TailNotConverged("radial quadrature tail beyond r_max exceeds 1%")
-    ratio = 0.0 if rhs2 == 0.0 else lhs2 / rhs2
-    return lhs2, rhs2, ratio
+    return _doubled_radius(quad, r_max)
 
 
 def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
@@ -489,13 +500,7 @@ def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
         surface = np.sum(ang_w * sq(u(unit)))
         return vol_lhs + surface, 2.0 * n * vol_rhs
 
-    lhs, rhs = quad(r_max)
-    lhs2, rhs2 = quad(2.0 * r_max)
-    if abs(lhs2 - lhs) > 0.01 * max(abs(lhs2), 1e-300) or \
-       abs(rhs2 - rhs) > 0.01 * max(abs(rhs2), 1e-300):
-        raise TailNotConverged("quadrature tail beyond r_max exceeds 1%")
-    ratio = 0.0 if rhs2 == 0.0 else lhs2 / rhs2
-    return lhs2, rhs2, ratio
+    return _doubled_radius(quad, r_max)
 
 
 # the Hardy corpus of the verification suite: name -> (field, is_vector)
@@ -562,7 +567,7 @@ HARDY_GRADIENTS = {
 def _hat_relation_rows(sample):
     """The frame relations, on the Cartesian unit-vector formulas."""
     rows = []
-    for chart in ("V", "H"):
+    for chart in CHARTS:
         fr = chart_jet(sample.points[chart][:40], chart, 1)
         hats = unit_vectors(fr.x, chart, guard=False)
         _, s, c, rhat, that, phat = _frame(fr)
@@ -590,7 +595,7 @@ def _hat_relation_rows(sample):
 
 def _operator_rows(sample):
     rows = []
-    for chart in ("V", "H"):
+    for chart in CHARTS:
         pts = sample.points[chart]
         fr = chart_jet(pts, chart, 2)
         worst_g = worst_d = worst_l = 0.0
@@ -614,36 +619,33 @@ def _cutoff_rows(fam: CutoffFamily, rng):
     x = rng.normal(size=(4000, 3))
     x /= radius(x, keepdims=True)
     x *= rng.uniform(1.0, 6.0, (4000, 1))
-    cv, ch = fam.chi_v(x), fam.chi_h(x)
+    cv, ch = fam.chi(x, "V"), fam.chi(x, "H")
     rows.append(_row("cutoff/partition_min", 1.0 - np.min(cv + ch), 1e-10,
                      note="1 - min(chi_V + chi_H)"))
     rows.append(_row("cutoff/range", max(np.max(cv) - 1.0, -np.min(cv),
                                          np.max(ch) - 1.0, -np.min(ch)), 1e-12))
-    theta_v = np.arccos(np.clip(x[:, 2] / radius(x), -1, 1))
+    _, theta_v, _ = to_spherical(x, "V")
     outside = (theta_v < np.pi / 9) | (theta_v > 8 * np.pi / 9)
     rows.append(_row("cutoff/support_exact_zero",
                      float(np.max(np.abs(cv[outside]))) if outside.any() else 0.0,
                      0.0))
     pts = x[:300]
-    for name, chi_fn, grad_fn, chart in (
-        ("chi_V", fam.chi_v, fam.grad_chi_v, "V"),
-        ("chi_H", fam.chi_h, fam.grad_chi_h, "H"),
-    ):
-        g = grad_fn(pts)
-        rhat = pts / radius(pts, keepdims=True)
-        rows.append(_row(f"cutoff/{name}_radial_grad",
+    rhat = pts / radius(pts, keepdims=True)
+    for chart in CHARTS:
+        g = fam.grad_chi(pts, chart)
+        rows.append(_row(f"cutoff/chi_{chart}_radial_grad",
                          np.max(np.abs(np.sum(rhat * g, axis=1))), 1e-8))
         azim = np.zeros(pts.shape[0])
-        chi = chi_fn(pts)
+        chi = fam.chi(pts, chart)
         sel = chi > 1e-13  # support lies inside the chart band
         if np.any(sel):
             _, _, phat = unit_vectors(pts[sel], chart, guard=False)
             azim[sel] = np.abs(np.sum(phat * g[sel], axis=1))
-        rows.append(_row(f"cutoff/{name}_azimuthal_grad", np.max(azim), 1e-8))
-        gfd = cart_grad(chi_fn, pts, h=2e-4)
-        rows.append(_row(f"cutoff/{name}_grad_fd", np.max(np.abs(g - gfd)), 1e-5))
+        rows.append(_row(f"cutoff/chi_{chart}_azimuthal_grad", np.max(azim), 1e-8))
+        gfd = cart_grad(lambda p, c=chart: fam.chi(p, c), pts, h=2e-4)
+        rows.append(_row(f"cutoff/chi_{chart}_grad_fd", np.max(np.abs(g - gfd)), 1e-5))
         cfit = float(np.max(np.sum(g[sel] ** 2, axis=1) / chi[sel])) if sel.any() else 0.0
-        rows.append(CheckRow(f"cutoff/{name}_grad_sq_over_chi", cfit, np.inf, True,
+        rows.append(CheckRow(f"cutoff/chi_{chart}_grad_sq_over_chi", cfit, np.inf, True,
                              note="fitted C in |grad chi|^2 <= C chi"))
     return rows
 
@@ -660,7 +662,7 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
 
     for kind in _KINDS:
         for N in (1, 2, 3):
-            for chart in ("V", "H"):
+            for chart in CHARTS:
                 which = ("r", "theta", "phi") if kind == "advect" else ("theta", "phi")
                 rep = commutator_check(kind, N, sample, chart=chart,
                                        n_points=commutator_points, which=which,
@@ -670,7 +672,7 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
                                  note=f"fitted C = {rep['fitted_C']:.3g}"))
 
     # grad div expansion against the Cartesian oracle
-    for chart in ("V", "H"):
+    for chart in CHARTS:
         pts = sample.points[chart][:30]
         fr = chart_jet(pts, chart, 2)
         worst = 0.0
@@ -680,7 +682,7 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
         rows.append(_row(f"graddiv_expansion/{chart}", worst, 1e-4))
 
     # radial-radial cancellation, on one chart jet per chart
-    for chart in ("V", "H"):
+    for chart in CHARTS:
         fr = chart_jet(sample.points[chart], chart, 2)
         worst = 0.0
         for V in sample.vector_fields.values():

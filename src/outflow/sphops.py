@@ -63,11 +63,15 @@ def _points(pts):
     return pts if isinstance(pts, Jet) else np.asarray(pts, dtype=float)
 
 
+# the Cartesian axis of each chart's (x1, tangent, pole) components: the pole
+# of V is x3, that of H is x2; each map is its own inverse
+_AXES = {"V": (0, 1, 2), "H": (0, 2, 1)}
+
+
 def _place(x1, tangent, pole, chart):
     """Stack chart-ordered components into Cartesian order (..., 3)."""
-    if chart == "V":
-        return np.stack([x1, tangent, pole], axis=-1)
-    return np.stack([x1, pole, tangent], axis=-1)
+    comps = (x1, tangent, pole)
+    return np.stack([comps[i] for i in _AXES[chart]], axis=-1)
 
 
 def radius(pts, keepdims: bool = False):
@@ -86,12 +90,9 @@ def to_spherical(pts, chart: str):
     _check_chart(chart)
     pts = np.asarray(pts, dtype=float)
     r = radius(pts)
-    if chart == "V":
-        pole, a, b = pts[..., 2], pts[..., 0], pts[..., 1]
-    else:
-        pole, a, b = pts[..., 1], pts[..., 0], pts[..., 2]
+    x1, tangent, pole = (pts[..., i] for i in _AXES[chart])
     theta = np.arccos(np.clip(pole / r, -1.0, 1.0))
-    phi = np.arctan2(b, a)
+    phi = np.arctan2(tangent, x1)
     return r, theta, phi
 
 
@@ -111,11 +112,7 @@ def unit_vectors(pts, chart: str, guard: bool = True):
     pts = _points(pts)
     r = radius(pts, keepdims=True)
     rhat = pts / r
-    x1 = pts[..., 0]
-    if chart == "V":
-        pole, tan = pts[..., 2], pts[..., 1]
-    else:
-        pole, tan = pts[..., 1], pts[..., 2]
+    x1, tan, pole = (pts[..., i] for i in _AXES[chart])
     cyl = np.hypot(x1, tan)
     if guard and np.any(cyl / r[..., 0] < SIN_GUARD):
         raise AxisDegeneracy(

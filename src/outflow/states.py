@@ -92,9 +92,9 @@ def smooth_bump(r, lo: float, hi: float):
     return out
 
 
-def perturb_sym(profile: SteadyProfile, amplitude: float,
-                support: tuple[float, float]) -> SymState:
-    """Steady profile plus a compact density bump; velocity untouched.
+def _radial_bump(profile: SteadyProfile, amplitude: float,
+                 support: tuple[float, float]) -> np.ndarray:
+    """amplitude x `smooth_bump` on [lo, hi] at the profile's nodes.
 
     Compact support strictly inside (1, r_max) keeps the initial data
     boundary-compatible automatically.
@@ -102,20 +102,23 @@ def perturb_sym(profile: SteadyProfile, amplitude: float,
     lo, hi = support
     if not (1.0 < lo < hi < profile.grid.r_max):
         raise ValueError("perturbation support must lie strictly inside (1, r_max)")
-    rho = profile.rho_t + amplitude * smooth_bump(profile.r, lo, hi)
+    return amplitude * smooth_bump(profile.r, lo, hi)
+
+
+def perturb_sym(profile: SteadyProfile, amplitude: float,
+                support: tuple[float, float]) -> SymState:
+    """Steady profile plus a compact density bump; velocity untouched."""
+    rho = profile.rho_t + _radial_bump(profile, amplitude, support)
     return SymState(0.0, profile.grid, rho, profile.u_t.copy())
 
 
 def perturb_axi(profile: SteadyProfile, agrid: AngularGrid, amplitude: float,
                 support: tuple[float, float], ell: int = 1) -> AxiState:
     """Steady profile plus a density bump modulated by a Legendre mode in angle."""
-    lo, hi = support
-    if not (1.0 < lo < hi < profile.grid.r_max):
-        raise ValueError("perturbation support must lie strictly inside (1, r_max)")
+    radial = _radial_bump(profile, amplitude, support)
     if ell < 0:  # eval_legendre reads P_-1 as P_0 and P_-2 as P_1
         raise ValueError(f"Legendre degree ell must be >= 0, got {ell}")
     theta = agrid.centers
-    radial = amplitude * smooth_bump(profile.r, lo, hi)
     mode = eval_legendre(ell, np.cos(theta))
     rho = profile.rho_t[:, None] + radial[:, None] * mode[None, :]
     u_r = np.repeat(profile.u_t[:, None], theta.size, axis=1)

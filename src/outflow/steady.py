@@ -125,15 +125,15 @@ class SteadyProfile:
     def drho(self, r):
         return self._rho_and_drho(r)[1]
 
-    def u(self, r):
+    def _u_and_du(self, r):
         r = np.asarray(r, dtype=float)
-        return self.mass_flux * r ** (1 - self.dim_n) / self.rho(r)
+        return _velocity(r, *self._rho_and_drho(r), self.mass_flux, self.dim_n)
+
+    def u(self, r):
+        return self._u_and_du(r)[0]
 
     def du(self, r):
-        r = np.asarray(r, dtype=float)
-        n = self.dim_n
-        rho, drho = self._rho_and_drho(r)
-        return self.mass_flux * ((1 - n) * r ** (-n) / rho - r ** (1 - n) * drho / rho**2)
+        return self._u_and_du(r)[1]
 
     def div_u(self, r):
         """div of the velocity field U(r) x/r, positive for a converged profile."""
@@ -142,10 +142,16 @@ class SteadyProfile:
         return -self.mass_flux * drho / (r ** (self.dim_n - 1) * rho**2)
 
 
+def _velocity(r, rho, drho, m: float, n: int):
+    """U = m r^(1-n) / rho from the mass flux, and its derivative U'."""
+    u = m * r ** (1.0 - n) / rho
+    du = m * ((1 - n) * r ** (-n) / rho - r ** (1 - n) * drho / rho**2)
+    return u, du
+
+
 def _derivatives_from_solution(r, rho, v, m, params):
     n = params.dim_n
-    u = m * r ** (1.0 - n) / rho
-    du = m * ((1 - n) * r ** (-n) / rho - r ** (1 - n) * v / rho**2)
+    u, du = _velocity(r, rho, v, m, n)
     d2rho = np.zeros_like(r) if m == 0.0 else _rho_pp(r, rho, v, m, params)
     d2u = m * (
         n * (n - 1) * r ** (-n - 1) / rho
@@ -201,7 +207,7 @@ def solve_steady(params: FluidParams, grid: RadialGrid, tol: float = 1e-8) -> St
     regime or a too-small truncation radius.
     """
     require_valid(params)
-    if tol <= 0.0:
+    if not tol > 0.0:  # written so that NaN is refused too
         raise ValueError("tol must be positive")
     if params.u_b == 0.0:
         return _trivial_profile(params, grid)

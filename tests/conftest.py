@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from mms_cases import manufactured_axi, manufactured_sym, mms_error, mms_error_axi
 
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady
 from outflow.evolve_axi import AxiRunConfig, run_axi_stability
@@ -62,6 +63,27 @@ def axi_acceptance_run(axi_profile, acc_params):
     t0 = time.time()
     res = run_axi_stability(axi_profile, acc_params, agrid, cfg)
     return res, time.time() - t0
+
+
+@pytest.fixture(scope="session")
+def mms_sym_errors(acc_params):
+    """Spherical manufactured-solution errors (e1, e2) on 96 and 192 nodes
+    (r_max = 5, dt 2e-4 and 5e-5, t = 0.2), computed once for the order
+    test and criterion 10."""
+    prof = solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
+    fns = manufactured_sym(acc_params, 5.0)
+    return (mms_error(acc_params, prof, 96, 2.0e-4, 0.2, fns),
+            mms_error(acc_params, prof, 192, 0.5e-4, 0.2, fns))
+
+
+@pytest.fixture(scope="session")
+def mms_axi_errors(acc_params):
+    """Axisymmetric manufactured-solution errors (e1, e2) on 64 x 12 and
+    128 x 24 cells (r_max = 5, dt 4e-4 and 1e-4, t = 0.2), computed once for
+    the order test and criterion 10."""
+    fns = manufactured_axi(acc_params, 5.0)
+    return (mms_error_axi(acc_params, 5.0, 64, 12, 4.0e-4, 0.2, fns),
+            mms_error_axi(acc_params, 5.0, 128, 24, 1.0e-4, 0.2, fns))
 
 
 def assert_close(a, b, tol, label=""):

@@ -17,7 +17,7 @@ from outflow.evolve_sym import SymSolver
 from outflow.opchecks import hardy_check, run_verify_ops
 from outflow.states import AxiState, SymState
 from outflow.steady import div_u_profile
-from mms_cases import manufactured_axi, manufactured_sym, mms_error, mms_error_axi
+from mms_cases import manufactured_sym, mms_error
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -213,18 +213,15 @@ def test_criterion_09_axisymmetric_stability(axi_acceptance_run, axi_profile,
 
 
 @pytest.mark.slow
-def test_criterion_10_convergence_orders(acc_params):
-    prof = solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
-    fns = manufactured_sym(acc_params, 5.0)
-    e1 = mms_error(acc_params, prof, 96, 2.0e-4, 0.2, fns)
-    e2 = mms_error(acc_params, prof, 192, 0.5e-4, 0.2, fns)
+def test_criterion_10_convergence_orders(acc_params, mms_sym_errors, mms_axi_errors):
+    e1, e2 = mms_sym_errors
     order_sym = float(np.log2(e1 / e2))
 
-    fns_axi = manufactured_axi(acc_params, 5.0)
-    a1 = mms_error_axi(acc_params, 5.0, 64, 12, 4.0e-4, 0.2, fns_axi)
-    a2 = mms_error_axi(acc_params, 5.0, 128, 24, 1.0e-4, 0.2, fns_axi)
+    a1, a2 = mms_axi_errors
     order_axi = float(np.log2(a1 / a2))
 
+    prof = solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
+    fns = manufactured_sym(acc_params, 5.0)
     errs = [mms_error(acc_params, prof, 128, dt, 0.128, fns)
             for dt in (1.6e-4, 0.8e-4, 0.4e-4)]
     order_time = float(np.log2(abs(errs[0] - errs[1]) / abs(errs[1] - errs[2])))

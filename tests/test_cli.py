@@ -324,6 +324,11 @@ def test_a_grid_too_small_is_a_config_error(tmp_path, sub, text, key):
     ("t_end = 0.0\n", "t_end"),  # no step would be taken
     ("t_end = -1.0\n", "t_end"),
     ("t_end = nan\n", "t_end"),
+    ("steady_tol = -1\n", "steady_tol"),
+    ("steady_tol = nan\n", "steady_tol"),
+    ("slope_tol = -1\n", "slope_tol"),
+    ("slope_tol = nan\n", "slope_tol"),
+    ("amplitude = nan\n", "amplitude"),
 ])
 def test_a_run_value_the_run_cannot_use_is_a_config_error(tmp_path, text, key):
     """The run configuration's own rule rejects these before any run: exit 2."""

@@ -56,22 +56,22 @@ def test_partition_of_unity():
     x = rng.normal(size=(30000, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x *= rng.uniform(1.0, 8.0, (30000, 1))
-    total = fam.chi_v(x) + fam.chi_h(x)
+    total = fam.chi(x, "V") + fam.chi(x, "H")
     assert np.min(total) >= 1.0 - 1e-10
-    assert np.max(fam.chi_v(x)) <= 1.0 + 1e-15
-    assert np.min(fam.chi_v(x)) >= 0.0
+    assert np.max(fam.chi(x, "V")) <= 1.0 + 1e-15
+    assert np.min(fam.chi(x, "V")) >= 0.0
 
 
 def test_chart_plateau_values():
     fam = build_cutoffs()
     # equator of each chart
-    assert fam.chi_v(np.array([[2.0, 0.5, 0.0]])) == pytest.approx(1.0)
-    assert fam.chi_h(np.array([[2.0, 0.0, 0.5]])) == pytest.approx(1.0)
+    assert fam.chi(np.array([[2.0, 0.5, 0.0]]), "V") == pytest.approx(1.0)
+    assert fam.chi(np.array([[2.0, 0.0, 0.5]]), "H") == pytest.approx(1.0)
     # near the V pole the complementary chart takes over completely
     th = np.pi / 20
     x = np.array([[np.sin(th), 0.0, np.cos(th)]]) * 2.0
-    assert fam.chi_v(x)[0] == 0.0
-    assert fam.chi_h(x)[0] == pytest.approx(1.0)
+    assert fam.chi(x, "V")[0] == 0.0
+    assert fam.chi(x, "H")[0] == pytest.approx(1.0)
 
 
 def test_gradient_structure():
@@ -80,9 +80,9 @@ def test_gradient_structure():
     x = rng.normal(size=(100, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x *= rng.uniform(1.0, 5.0, (100, 1))
-    for chi, grad, chart in ((fam.chi_v, fam.grad_chi_v, "V"),
-                             (fam.chi_h, fam.grad_chi_h, "H")):
-        g = grad(x)
+    for chart in ("V", "H"):
+        chi = lambda p, c=chart: fam.chi(p, c)  # noqa: E731
+        g = fam.grad_chi(x, chart)
         rhat = x / np.linalg.norm(x, axis=1, keepdims=True)
         assert np.max(np.abs(np.sum(rhat * g, axis=1))) <= 1e-8
         live = np.linalg.norm(g, axis=1) > 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from mms_cases import manufactured_axi, mms_error_axi
+from mms_cases import manufactured_axi
 
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady
 from outflow.discrete import AxiOps
@@ -460,10 +460,8 @@ def test_perturbation_rejects_a_negative_degree(small_profile, agrid):
 
 
 @pytest.mark.slow
-def test_manufactured_solution_order_axi(acc_params):
-    fns = manufactured_axi(acc_params, 5.0)
-    e1 = mms_error_axi(acc_params, 5.0, 64, 12, 4.0e-4, 0.2, fns)
-    e2 = mms_error_axi(acc_params, 5.0, 128, 24, 1.0e-4, 0.2, fns)
+def test_manufactured_solution_order_axi(mms_axi_errors):
+    e1, e2 = mms_axi_errors
     order = np.log2(e1 / e2)
     assert order >= 1.8, (e1, e2, order)
 

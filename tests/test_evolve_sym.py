@@ -217,11 +217,9 @@ def mms_profile(acc_params):
 
 
 @pytest.mark.slow
-def test_manufactured_solution_order(acc_params, mms_profile):
+def test_manufactured_solution_order(mms_sym_errors):
     """Joint space-time refinement shows at least second order."""
-    fns = manufactured_sym(acc_params, 5.0)
-    e1 = mms_error(acc_params, mms_profile, 96, 2.0e-4, 0.2, fns)
-    e2 = mms_error(acc_params, mms_profile, 192, 0.5e-4, 0.2, fns)
+    e1, e2 = mms_sym_errors
     order = np.log2(e1 / e2)
     assert order >= 1.9, (e1, e2, order)
 
@@ -330,6 +328,7 @@ def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_par
     {"cfl_safety": 0.0}, {"cfl_safety": -0.4}, {"cfl_safety": float("nan")},
     {"output_every": 0}, {"reform_every": -1}, {"dt": 0.0}, {"dt": float("nan")},
     {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": float("nan")},
+    {"amplitude": float("nan")}, {"amplitude": float("inf")},
 ])
 def test_run_config_rejects_values_the_run_cannot_use(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):

@@ -212,5 +212,6 @@ def test_nonconvergence_signalled():
 
 
 def test_bad_tolerance_rejected(acc_params):
-    with pytest.raises(ValueError):
-        solve_steady(acc_params, RadialGrid.uniform(30.0, 64), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            solve_steady(acc_params, RadialGrid.uniform(30.0, 64), tol=tol)

@@ -12,9 +12,11 @@ the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
 stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
 each field of the Hardy corpus, the per-point arrays behind the seed-0
-`rr_cancel` and `graddiv_expansion` rows, each row of `run_verify_ops` for
-seeds 0, 99 and 12345 and the `potential_energy_quadrature` values of
-`verify-energy`, term by term, and every CSV and text file that the CLI
+`rr_cancel` and `graddiv_expansion` rows, the cut-off profile and its
+mollified form on the polar angles of the seed-0 cut-off sample, each row of
+`run_verify_ops` for seeds 0, 99 and 12345 and the
+`potential_energy_quadrature` values of `verify-energy`, term by term, and
+every CSV and text file that the CLI
 writes for `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops
 --seed 0`, `verify-ops --seed 7` and `verify-energy`, plus each
 subcommand's exit code.
@@ -317,6 +319,26 @@ def jet_point_results() -> None:
                   graddiv_expansion(V(fr.x), fr).value)
 
 
+def cutoff_point_results() -> None:
+    """Per point, what the `cutoff/*` rows of `verify-ops` fold into maxima:
+    the raw profile xi~ and its derivative, and the mollified xi and xi', on
+    the V- and H-chart polar angles of a seeded 4,000-point sample drawn as
+    the seed-0 `verify-ops` draws its cut-off sample."""
+    from outflow.cutoffs import build_cutoffs, xi_tilde, xi_tilde_prime
+    from outflow.sphops import to_spherical
+
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(4000, 3))
+    x /= _r(x)[:, None]
+    x *= rng.uniform(1.0, 6.0, (4000, 1))
+    fam = build_cutoffs()
+    for chart in ("V", "H"):
+        theta = to_spherical(x, chart)[1]
+        for name, fn in (("xi_tilde", xi_tilde), ("xi_tilde_prime", xi_tilde_prime),
+                         ("xi", fam.xi), ("xi_prime", fam.xi_prime)):
+            _emit(f"cutoff_points/{chart}/{name}", fn(theta))
+
+
 def verify_term_results() -> None:
     """Term by term what the verification CSVs print rounded or fold into
     one worst value: each `run_verify_ops` row (name, value, note) for seed 0
@@ -400,6 +422,7 @@ def main(argv=None) -> int:
     run_results()
     hardy_results()
     jet_point_results()
+    cutoff_point_results()
     verify_term_results()
     with tempfile.TemporaryDirectory() as work:
         cli_outputs(work)
