@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .evolve_axi import AxiRunConfig
+from .evolve_sym import SymRunConfig
 from .params import FluidParams, validate_params
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "ConstraintViolation",
     "parse_config",
     "check_config",
+    "run_config",
     "config_text",
 ]
 
@@ -44,26 +46,25 @@ class ConstraintViolation(ConfigError):
 
 @dataclass
 class Config:
-    """Full run configuration; every field has a documented default."""
+    """Full run configuration; every field has a documented default, and a
+    run setting's is that of its run configuration (see `run_config`)."""
 
     params: FluidParams = field(default_factory=FluidParams)
     r_max: float = 100.0
     nodes_r: int = 512
     nodes_theta: int = 32
     grid_kind: str = "uniform"  # uniform | geometric
-    dt: float | None = None
-    t_end: float = 200.0
+    dt: float | None = SymRunConfig.dt
+    t_end: float = SymRunConfig.t_end
     steady_tol: float = 1e-8
     slope_tol: float = 0.2
-    cfl_safety: float = 0.4
-    amplitude: float = 0.02
-    support_lo: float = 1.5
-    support_hi: float = 3.0
-    mode_ell: int = 1
-    # about 0.5-1 time units at the advective step of the default grids, so a
-    # t = 200 run keeps hundreds of samples for the envelope gate
-    output_every: int = 15
-    decay_target: float | None = None  # default chosen per subcommand
+    cfl_safety: float = SymRunConfig.cfl_safety
+    amplitude: float = SymRunConfig.amplitude
+    support_lo: float = SymRunConfig.support[0]
+    support_hi: float = SymRunConfig.support[1]
+    mode_ell: int = AxiRunConfig.mode_ell
+    output_every: int = SymRunConfig.output_every
+    decay_target: float | None = None  # unset: each geometry's own
     seed: int = 0
 
 
@@ -77,24 +78,9 @@ _PARAM_KEYS = {
     "dim_n": ("dim_n", int),
 }
 
-_CONF_KEYS = {
-    "r_max": float,
-    "nodes_r": int,
-    "nodes_theta": int,
-    "grid_kind": str,
-    "dt": float,
-    "t_end": float,
-    "steady_tol": float,
-    "slope_tol": float,
-    "cfl_safety": float,
-    "amplitude": float,
-    "support_lo": float,
-    "support_hi": float,
-    "mode_ell": int,
-    "output_every": int,
-    "decay_target": float,
-    "seed": int,
-}
+# every other field of Config is a key, read by the type it is declared with
+_PARSERS = {"float": float, "float | None": float, "int": int, "str": str}
+_CONF_KEYS = {f.name: _PARSERS[f.type] for f in fields(Config) if f.name != "params"}
 
 
 def parse_config(path: str) -> Config:
@@ -149,12 +135,24 @@ def check_config(cfg: Config) -> None:
         value = getattr(cfg, name)
         if not (value > 0.0 and math.isfinite(value)):  # NaN fails too
             raise ConstraintViolation(f"{name} must be positive and finite, got {value}")
-    # the run configuration's own rules on t_end, dt, cfl_safety, amplitude,
-    # output_every and mode_ell, whichever subcommand runs
+    # the run configuration's own rules, whichever subcommand runs: the
+    # axisymmetric one checks every rule of the spherical one, and mode_ell
+    run_config(cfg, "axi")
+
+
+def run_config(cfg: Config, geometry: str) -> SymRunConfig:
+    """The run configuration of `evolve-<geometry>` ("sym" or "axi") under
+    cfg; an unset decay target keeps the geometry's own.  A value the run
+    cannot use is a ConstraintViolation."""
+    settings = dict(t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
+                    amplitude=cfg.amplitude, support=(cfg.support_lo, cfg.support_hi),
+                    output_every=cfg.output_every)
+    if cfg.decay_target is not None:
+        settings["decay_target"] = cfg.decay_target
     try:
-        AxiRunConfig(t_end=cfg.t_end, dt=cfg.dt, cfl_safety=cfg.cfl_safety,
-                     amplitude=cfg.amplitude, output_every=cfg.output_every,
-                     mode_ell=cfg.mode_ell)
+        if geometry == "sym":
+            return SymRunConfig(**settings)
+        return AxiRunConfig(mode_ell=cfg.mode_ell, **settings)
     except ValueError as exc:
         raise ConstraintViolation(str(exc)) from exc
 

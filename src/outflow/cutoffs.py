@@ -10,28 +10,26 @@ it, which is what makes chi_V + chi_H >= 1 hold to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .sphops import to_spherical, unit_vectors
 
 __all__ = [
-    "SupportViolation",
     "xi_tilde",
     "xi_tilde_prime",
     "CutoffFamily",
     "build_cutoffs",
-    "DEFAULT_WIDTH",
+    "WIDTH",
 ]
 
-DEFAULT_WIDTH = np.pi / 72.0
 _PI = np.pi
 _Q = 32.0 / _PI**2
-
-
-class SupportViolation(ValueError):
-    """Mollifier width pushes the cutoff support outside [pi/9, 8pi/9]."""
+# the mollifier's half-width: it widens the profile's support [pi/8, 7pi/8]
+# to exactly [pi/9, 8pi/9]
+WIDTH = _PI / 72.0
+_QUAD_POINTS = 96  # Gauss-Legendre nodes of the convolution
 
 
 # the profile's pieces between consecutive edges: (centre, offset, sign) is
@@ -70,18 +68,18 @@ def xi_tilde_prime(theta):
     return _profile(theta, derivative=True)
 
 
-@lru_cache(maxsize=None)
-def _mollifier(width: float, n: int = 96):
-    """Gauss-Legendre nodes on [-width, width] and the quadrature weights of
-    the normalised bump eta / (integral of eta), built once per (width, n).
+@cache
+def _mollifier():
+    """Gauss-Legendre nodes on [-WIDTH, WIDTH] and the quadrature weights of
+    the normalised bump eta / (integral of eta), built once.
 
-    Every family of one width shares the two arrays, so they are read-only.
+    Every family and call shares the two arrays, so they are read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes, weights = nodes * width, weights * width
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+    nodes, weights = nodes * WIDTH, weights * WIDTH
     eta = np.zeros_like(nodes)
-    inside = np.abs(nodes) < width
-    eta[inside] = np.exp(-1.0 / (1.0 - (nodes[inside] / width) ** 2))
+    inside = np.abs(nodes) < WIDTH
+    eta[inside] = np.exp(-1.0 / (1.0 - (nodes[inside] / WIDTH) ** 2))
     kernel = weights * (eta / float(np.sum(weights * eta)))
     nodes.flags.writeable = False
     kernel.flags.writeable = False
@@ -92,14 +90,11 @@ def _mollifier(width: float, n: int = 96):
 class CutoffFamily:
     """Mollified angular cutoff and the derived chart partition functions."""
 
-    width: float
-    _nodes: np.ndarray
-    _kernel: np.ndarray
-
     def _convolve(self, theta, kernel_of_base):
+        nodes, kernel = _mollifier()
         theta = np.asarray(theta, dtype=float)
-        shifted = np.clip(theta[..., None] - self._nodes, 0.0, _PI)
-        return kernel_of_base(shifted) @ self._kernel
+        shifted = np.clip(theta[..., None] - nodes, 0.0, _PI)
+        return kernel_of_base(shifted) @ kernel
 
     def xi(self, theta):
         """Mollified profile, smooth with support exactly [pi/9, 8pi/9]."""
@@ -129,13 +124,6 @@ class CutoffFamily:
         return out
 
 
-def build_cutoffs(width: float = DEFAULT_WIDTH, quad_points: int = 96) -> CutoffFamily:
-    """Build the mollified cutoff family; width may not exceed pi/72."""
-    if width <= 0.0:
-        raise SupportViolation("mollifier width must be positive")
-    if width > DEFAULT_WIDTH + 1e-15:
-        raise SupportViolation(
-            f"width {width:.6f} pushes the support outside [pi/9, 8pi/9]"
-        )
-    nodes, kernel = _mollifier(width, quad_points)
-    return CutoffFamily(width=width, _nodes=nodes, _kernel=kernel)
+def build_cutoffs() -> CutoffFamily:
+    """The mollified cutoff family, of half-width `WIDTH`."""
+    return CutoffFamily()

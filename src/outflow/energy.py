@@ -72,7 +72,11 @@ def potential_energy_quadrature(zeta: float, xi: float, params: FluidParams) -> 
     return zeta * val
 
 
-def h_identities(zeta, xi, params: FluidParams, step: float = 1e-5):
+_FD_STEP = 1e-5  # relative step of the central differences of `h_identities`
+_BOX_SAMPLES = 60  # samples per axis of the density box of `equivalence_constants`
+
+
+def h_identities(zeta, xi, params: FluidParams):
     """Relative residuals of the three structural identities of H.
 
     Partial derivatives are taken by central differences, so the residuals
@@ -80,8 +84,8 @@ def h_identities(zeta, xi, params: FluidParams, step: float = 1e-5):
     """
     zeta = np.asarray(zeta, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    hz = step * zeta
-    hx = step * xi
+    hz = _FD_STEP * zeta
+    hx = _FD_STEP * xi
     h = potential_energy(zeta, xi, params)
     dh_dz = (potential_energy(zeta + hz, xi, params)
              - potential_energy(zeta - hz, xi, params)) / (2.0 * hz)
@@ -96,8 +100,7 @@ def h_identities(zeta, xi, params: FluidParams, step: float = 1e-5):
     return res1 / scale, res2 / scale, res3 / scale
 
 
-def equivalence_constants(rho_lo: float, rho_hi: float, params: FluidParams,
-                          n_grid: int = 60):
+def equivalence_constants(rho_lo: float, rho_hi: float, params: FluidParams):
     """Extremes of H(rho, rho~)/|rho - rho~|^2 over a density box.
 
     Finite positive bounds witness the quadratic equivalence of the potential
@@ -105,7 +108,7 @@ def equivalence_constants(rho_lo: float, rho_hi: float, params: FluidParams,
     """
     if not (0.0 < rho_lo < rho_hi):
         raise ValueError("need 0 < rho_lo < rho_hi")
-    grid = np.linspace(rho_lo, rho_hi, n_grid)
+    grid = np.linspace(rho_lo, rho_hi, _BOX_SAMPLES)
     zz, xx = np.meshgrid(grid, grid)
     mask = np.abs(zz - xx) > 1e-9 * rho_hi
     ratio = potential_energy(zz[mask], xx[mask], params) / (zz[mask] - xx[mask]) ** 2
@@ -128,8 +131,8 @@ class EnergyReport:
 
     norm_pieces carries the squared Sobolev summands the solvers resolve
     (derivative order <= 2 for the density gap, <= 1 for the velocity gap
-    and the time derivatives); unresolved third-order pieces are omitted
-    and listed in `unresolved`.
+    and the time derivatives).  The pieces they do not resolve are omitted:
+    phi_psi_3, dt_phi_2, psi_2, psi_3 and dt_psi_1.
     """
 
     t: float
@@ -140,7 +143,6 @@ class EnergyReport:
     weighted_radial_psi: float
     sup_perturbation: float
     norm_pieces: dict = field(default_factory=dict)
-    unresolved: tuple = ("phi_psi_3", "dt_phi_2", "psi_2", "psi_3", "dt_psi_1")
 
     def __post_init__(self):
         for name in ("total_relative_energy", "viscous_dissipation", "boundary_H",
@@ -331,7 +333,7 @@ def reformulation_terms(profile: SteadyProfile, params: FluidParams, ops) -> Ref
 
 def reformulation_residual(state, state_prev, dt: float,
                            profile: SteadyProfile, params: FluidParams,
-                           ops=None, terms: ReformTerms | None = None) -> ReformResult:
+                           terms: ReformTerms | None = None) -> ReformResult:
     """Discrete residuals of the governing system and of its linearised form.
 
     Both sides are assembled from the same collocation derivatives, so they
@@ -341,17 +343,15 @@ def reformulation_residual(state, state_prev, dt: float,
     The momentum equations are compared in velocity form (divided by rho),
     one row per velocity component, with the viscous term of `ops.visc`.
     `terms` are the stationary terms from `reformulation_terms`; without
-    them they are built here, on `ops` or on operators of the state's grid.
+    them they are built here, on operators of the state's grid.
     """
     if not density_corridor(state, params):
         raise ValueError("density outside the a-priori corridor")
     if terms is None:
-        terms = reformulation_terms(
-            profile, params, ops_for(state, params) if ops is None else ops)
-    elif (terms.profile is not profile or terms.params != params
-          or (ops is not None and ops is not terms.ops)):
+        terms = reformulation_terms(profile, params, ops_for(state, params))
+    elif terms.profile is not profile or terms.params != params:
         raise ValueError("the reformulation terms were built for another "
-                         "profile, fluid or operator set")
+                         "profile or fluid")
     ops, st = terms.ops, terms.stat
     _check_grids(state.grid, state_prev.grid, profile.grid, ops.grid)
     if len(state.velocity) != len(st["ut"]):

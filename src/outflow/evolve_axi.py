@@ -51,6 +51,7 @@ __all__ = [
     "run_axi_stability",
     "legendre_amplitudes",
     "COUPLING_K",
+    "N_MODES",
 ]
 
 # the explicit mixed r-theta viscous terms, of weight mu + lam, are damped by
@@ -60,23 +61,23 @@ __all__ = [
 # cells for lam / mu in {0, 1, 2, 5}.
 COUPLING_K = 3.5
 
+N_MODES = 5  # a run projects its density gap onto the Legendre modes 0..N_MODES-1
+
 
 @dataclass
 class AxiRunConfig(SymRunConfig):
-    output_every: int = 400
     decay_target: float = 5.0
     mode_ell: int = 1
-    n_modes: int = 5  # project onto ell = 0..n_modes-1
 
     def __post_init__(self):
         super().__post_init__()
         # a mode outside the projection would be graded on aliasing residue
-        if not 0 <= self.mode_ell < self.n_modes:
-            raise ValueError(f"mode_ell must satisfy 0 <= mode_ell < n_modes = "
-                             f"{self.n_modes}, got {self.mode_ell}")
+        if not 0 <= self.mode_ell < N_MODES:
+            raise ValueError(f"mode_ell must satisfy 0 <= mode_ell < N_MODES = "
+                             f"{N_MODES}, got {self.mode_ell}")
 
 
-def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = 5):
+def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = N_MODES):
     """Legendre-mode content of a (r, theta) scalar: coefficients per radius.
 
     The raw quadrature projection is corrected by the discrete Gram matrix of
@@ -350,7 +351,7 @@ def run_axi_stability(profile: SteadyProfile, params: FluidParams,
                         ell=config.mode_ell)
 
     def measure(st):
-        amp = legendre_amplitudes(st.rho - rho_eq, agrid, config.n_modes)
+        amp = legendre_amplitudes(st.rho - rho_eq, agrid)
         return np.max(np.abs(amp), axis=1)
 
     h_min = float(min(np.min(solver.dr), solver.ops.r[0] * agrid.dtheta))

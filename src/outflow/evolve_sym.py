@@ -91,12 +91,16 @@ def check_positive(rho: np.ndarray, t: float) -> None:
 
 @dataclass
 class SymRunConfig:
+    """A relaxation run's settings; the defaults of the CLI's run keys too."""
+
     t_end: float = 200.0
     dt: float | None = None  # cap; None = pure CFL-driven
     cfl_safety: float = 0.4
     amplitude: float = 0.02
     support: tuple = (1.5, 3.0)
-    output_every: int = 250
+    # about 0.5-1 time units at the advective step of the acceptance grids,
+    # so a t = 200 run keeps hundreds of samples for the envelope gate
+    output_every: int = 15
     decay_target: float = 10.0
     reform_every: int = 0  # check the linearised-form residual every k steps
 
@@ -110,6 +114,10 @@ class SymRunConfig:
             raise ValueError(f"cfl_safety must be positive, got {self.cfl_safety}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        # a target below 1 passes a run that did not decay
+        if not (self.decay_target >= 1.0 and np.isfinite(self.decay_target)):
+            raise ValueError(f"decay_target must be finite and at least 1, "
+                             f"got {self.decay_target}")
         if self.output_every < 1:
             raise ValueError(f"output_every must be at least 1, got {self.output_every}")
         if self.reform_every < 0:
@@ -646,15 +654,15 @@ class RunResult:
 
 
 _ENVELOPE_WINDOWS = 20
+_ENVELOPE_SLACK = 1.05  # the rise a window's maximum may show over the last
 
 
-def _envelope_graded(times, n_windows: int = _ENVELOPE_WINDOWS) -> bool:
+def _envelope_graded(times) -> bool:
     """Whether a run sampled often enough for `_envelope_ok` to grade it."""
-    return len(times) >= 2 * n_windows
+    return len(times) >= 2 * _ENVELOPE_WINDOWS
 
 
-def _envelope_ok(times, sups, n_windows: int = _ENVELOPE_WINDOWS,
-                 slack: float = 1.05, target: float = 10.0) -> bool:
+def _envelope_ok(times, sups, target: float = 10.0) -> bool:
     """Windowed maxima must be nonincreasing (within slack) after the peak.
 
     Enforcement stops once the envelope has fallen below peak/target: the
@@ -663,9 +671,9 @@ def _envelope_ok(times, sups, n_windows: int = _ENVELOPE_WINDOWS,
     instability.  A run with fewer than two samples per window passes
     ungraded; `_envelope_graded` tells which.
     """
-    if not _envelope_graded(times, n_windows):
+    if not _envelope_graded(times):
         return True
-    edges = np.linspace(times[0], times[-1], n_windows + 1)
+    edges = np.linspace(times[0], times[-1], _ENVELOPE_WINDOWS + 1)
     env = []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (times >= a) & (times <= b)
@@ -676,7 +684,7 @@ def _envelope_ok(times, sups, n_windows: int = _ENVELOPE_WINDOWS,
     for k in range(k0, len(env) - 1):
         if env[k] <= floor:
             break
-        if env[k + 1] > slack * env[k] and env[k + 1] > floor:
+        if env[k + 1] > _ENVELOPE_SLACK * env[k] and env[k + 1] > floor:
             return False
     return True
 

@@ -14,7 +14,6 @@ class RadialGrid:
     """Strictly increasing nodes r_0 = 1 < ... < r_M = r_max."""
 
     nodes: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         r = np.asarray(self.nodes, dtype=float)
@@ -30,18 +29,9 @@ class RadialGrid:
     def r_max(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def m(self) -> int:
-        """Number of intervals M (nodes are r_0..r_M)."""
-        return self.nodes.size - 1
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     @classmethod
     def uniform(cls, r_max: float, m: int) -> "RadialGrid":
-        return cls(np.linspace(1.0, float(r_max), m + 1), kind="uniform")
+        return cls(np.linspace(1.0, float(r_max), m + 1))
 
     @classmethod
     def geometric(cls, r_max: float, m: int) -> "RadialGrid":
@@ -49,36 +39,24 @@ class RadialGrid:
         r = np.exp(np.linspace(0.0, np.log(float(r_max)), m + 1))
         r[0] = 1.0
         r[-1] = float(r_max)
-        return cls(r, kind="geometric")
+        return cls(r)
 
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Uniform polar-angle nodes on [0, pi] including both endpoints.
+    """n_cells + 1 uniform polar-angle nodes on [0, pi], both endpoints included.
 
     The axisymmetric solver works on the cell centers between consecutive
     nodes, so no state is ever stored at the poles themselves.
     """
 
-    nodes: np.ndarray = field(default=None)  # type: ignore[assignment]
+    nodes: np.ndarray = field(init=False)
     n_cells: int = 32
 
     def __post_init__(self):
-        if self.nodes is None:
-            nodes = np.linspace(0.0, np.pi, self.n_cells + 1)
-        else:
-            nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "n_cells", nodes.size - 1)
-        if nodes.size < 8:
+        if self.n_cells < 7:
             raise ValueError("angular grid needs at least 8 nodes")
-        if nodes[0] != 0.0 or abs(nodes[-1] - np.pi) > 1e-15:
-            raise ValueError("angular grid must span [0, pi] exactly")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("angular nodes must be strictly increasing")
-        d = np.diff(nodes)
-        if np.max(np.abs(d - d[0])) > 1e-12 * d[0]:
-            raise ValueError("angular grid must be uniform")
+        object.__setattr__(self, "nodes", np.linspace(0.0, np.pi, self.n_cells + 1))
 
     @property
     def centers(self) -> np.ndarray:

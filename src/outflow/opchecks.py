@@ -90,15 +90,18 @@ class OpSample:
     points: dict  # chart -> (n, 3) array
 
 
-def _corpus_points(rng, chart, n, r_range, margin):
-    r = rng.uniform(r_range[0], r_range[1], n)
-    theta = rng.uniform(np.pi / 9 + margin, 8 * np.pi / 9 - margin, n)
+_CORPUS_RADII = (1.15, 4.0)
+_CORPUS_MARGIN = 0.15  # polar-angle margin inside each chart's cut-off support
+
+
+def _corpus_points(rng, chart, n):
+    r = rng.uniform(_CORPUS_RADII[0], _CORPUS_RADII[1], n)
+    theta = rng.uniform(np.pi / 9 + _CORPUS_MARGIN, 8 * np.pi / 9 - _CORPUS_MARGIN, n)
     phi = rng.uniform(0.0, 2 * np.pi, n)
     return from_spherical(r, theta, phi, chart)
 
 
-def default_corpus(seed: int = 0, n_points: int = 100,
-                   r_range=(1.15, 4.0), margin: float = 0.15) -> OpSample:
+def default_corpus(seed: int = 0, n_points: int = 100) -> OpSample:
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5, 8)
     x0 = np.array([1.2, 0.7, -0.5])
@@ -125,7 +128,7 @@ def default_corpus(seed: int = 0, n_points: int = 100,
         ) * np.exp(1.0 - radius(x))[..., None],
         "radial_quad": lambda x: radius(x)[..., None] * x,
     }
-    points = {c: _corpus_points(rng, c, n_points, r_range, margin) for c in CHARTS}
+    points = {c: _corpus_points(rng, c, n_points) for c in CHARTS}
     return OpSample(scalar_fields=scalars, vector_fields=vectors, points=points)
 
 
@@ -451,9 +454,10 @@ def hardy_check_radial(f, df, n: int = 3, r_max: float = 400.0):
     return _doubled_radius(quad, r_max)
 
 
-def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
+def hardy_check(u, r_max: float = 60.0, grad=None, vector=False,
                 n_r: int = 160, n_theta: int = 24, n_phi: int = 24):
-    """Hardy inequality ∫|u|^2/|x|^2 + ∮_{|x|=1}|u|^2 <= 2n ∫|grad u|^2.
+    """Hardy inequality ∫|u|^2/|x|^2 + ∮_{|x|=1}|u|^2 <= 2n ∫|grad u|^2 in
+    n = 3 dimensions; `hardy_check_radial` takes radial profiles in any n.
 
     u is a vectorized Cartesian field (scalar or vector); the gradient falls
     back to Cartesian finite differences when not supplied.  The volume rule
@@ -463,10 +467,6 @@ def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
     Raises TailNotConverged when doubling the truncation radius moves either
     side by more than 1%.
     """
-    if n != 3:
-        raise ValueError("volume quadrature is implemented for n = 3; "
-                         "use hardy_check_radial for general n")
-
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     s = np.sqrt(1.0 - mu**2)
@@ -498,7 +498,7 @@ def hardy_check(u, n: int = 3, r_max: float = 60.0, grad=None, vector=False,
                 vol_lhs += w * r**2 * np.sum(ang_w * u_r / r**2)
                 vol_rhs += w * r**2 * np.sum(ang_w * g_r)
         surface = np.sum(ang_w * sq(u(unit)))
-        return vol_lhs + surface, 2.0 * n * vol_rhs
+        return vol_lhs + surface, 6.0 * vol_rhs  # the constant 2n
 
     return _doubled_radius(quad, r_max)
 

@@ -261,11 +261,14 @@ class RateReport:
     tolerances: dict
 
     @property
+    def verdicts(self) -> dict:
+        """Per key, whether its slope lies within its tolerance of its target."""
+        return {k: abs(self.slopes[k] - self.targets[k]) <= self.tolerances[k]
+                for k in self.targets}
+
+    @property
     def ok(self) -> bool:
-        return all(
-            abs(self.slopes[k] - self.targets[k]) <= self.tolerances[k]
-            for k in self.targets
-        )
+        return all(self.verdicts.values())
 
 
 def _loglog_slope(r, q):
@@ -275,8 +278,10 @@ def _loglog_slope(r, q):
     return float(np.polyfit(np.log(r[mask]), np.log(q[mask]), 1)[0])
 
 
-def verify_decay(profile: SteadyProfile, slope_tol: float = 0.2,
-                 min_decades: float = 1.0) -> RateReport:
+_MIN_DECADES = 1.0  # the least span of the fit window, in decades of r
+
+
+def verify_decay(profile: SteadyProfile, slope_tol: float = 0.2) -> RateReport:
     """Least-squares log-log decay rates over the window [R^0.4, R^0.9].
 
     Fits the far-field rates of the density/velocity derivatives against
@@ -293,10 +298,10 @@ def verify_decay(profile: SteadyProfile, slope_tol: float = 0.2,
     n = profile.dim_n
     rmax = profile.grid.r_max
     lo, hi = rmax**0.4, rmax**0.9
-    if np.log10(hi / lo) < min_decades:
+    if np.log10(hi / lo) < _MIN_DECADES:
         raise FitWindowTooSmall(
             f"window [{lo:.3g}, {hi:.3g}] spans {np.log10(hi / lo):.2f} decades "
-            f"< {min_decades}"
+            f"< {_MIN_DECADES}"
         )
     r = profile.r
     sel = (r >= lo) & (r <= hi)

@@ -286,7 +286,7 @@ def test_negative_seed_is_a_config_error(tmp_path, sub, in_file):
 @pytest.mark.parametrize("ell", [-1, -2, 5])
 def test_mode_outside_the_graded_range_is_a_config_error(tmp_path, ell):
     """mode_ell = -1 would run as P_0, -2 as P_1, and 5 is not among the
-    n_modes = 5 projected modes: each exits 2 before any run, with a manifest."""
+    N_MODES = 5 projected modes: each exits 2 before any run, with a manifest."""
     conf = _write(tmp_path, f"mode_ell = {ell}\n")
     out = tmp_path / "out"
     assert main(["evolve-axi", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
@@ -329,15 +329,34 @@ def test_a_grid_too_small_is_a_config_error(tmp_path, sub, text, key):
     ("slope_tol = -1\n", "slope_tol"),
     ("slope_tol = nan\n", "slope_tol"),
     ("amplitude = nan\n", "amplitude"),
+    ("decay_target = nan\n", "decay_target"),  # would fail every decay
+    ("decay_target = inf\n", "decay_target"),
+    ("decay_target = -1\n", "decay_target"),  # would pass a run that did not decay
+    ("decay_target = 0.5\n", "decay_target"),
+    ("dim_n = 2\n", "dim_n"),
+    ("dim_n = 4\n", "dim_n"),
 ])
-def test_a_run_value_the_run_cannot_use_is_a_config_error(tmp_path, text, key):
-    """The run configuration's own rule rejects these before any run: exit 2."""
+def test_a_run_value_the_run_cannot_use_is_a_config_error(tmp_path, monkeypatch,
+                                                          text, key):
+    """The run configuration's own rule rejects these before any solve: each
+    stepping subcommand exits 2, with a manifest.  A file with dim_n != 3 is
+    sound, as `steady` solves the profile in any dimension n >= 2; only the
+    subcommands that step the three-dimensional solver refuse it."""
     conf = _write(tmp_path, text)
-    with pytest.raises(ConstraintViolation, match=key):
-        parse_config(conf)
-    out = tmp_path / "out"
-    assert main(["evolve-sym", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
-    crit = json.loads((out / "manifest.json").read_text())["criteria"]
-    assert crit["error"] == "ConstraintViolation"
-    assert key in crit["message"]
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    if key == "dim_n":
+        assert parse_config(conf).params.dim_n != 3
+    else:
+        with pytest.raises(ConstraintViolation, match=key):
+            parse_config(conf)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a refused configuration was solved")
+
+    monkeypatch.setattr(cli, "solve_steady", no_solve)
+    for sub in ("evolve-sym", "evolve-axi", "report"):
+        out = tmp_path / sub
+        assert main([sub, "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+        crit = json.loads((out / "manifest.json").read_text())["criteria"]
+        assert crit["error"] == "ConstraintViolation"
+        assert key in crit["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]

@@ -298,7 +298,8 @@ def test_reformulation_terms_built_once_give_the_same_bits(small_profile, acc_pa
     for held in (reformulation_residual(st, prev, 1e-3, small_profile, acc_params,
                                         terms=terms),
                  reformulation_residual(st, prev, 1e-3, small_profile, acc_params,
-                                        ops=ops, terms=terms)):
+                                        terms=reformulation_terms(small_profile,
+                                                                  acc_params, ops))):
         for name in ("orig_continuity", "reform_continuity", "orig_momentum",
                      "reform_momentum"):
             assert getattr(held, name).tobytes() == getattr(fresh, name).tobytes()

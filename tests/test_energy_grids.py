@@ -41,7 +41,8 @@ def test_reformulation_terms_reject_operators_of_another_grid(axi_profile, wide_
         reformulation_terms(axi_profile, acc_params, ops)
     state = perturb_sym(axi_profile, 0.02, (1.5, 3.0))
     with pytest.raises(ValueError, match="grids differ"):
-        reformulation_residual(state, state, 1e-3, axi_profile, acc_params, ops=ops)
+        reformulation_residual(state, state, 1e-3, axi_profile, acc_params,
+                               terms=reformulation_terms(axi_profile, acc_params, ops))
     # terms on the profile's own grid, handed a state of the wider one
     terms = reformulation_terms(wide_profile, acc_params, ops)
     with pytest.raises(ValueError, match="grids differ"):

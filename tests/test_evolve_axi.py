@@ -5,6 +5,7 @@ from mms_cases import manufactured_axi
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady
 from outflow.discrete import AxiOps
 from outflow.evolve_axi import (
+    N_MODES,
     AxiRunConfig,
     AxiSolver,
     legendre_amplitudes,
@@ -434,7 +435,7 @@ def test_positivity_loss_raised(small_profile, acc_params, agrid):
 
 def test_run_config_defaults_and_dt_check():
     cfg = AxiRunConfig()
-    assert (cfg.output_every, cfg.decay_target, cfg.mode_ell, cfg.n_modes) == (400, 5.0, 1, 5)
+    assert (cfg.output_every, cfg.decay_target, cfg.mode_ell, N_MODES) == (15, 5.0, 1, 5)
     for dt in (0.0, -1e-3):
         with pytest.raises(ValueError):
             AxiRunConfig(dt=dt)
@@ -442,11 +443,10 @@ def test_run_config_defaults_and_dt_check():
 
 @pytest.mark.parametrize("ell", [-1, -2, 5])
 def test_run_config_rejects_a_mode_it_cannot_grade(ell):
-    """P_-1 is P_0 and P_-2 is P_1 to eval_legendre, and ell >= n_modes is
+    """P_-1 is P_0 and P_-2 is P_1 to eval_legendre, and ell >= N_MODES is
     never projected, so the mode gate would grade another mode or nothing."""
     with pytest.raises(ValueError, match="mode_ell"):
         AxiRunConfig(mode_ell=ell)
-    assert AxiRunConfig(mode_ell=5, n_modes=6).mode_ell == 5
 
 
 def test_perturbation_rejects_a_negative_degree(small_profile, agrid):

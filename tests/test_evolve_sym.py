@@ -9,6 +9,7 @@ from outflow.evolve_sym import (
     PositivityLoss,
     SymRunConfig,
     SymSolver,
+    _envelope_graded,
     odd_even_content,
     run_sym_stability,
 )
@@ -329,11 +330,25 @@ def test_relaxation_evaluates_the_cfl_limit_once_per_step(small_profile, acc_par
     {"output_every": 0}, {"reform_every": -1}, {"dt": 0.0}, {"dt": float("nan")},
     {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": float("nan")},
     {"amplitude": float("nan")}, {"amplitude": float("inf")},
+    {"decay_target": float("nan")}, {"decay_target": float("inf")},
+    {"decay_target": -1.0}, {"decay_target": 0.5},
 ])
 def test_run_config_rejects_values_the_run_cannot_use(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
         SymRunConfig(**fields)
-    assert SymRunConfig(cfl_safety=1e-3, output_every=1, reform_every=0, dt=1e-6)
+    assert SymRunConfig(cfl_safety=1e-3, output_every=1, reform_every=0, dt=1e-6,
+                        decay_target=1.0)
+
+
+@pytest.mark.slow
+def test_the_default_sampling_grades_the_acceptance_envelope(sym_acceptance_run):
+    """The t = 200 acceptance run sampled at the default output_every keeps
+    enough samples for the envelope gate: the initial state, every
+    output_every-th step and the last."""
+    res, _ = sym_acceptance_run
+    every = SymRunConfig().output_every
+    samples = 1 + res.steps // every + (res.steps % every != 0)
+    assert _envelope_graded(np.arange(samples)), (res.steps, every, samples)
 
 
 @pytest.mark.parametrize("output_every, graded", [(1, True), (20, False)])

@@ -27,7 +27,8 @@ With `--save DIR` each line's numbers (the arrays and scalars it hashes, in
 hashing order, or the numbers written in a file) also go to
 `DIR/<line label>.npy`.  A change that must move bits saves both trees and
 runs `--drift` on the two directories, which names every line whose numbers
-differ with its largest absolute and relative drift.
+differ with its largest absolute and relative drift, and every line saved
+under only one of them.
 """
 
 from __future__ import annotations
@@ -137,32 +138,38 @@ def _emit_file(label: str, path: str) -> None:
         _save(label, [np.array(nums, dtype=float)])
 
 
+def _labels(top: str) -> set:
+    """The line labels saved under a --save directory."""
+    return {os.path.relpath(os.path.join(root, name), top)[:-len(".npy")]
+            for root, _, names in os.walk(top) for name in names}
+
+
 def drift(before: str, after: str) -> None:
     """Print, for each line saved under both directories whose numbers
     differ, the largest absolute difference, that difference relative to the
     largest finite magnitude of the line's numbers in `before`, and how many
-    of its numbers moved."""
-    for root, _, names in sorted(os.walk(before)):
-        for name in sorted(names):
-            path_a = os.path.join(root, name)
-            label = os.path.relpath(path_a, before)[:-len(".npy")]
-            path_b = os.path.join(after, label + ".npy")
-            if not os.path.exists(path_b):
-                print(f"missing  {label}")
-                continue
-            a, b = np.load(path_a), np.load(path_b)
-            if a.shape != b.shape:
-                print(f"shape {a.shape} -> {b.shape}  {label}")
-            elif not np.array_equal(a, b, equal_nan=True):
-                # an inf on both sides (a CSV's "inf" tolerance) is no drift
-                moved = (a != b) & ~(np.isnan(a) & np.isnan(b))
-                with np.errstate(invalid="ignore"):
-                    diff = float(np.nanmax(np.abs(a - b)[moved]))
-                finite = np.abs(a[np.isfinite(a)])
-                scale = float(np.max(finite)) if finite.size else 0.0
-                rel = diff / scale if scale > 0.0 else float("inf")
-                print(f"abs {diff:.3e} rel {rel:.3e} in {int(moved.sum())} of "
-                      f"{a.size}  {label}")
+    of its numbers moved; then `missing` for each line saved under `before`
+    only, and `added` for each saved under `after` only."""
+    labels_a, labels_b = _labels(before), _labels(after)
+    for label in sorted(labels_a & labels_b):
+        a = np.load(os.path.join(before, label + ".npy"))
+        b = np.load(os.path.join(after, label + ".npy"))
+        if a.shape != b.shape:
+            print(f"shape {a.shape} -> {b.shape}  {label}")
+        elif not np.array_equal(a, b, equal_nan=True):
+            # an inf on both sides (a CSV's "inf" tolerance) is no drift
+            moved = (a != b) & ~(np.isnan(a) & np.isnan(b))
+            with np.errstate(invalid="ignore"):
+                diff = float(np.nanmax(np.abs(a - b)[moved]))
+            finite = np.abs(a[np.isfinite(a)])
+            scale = float(np.max(finite)) if finite.size else 0.0
+            rel = diff / scale if scale > 0.0 else float("inf")
+            print(f"abs {diff:.3e} rel {rel:.3e} in {int(moved.sum())} of "
+                  f"{a.size}  {label}")
+    for label in sorted(labels_a - labels_b):
+        print(f"missing  {label}")
+    for label in sorted(labels_b - labels_a):
+        print(f"added  {label}")
 
 
 def _emit_result(label: str, res) -> None:
