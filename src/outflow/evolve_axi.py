@@ -9,13 +9,12 @@ poles by parity; angular advection uses sin(theta)-weighted edge fluxes,
 which both telescopes mass exactly and makes the pole faces carry zero flux.
 
 The implicit viscous rows of each velocity component are its radial line
-operator plus its own ring operator, R_c (x) I + diag(g_c(r)) (x) L_c, with
-the mixed r-theta terms and the first-order u_r-u_theta ring couplings
-explicit.  A stage solves the radial lines with the radial solver's factor,
-then corrects by the ring part in the eigenbasis of L_c, where it is one
-tridiagonal system per angular mode.  The correction's right-hand side
-is L_c of the radial solution by stencils, exactly 0 on theta-independent
-data, so there the step is the radial one.
+plus its ring operator, R_c (x) I + diag(g_c(r)) (x) L_c, with the mixed
+r-theta terms and the first-order u_r-u_theta couplings explicit.  A stage
+solves them in the eigenbasis of L_c, one tridiagonal system per angular
+mode, but for u_r's first theta column, which takes the radial solver's
+factor: on theta-independent data the modal parts are exactly 0, so the
+step is the radial one.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ class AxiSolver(RadialScheme):
         super().__init__(profile, params, forcing)
         self.r_sin_dtheta = self.r * ops.sin * agrid.dtheta
         self.visc_split = self._viscous_operator()
-        self._modes = None  # the rings' eigenbases, built at the first step
+        self._modes = None  # the rings' mode systems, built at the first step
         self.h_cell = np.minimum(self.h, self.r * agrid.dtheta)
         self.h_cfl2 = self.h_cell**2
         mu_lam = params.mu + params.lam  # the coupling limit is couple_h2 x rho
@@ -151,7 +150,7 @@ class AxiSolver(RadialScheme):
 
         w is exactly 0 on theta-independent data, so there the polar rows sum
         zeros and the radial rows sum K's entries in K's order.  The ring
-        matrices, n_theta x n_theta, are kept for the implicit correction.
+        matrices, n_theta x n_theta, are kept for the implicit solve.
         """
         ops, mu, mu_lam = self.ops, self.params.mu, self.params.mu + self.params.lam
         r, s, n_t = ops.r, ops.sin, ops.theta.size
@@ -175,12 +174,8 @@ class AxiSolver(RadialScheme):
         self.lines = (self.K_line,
                       ViscousLine(r[1:-1] ** 2 * np.diff(r_face), np.ones(r.size),
                                   mu * r_face**2 / np.diff(r), self.profile.rho_t, 2))
-        # (g, L, stencil) of each component's ring part g (x) L: u_r's ring is
-        # taken by stencils, so it is exactly 0 on theta-independent data;
-        # u_theta is exactly 0 there, so a dense product serves its ring
-        self.rings = ((mu * inner / r**2, ring_r, lambda q: ops.d_theta(
-                          s * ops.d_theta(q, parity=1), parity=1) / s),
-                      (inner / r**2, ring_t, None))
+        # (g, L) of each component's ring part g (x) L
+        self.rings = ((mu * inner / r**2, ring_r), (inner / r**2, ring_t))
         zero = sparse.csr_array((r.size * n_t, r.size * n_t))
         rad_i = [kron(self.K_line.rows(), eye_t), zero, kron(diag(mu * inner / r**2), div_t)]
         rad_e = [kron(self.K_far, eye_t),
@@ -206,27 +201,21 @@ class AxiSolver(RadialScheme):
         return (self.visc_split[:, :n] + self.visc_split[:, n:]).tocsr()
 
     def _factor(self, a: float):
-        """Each component's implicit solve at a: the radial lines with the
-        radial factor, for every theta column at once, then the ring
-        correction in the eigenbasis of the ring matrix L, one tridiagonal
-        system per angular mode, all in one tridiagonal solve."""
+        """Each component's implicit solve at a, of (M (x) I - a w (x) L) q = b
+        with M the scaled radial line (`ViscousLine.diagonals`), w = sigma g /
+        kappa and L = S diag(lam) S^-1 the ring.  In L's eigenbasis it is the
+        tridiagonal M - a lam_k w for each angular mode k, all solved in one
+        tridiagonal solve of the diagonals that `_modal_system` tiles once.
+        u_r's first column b0 takes the radial factor of `line.diagonals(a)`,
+        the radial solver's arithmetic, lifted, which u_r's ring annihilates,
+        and only b - b0 goes through the modes."""
         if self._modes is None:
-            self._modes = [_eigen(ring) for _, ring, _ in self.rings]
-        solves = []
-        for line, (g, ring, stencil), (lam, vecs, inv_t) in zip(self.lines, self.rings,
-                                                                self._modes):
-            d, e = line.diagonals(a)
-            radial = tridiagonal_solver(d, e)
-            w = a * line.sigma * g[1:-1] / line.kappa[1:-1]
-            n_t = lam.size
-            corr = tridiagonal_solver((d[None, :] - lam[:, None] * w[None, :]).ravel(),
-                                      np.tile(np.r_[e, 0.0], n_t)[:-1])
-            if stencil is None:
-                to_modes = (lambda q, m=ring.T @ inv_t: q @ m)
-            else:
-                to_modes = (lambda q, f=stencil, m=inv_t: f(q) @ m)
-            solves.append(partial(_ring_corrected, radial, corr, w[:, None], to_modes, vecs.T))
-        return solves
+            self._modes = [_modal_system(line, *ring)
+                           for line, ring in zip(self.lines, self.rings)]
+        modal = [partial(_modal_solve, tridiagonal_solver(d_rest + a * s, a * e), *basis)
+                 for d_rest, s, e, *basis in self._modes]
+        radial = tridiagonal_solver(*self.lines[0].diagonals(a))
+        return [partial(_split_solve, radial, modal[0]), modal[1]]
 
     def rhs(self, state: AxiState, checked: bool = False, split: bool = False):
         """(rho_t, mr_t, mt_t).  The wall momentum rows and the far polar row
@@ -310,11 +299,13 @@ class AxiSolver(RadialScheme):
         return interior, boundary
 
 
-def _eigen(ring: np.ndarray):
-    """(lam, S, S^-T) with ring = S diag(lam) S^-1, real when the spectrum is
-    real to round-off.  LAPACK's dgeev returns a conjugate pair as the real
-    and imaginary parts of its vector; when rounding split the pair off a
-    repeated real eigenvalue, those two columns span its real eigenspace."""
+def _modal_system(line: ViscousLine, g: np.ndarray, ring: np.ndarray):
+    """(d_rest, s, e, S^-1, S^T): the diagonals d_rest + a s and a e of the
+    mode systems M - a lam_k w, w = sigma g / kappa, stacked with zero
+    couplings, and the basis maps of the ring L = S diag(lam) S^-1, real when
+    its spectrum is real to round-off.  dgeev returns a conjugate pair as the
+    real and imaginary parts of its vector; when rounding split the pair off
+    a repeated real eigenvalue, those two columns span its real eigenspace."""
     lam, imag, _, vecs, info = lapack.dgeev(ring, compute_vl=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"ring eigendecomposition failed (info = {info})")
@@ -324,19 +315,27 @@ def _eigen(ring: np.ndarray):
         vecs = vecs.astype(complex)
         vecs[:, first] += 1j * vecs[:, first + 1]
         vecs[:, first + 1] = vecs[:, first].conj()
-    return lam, vecs, np.linalg.inv(vecs).T
+    w = line.sigma * g[1:-1] / line.kappa[1:-1]
+    s = (line.d_visc - lam[:, None] * w).ravel()
+    e = np.tile(np.r_[-line.cond[1:-1], 0.0], lam.size)[:-1]
+    return np.tile(line.d_rest, lam.size), s, e, np.linalg.inv(vecs), vecs.T
 
 
-def _ring_corrected(radial, corr, w, to_modes, vecs_t, b):
-    """q solving (M (x) I - w (x) L) q = b, M the radial line and L = S
-    diag(lam) S^-1 the ring, from the radial solution q0 = M^-1 b: q = q0 + p
-    with (M (x) I - w (x) L) p = w L q0, solved mode by mode in L's
-    eigenbasis.  to_modes(q0) is L q0 in that basis, (L q0) S^-T row by row."""
-    q = radial(b)
-    n, n_t = q.shape
-    rhs = w * to_modes(q)
-    p = corr(rhs.T.reshape(-1)).reshape(n_t, n).T @ vecs_t
-    return q + (p.real if np.iscomplexobj(p) else p)
+def _modal_solve(solve, to_modes, from_modes, b):
+    """q of (M (x) I - a w (x) L) q = b: b's rows in L's eigenbasis, b S^-T,
+    taken mode by mode (S^-1 b^T, one contiguous row per mode) through the
+    stacked mode systems and back, p S^T."""
+    n, n_t = b.shape
+    p = solve((to_modes @ b.T).reshape(-1)).reshape(n_t, n).T @ from_modes
+    return p.real if np.iscomplexobj(p) else p
+
+
+def _split_solve(radial, modal, b):
+    """`_modal_solve` for u_r, whose ring annihilates the lifted radial solve
+    of b's first column b0: b0 takes the radial factor and b - b0 the modes,
+    so theta-independent b takes the radial arithmetic plus exact zeros."""
+    b0 = np.ascontiguousarray(b[:, 0])
+    return modal(b - b0[:, None]) + radial(b0)[:, None]
 
 
 def run_axi_stability(profile: SteadyProfile, params: FluidParams,
@@ -356,7 +355,7 @@ def run_axi_stability(profile: SteadyProfile, params: FluidParams,
 
     h_min = float(min(np.min(solver.dr), solver.ops.r[0] * agrid.dtheta))
     res, samples = _relax(solver, state, reference, config, h_min, measure)
-    mode_floor = 1e-3 * params.rho_plus * config.amplitude
+    mode_floor = 1e-3 * params.rho_plus * abs(config.amplitude)  # a dip grades as a bump
     mode_series = dict(enumerate(np.asarray(samples).T))  # ell -> its (n_out,) series
     # graded: the modes that the initial perturbation carries
     modes_ok = all(_decay_ratio(res.times, series, config.t_end) >= config.decay_target

@@ -171,9 +171,11 @@ class ViscousLine:
         self.back = (rho_ref[1:-1] / kappa[1:-1]).reshape(column)  # m = back q
         self.ends = cond[0] * kappa[0], cond[-1] * kappa[-1]
         c, k = cond, kappa
+        self.d_rest = sigma * rho_ref[1:-1] / kappa[1:-1]
+        self.d_visc = c[:-1] + c[1:]
         # R's three diagonals on the interior rows
         self.lo = c[:-1] * k[:-2] / sigma
-        self.mid = -(c[:-1] + c[1:]) * k[1:-1] / sigma
+        self.mid = -self.d_visc * k[1:-1] / sigma
         self.up = c[1:] * k[2:] / sigma
 
     def rows(self):
@@ -190,10 +192,9 @@ class ViscousLine:
         return self.lo * f[:-2] + self.mid * f[1:-1] + self.up * f[2:]
 
     def diagonals(self, a):
-        """(d, e) of sigma rho_ref / kappa - a S on the interior nodes."""
-        c = self.cond
-        d = self.sigma * self.rho_ref[1:-1] / self.kappa[1:-1] + a * (c[:-1] + c[1:])
-        return d, -a * c[1:-1]
+        """(d, e) of sigma rho_ref / kappa - a S on the interior nodes: d =
+        d_rest + a d_visc."""
+        return self.d_rest + a * self.d_visc, -a * self.cond[1:-1]
 
     def load(self, m_star, v_wall, v_far, a):
         """The scaled right-hand side: sigma m_star on the interior rows plus

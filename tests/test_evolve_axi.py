@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mms_cases import manufactured_axi
 
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady
@@ -17,6 +19,7 @@ from outflow.evolve_sym import (
     CFLViolation,
     PositivityLoss,
     SymSolver,
+    tridiagonal_solver,
 )
 from outflow.sphops import (
     cart_grad_div,
@@ -270,6 +273,45 @@ def test_implicit_solve_inverts_the_implicit_rows(lam):
     assert np.max(np.abs(res[:, 1:-1])) <= 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.0, 3.0), n_cells=st.sampled_from([8, 16, 32]),
+       a=st.floats(1e-4, 0.1), intervals=st.integers(31, 63))
+def test_implicit_solve_inverts_the_implicit_rows_on_any_grid(lam, n_cells, a, intervals):
+    """(rho_ref - a V_I) v = m* on the interior rows to round-off for every
+    lam / mu in [0, 3] (lam = 2 gives u_theta's ring complex pairs), ring
+    size and step, on r_max = 20 grids of 32 to 64 nodes."""
+    params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=lam,
+                         rho_plus=1.0, u_b=-0.05, dim_n=3)
+    profile = solve_steady(params, RadialGrid.uniform(20.0, intervals), tol=1e-8)
+    solver = AxiSolver(profile, params, AngularGrid(n_cells=n_cells))
+    rho = solver.ops.lift(profile.rho_t)
+    m_star, v = np.random.default_rng(intervals).standard_normal((2, 2) + rho.shape)
+    v[1, [0, -1]] = 0.0  # u_theta has no end values
+    for k, (line, solve) in enumerate(zip(solver.lines, solver._factor(a))):
+        b = line.load(m_star[k], v[k, 0], v[k, -1], a)
+        v[k, 1:-1] = line.back * solve(b) / rho[1:-1]
+    x = np.concatenate((v[0], v[1], solver.ops.d_theta(v[0], parity=1)), axis=None)
+    n = solver.visc_split.shape[1] // 2
+    res = rho * v - a * (solver.visc_split[:, :n] @ x).reshape(v.shape) - m_star
+    assert np.max(np.abs(res[:, 1:-1])) <= 1e-12
+
+
+def test_implicit_solve_of_theta_independent_data_is_the_radial_solve(
+        small_profile, acc_params, agrid):
+    """On theta-independent b, u_r's solve is the radial solve of each
+    column bit for bit, and u_theta's solve of b = 0 is exactly 0."""
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    a = 0.01
+    solve_r, solve_t = solver._factor(a)
+    col = np.random.default_rng(2).standard_normal(small_profile.r.size - 2)
+    want = tridiagonal_solver(*solver.lines[0].diagonals(a))(col.copy())
+    b = np.repeat(col[:, None], agrid.n_cells, axis=1)
+    got = solve_r(b)
+    for k in range(agrid.n_cells):
+        assert got[:, k].tobytes() == want.tobytes()
+    assert np.all(solve_t(np.zeros_like(b)) == 0.0)
+
+
 def _viscous_step_growth(m_r, n_theta, lam, dt_of, iters=400):
     """Growth per step of the linearised viscous ARS(2,2,2) step, by power
     iteration: rho_ref v_t = V_E v + V_I v with V_I implicit, v = 0 on the
@@ -485,6 +527,19 @@ def test_stability_run_short(small_profile, acc_params, agrid):
     assert res.passed, res.summary()
     assert res.reform_gap is not None and res.reform_gap <= 1e-8
     assert res.compat[0] == 0.0
+
+
+def test_mode_grading_does_not_depend_on_the_amplitude_sign(acc_params):
+    """A density dip grades the modes that a bump of the same size grades,
+    those the perturbation carries, and not the round-off of the others."""
+    profile = solve_steady(acc_params, RadialGrid.uniform(20.0, 63), tol=1e-8)
+    agrid = AngularGrid(n_cells=16)
+    runs = [run_axi_stability(profile, acc_params, agrid, AxiRunConfig(t_end=3.0, amplitude=amp))
+            for amp in (-0.02, 0.02)]
+    carried = [{ell for ell, series in res.mode_series.items()
+                if series[0] > 1e-3 * acc_params.rho_plus * 0.02} for res in runs]
+    assert carried[0] == carried[1] == {0, 1}
+    assert [(res.passed, res.reason) for res in runs] == [(True, "decayed")] * 2
 
 
 @pytest.mark.parametrize("forced", [False, True])

@@ -10,9 +10,11 @@ three relaxation runs, the scheme's equilibrium that the runs of each
 geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
-stencils and `mass_balance`), the raw (lhs, rhs, ratio) of `hardy_check` for
-each field of the Hardy corpus, the per-point arrays behind the seed-0
-`rr_cancel` and `graddiv_expansion` rows, the cut-off profile and its
+stencils and `mass_balance`), each axisymmetric component's implicit solve
+of a seeded right-hand side for lambda = 0 and 2, the raw (lhs, rhs, ratio)
+of `hardy_check` for each field of the Hardy corpus, the per-point arrays
+behind the seed-0 `rr_cancel`
+and `graddiv_expansion` rows, the cut-off profile and its
 mollified form on the polar angles of the seed-0 cut-off sample, each row of
 `run_verify_ops` for seeds 0, 99 and 12345 and the
 `potential_energy_quadrature` values of `verify-energy`, term by term, and
@@ -274,6 +276,13 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
                 arr = getattr(ops, stencil)(f, parity=parity)
                 _emit(f"kernel/axi/{stencil}.{field}.{parity:+d}", arr)
     _emit("kernel/axi/mass_balance", solver.mass_balance(axi_state))
+    # the implicit solve at a fixed a, also for lambda = 2, where u_theta's
+    # ring has complex eigenvalue pairs
+    b = np.random.default_rng(0).standard_normal((axi_profile.r.size - 2, agrid.n_cells))
+    for lam in (0.0, 2.0):
+        s = AxiSolver(axi_profile, dataclasses.replace(params, lam=lam), agrid)
+        for name, solve in zip(("u_r", "u_theta"), s._factor(0.01)):
+            _emit(f"kernel/axi/solve.{name}.lam_{lam:g}", solve(b.copy()))
 
 
 def _r(x):
