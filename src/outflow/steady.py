@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_bvp
-from scipy.interpolate import CubicSpline
 
 from .grids import RadialGrid
 from .params import FluidParams, dpressure, require_valid
@@ -98,6 +97,8 @@ class SteadyProfile:
     d2_u: np.ndarray
     mass_flux: float
     residual_rst2: float = 0.0
+    # r -> (rho, rho') of the collocation solution; None on the profile of
+    # `SymSolver.equilibrium`, which carries no interpolant
     _interp: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -109,15 +110,7 @@ class SteadyProfile:
         return self.grid.nodes
 
     def _rho_and_drho(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.mass_flux == 0.0:
-            return np.full_like(r, self.params.rho_plus), np.zeros_like(r)
-        interp = self._interp
-        if interp is None:
-            spline = CubicSpline(self.grid.nodes, self.rho_t)
-            interp = lambda rr: (spline(rr), spline(rr, 1))  # noqa: E731
-            object.__setattr__(self, "_interp", interp)
-        return interp(r)
+        return self._interp(np.asarray(r, dtype=float))
 
     def rho(self, r):
         return self._rho_and_drho(r)[0]
@@ -152,7 +145,7 @@ def _velocity(r, rho, drho, m: float, n: int):
 def _derivatives_from_solution(r, rho, v, m, params):
     n = params.dim_n
     u, du = _velocity(r, rho, v, m, n)
-    d2rho = np.zeros_like(r) if m == 0.0 else _rho_pp(r, rho, v, m, params)
+    d2rho = _rho_pp(r, rho, v, m, params)
     d2u = m * (
         n * (n - 1) * r ** (-n - 1) / rho
         - 2.0 * (1 - n) * r ** (-n) * v / rho**2
@@ -160,16 +153,6 @@ def _derivatives_from_solution(r, rho, v, m, params):
         + 2.0 * r ** (1 - n) * v**2 / rho**3
     )
     return u, du, d2rho, d2u
-
-
-def _trivial_profile(params: FluidParams, grid: RadialGrid) -> SteadyProfile:
-    z = np.zeros_like(grid.nodes)
-    rp = np.full_like(grid.nodes, params.rho_plus)
-    return SteadyProfile(
-        grid=grid, params=params, rho_t=rp, u_t=z.copy(),
-        d_rho=z.copy(), d_u=z.copy(), d2_rho=z.copy(), d2_u=z.copy(),
-        mass_flux=0.0,
-    )
 
 
 def _solve_once(params: FluidParams, grid: RadialGrid, tol: float, guess=None):
@@ -209,8 +192,6 @@ def solve_steady(params: FluidParams, grid: RadialGrid, tol: float = 1e-8) -> St
     require_valid(params)
     if not tol > 0.0:  # written so that NaN is refused too
         raise ValueError("tol must be positive")
-    if params.u_b == 0.0:
-        return _trivial_profile(params, grid)
 
     sol = _solve_once(params, grid, tol)
     if sol.status != 0:
@@ -409,8 +390,6 @@ def viscous_term_magnitude(profile: SteadyProfile) -> np.ndarray:
     p = profile.params
     r = profile.r
     rho = profile.rho_t
-    if profile.mass_flux == 0.0:
-        return np.zeros_like(r)
     bracket = (
         profile.d2_rho / (r**2 * rho**2)
         - 2.0 * profile.d_rho / (r**3 * rho**2)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from outflow import cli
-from outflow.cli import EXIT_CONFIG, EXIT_CRITERIA, EXIT_NONCONVERGENCE, EXIT_OK, main
+from outflow.cli import (EXIT_CONFIG, EXIT_CRITERIA, EXIT_NONCONVERGENCE, EXIT_OK,
+                         EXIT_STABILITY, main)
 from outflow.config import (
     Config,
     ConstraintViolation,
@@ -162,6 +163,7 @@ def test_failed_decay_gives_criteria_exit(tmp_path):
     assert main(["evolve-sym", "--config", conf, "--out", str(out)]) == EXIT_CRITERIA
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is False
+    assert "(decay target missed)" in (out / "run_log.txt").read_text()
 
 
 def test_config_text_round_trips_keys(tmp_path):
@@ -195,6 +197,17 @@ def test_failed_runs_leave_a_manifest(tmp_path):
     assert manifest["criteria"]["exit_code"] == EXIT_CONFIG
     assert manifest["criteria"]["error"] == "ConfigError"
     assert "no state dump" in manifest["criteria"]["message"]
+
+    # a perturbation that leaves a nonpositive initial density stops at t = 0
+    conf = _write(tmp_path, "u_b = -0.05\nr_max = 20\nnodes_r = 127\namplitude = -2.0\n",
+                  name="dip.conf")
+    out = tmp_path / "dip"
+    assert main(["evolve-sym", "--config", conf, "--out", str(out)]) == EXIT_STABILITY
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == []
+    assert manifest["criteria"]["exit_code"] == EXIT_STABILITY
+    assert manifest["criteria"]["error"] == "PositivityLoss"
+    assert "t = 0" in manifest["criteria"]["message"]
 
     # a config that fails to load, cannot be found or is not UTF-8 text
     bad = _write(tmp_path, "gamm = 1.4\n")

@@ -246,6 +246,17 @@ def test_stability_run_short(run_profile, acc_params):
     assert res.compat[0] == 0.0
 
 
+def test_a_run_that_breaks_the_corridor_fails_on_the_corridor(acc_params):
+    """A large bump meets its decay target but leaves the density corridor:
+    the run fails, and its reason names the corridor, not the decay."""
+    profile = solve_steady(acc_params, RadialGrid.uniform(20.0, 127), tol=1e-8)
+    cfg = SymRunConfig(t_end=3.0, amplitude=0.6, decay_target=5.0)
+    res = run_sym_stability(profile, acc_params, cfg)
+    assert res.decay_factor >= cfg.decay_target and not res.corridor_ok
+    assert not res.passed
+    assert "corridor" in res.reason and "decay" not in res.reason, res.reason
+
+
 def test_amplitude_sweep(acc_params):
     """All sweep amplitudes decay past the target; peak energy is quadratic."""
     grid = RadialGrid.uniform(50.0, 512)

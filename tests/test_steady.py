@@ -191,18 +191,6 @@ def test_viscous_magnitude_matches_cartesian_operator(acc_profile):
     del idx
 
 
-def test_trivial_limit_fields():
-    """u_b -> 0 limit: the solver's trivial branch gives the constant state."""
-    from outflow.steady import _trivial_profile
-
-    p = FluidParams(u_b=-0.05)
-    prof = _trivial_profile(p, RadialGrid.uniform(50.0, 64))
-    assert np.all(prof.u_t == 0.0)
-    assert np.all(prof.rho_t == p.rho_plus)
-    assert np.all(div_u_profile(prof)[0] == 0.0)
-    assert np.all(viscous_term_magnitude(prof) == 0.0)
-
-
 def test_nonconvergence_signalled():
     p = FluidParams(gamma=1.4, u_b=-100.0)  # far outside the small-data regime
     with pytest.raises(NonConvergence) as err:
