@@ -3,7 +3,6 @@
 from .grids import AngularGrid, RadialGrid
 from .params import (
     FluidParams,
-    damping_beta,
     dpressure,
     pressure,
     q_coeff,
@@ -16,10 +15,8 @@ from .steady import (
     NonConvergence,
     SteadyProfile,
     div_u_profile,
-    grad_u_split,
     solve_steady,
     verify_decay,
-    viscous_term_magnitude,
 )
 
 __version__ = "0.1.0"
@@ -32,7 +29,6 @@ __all__ = [
     "dpressure",
     "q_coeff",
     "sound_speed",
-    "damping_beta",
     "validate_params",
     "SymState",
     "AxiState",
@@ -43,8 +39,6 @@ __all__ = [
     "solve_steady",
     "verify_decay",
     "div_u_profile",
-    "grad_u_split",
-    "viscous_term_magnitude",
     "NonConvergence",
     "FitWindowTooSmall",
     "__version__",

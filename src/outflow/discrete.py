@@ -140,14 +140,6 @@ class SymOps:
         return ((2.0 * mu + lam) * (self.d2(g) - n1 * self.d1(g) / self.r)
                 / self.r**n1,)
 
-    def grad_sq(self, f: np.ndarray) -> np.ndarray:
-        """|grad f|^2 of a radial scalar."""
-        return self.d1(f) ** 2
-
-    def hess_sq(self, f: np.ndarray) -> np.ndarray:
-        """|Hess f|^2 of a radial scalar."""
-        return self.d2(f) ** 2 + (self.dim_n - 1) * (self.d1(f) / self.r) ** 2
-
     def vec_grad_sq(self, w, dw=None) -> np.ndarray:
         """|grad w|^2 of the radial field w_r(r) r_hat."""
         dw = self.first_derivs(w) if dw is None else dw
@@ -188,7 +180,7 @@ class AxiOps:
             self.sin * self.dtheta)[None, :]
         self.boundary_w = 2.0 * np.pi * self.sin * self.dtheta  # r = 1 ring
 
-    # The angular stencils difference f raveled in C order, one contiguous
+    # The angular stencil differences f raveled in C order, one contiguous
     # pass over every row, which leaves garbage only in the two pole columns
     # (their neighbours sit in the adjacent rows); those are then written from
     # the reflected value parity * f, the ghost of the padded stencil.
@@ -200,15 +192,6 @@ class AxiOps:
         out[:, 0] = f[:, 1] - parity * f[:, 0]
         out[:, -1] = parity * f[:, -1] - f[:, -2]
         out /= 2.0 * self.dtheta
-        return out
-
-    def d2_theta(self, f: np.ndarray, parity: int = 1) -> np.ndarray:
-        flat = np.ravel(f)
-        out = np.empty(f.shape)
-        out.reshape(-1)[1:-1] = flat[2:] - 2.0 * flat[1:-1] + flat[:-2]
-        out[:, 0] = f[:, 1] - 2.0 * f[:, 0] + parity * f[:, 0]
-        out[:, -1] = parity * f[:, -1] - 2.0 * f[:, -1] + f[:, -2]
-        out /= self.dtheta**2
         return out
 
     def lift(self, f: np.ndarray) -> np.ndarray:
@@ -284,21 +267,6 @@ class AxiOps:
         v_t = (k * self.d_theta(d, parity=1) / r
                + mu * (r * self.d2_r(w_t) + 2.0 * dr_t - self.d_r(dt_r)) / r)
         return v_r, v_t
-
-    def grad_sq(self, f: np.ndarray) -> np.ndarray:
-        """|grad f|^2 of an even scalar."""
-        return self.d_r(f) ** 2 + (self.d_theta(f, parity=1) / self.r_col) ** 2
-
-    def hess_sq(self, f: np.ndarray) -> np.ndarray:
-        """|Hess f|^2 of an even scalar."""
-        r = self.r_col
-        fr = self.d_r(f)
-        ft = self.d_theta(f, parity=1)
-        h_rr = self.d2_r(f)
-        h_rt = self.d_r(ft) / r - ft / r**2
-        h_tt = self.d2_theta(f, parity=1) / r**2 + fr / r
-        h_pp = fr / r + self.cot_row * ft / r**2
-        return h_rr**2 + 2.0 * h_rt**2 + h_tt**2 + h_pp**2
 
     def vec_grad_sq(self, w, dw=None) -> np.ndarray:
         """|grad w|^2 of w = w_r r_hat + w_t theta_hat."""

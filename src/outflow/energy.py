@@ -1,10 +1,10 @@
-"""Energy machinery: potential energy density, relative energy, norms,
+"""Energy machinery: potential energy density, relative energy,
 dissipation monitors, and the linearised-reformulation residual check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,16 +21,12 @@ __all__ = [
     "equivalence_constants",
     "EnergyReport",
     "relative_energy",
-    "sobolev_norm",
-    "energy_norm",
     "density_corridor",
     "reformulation_residual",
     "reformulation_terms",
     "ReformResult",
     "ReformTerms",
     "composite_monitor",
-    "SUP_GROUP",
-    "INT_GROUP",
 ]
 
 
@@ -121,19 +117,10 @@ def equivalence_constants(rho_lo: float, rho_hi: float, params: FluidParams):
 # ---------------------------------------------------------------------------
 # energy reports
 
-SUP_GROUP = ("phi_psi_0", "phi_psi_1", "phi_2", "dt_phi_0", "dt_phi_1", "dt_psi_0")
-INT_GROUP = ("phi_1", "phi_2", "psi_1", "dt_phi_0", "dt_phi_1", "dt_psi_0")
-
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """All monitored functionals of one state snapshot.
-
-    norm_pieces carries the squared Sobolev summands the solvers resolve
-    (derivative order <= 2 for the density gap, <= 1 for the velocity gap
-    and the time derivatives).  The pieces they do not resolve are omitted:
-    phi_psi_3, dt_phi_2, psi_2, psi_3 and dt_psi_1.
-    """
+    """All monitored functionals of one state snapshot."""
 
     t: float
     total_relative_energy: float
@@ -142,7 +129,6 @@ class EnergyReport:
     weighted_phi: float
     weighted_radial_psi: float
     sup_perturbation: float
-    norm_pieces: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("total_relative_energy", "viscous_dissipation", "boundary_H",
@@ -170,13 +156,8 @@ def _dot(start, a, b):
     return start
 
 
-def relative_energy(state, profile: SteadyProfile, params: FluidParams,
-                    dt_fields: dict | None = None) -> EnergyReport:
-    """Relative energy and dissipation functionals of a state snapshot.
-
-    dt_fields may carry the instantaneous time derivatives {"rho_t", "u_t"
-    [, "utheta_t"]} so the report can include the temporal norm pieces.
-    """
+def relative_energy(state, profile: SteadyProfile, params: FluidParams) -> EnergyReport:
+    """Relative energy and dissipation functionals of a state snapshot."""
     ops = ops_for(state, params)
     _check_grids(state.grid, profile.grid)
     rt = ops.lift(profile.rho_t)
@@ -201,62 +182,7 @@ def relative_energy(state, profile: SteadyProfile, params: FluidParams,
         weighted_radial_psi=abs(params.u_b) * ops.integral(
             (r * psi[0]) ** 2 / r**9),
         sup_perturbation=float(np.max(np.sqrt(_sum_sq(psi, phi**2)))),
-        norm_pieces=_norm_pieces(ops, phi, psi, grad_sq, dt_fields),
     )
-
-
-def _norm_pieces(ops, phi, psi, grad_psi_sq, dt_fields):
-    d_phi_sq = ops.grad_sq(phi)
-    pieces = {
-        "phi_psi_0": ops.integral(_sum_sq(psi, phi**2)),
-        "phi_psi_1": ops.integral(d_phi_sq + grad_psi_sq),
-        "phi_1": ops.integral(d_phi_sq),
-        "psi_1": ops.integral(grad_psi_sq),
-        "phi_2": ops.integral(ops.hess_sq(phi)),
-    }
-    if dt_fields is not None:
-        phi_t = dt_fields["rho_t"]
-        psi_t = [dt_fields[k] for k in ("u_t", "utheta_t")[:len(psi)]]
-        pieces["dt_phi_0"] = ops.integral(phi_t**2)
-        pieces["dt_phi_1"] = ops.integral(ops.grad_sq(phi_t))
-        pieces["dt_psi_0"] = ops.integral(_sum_sq(psi_t))
-    return pieces
-
-
-def sobolev_norm(f: np.ndarray, order: int, ops) -> float:
-    """L2 norm of the order-k derivative tensor of a scalar field.
-
-    Supports k = 0..2; the solvers store two robust derivatives, so k = 3
-    raises.  Radial fields use the exact radial tensor contractions, (r,
-    theta) fields the axisymmetric Hessian.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("derivative order exceeds the stored differentiability")
-    if not isinstance(ops, (SymOps, AxiOps)):
-        raise TypeError("ops must be SymOps or AxiOps")
-    if order == 0:
-        density = f**2
-    else:
-        density = (ops.grad_sq if order == 1 else ops.hess_sq)(f)
-    return float(np.sqrt(ops.integral(density)))
-
-
-def energy_norm(history: list[EnergyReport]) -> float:
-    """Mixed norm: sup of the instantaneous group plus the time-integrated
-    dissipative group, over the resolved pieces."""
-    if not history:
-        raise ValueError("history is empty")
-    t = np.array([rep.t for rep in history])
-    sup_vals = np.array([
-        sum(rep.norm_pieces.get(k, 0.0) for k in SUP_GROUP) for rep in history
-    ])
-    int_vals = np.array([
-        sum(rep.norm_pieces.get(k, 0.0) for k in INT_GROUP) for rep in history
-    ])
-    total = float(np.max(sup_vals))
-    if t.size > 1:
-        total += float(np.trapezoid(int_vals, t))
-    return float(np.sqrt(total))
 
 
 def density_corridor(state, params: FluidParams) -> bool:

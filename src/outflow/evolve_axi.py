@@ -75,8 +75,9 @@ class AxiRunConfig(SymRunConfig):
                              f"{N_MODES}, got {self.mode_ell}")
 
 
-def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = N_MODES):
-    """Legendre-mode content of a (r, theta) scalar: coefficients per radius.
+def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid):
+    """Legendre-mode content of a (r, theta) scalar: the coefficients of the
+    modes 0..N_MODES-1 per radius.
 
     The raw quadrature projection is corrected by the discrete Gram matrix of
     the sampled polynomials, so a field lying in the resolved mode span
@@ -85,7 +86,7 @@ def legendre_amplitudes(phi: np.ndarray, agrid: AngularGrid, n_modes: int = N_MO
     theta = agrid.centers
     mu = np.cos(theta)
     w = np.sin(theta) * agrid.dtheta
-    p = np.stack([eval_legendre(ell, mu) for ell in range(n_modes)])
+    p = np.stack([eval_legendre(ell, mu) for ell in range(N_MODES)])
     gram = (p * w) @ p.T
     rhs = (p * w) @ phi.T
     return np.linalg.solve(gram, rhs)

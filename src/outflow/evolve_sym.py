@@ -409,14 +409,6 @@ class RadialScheme:
         rates = self.rhs(self.state_of(self.profile.rho_t, self.profile.u_t))
         return float(max(np.max(np.abs(f)) for f in rates))
 
-    def dt_fields(self, state):
-        """{"rho_t", "u_t"[, "utheta_t"]}: the time derivatives of the state."""
-        rho_t, *m_t = self.rhs(state)
-        fields = {"rho_t": rho_t}
-        for name, u, mt in zip(("u_t", "utheta_t"), state.velocity, m_t):
-            fields[name] = (mt - u * rho_t) / state.rho
-        return fields
-
     def apply_bc(self, state) -> None:
         """Wall: u_r = u_b.  Far end: the incoming invariant w- takes its
         value at bc_far(t) and the outgoing w+ keeps the state's.  No
@@ -574,8 +566,7 @@ class SymSolver(RadialScheme):
         max|rhs| <= 1e-13, after 10 steps or once it stops halving, and
         raises NonConvergence unless it is then <= 1e-10.  Returns a profile
         with the collocation derivatives of its fields and max|rhs| as
-        residual_rst2; it carries no interpolant, so its `rho`, `u` and
-        their derivatives are not defined off the nodes.
+        residual_rst2.
         """
         grid, u_b = self.profile.grid, self.params.u_b
         rho_far, u_far = self.bc_far(0.0)
@@ -623,7 +614,7 @@ class SymSolver(RadialScheme):
         d1, d2 = self.ops.d1, self.ops.d2
         return replace(self.profile, rho_t=rho, u_t=u, d_rho=d1(rho), d_u=d1(u),
                        d2_rho=d2(rho), d2_u=d2(u), mass_flux=float(u_b * rho[0]),
-                       residual_rst2=res, _interp=None)
+                       residual_rst2=res)
 
 
 @dataclass
@@ -739,8 +730,7 @@ def _relax(solver, state, reference: SteadyProfile, config, measure=None) -> Run
         times.append(st.t)
         if measure is not None:
             samples.append(measure(st))
-        reports.append(relative_energy(st, reference, params,
-                                       dt_fields=solver.dt_fields(st)))
+        reports.append(relative_energy(st, reference, params))
         corridor_ok = corridor_ok and density_corridor(st, params)
 
     sample(state)

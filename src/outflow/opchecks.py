@@ -20,7 +20,6 @@ from math import comb
 import numpy as np
 
 from .cutoffs import CutoffFamily, build_cutoffs
-from .discrete import sphere_area
 from .jets import partial
 from .sphops import (
     CHARTS,
@@ -49,7 +48,6 @@ __all__ = [
     "HARDY_FIELDS",
     "HARDY_GRADIENTS",
     "hardy_check",
-    "hardy_check_radial",
     "TailNotConverged",
     "run_verify_ops",
 ]
@@ -416,7 +414,7 @@ def rr_insensitivity(V, pts, chart: str = "V"):
 # Hardy inequality
 
 
-def _radial_panels(r_max: float, n_panels: int = 40, n_gauss: int = 12):
+def _radial_panels(r_max: float, n_panels: int, n_gauss: int):
     edges = np.geomspace(1.0, r_max, n_panels + 1)
     xg, wg = np.polynomial.legendre.leggauss(n_gauss)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -439,25 +437,10 @@ def _doubled_radius(quad, r_max: float):
     return lhs2, rhs2, ratio
 
 
-def hardy_check_radial(f, df, n: int = 3, r_max: float = 400.0):
-    """Hardy inequality for radial profiles in dimension n >= 3."""
-    if n < 3:
-        raise ValueError("the boundary-weighted Hardy inequality needs n >= 3")
-    area = sphere_area(n)
-
-    def quad(rm):
-        r, w = _radial_panels(rm)
-        lhs = area * np.sum(w * f(r) ** 2 * r ** (n - 3)) + area * f(1.0) ** 2
-        rhs = 2.0 * n * area * np.sum(w * df(r) ** 2 * r ** (n - 1))
-        return lhs, rhs
-
-    return _doubled_radius(quad, r_max)
-
-
 def hardy_check(u, r_max: float = 60.0, grad=None, vector=False,
                 n_r: int = 160, n_theta: int = 24, n_phi: int = 24):
     """Hardy inequality ∫|u|^2/|x|^2 + ∮_{|x|=1}|u|^2 <= 2n ∫|grad u|^2 in
-    n = 3 dimensions; `hardy_check_radial` takes radial profiles in any n.
+    n = 3 dimensions.
 
     u is a vectorized Cartesian field (scalar or vector); the gradient falls
     back to Cartesian finite differences when not supplied.  The volume rule

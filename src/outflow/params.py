@@ -17,7 +17,6 @@ __all__ = [
     "dpressure",
     "q_coeff",
     "sound_speed",
-    "damping_beta",
 ]
 
 
@@ -105,9 +104,3 @@ def q_coeff(rho, params: FluidParams):
 def sound_speed(rho, params: FluidParams):
     """c(rho) = sqrt(P'(rho))."""
     return np.sqrt(dpressure(rho, params))
-
-
-def damping_beta(params: FluidParams) -> float:
-    """Damping rate rho_+^2 q(rho_+) / (2 mu + lambda) of the radial-derivative equation."""
-    qp = float(q_coeff(params.rho_plus, params))
-    return params.rho_plus**2 * qp / (2.0 * params.mu + params.lam)

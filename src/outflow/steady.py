@@ -13,7 +13,7 @@ in u_b when a cold start stalls.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_bvp
@@ -29,9 +29,6 @@ __all__ = [
     "verify_decay",
     "RateReport",
     "div_u_profile",
-    "grad_u_split",
-    "grad_u_fd",
-    "viscous_term_magnitude",
 ]
 
 
@@ -96,10 +93,7 @@ class SteadyProfile:
     d2_rho: np.ndarray
     d2_u: np.ndarray
     mass_flux: float
-    residual_rst2: float = 0.0
-    # r -> (rho, rho') of the collocation solution; None on the profile of
-    # `SymSolver.equilibrium`, which carries no interpolant
-    _interp: object = field(default=None, repr=False, compare=False)
+    residual_rst2: float
 
     @property
     def dim_n(self) -> int:
@@ -108,31 +102,6 @@ class SteadyProfile:
     @property
     def r(self) -> np.ndarray:
         return self.grid.nodes
-
-    def _rho_and_drho(self, r):
-        return self._interp(np.asarray(r, dtype=float))
-
-    def rho(self, r):
-        return self._rho_and_drho(r)[0]
-
-    def drho(self, r):
-        return self._rho_and_drho(r)[1]
-
-    def _u_and_du(self, r):
-        r = np.asarray(r, dtype=float)
-        return _velocity(r, *self._rho_and_drho(r), self.mass_flux, self.dim_n)
-
-    def u(self, r):
-        return self._u_and_du(r)[0]
-
-    def du(self, r):
-        return self._u_and_du(r)[1]
-
-    def div_u(self, r):
-        """div of the velocity field U(r) x/r, positive for a converged profile."""
-        r = np.asarray(r, dtype=float)
-        rho, drho = self._rho_and_drho(r)
-        return -self.mass_flux * drho / (r ** (self.dim_n - 1) * rho**2)
 
 
 def _velocity(r, rho, drho, m: float, n: int):
@@ -225,11 +194,9 @@ def solve_steady(params: FluidParams, grid: RadialGrid, tol: float = 1e-8) -> St
     if res2 > tol:
         raise NonConvergence(sol.niter, res2, "momentum residual above tolerance")
 
-    interp = sol.sol
     return SteadyProfile(
         grid=grid, params=params, rho_t=rho, u_t=u, d_rho=v, d_u=du,
         d2_rho=d2rho, d2_u=d2u, mass_flux=m, residual_rst2=res2,
-        _interp=lambda rr: tuple(interp(rr)),
     )
 
 
@@ -341,59 +308,3 @@ def div_u_route_gap(profile: SteadyProfile) -> float:
     scale = np.abs(profile.d_u) + (n - 1) * np.abs(profile.u_t) / profile.r
     scale = np.maximum(scale, 1e-300)
     return float(np.max(np.abs(route1 - route2) / scale))
-
-
-def grad_u_split(profile: SteadyProfile, x) -> tuple[np.ndarray, np.ndarray]:
-    """Split the velocity gradient at a point into rank-one and isotropic parts.
-
-    plus = (U' - U/r) (x otimes x)/r^2, minus = (U/r) I; their sum is the
-    full gradient of U(r) x/r and the trace recovers div u.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("point must be a 3-vector")
-    r = float(np.linalg.norm(x))
-    if r < 1.0:
-        raise ValueError("point must satisfy |x| >= 1")
-    u = float(profile.u(r))
-    du = float(profile.du(r))
-    plus = (du - u / r) * np.outer(x, x) / r**2
-    minus = (u / r) * np.eye(3)
-    return plus, minus
-
-
-def grad_u_fd(profile: SteadyProfile, x, h: float = 1e-5) -> np.ndarray:
-    """Finite-difference gradient (d_i u_j) of the Cartesian extension U(r) x/r."""
-    x = np.asarray(x, dtype=float)
-
-    def vel(y):
-        r = np.linalg.norm(y)
-        return float(profile.u(r)) * y / r
-
-    g = np.zeros((3, 3))
-    step = h * (1.0 + np.linalg.norm(x))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        g[i, :] = (vel(x + e) - vel(x - e)) / (2.0 * step)
-    return g
-
-
-def viscous_term_magnitude(profile: SteadyProfile) -> np.ndarray:
-    """|L u| of the stationary field, L u = mu lap u + (mu+lam) grad div u.
-
-    U(r) x/r is curl-free, so L u = (2 mu + lam) grad div u and the magnitude
-    reduces to a bracketed combination of density derivatives.
-    """
-    if profile.dim_n != 3:
-        raise ValueError("viscous magnitude is implemented for dim_n = 3")
-    p = profile.params
-    r = profile.r
-    rho = profile.rho_t
-    bracket = (
-        profile.d2_rho / (r**2 * rho**2)
-        - 2.0 * profile.d_rho / (r**3 * rho**2)
-        - 2.0 * profile.d_rho**2 / (r**2 * rho**3)
-    )
-    rho1 = float(profile.rho_t[0])
-    return (2.0 * p.mu + p.lam) * rho1 * abs(p.u_b) * np.abs(bracket)

@@ -178,7 +178,7 @@ def test_criterion_09_axisymmetric_stability(axi_acceptance_run, axi_profile,
     dt = solver.cfl_dt(st, 0.4)
     for _ in range(200):
         st = solver.step(st, dt)
-    amp = legendre_amplitudes(st.rho - axi_profile.rho_t[:, None], agrid, 5)
+    amp = legendre_amplitudes(st.rho - axi_profile.rho_t[:, None], agrid)
     sym_floor = float(np.max(np.abs(amp[1:])))
 
     # reduction consistency on theta-independent data

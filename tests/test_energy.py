@@ -9,7 +9,6 @@ from outflow.energy import (
     EnergyReport,
     composite_monitor,
     density_corridor,
-    energy_norm,
     equivalence_constants,
     h_identities,
     potential_energy,
@@ -17,9 +16,8 @@ from outflow.energy import (
     reformulation_residual,
     reformulation_terms,
     relative_energy,
-    sobolev_norm,
 )
-from outflow.states import AxiState, SymState, perturb_sym
+from outflow.states import AxiState, SymState
 
 
 def test_reference_values():
@@ -145,59 +143,6 @@ def test_relative_energy_kinetic_window(small_profile, acc_params):
     expected = 0.5 * c**2 * float(
         np.sum(ops.w_vol[window] * small_profile.rho_t[window]))
     assert rep.total_relative_energy == pytest.approx(expected, rel=1e-12)
-
-
-def test_sobolev_norm_values(run_profile):
-    ops = SymOps(run_profile.grid, 3)
-    zero = np.zeros_like(run_profile.r)
-    for k in (0, 1, 2):
-        assert sobolev_norm(zero, k, ops) == 0.0
-    f = np.exp(1.0 - run_profile.r)
-    # closed form: ||f||_0^2 = 4 pi * 5/4 e^0 when rho weight is r^2
-    val = sobolev_norm(f, 0, ops) ** 2
-    assert val == pytest.approx(5 * np.pi, rel=2e-3)
-    from scipy.integrate import quad
-
-    oracle, _ = quad(lambda r: 4 * np.pi * r**2 * np.exp(2 - 2 * r), 1.0, 100.0)
-    assert oracle == pytest.approx(5 * np.pi, rel=1e-10)
-    # homogeneity at machine precision
-    assert sobolev_norm(3.0 * f, 1, ops) == pytest.approx(
-        3.0 * sobolev_norm(f, 1, ops), rel=1e-12)
-    with pytest.raises(ValueError):
-        sobolev_norm(f, 3, ops)
-
-
-def test_energy_norm_properties(small_profile, acc_params):
-    st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
-    rep = relative_energy(st, small_profile, acc_params)
-    base = SymState(0.0, small_profile.grid, small_profile.rho_t.copy(),
-                    small_profile.u_t.copy())
-    rep0 = relative_energy(base, small_profile, acc_params)
-    # steady history gives zero norm
-    hist0 = [EnergyReport(t=float(t), total_relative_energy=0, viscous_dissipation=0,
-                          boundary_H=0, weighted_phi=0, weighted_radial_psi=0,
-                          sup_perturbation=0, norm_pieces=rep0.norm_pieces)
-             for t in (0.0, 1.0, 2.0)]
-    assert energy_norm(hist0) == 0.0
-    # nondecreasing in T
-    hist = []
-    vals = []
-    for t in np.linspace(0.0, 3.0, 7):
-        hist.append(EnergyReport(t=float(t), total_relative_energy=1.0,
-                                 viscous_dissipation=1.0, boundary_H=0.0,
-                                 weighted_phi=0.0, weighted_radial_psi=0.0,
-                                 sup_perturbation=1.0,
-                                 norm_pieces=rep.norm_pieces))
-        vals.append(energy_norm(hist))
-    assert np.all(np.diff(vals) >= -1e-14)
-    # degree-one homogeneity in the perturbation
-    st2 = SymState(0.0, small_profile.grid,
-                   small_profile.rho_t + 2.0 * (st.rho - small_profile.rho_t),
-                   small_profile.u_t + 2.0 * (st.u_rad - small_profile.u_t))
-    rep2 = relative_energy(st2, small_profile, acc_params)
-    n1 = energy_norm([rep])
-    n2 = energy_norm([rep2])
-    assert n2 == pytest.approx(2.0 * n1, rel=1e-10)
 
 
 def test_density_corridor(small_profile, acc_params):

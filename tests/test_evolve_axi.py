@@ -156,17 +156,6 @@ def test_reduction_to_radial_solver(small_profile, acc_params, agrid):
     assert np.max(np.abs(mtt2)) == 0.0
 
 
-def test_dt_fields_reduce_to_radial_solver(small_profile, acc_params, agrid):
-    solver = AxiSolver(small_profile, acc_params, agrid)
-    sym = SymSolver(small_profile, acc_params)
-    st1, st2 = _theta_independent_pair(small_profile, acc_params, agrid)
-    f1, f2 = sym.dt_fields(st1), solver.dt_fields(st2)
-    assert set(f2) == {"rho_t", "u_t", "utheta_t"}
-    assert np.max(np.abs(f2["rho_t"] - f1["rho_t"][:, None])) <= 1e-10
-    assert np.max(np.abs(f2["u_t"] - f1["u_t"][:, None])) <= 1e-10
-    assert np.max(np.abs(f2["utheta_t"])) == 0.0
-
-
 def test_lifted_equilibrium_is_stationary(small_profile, acc_params, agrid):
     """The radial equilibrium, lifted, is a stationary state of the
     axisymmetric scheme too: the run's reference serves both geometries."""
@@ -399,7 +388,7 @@ def test_symmetry_preservation(small_profile, acc_params, agrid):
     dt = solver.cfl_dt(st, 0.4)
     for _ in range(300):
         st = solver.step(st, dt)
-    amp = legendre_amplitudes(st.rho - small_profile.rho_t[:, None], agrid, 5)
+    amp = legendre_amplitudes(st.rho - small_profile.rho_t[:, None], agrid)
     floor = np.max(np.abs(amp), axis=1)
     assert np.all(floor[1:] <= 1e-8)
     # theta-independence holds to round-off, not just mode smallness
@@ -514,7 +503,7 @@ def test_legendre_projection_exact_on_mode_span(agrid):
     mu = np.cos(agrid.centers)
     field = (0.7 * eval_legendre(0, mu) - 0.4 * eval_legendre(1, mu)
              + 0.2 * eval_legendre(3, mu))[None, :] * np.ones((5, 1))
-    amp = legendre_amplitudes(field, agrid, 5)
+    amp = legendre_amplitudes(field, agrid)
     want = np.array([0.7, -0.4, 0.0, 0.2, 0.0])
     assert np.max(np.abs(amp - want[:, None])) <= 1e-12
 

@@ -13,7 +13,6 @@ from outflow.opchecks import (
     default_corpus,
     graddiv_expansion,
     hardy_check,
-    hardy_check_radial,
     rr_cancellation,
     rr_insensitivity,
     run_verify_ops,
@@ -227,16 +226,6 @@ def test_hardy_check_with_the_closed_gradient_matches_the_fallback(name):
     lhs, rhs, _ = hardy_check(u, vector=vector, grad=HARDY_GRADIENTS[name])
     assert lhs == pytest.approx(lhs_fd, rel=1e-10)
     assert rhs == pytest.approx(rhs_fd, rel=1e-10)
-
-
-def test_hardy_radial_general_dimension():
-    for n in (3, 4, 5):
-        lhs, rhs, ratio = hardy_check_radial(
-            lambda r: np.exp(1.0 - r), lambda r: -np.exp(1.0 - r), n=n)
-        assert lhs <= rhs
-        assert 0 < ratio < 1
-    with pytest.raises(ValueError):
-        hardy_check_radial(lambda r: r, lambda r: 1.0, n=2)
 
 
 def test_full_suite_green():

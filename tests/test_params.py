@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outflow import FluidParams, damping_beta, dpressure, pressure, q_coeff, validate_params
+from outflow import FluidParams, dpressure, pressure, q_coeff, validate_params
 
 
 def test_pressure_and_q_quadratic_law():
@@ -18,11 +18,6 @@ def test_pressure_linear_law():
     assert q_coeff(1.0, p) == pytest.approx(3.0)
     # P' is constant when the law is linear
     assert dpressure(2.7, p) == pytest.approx(3.0)
-
-
-def test_damping_rate_reference_value():
-    p = FluidParams(gamma=2.0, k_pressure=1.0, mu=1.0, lam=0.0, rho_plus=1.0)
-    assert damping_beta(p) == pytest.approx(1.0)
 
 
 def test_nonpositive_density_rejected():

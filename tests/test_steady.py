@@ -6,12 +6,9 @@ from outflow import (
     NonConvergence,
     RadialGrid,
     div_u_profile,
-    grad_u_split,
     solve_steady,
     verify_decay,
-    viscous_term_magnitude,
 )
-from outflow.steady import grad_u_fd
 
 
 def test_zero_outflow_gives_constant_state():
@@ -114,81 +111,6 @@ def test_div_u_cubic_ub_scaling(acc_params):
     d_half = div_u_profile(solve_steady(half, grid))[0]
     ratio = np.max(d_full * grid.nodes**7) / np.max(d_half * grid.nodes**7)
     assert 8.0 / 2.0 <= ratio <= 8.0 * 2.0  # |u_b|^3 prefactor
-
-
-def test_grad_split_structure(acc_profile):
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x = rng.normal(size=3)
-        x *= rng.uniform(1.2, 30.0) / np.linalg.norm(x)
-        plus, minus = grad_u_split(acc_profile, x)
-        r = np.linalg.norm(x)
-        u = float(acc_profile.u(r))
-        du = float(acc_profile.du(r))
-        # minus is isotropic
-        assert np.allclose(minus, (u / r) * np.eye(3))
-        # radial and tangential quadratic forms
-        v_rad = x / r
-        assert v_rad @ plus @ v_rad == pytest.approx(du - u / r, rel=1e-12)
-        t = np.cross(x, [0.0, 0.0, 1.0])
-        if np.linalg.norm(t) > 1e-8:
-            t /= np.linalg.norm(t)
-            assert abs(t @ plus @ t) <= 1e-14
-        # positivity of the rank-one part and trace consistency
-        v = rng.normal(size=3)
-        assert v @ plus @ v >= -1e-14
-        assert np.trace(plus + minus) == pytest.approx(
-            float(acc_profile.div_u(r)), rel=1e-10)
-        # full gradient against finite differences of the extension
-        fd = grad_u_fd(acc_profile, x)
-        assert np.max(np.abs(plus + minus - fd)) <= 1e-6
-
-
-def test_viscous_magnitude(acc_profile, acc_params):
-    import dataclasses
-
-    lu = viscous_term_magnitude(acc_profile)
-    sel = (acc_profile.r >= 8.0) & (acc_profile.r <= 118.0)
-    slope = np.polyfit(np.log(acc_profile.r[sel]), np.log(lu[sel]), 1)[0]
-    assert abs(slope + 8.0) <= 0.4
-    # cubic u_b scaling of the prefactor
-    grid = RadialGrid.geometric(100.0, 768)
-    lu1 = viscous_term_magnitude(solve_steady(acc_params, grid))
-    half = dataclasses.replace(acc_params, u_b=-0.025)
-    lu2 = viscous_term_magnitude(solve_steady(half, grid))
-    ratio = np.max(lu1 * grid.nodes**8) / np.max(lu2 * grid.nodes**8)
-    assert 8.0 / 2.0 <= ratio <= 8.0 * 2.0
-
-
-def test_viscous_magnitude_matches_cartesian_operator(acc_profile):
-    """|L u| from density derivatives equals the Cartesian evaluation.
-
-    The stationary field is curl-free, so mu lap u + (mu + lam) grad div u
-    collapses onto (2 mu + lam) grad div u; check by finite differences of
-    the Cartesian extension at a few radii.
-    """
-    from outflow.sphops import cart_grad_div, cart_vec_lap
-
-    p = acc_profile.params
-
-    def vel(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return acc_profile.u(r)[..., None] * pts / r[..., None]
-
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(6, 3))
-    pts *= (rng.uniform(2.0, 10.0, 6) / np.linalg.norm(pts, axis=1))[:, None]
-    lu_cart = p.mu * cart_vec_lap(vel, pts, h=1e-3) + \
-        (p.mu + p.lam) * cart_grad_div(vel, pts, h=1e-3)
-    mag_cart = np.linalg.norm(lu_cart, axis=1)
-    r = np.linalg.norm(pts, axis=1)
-    idx = [np.argmin(np.abs(acc_profile.r - rr)) for rr in r]
-    mag_formula = np.array([
-        np.interp(rr, acc_profile.r, viscous_term_magnitude(acc_profile))
-        for rr in r
-    ])
-    assert np.max(np.abs(mag_cart - mag_formula) / mag_formula) <= 1e-2
-    del idx
 
 
 def test_nonconvergence_signalled():

@@ -10,7 +10,7 @@ three relaxation runs, the scheme's equilibrium that the runs of each
 geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
 `axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
-stencils and `mass_balance`), each axisymmetric component's implicit solve
+stencil `d_theta` and `mass_balance`), each axisymmetric component's implicit solve
 of a seeded right-hand side for lambda = 0 and 2, the raw (lhs, rhs, ratio)
 of `hardy_check` for each field of the Hardy corpus, the per-point arrays
 behind the seed-0 `rr_cancel`
@@ -174,9 +174,17 @@ def drift(before: str, after: str) -> None:
         print(f"added  {label}")
 
 
+# the columns of `energy_<geometry>.csv`: what the CLI writes of each report
+REPORT_COLUMNS = ("t", "total_relative_energy", "viscous_dissipation", "boundary_H",
+                  "weighted_phi", "weighted_radial_psi", "sup_perturbation")
+
+
 def _emit_result(label: str, res) -> None:
     for f in dataclasses.fields(res):
-        _emit(f"{label}.{f.name}", getattr(res, f.name))
+        value = getattr(res, f.name)
+        if f.name == "reports":
+            value = [[getattr(rep, k) for k in REPORT_COLUMNS] for rep in value]
+        _emit(f"{label}.{f.name}", value)
 
 
 def run_results() -> None:
@@ -272,9 +280,7 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
     for field in ("rho", "u_r", "u_theta"):
         f = getattr(axi_state, field)
         for parity in (1, -1):
-            for stencil in ("d_theta", "d2_theta"):
-                arr = getattr(ops, stencil)(f, parity=parity)
-                _emit(f"kernel/axi/{stencil}.{field}.{parity:+d}", arr)
+            _emit(f"kernel/axi/d_theta.{field}.{parity:+d}", ops.d_theta(f, parity=parity))
     _emit("kernel/axi/mass_balance", solver.mass_balance(axi_state))
     # the implicit solve at a fixed a, also for lambda = 2, where u_theta's
     # ring has complex eigenvalue pairs
