@@ -224,13 +224,12 @@ class ReformTerms:
     """The terms of the reformulation check that depend on (rho~, u~) alone.
 
     `reformulation_terms` builds them once; a run hands the one holder to
-    every `reformulation_residual` call.  `stat` names its arrays as the
-    residual formulas do: the profile on the state's shape (rt, ut),
-    derivatives of the stationary fields, P'(rho~) and the stationary
-    residuals st1 and st2.
+    every `reformulation_residual` call, which reads the fluid and the
+    operators from it too.  `stat` names its arrays as the residual formulas
+    do: the profile on the state's shape (rt, ut), derivatives of the
+    stationary fields, P'(rho~) and the stationary residuals st1 and st2.
     """
 
-    profile: SteadyProfile
     params: FluidParams
     ops: object
     stat: dict
@@ -254,12 +253,11 @@ def reformulation_terms(profile: SteadyProfile, params: FluidParams, ops) -> Ref
         "st1": ut[0] * g_rt[0] + rt * div_ut,
         "st2": [rt * c + dp_rt * g - lu for c, g, lu in zip(c_uu, g_rt, lut)],
     }
-    return ReformTerms(profile, params, ops, stat)
+    return ReformTerms(params, ops, stat)
 
 
 def reformulation_residual(state, state_prev, dt: float,
-                           profile: SteadyProfile, params: FluidParams,
-                           terms: ReformTerms | None = None) -> ReformResult:
+                           terms: ReformTerms) -> ReformResult:
     """Discrete residuals of the governing system and of its linearised form.
 
     Both sides are assembled from the same collocation derivatives, so they
@@ -268,18 +266,13 @@ def reformulation_residual(state, state_prev, dt: float,
     the discrete profile does not annihilate the discrete operator exactly.
     The momentum equations are compared in velocity form (divided by rho),
     one row per velocity component, with the viscous term of `ops.visc`.
-    `terms` are the stationary terms from `reformulation_terms`; without
-    them they are built here, on operators of the state's grid.
+    `terms`, from `reformulation_terms`, carry the fluid, the operators and
+    the stationary terms of the profile.
     """
+    params, ops, st = terms.params, terms.ops, terms.stat
     if not density_corridor(state, params):
         raise ValueError("density outside the a-priori corridor")
-    if terms is None:
-        terms = reformulation_terms(profile, params, ops_for(state, params))
-    elif terms.profile is not profile or terms.params != params:
-        raise ValueError("the reformulation terms were built for another "
-                         "profile or fluid")
-    ops, st = terms.ops, terms.stat
-    _check_grids(state.grid, state_prev.grid, profile.grid, ops.grid)
+    _check_grids(state.grid, state_prev.grid, ops.grid)
     if len(state.velocity) != len(st["ut"]):
         raise ValueError("the reformulation terms are of the other geometry")
     mu, lam = params.mu, params.lam

@@ -277,10 +277,10 @@ class AxiSolver(RadialScheme):
 
     def _remainder_limit(self, rho) -> float:
         """The split's limit, and that of the explicit mixed terms (`COUPLING_K`)."""
-        return min(self._split_limit(rho, self.h_cfl2), float(np.min(self.couple_h2 * rho)))
+        return min(super()._remainder_limit(rho), float(np.min(self.couple_h2 * rho)))
 
     def cfl_dt(self, state: AxiState, safety: float) -> float:
-        """safety x the advective and the remainder limit of `cfl_limits`."""
+        """safety x the advective and the remainder limit."""
         return safety * min(self._advective_limit(state), self._remainder_limit(state.rho))
 
     def state_of(self, rho: np.ndarray, u: np.ndarray) -> AxiState:

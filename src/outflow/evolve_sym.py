@@ -223,14 +223,15 @@ class RadialScheme:
     sparse K_far; each other grid constant is built once, from the expression
     the right-hand side would evaluate per call, in the state's shape, lifted
     along the state's trailing axes by `self.ops.lift`, so a subclass sets
-    `ops` before calling this constructor.  `r` and `dr`, the radial nodes and
-    intervals, are lifted too; `ops.r` keeps the nodes themselves.  A
-    subclass supplies `rhs(state, split)` returning (rho_t, *m_t), one
-    momentum rate per entry of `state.velocity` (split=True leaves out the
-    implicit viscous rows), `cfl_limits`, `cfl_dt`, `state_of(rho, u)`,
-    the state of a radial profile, `lines`, the `ViscousLine` of each
-    velocity component, and `_factor(a)`, the solve of each component's
-    implicit system at a = gamma dt.
+    `ops` before calling this constructor.  `r`, the radial nodes, is lifted
+    too; `ops.r` keeps the nodes themselves.  The CFL cell `h_cell` and its
+    square `h_cfl2` are the radial `h` here; a subclass with more axes
+    overrides both.  A subclass supplies `rhs(state, split)` returning
+    (rho_t, *m_t), one momentum rate per entry of `state.velocity`
+    (split=True leaves out the implicit viscous rows), `_advective_limit`,
+    `cfl_dt`, `state_of(rho, u)`, the state of a radial profile, `lines`,
+    the `ViscousLine` of each velocity component, and `_factor(a)`, the
+    solve of each component's implicit system at a = gamma dt.
     """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
@@ -246,7 +247,6 @@ class RadialScheme:
         r = profile.grid.nodes
         dr = np.diff(r)
         self.r = lift(r)
-        self.dr = lift(dr)
         r_face = 0.5 * (r[:-1] + r[1:])
         edges = np.concatenate([[r[0]], r_face, [r[-1]]])
         self.dual_vol = lift((edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0)
@@ -262,8 +262,8 @@ class RadialScheme:
         self.rc_g = lift(rf2[1:-1] * d_face * 0.5)
         # CFL cell size: the smaller of the two intervals at each node
         h = np.minimum(np.concatenate([dr[:1], dr]), np.concatenate([dr, dr[-1:]]))
-        self.h = lift(h)
-        self.h2 = lift(h**2)
+        self.h = self.h_cell = lift(h)
+        self.h_cfl2 = lift(h**2)
         # second-order one-sided first derivative at the wall, closed form
         h1, h2 = r[1] - r[0], r[2] - r[0]
         self.wall_w = (-(h1 + h2) / (h1 * h2), h2 / (h1 * (h2 - h1)),
@@ -383,26 +383,24 @@ class RadialScheme:
         c *= self.c_coeff
         return c
 
-    def _viscous_limit(self, rho, h2) -> float:
-        """The explicit viscous limit min h2 rho / (2 mu + lam)."""
-        return float(np.min(h2 * rho)) / self.visc
+    def _viscous_limit(self, rho) -> float:
+        """The explicit viscous limit min h_cfl2 rho / (2 mu + lam)."""
+        return float(np.min(self.h_cfl2 * rho)) / self.visc
 
-    def _split_limit(self, rho, h2) -> float:
+    def _remainder_limit(self, rho) -> float:
         """The limit of the explicit viscous remainder: none while
         rho_ref / rho <= ARS_SPLIT_RATIO at every node, the viscous one past
         that."""
         if np.min(rho * self.inv_rho_ref) >= 1.0 / ARS_SPLIT_RATIO:
             return math.inf
-        return self._viscous_limit(rho, h2)
+        return self._viscous_limit(rho)
 
     def cfl_limits(self, state):
-        """(advective, viscous, remainder): the advective limit; the explicit
-        viscous limit, which with the advective one bounds an explicit
-        scheme's step; and the limit of the explicit remainder, which
-        `cfl_dt` takes with the advective one.  Raises ValueError on a
-        nonpositive density."""
-        return (self._advective_limit(state), self._viscous_limit(state.rho, self.h_cfl2),
-                self._remainder_limit(state.rho))
+        """(advective, viscous): the advective limit and the explicit viscous
+        limit, which together bound an explicit scheme's step.  `cfl_dt`
+        takes the advective one with `_remainder_limit`.  Raises ValueError
+        on a nonpositive density."""
+        return self._advective_limit(state), self._viscous_limit(state.rho)
 
     def steady_residual(self) -> float:
         """max |rhs| on the profile."""
@@ -425,7 +423,7 @@ class RadialScheme:
             u[0] = 0.0
             u[-1] = 0.0
 
-    def step(self, state, dt: float, safety: float = 0.4,
+    def step(self, state, dt: float, safety: float = SymRunConfig.cfl_safety,
              limit: float | None = None):
         """One ARS(2,2,2) step; raises on CFL violation or positivity loss.
 
@@ -491,7 +489,6 @@ class SymSolver(RadialScheme):
         self.ops = SymOps(profile.grid, params.dim_n)
         super().__init__(profile, params, forcing)
         self.lines = (self.K_line,)
-        self.h_cell, self.h_cfl2 = self.h, self.h2
 
     def rhs(self, state: SymState, split: bool = False):
         """(rho_t, m_t) with m = rho u; boundary nodes handled one-sided.
@@ -534,13 +531,10 @@ class SymSolver(RadialScheme):
         """min h / (|u| + c)."""
         speed = np.abs(state.u_rad)
         speed += self._sound_speed(state.rho)
-        return float(np.min(self.h / speed))
-
-    def _remainder_limit(self, rho) -> float:
-        return self._split_limit(rho, self.h2)
+        return float(np.min(self.h_cell / speed))
 
     def cfl_dt(self, state: SymState, safety: float) -> float:
-        """safety x the advective and the remainder limit of `cfl_limits`."""
+        """safety x the advective and the remainder limit."""
         return safety * min(self._advective_limit(state), self._remainder_limit(state.rho))
 
     def mass_balance(self, state: SymState):
@@ -719,7 +713,7 @@ def _relax(solver, state, reference: SteadyProfile, config, measure=None) -> Run
     compat = compatibility_residual(state, profile, params)
     solver.apply_bc(state)
     dt_cap = math.inf if config.dt is None else config.dt
-    adv, visc, _ = solver.cfl_limits(state)
+    adv, visc = solver.cfl_limits(state)
     dt_x = min(config.cfl_safety * min(adv, visc), dt_cap)
 
     times, samples, reports = [], [], []
@@ -746,8 +740,7 @@ def _relax(solver, state, reference: SteadyProfile, config, measure=None) -> Run
         state = solver.step(state, dt, safety=config.cfl_safety, limit=limit)
         steps += 1
         if config.reform_every and steps % config.reform_every == 0:
-            res = reformulation_residual(state, prev, dt, profile, params,
-                                         terms=terms)
+            res = reformulation_residual(state, prev, dt, terms)
             gap = res.max_gap / (1.0 + res.orig_res)
             reform_gap = gap if reform_gap is None else max(reform_gap, gap)
             reform_checks += 1

@@ -6,10 +6,11 @@ cancellation in r_hat . lap V - d_r div V, and the Hardy inequality with
 constant 2n.  The operators under test take exact chart derivatives of
 Taylor jets (`sphops.chart_jet`), so every equality between two of their
 compositions holds to round-off; the oracles they are compared with
-difference along Cartesian axes.
+difference along Cartesian axes.  The radial-radial routes take the chart
+jet that the suite builds once per chart.
 The Hardy corpus carries closed-form gradients (`HARDY_GRADIENTS`);
 `hardy_check` falls back to Cartesian differences for a field given without
-one.
+one, and tells a vector field from a scalar one by the shape of its values.
 """
 
 from __future__ import annotations
@@ -376,15 +377,14 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
             "fitted_C": fitted_c}
 
 
-def rr_cancellation(V, pts, chart: str = "V"):
+def rr_cancellation(V, fr: ChartJet):
     """Two evaluations of r_hat . lap V - d_r div V, which carry no d_r^2 V.
 
     Route one composes the spherical Laplacian/divergence operators; route
     two evaluates the explicit difference of their frame expansions, from
-    which the second radial derivative cancels identically.  pts are points
-    (n, 3) of the chart, or a chart jet of degree >= 2 already built on them.
+    which the second radial derivative cancels identically.  fr is a chart
+    jet of degree >= 2 (`chart_jet`) of the points.
     """
-    fr = pts if isinstance(pts, ChartJet) else chart_jet(pts, chart, 2)
     VJ = V(fr.x)
     r, s, c, rhat, that, phat = _frame(fr)
     route1 = (sum(rhat[:, j] * sph_lap(VJ[..., j], fr).value for j in range(3))
@@ -403,9 +403,8 @@ def rr_cancellation(V, pts, chart: str = "V"):
     return route1, route2
 
 
-def rr_insensitivity(V, pts, chart: str = "V"):
+def rr_insensitivity(V, fr: ChartJet):
     """route2 must be blind to adding a pure radial field W(r) r_hat, W = r^3."""
-    fr = pts if isinstance(pts, ChartJet) else chart_jet(pts, chart, 2)
     augmented = lambda p: V(p) + radius(p, keepdims=True) ** 2 * p  # noqa: E731
     return float(np.max(np.abs(rr_cancellation(V, fr)[1] - rr_cancellation(augmented, fr)[1])))
 
@@ -414,9 +413,14 @@ def rr_insensitivity(V, pts, chart: str = "V"):
 # Hardy inequality
 
 
-def _radial_panels(r_max: float, n_panels: int, n_gauss: int):
+HARDY_GAUSS = 8  # Gauss radii per radial panel of `hardy_check`
+
+
+def _radial_panels(r_max: float, n_panels: int):
+    """(nodes, weights) of n_panels geometric panels on [1, r_max], each
+    with HARDY_GAUSS Gauss radii, panel after panel."""
     edges = np.geomspace(1.0, r_max, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+    xg, wg = np.polynomial.legendre.leggauss(HARDY_GAUSS)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -437,14 +441,15 @@ def _doubled_radius(quad, r_max: float):
     return lhs2, rhs2, ratio
 
 
-def hardy_check(u, r_max: float = 60.0, grad=None, vector=False,
-                n_r: int = 160, n_theta: int = 24, n_phi: int = 24):
+def hardy_check(u, r_max: float = 60.0, grad=None,
+                n_panels: int = 20, n_theta: int = 24, n_phi: int = 24):
     """Hardy inequality ∫|u|^2/|x|^2 + ∮_{|x|=1}|u|^2 <= 2n ∫|grad u|^2 in
     n = 3 dimensions.
 
-    u is a vectorized Cartesian field (scalar or vector); the gradient falls
-    back to Cartesian finite differences when not supplied.  The volume rule
-    is geometric radial panels of 8 Gauss radii times an n_theta x n_phi
+    u is a vectorized Cartesian field, scalar or vector, which the shape of
+    its values tells; the gradient falls back to Cartesian finite
+    differences when not supplied.  The volume rule is n_panels geometric
+    radial panels of HARDY_GAUSS Gauss radii times an n_theta x n_phi
     Gauss-trapezoid angular rule; u and |grad u|^2 are evaluated one panel
     at a time, and the sums still run one radius at a time, in order.
     Raises TailNotConverged when doubling the truncation radius moves either
@@ -460,20 +465,20 @@ def hardy_check(u, r_max: float = 60.0, grad=None, vector=False,
     ], axis=-1).reshape(-1, 3)  # the unit sphere, theta-major
     ang_w = np.repeat(wmu, n_phi) * (2.0 * np.pi / n_phi)
 
-    def sq(val):
-        return np.sum(val**2, axis=-1) if vector else val**2
+    def sq(val):  # a vector field's values carry an axis more than its points'
+        return np.sum(val**2, axis=-1) if val.ndim > 1 else val**2
 
     def gradsq(pts):
         if grad is None:
-            return cart_grad_sq(u, pts, h=2e-4, vector=vector)
+            return cart_grad_sq(u, pts, h=2e-4)
         g = grad(pts)
         return np.sum(g.reshape(g.shape[0], -1) ** 2, axis=1)
 
     def quad(rm):
-        rr, wr = _radial_panels(rm, n_panels=max(20, n_r // 8), n_gauss=8)
+        rr, wr = _radial_panels(rm, n_panels)
         vol_lhs = 0.0
         vol_rhs = 0.0
-        for r_pan, w_pan in zip(rr.reshape(-1, 8), wr.reshape(-1, 8)):
+        for r_pan, w_pan in zip(rr.reshape(n_panels, -1), wr.reshape(n_panels, -1)):
             cloud = (r_pan[:, None, None] * unit).reshape(-1, 3)
             u_sq = sq(u(cloud)).reshape(r_pan.size, -1)
             g_sq = gradsq(cloud).reshape(r_pan.size, -1)
@@ -486,16 +491,14 @@ def hardy_check(u, r_max: float = 60.0, grad=None, vector=False,
     return _doubled_radius(quad, r_max)
 
 
-# the Hardy corpus of the verification suite: name -> (field, is_vector)
+# the Hardy corpus of the verification suite: name -> field
 HARDY_FIELDS = {
-    "inv_r2": (lambda x: radius(x) ** -2.0, False),
-    "radial_exp": (lambda x: np.exp(1.0 - radius(x)), False),
-    "dipole": (lambda x: x[..., 2] / radius(x) ** 3, False),
-    "skewed_exp": (lambda x: np.exp(1.0 - radius(x))
-                   * (1 + x[..., 0] / (2 * radius(x))), False),
-    "swirl_vec": (lambda x: np.stack([-x[..., 1], x[..., 0],
-                                      np.zeros_like(x[..., 0])], axis=-1)
-                  / radius(x)[..., None] ** 3, True),
+    "inv_r2": lambda x: radius(x) ** -2.0,
+    "radial_exp": lambda x: np.exp(1.0 - radius(x)),
+    "dipole": lambda x: x[..., 2] / radius(x) ** 3,
+    "skewed_exp": lambda x: np.exp(1.0 - radius(x)) * (1 + x[..., 0] / (2 * radius(x))),
+    "swirl_vec": lambda x: (np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])],
+                                     axis=-1) / radius(x)[..., None] ** 3),
 }
 
 
@@ -678,8 +681,8 @@ def run_verify_ops(seed: int = 0, n_points: int = 100,
         rows.append(_row(f"rr_cancel/{chart}/radial_blind", worst_aug, 1e-4))
 
     # Hardy inequality corpus (n = 3, constant 2n = 6)
-    hardy = {name: hardy_check(u, vector=is_vec, grad=HARDY_GRADIENTS[name])
-             for name, (u, is_vec) in HARDY_FIELDS.items()}
+    hardy = {name: hardy_check(u, grad=HARDY_GRADIENTS[name])
+             for name, u in HARDY_FIELDS.items()}
     for name, (lhs, rhs, ratio) in hardy.items():
         rows.append(_row(f"hardy/{name}", max(0.0, (lhs - rhs) / max(rhs, 1e-300)),
                          0.0, note=f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={ratio:.4f}"))

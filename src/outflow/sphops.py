@@ -197,8 +197,11 @@ def _stencil(order: int):
     return nodes[keep], w[keep]
 
 
-def cart_partial(field, orders, h: float = 1e-3, vector: bool = False):
-    """Mixed Cartesian partial d_1^a d_2^b d_3^c, axis-aligned fourth-order stencils."""
+def cart_partial(field, orders, h: float = 1e-3):
+    """Mixed Cartesian partial d_1^a d_2^b d_3^c, axis-aligned fourth-order stencils.
+
+    field maps points (m, 3) to scalars (m,) or vectors (m, 3); the partial
+    has the same trailing shape."""
     a, b, c = orders
     n1, w1 = _stencil(a)
     n2, w2 = _stencil(b)
@@ -214,11 +217,11 @@ def cart_partial(field, orders, h: float = 1e-3, vector: bool = False):
         grid[..., 0] = p[:, 0] + n1[:, None, None, None] * step
         grid[..., 1] = p[:, 1] + n2[None, :, None, None] * step
         grid[..., 2] = p[:, 2] + n3[None, None, :, None] * step
-        shp = grid.shape[:-1]
-        vals = field(grid.reshape(-1, 3)).reshape(shp + ((3,) if vector else ()))
+        vals = field(grid.reshape(-1, 3))
+        vals = vals.reshape(grid.shape[:-1] + vals.shape[1:])
         out = np.einsum("i,j,k,ijkb...->b...", w1, w2, w3, vals)
         scale = step ** (a + b + c)
-        out = out / (scale[:, None] if vector else scale)
+        out = out / (scale[:, None] if out.ndim > 1 else scale)  # a step per point
         return out[0] if single else out
 
     return apply
@@ -234,17 +237,18 @@ def cart_grad(f, pts, h: float = 1e-3):
     return np.stack(cols, axis=-1)
 
 
-def cart_grad_sq(f, pts, h: float = 1e-3, vector: bool = False):
+def cart_grad_sq(f, pts, h: float = 1e-3):
     """|grad F|^2, summed over the components of a vector field.
 
-    One Cartesian partial per axis, a vector pass for a vector field.  The
-    squares are added in axis order per component, then the components in
-    order: the order of summing np.sum(cart_grad(F_j, pts, h)**2, axis=-1)
-    over j, so the result is bitwise that sum.
+    One Cartesian partial per axis, a vector pass for a vector field, whose
+    partials have the shape of pts.  The squares are added in axis order per
+    component, then the components in order: the order of summing
+    np.sum(cart_grad(F_j, pts, h)**2, axis=-1) over j, so the result is
+    bitwise that sum.
     """
-    d = [cart_partial(f, tuple(_EYE[i]), h, vector=vector)(pts) for i in range(3)]
+    d = [cart_partial(f, tuple(_EYE[i]), h)(pts) for i in range(3)]
     s = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
-    return s[..., 0] + s[..., 1] + s[..., 2] if vector else s
+    return s[..., 0] + s[..., 1] + s[..., 2] if s.shape == np.shape(pts) else s
 
 
 def cart_div(v, pts, h: float = 1e-3):

@@ -42,12 +42,6 @@ class SymState:
         """The state at time t on the same grid."""
         return SymState(t, self.grid, rho, *velocity)
 
-    def check(self, params: FluidParams) -> None:
-        if np.any(self.rho <= 0.0):
-            raise ValueError("density must stay positive")
-        if self.u_rad[0] != params.u_b:
-            raise ValueError("boundary speed u(1) must equal u_b")
-
 
 @dataclass
 class AxiState:
@@ -73,12 +67,6 @@ class AxiState:
     def advanced(self, t: float, rho: np.ndarray, velocity) -> "AxiState":
         """The state at time t on the same grids."""
         return AxiState(t, self.grid, self.agrid, rho, *velocity)
-
-    def check(self, params: FluidParams) -> None:
-        if np.any(self.rho <= 0.0):
-            raise ValueError("density must stay positive")
-        if np.any(self.u_r[0] != params.u_b) or np.any(self.u_theta[0] != 0.0):
-            raise ValueError("boundary row must carry (u_r, u_theta) = (u_b, 0)")
 
 
 def smooth_bump(r, lo: float, hi: float):
@@ -139,8 +127,9 @@ def boundary_momentum_residual(state, params: FluidParams) -> float:
     """Worst momentum-balance residual on r = 1 (one-sided radial stencils)."""
     ops = ops_for(state, params)
     rho, u = state.rho, state.velocity
-    conv = ops.conv(u, u)
-    visc = ops.visc(u, params.mu, params.lam)
+    du = ops.first_derivs(u)
+    conv = ops.conv(u, u, du)
+    visc = ops.visc(u, params.mu, params.lam, du, ops.div(u, du))
     dp = ops.grad(pressure(rho, params))
     return float(max(np.max(np.abs((-rho * c - g + v)[0]))
                      for c, g, v in zip(conv, dp, visc)))

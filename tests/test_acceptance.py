@@ -84,18 +84,16 @@ def test_criterion_05_hardy():
     t0 = time.time()
     r_of = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
     fields = {
-        "inv_r2": (lambda x: r_of(x) ** -2.0, False),
-        "radial_exp": (lambda x: np.exp(1.0 - r_of(x)), False),
-        "dipole": (lambda x: x[..., 2] / r_of(x) ** 3, False),
-        "skewed": (lambda x: np.exp(1.0 - r_of(x)) * (1 + x[..., 0] / (2 * r_of(x))),
-                   False),
-        "swirl": (lambda x: np.stack([-x[..., 1], x[..., 0],
-                                      np.zeros_like(x[..., 0])], axis=-1)
-                  / r_of(x)[..., None] ** 3, True),
+        "inv_r2": lambda x: r_of(x) ** -2.0,
+        "radial_exp": lambda x: np.exp(1.0 - r_of(x)),
+        "dipole": lambda x: x[..., 2] / r_of(x) ** 3,
+        "skewed": lambda x: np.exp(1.0 - r_of(x)) * (1 + x[..., 0] / (2 * r_of(x))),
+        "swirl": lambda x: (np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])],
+                                     axis=-1) / r_of(x)[..., None] ** 3),
     }
     all_hold = True
-    for name, (u, vec) in fields.items():
-        lhs, rhs, _ = hardy_check(u, vector=vec)
+    for name, u in fields.items():
+        lhs, rhs, _ = hardy_check(u)
         all_hold = all_hold and (lhs <= rhs)
     lhs, rhs, ratio = hardy_check(lambda x: r_of(x) ** -2.0)
     closed_ok = (abs(lhs - 16 * np.pi / 3) / (16 * np.pi / 3) <= 1e-3

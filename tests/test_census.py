@@ -1,10 +1,12 @@
-"""Every function and method of the package is reached from the package.
+"""Every function and method of the package is reached from the package,
+and every parameter is read by its body.
 
 A definition that only its own tests call computes nothing that a verdict
 or an output reads.  The exceptions are the views and oracles that the
-tests use to check the program, the entry points that the benchmark
-drives, and two checks still to be deleted; KEPT names each with its
-reason.
+tests use to check the program and the entry points that the benchmark
+drives; KEPT names each with its reason.  A parameter that its body never
+reads is a value every caller must hand over for nothing; UNREAD names the
+few that a shared signature or protocol keeps, each with its reason.
 """
 
 import ast
@@ -32,10 +34,22 @@ KEPT = {
                                       "the tests compare with orig_res",
     "sphops.cart_vec_lap": "the Cartesian vector Laplacian, the tests' oracle "
                            "for the 2D viscous rows",
-    # not views: each is reached only by its own test, test_state_checks, and
-    # is to be deleted with it (ROADMAP item 22)
-    "states.SymState.check": "unreached; goes with test_state_checks",
-    "states.AxiState.check": "unreached; goes with test_state_checks",
+}
+
+# "module.qualified.name(parameter)" -> why its body may leave it unread; a
+# lambda is named "<lambda>" inside the definition that holds it
+_SHARED = ("the signature both geometries share, so code over state.velocity "
+           "calls either")
+UNREAD = {
+    "discrete.SymOps.visc(dw)": _SHARED,
+    "discrete.SymOps.visc(div)": _SHARED,
+    "discrete.AxiOps.div(dw)": _SHARED,
+    "states.compatibility_residual(profile)": "the benchmark passes it "
+                                              "(ROADMAP items 1 and 12)",
+    "evolve_sym.RadialScheme.__init__.<lambda>(t)": "bc_far(t): the manufactured-"
+                                                    "solution cases replace it "
+                                                    "with a time-dependent one",
+    "jets.Jet.__array_function__(types)": "NumPy's __array_function__ protocol",
 }
 
 
@@ -90,3 +104,53 @@ def test_each_kept_definition_exists_and_is_unreached():
     defined, unreached = _census()
     assert set(KEPT) <= defined, sorted(set(KEPT) - defined)
     assert set(KEPT) <= unreached, sorted(set(KEPT) - unreached)
+
+
+def _parameters():
+    """(every parameter, those of them that their body never reads), as
+    "module.qualified.name(parameter)" strings, for each def and lambda.
+
+    A parameter counts as read by any load of its name in the body, nested
+    definitions included; `self` and `cls` are left out.
+    """
+    every, unread = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        while stack:
+            parent, prefix = stack.pop()
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, ast.ClassDef):
+                    stack.append((node, f"{prefix}.{node.name}"))
+                    continue
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.Lambda)):
+                    stack.append((node, prefix))
+                    continue
+                qual = f"{prefix}.{getattr(node, 'name', '<lambda>')}"
+                stack.append((node, qual))
+                a = node.args
+                names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                         a.vararg, a.kwarg)
+                         if x is not None and x.arg not in ("self", "cls")]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for b in body for n in ast.walk(b)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                for name in names:
+                    every.add(f"{qual}({name})")
+                    if name not in read:
+                        unread.add(f"{qual}({name})")
+    return every, unread
+
+
+def test_every_parameter_is_read():
+    _, unread = _parameters()
+    extra = sorted(unread - set(UNREAD))
+    assert not extra, f"parameters their body never reads: {extra}"
+
+
+def test_each_unread_parameter_exists_and_is_unread():
+    """The list goes stale neither way: a kept parameter that is renamed or
+    removed, or that its body starts to read, leaves it."""
+    every, unread = _parameters()
+    assert set(UNREAD) <= every, sorted(set(UNREAD) - every)
+    assert set(UNREAD) <= unread, sorted(set(UNREAD) - unread)

@@ -5,7 +5,7 @@ import pytest
 from outflow import AngularGrid, RadialGrid, solve_steady
 from outflow.discrete import SymOps
 from outflow.energy import reformulation_residual, reformulation_terms, relative_energy
-from outflow.states import perturb_axi, perturb_sym
+from outflow.states import ops_for, perturb_axi, perturb_sym
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,8 @@ def wide_profile(acc_params):
 def _check(name, state, profile, params):
     if name == "relative_energy":
         return relative_energy(state, profile, params)
-    return reformulation_residual(state, state, 1e-3, profile, params)
+    return reformulation_residual(state, state, 1e-3,
+                                  reformulation_terms(profile, params, ops_for(state, params)))
 
 
 @pytest.mark.parametrize("geometry", ["sym", "axi"])
@@ -41,10 +42,9 @@ def test_reformulation_terms_reject_operators_of_another_grid(axi_profile, wide_
         reformulation_terms(axi_profile, acc_params, ops)
     state = perturb_sym(axi_profile, 0.02, (1.5, 3.0))
     with pytest.raises(ValueError, match="grids differ"):
-        reformulation_residual(state, state, 1e-3, axi_profile, acc_params,
-                               terms=reformulation_terms(axi_profile, acc_params, ops))
+        reformulation_residual(state, state, 1e-3,
+                               reformulation_terms(axi_profile, acc_params, ops))
     # terms on the profile's own grid, handed a state of the wider one
     terms = reformulation_terms(wide_profile, acc_params, ops)
     with pytest.raises(ValueError, match="grids differ"):
-        reformulation_residual(state, state, 1e-3, wide_profile, acc_params,
-                               terms=terms)
+        reformulation_residual(state, state, 1e-3, terms)

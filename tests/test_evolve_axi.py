@@ -229,7 +229,7 @@ def test_grid_scale_velocity_mode_decays_monotonically(small_profile, acc_params
     st.u_r[1:n // 2] += 1e-3 * (-1.0) ** (i + j)
     st.u_theta[1:n // 2] += 1e-3 * (-1.0) ** (i + j)
     solver.apply_bc(st)
-    adv, visc, _ = solver.cfl_limits(st)
+    adv, visc = solver.cfl_limits(st)
     assert adv >= 10.0 * visc
     gaps = []
     for _ in range(30):

@@ -118,14 +118,6 @@ def test_axi_wall_residual_of_the_acceptance_perturbation(run_profile, acc_param
     assert res2 <= 1e-3
 
 
-def test_state_checks(small_profile, acc_params):
-    st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
-    st.check(acc_params)
-    st.rho[3] = -1.0
-    with pytest.raises(ValueError):
-        st.check(acc_params)
-
-
 def test_states_residuals_do_not_import_the_axisymmetric_solver():
     """The boundary residuals live below the solvers: computing one loads no solver."""
     code = "\n".join([

@@ -87,25 +87,25 @@ def test_graddiv_expansion_matches_cartesian(corpus):
 
 def test_rr_cancellation_routes(corpus):
     for chart in ("V", "H"):
-        pts = corpus.points[chart]
+        fr = so.chart_jet(corpus.points[chart], chart, 2)
         for name, V in corpus.vector_fields.items():
-            r1, r2 = rr_cancellation(V, pts, chart)
+            r1, r2 = rr_cancellation(V, fr)
             assert np.max(np.abs(r1 - r2)) <= 1e-4, name
 
 
 def test_rr_trivial_for_identity(corpus):
-    pts = corpus.points["V"][:20]
+    fr = so.chart_jet(corpus.points["V"][:20], "V", 2)
     V = lambda x: x + 0.0  # noqa: E731
-    r1, r2 = rr_cancellation(V, pts, "V")
+    r1, r2 = rr_cancellation(V, fr)
     assert np.max(np.abs(r1)) <= 1e-6
     assert np.max(np.abs(r2)) <= 1e-6
 
 
 def test_rr_blind_to_pure_radial_content(corpus):
-    pts = corpus.points["V"][:30]
+    fr = so.chart_jet(corpus.points["V"][:30], "V", 2)
     quad = lambda x: so.radius(x)[..., None] * x  # noqa: E731
-    assert rr_insensitivity(quad, pts, "V") <= 1e-4
-    assert rr_insensitivity(corpus.vector_fields["vsmooth"], pts, "V") <= 1e-4
+    assert rr_insensitivity(quad, fr) <= 1e-4
+    assert rr_insensitivity(corpus.vector_fields["vsmooth"], fr) <= 1e-4
 
 
 def test_hardy_closed_form():
@@ -126,8 +126,8 @@ def test_hardy_zero_field():
 def test_hardy_exponential_two_resolutions():
     r_of = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
     u = lambda x: np.exp(1.0 - r_of(x))  # noqa: E731
-    lhs1, rhs1, _ = hardy_check(u, n_r=120, n_theta=16, n_phi=16)
-    lhs2, rhs2, _ = hardy_check(u, n_r=240, n_theta=32, n_phi=32)
+    lhs1, rhs1, _ = hardy_check(u, n_panels=20, n_theta=16, n_phi=16)
+    lhs2, rhs2, _ = hardy_check(u, n_panels=30, n_theta=32, n_phi=32)
     assert lhs1 == pytest.approx(lhs2, rel=1e-6)
     assert rhs1 == pytest.approx(rhs2, rel=1e-6)
     assert lhs2 <= rhs2
@@ -140,9 +140,15 @@ def test_hardy_tail_guard():
         hardy_check(slow, r_max=30.0)
 
 
-def _hardy_sides_one_radius_at_a_time(u, vector, r_max, n_r, n_theta, n_phi):
+def _is_vector(u) -> bool:
+    """Whether the field u takes vector values."""
+    return u(np.ones((1, 3))).ndim > 1
+
+
+def _hardy_sides_one_radius_at_a_time(u, r_max, n_panels, n_theta, n_phi):
     """Reference volume and surface sums: one angular cloud per radius and the
     gradient of a vector field one component at a time."""
+    vector = _is_vector(u)
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     s = np.sqrt(1.0 - mu**2)
@@ -160,7 +166,7 @@ def _hardy_sides_one_radius_at_a_time(u, vector, r_max, n_r, n_theta, n_phi):
                        for j in range(3))
         return np.sum(so.cart_grad(u, pts, h=2e-4) ** 2, axis=-1)
 
-    rr, wr = _radial_panels(r_max, n_panels=max(20, n_r // 8), n_gauss=8)
+    rr, wr = _radial_panels(r_max, n_panels)
     vol_lhs = vol_rhs = 0.0
     for r, w in zip(rr, wr):
         cloud = (r * unit).reshape(-1, 3)
@@ -178,10 +184,9 @@ def test_hardy_panels_sum_like_one_radius_at_a_time(name):
     move them, so the per-radius values of |u|^2 and |grad u|^2 on one panel
     cloud are compared with those of each radius on its own as well.
     """
-    u, vector = HARDY_FIELDS[name]
-    lhs, rhs, _ = hardy_check(u, vector=vector, r_max=30.0, n_r=160,
-                              n_theta=12, n_phi=12)
-    ref = _hardy_sides_one_radius_at_a_time(u, vector, 60.0, 160, 12, 12)
+    u = HARDY_FIELDS[name]
+    lhs, rhs, _ = hardy_check(u, r_max=30.0, n_panels=20, n_theta=12, n_phi=12)
+    ref = _hardy_sides_one_radius_at_a_time(u, 60.0, 20, 12, 12)
     assert (lhs, rhs) == ref
 
     unit = so.from_spherical(1.0, *np.meshgrid(np.linspace(0.1, 3.0, 12),
@@ -190,11 +195,10 @@ def test_hardy_panels_sum_like_one_radius_at_a_time(name):
     radii = np.geomspace(1.0, 120.0, 8)
     panel = (radii[:, None, None] * unit).reshape(-1, 3)
     u_pan = u(panel).reshape((8, -1) + u(unit).shape[1:])
-    g_pan = so.cart_grad_sq(u, panel, h=2e-4, vector=vector).reshape(8, -1)
+    g_pan = so.cart_grad_sq(u, panel, h=2e-4).reshape(8, -1)
     for k, r in enumerate(radii):
         assert np.array_equal(u_pan[k], u(r * unit))
-        assert np.array_equal(g_pan[k], so.cart_grad_sq(u, r * unit, h=2e-4,
-                                                         vector=vector))
+        assert np.array_equal(g_pan[k], so.cart_grad_sq(u, r * unit, h=2e-4))
 
 
 def test_hardy_gradients_cover_the_corpus():
@@ -205,12 +209,12 @@ def test_hardy_gradients_cover_the_corpus():
 def test_hardy_gradient_matches_cartesian_differences(name):
     """The closed form against the Cartesian difference oracle, a vector
     field component by component, on a seeded cloud with r in [1, 120]."""
-    u, vector = HARDY_FIELDS[name]
+    u = HARDY_FIELDS[name]
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 3))
     x *= rng.uniform(1.0, 120.0, (400, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
     g = HARDY_GRADIENTS[name](x)
-    if vector:
+    if _is_vector(u):
         fd = np.stack([so.cart_grad(lambda p, i=i: u(p)[..., i], x)
                        for i in range(3)], axis=-2)
     else:
@@ -221,9 +225,9 @@ def test_hardy_gradient_matches_cartesian_differences(name):
 
 @pytest.mark.parametrize("name", list(HARDY_FIELDS))
 def test_hardy_check_with_the_closed_gradient_matches_the_fallback(name):
-    u, vector = HARDY_FIELDS[name]
-    lhs_fd, rhs_fd, _ = hardy_check(u, vector=vector)
-    lhs, rhs, _ = hardy_check(u, vector=vector, grad=HARDY_GRADIENTS[name])
+    u = HARDY_FIELDS[name]
+    lhs_fd, rhs_fd, _ = hardy_check(u)
+    lhs, rhs, _ = hardy_check(u, grad=HARDY_GRADIENTS[name])
     assert lhs == pytest.approx(lhs_fd, rel=1e-10)
     assert rhs == pytest.approx(rhs_fd, rel=1e-10)
 

@@ -180,13 +180,13 @@ def test_grad_sq_is_one_pass_of_the_componentwise_gradients():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(400, 3))
     pts *= rng.uniform(1.0, 120.0, (400, 1)) / so.radius(pts, keepdims=True)
-    u, vector = HARDY_FIELDS["swirl_vec"]
-    assert vector
+    u = HARDY_FIELDS["swirl_vec"]
+    assert u(pts).shape == pts.shape
     per_component = sum(
         np.sum(so.cart_grad(lambda p, j=j: u(p)[..., j], pts, h=2e-4) ** 2, axis=-1)
         for j in range(3)
     )
-    assert np.array_equal(so.cart_grad_sq(u, pts, h=2e-4, vector=True), per_component)
-    f, _ = HARDY_FIELDS["skewed_exp"]
+    assert np.array_equal(so.cart_grad_sq(u, pts, h=2e-4), per_component)
+    f = HARDY_FIELDS["skewed_exp"]
     assert np.array_equal(so.cart_grad_sq(f, pts, h=2e-4),
                           np.sum(so.cart_grad(f, pts, h=2e-4) ** 2, axis=-1))

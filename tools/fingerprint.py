@@ -23,7 +23,9 @@ writes for `steady`, `evolve-sym`, `evolve-axi`, `report`, `verify-ops
 --seed 0`, `verify-ops --seed 7` and `verify-energy`, plus each
 subcommand's exit code.
 A change meant to keep the numbers bitwise is checked by running this on both
-trees and diffing the output.  It runs in about five seconds on two cores.
+trees and diffing the output; where the change moves a signature that this
+script calls, each tree runs its own copy of the script.  It runs in about
+five seconds on two cores.
 
 With `--save DIR` each line's numbers (the arrays and scalars it hashes, in
 hashing order, or the numbers written in a file) also go to
@@ -188,7 +190,7 @@ def _emit_result(label: str, res) -> None:
 
 
 def run_results() -> None:
-    from outflow.energy import reformulation_residual
+    from outflow.energy import reformulation_residual, reformulation_terms
     from outflow.evolve_axi import AxiRunConfig, AxiSolver, run_axi_stability
     from outflow.evolve_sym import SymRunConfig, SymSolver, run_sym_stability
     from outflow.grids import AngularGrid, RadialGrid
@@ -223,8 +225,8 @@ def run_results() -> None:
             ("reform_axi", axi_profile, AxiSolver(axi_profile, params, agrid),
              perturb_axi(axi_profile, agrid, 0.02, (1.5, 3.0)))):
         dt = 0.4 * solver.cfl_dt(state, 1.0)
-        res = reformulation_residual(solver.step(state, dt), state, dt, profile,
-                                     params)
+        terms = reformulation_terms(profile, params, solver.ops)
+        res = reformulation_residual(solver.step(state, dt), state, dt, terms)
         for f in dataclasses.fields(res):
             _emit(f"{label}.{f.name}", np.ravel(getattr(res, f.name)))
 
@@ -298,14 +300,12 @@ def _r(x):
 # the Hardy corpus of `verify-ops`, copied here so that any checkout's
 # hardy_check can be fingerprinted on the same fields
 HARDY_FIELDS = {
-    "inv_r2": (lambda x: _r(x) ** -2.0, False),
-    "radial_exp": (lambda x: np.exp(1.0 - _r(x)), False),
-    "dipole": (lambda x: x[..., 2] / _r(x) ** 3, False),
-    "skewed_exp": (lambda x: np.exp(1.0 - _r(x)) * (1 + x[..., 0] / (2 * _r(x))),
-                   False),
-    "swirl_vec": (lambda x: np.stack([-x[..., 1], x[..., 0],
-                                      np.zeros_like(x[..., 0])], axis=-1)
-                  / _r(x)[..., None] ** 3, True),
+    "inv_r2": lambda x: _r(x) ** -2.0,
+    "radial_exp": lambda x: np.exp(1.0 - _r(x)),
+    "dipole": lambda x: x[..., 2] / _r(x) ** 3,
+    "skewed_exp": lambda x: np.exp(1.0 - _r(x)) * (1 + x[..., 0] / (2 * _r(x))),
+    "swirl_vec": lambda x: (np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])],
+                                     axis=-1) / _r(x)[..., None] ** 3),
 }
 
 
@@ -314,8 +314,8 @@ def hardy_results() -> None:
     sides to 6 digits; these lines see every bit of them."""
     from outflow.opchecks import hardy_check
 
-    for name, (u, vector) in HARDY_FIELDS.items():
-        _emit(f"hardy/{name}", hardy_check(u, vector=vector))
+    for name, u in HARDY_FIELDS.items():
+        _emit(f"hardy/{name}", hardy_check(u))
 
 
 def jet_point_results() -> None:
@@ -330,15 +330,12 @@ def jet_point_results() -> None:
     sample = default_corpus(seed=0)
     for chart in ("V", "H"):
         pts = sample.points[chart]
-        try:
-            fr = chart_jet(pts[:30], chart, 2)
-        except TypeError:  # a tree whose chart jets all have one degree
-            fr = chart_jet(pts[:30], chart)
+        fr, fr30 = chart_jet(pts, chart, 2), chart_jet(pts[:30], chart, 2)
         for name, V in sample.vector_fields.items():
             _emit(f"jet_points/rr_cancellation/{chart}/{name}",
-                  list(rr_cancellation(V, pts, chart)))
+                  list(rr_cancellation(V, fr)))
             _emit(f"jet_points/graddiv_expansion/{chart}/{name}",
-                  graddiv_expansion(V(fr.x), fr).value)
+                  graddiv_expansion(V(fr30.x), fr30).value)
 
 
 def cutoff_point_results() -> None:
