@@ -29,7 +29,7 @@ from scipy.special import eval_legendre
 
 from .discrete import AxiOps
 from .grids import AngularGrid
-from .params import FluidParams, pressure_unchecked
+from .params import FluidParams
 from .states import AxiState, perturb_axi
 from .steady import SteadyProfile
 from .evolve_sym import (
@@ -113,21 +113,24 @@ class AxiSolver(RadialScheme):
         mu_lam = params.mu + params.lam  # the coupling limit is couple_h2 x rho
         self.couple_h2 = COUPLING_K * self.h * self.r * agrid.dtheta * self.visc / mu_lam**2
         # theta face weights sin(theta_face) / 2 over the raveled pairs
-        # (k, k + 1); the last pair of each row straddles two rows and weighs 0
+        # (k, k + 1) of a stack of up to three fields; the last pair of each
+        # row straddles two rows and weighs 0
         face_w = np.zeros(self.r.shape)
         face_w[:, :-1] = np.sin(agrid.nodes)[1:-1] * 0.5
-        self.theta_face_w = face_w.ravel()[:-1]
+        self.theta_face_w = np.tile(face_w.ravel(), 3)[:-1]
+        self._x = np.empty((6,) + self.r.shape)  # the operand of `visc_split`
 
     # -- angular flux divergence: (1/(r sin)) d_theta(sin q u_theta) ---------
     def _theta_flux_div(self, q: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
-        """Edge fluxes over the raveled q u_theta: flux[k] lies between its
-        entries k - 1 and k.  Those at the ends of each row are pole faces, or
-        pair two rows, and are set to +0, as a pole face carries no flux."""
+        """Edge fluxes over the raveled q u_theta, q one field or a stack of
+        up to three: flux[k] lies between its entries k - 1 and k.  Those at
+        the ends of each row are pole faces, or pair two rows, and are set to
+        +0, as a pole face carries no flux."""
         g = np.ravel(q * u_theta)
         flux = np.empty(g.size + 1)
         inner = flux[1:-1]
         np.add(g[:-1], g[1:], out=inner)
-        inner *= self.theta_face_w
+        inner *= self.theta_face_w[:inner.size]
         flux[::self.agrid.n_cells] = 0.0
         return (flux[1:] - flux[:-1]).reshape(q.shape) / self.r_sin_dtheta
 
@@ -218,9 +221,10 @@ class AxiSolver(RadialScheme):
         return [partial(_split_solve, radial, modal[0]), modal[1]]
 
     def rhs(self, state: AxiState, split: bool = False):
-        """(rho_t, mr_t, mt_t).  The wall momentum rows and the far polar row
-        are zeroed for BC application; the far density and radial momentum
-        rows are `far_rates`, with the far radial viscous row as a source.
+        """(rho_t, mr_t, mt_t), one fresh (3, n_r, n_theta) array.  The wall
+        momentum rows and the far polar row are zeroed for BC application;
+        the far density and radial momentum rows are `far_rates`, with the
+        far radial viscous row as a source.
 
         split=True, the stage rates of `step`, leaves out the implicit part
         V_I(m / rho_ref) of the viscous rows, so V_I carries the remainder
@@ -231,53 +235,48 @@ class AxiSolver(RadialScheme):
         rho, u_r, u_t = state.rho, state.u_r, state.u_theta
         if not split:
             check_positive(rho, state.t)
-        m_r = rho * u_r
-        m_t = rho * u_t
-
-        prs = pressure_unchecked(rho, self.params)
-        rho_t, _, grad = self.continuity(m_r, prs)
-        rho_t -= self._theta_flux_div(rho, u_t)
-        w = ops.d_theta(u_r, parity=1)
+        q = np.array((rho, rho * u_r, rho * u_t))  # (rho, m_r, m_theta)
+        rates, _, prs, grad = self._radial_rates(q * u_r, rho)
+        rates -= self._theta_flux_div(q, u_t)
+        # x = [e, (u_r, u_theta, w)], e the same of u - m / rho_ref if split
+        x = self._x
+        x[3], x[4], x[5] = u_r, u_t, ops.d_theta(u_r, parity=1)
         if split:
-            e_r = u_r - m_r * self.inv_rho_ref
-            e = (e_r, u_t - m_t * self.inv_rho_ref, ops.d_theta(e_r, parity=1))
+            e = np.multiply(q[1:], self.inv_rho_ref, x[:2])
+            np.subtract(x[3:5], e, e)
+            x[2] = ops.d_theta(e[0], parity=1)
         else:
-            e = (u_r, u_t, w)
-        x = np.concatenate(e + (u_r, u_t, w), axis=None)
-        visc_r, visc_t = (self.visc_split @ x).reshape((2,) + r.shape)
-        mr_t = self.advect(m_r * u_r)
-        mr_t -= self._theta_flux_div(m_r, u_t)
+            x[:3] = x[3:]
+        visc_r, visc_t = (self.visc_split @ x.reshape(-1)).reshape((2,) + r.shape)
+        rho_t, mr_t, mt_t = rates
         mr_t += rho * u_t**2 / r
         mr_t[1:-1] -= grad
         mr_t += visc_r
 
-        mt_t = self.advect(m_t * u_r)
-        mt_t -= self._theta_flux_div(m_t, u_t)
         mt_t -= rho * u_r * u_t / r
         mt_t -= ops.d_theta(prs, parity=1) / r
         mt_t += visc_t
 
         s_rho, s_m = 0.0, visc_r[-1]
         if self.forcing is not None:
-            s_rho, s_mr, s_mt = self.forcing(state.t, ops.r, ops.theta)
-            rho_t = rho_t + s_rho
-            mr_t = mr_t + s_mr
-            mt_t = mt_t + s_mt
-            s_rho, s_m = s_rho[-1], s_m + s_mr[-1]
+            sources = self.forcing(state.t, ops.r, ops.theta)
+            for f, s in zip(rates, sources):
+                f += s
+            s_rho, s_m = sources[0][-1], s_m + sources[1][-1]
         mr_t[0] = 0.0
         mt_t[0] = mt_t[-1] = 0.0
         rho_t[-1], mr_t[-1] = self.far_rates(rho, u_r, s_rho, s_m)
-        return rho_t, mr_t, mt_t
+        return rates
 
     def _advective_limit(self, state: AxiState) -> float:
         """min h / (|u| + c) on the cell size h = min(dr, r dtheta)."""
         speed = np.hypot(state.u_r, state.u_theta)
         speed += self._sound_speed(state.rho)
-        return float(np.min(self.h_cell / speed))
+        return float(np.divide(self.h_cell, speed, speed).min())
 
     def _remainder_limit(self, rho) -> float:
         """The split's limit, and that of the explicit mixed terms (`COUPLING_K`)."""
-        return min(super()._remainder_limit(rho), float(np.min(self.couple_h2 * rho)))
+        return min(super()._remainder_limit(rho), float((self.couple_h2 * rho).min()))
 
     def cfl_dt(self, state: AxiState, safety: float) -> float:
         """safety x the advective and the remainder limit."""
@@ -290,12 +289,11 @@ class AxiSolver(RadialScheme):
 
     def mass_balance(self, state: AxiState):
         """FV mass rate against boundary fluxes (theta fluxes telescope away)."""
-        rho_t, flux, _ = self.continuity(state.rho * state.u_r,
-                                         pressure_unchecked(state.rho, self.params))
-        rho_t = rho_t - self._theta_flux_div(state.rho, state.u_theta)
+        rates, flux, *_ = self._radial_rates((state.rho * state.u_r)[None], state.rho)
+        rho_t = rates[0] - self._theta_flux_div(state.rho, state.u_theta)
         w_ang = 2.0 * np.pi * self.ops.sin * self.agrid.dtheta
         interior = float(np.sum((self.dual_vol * rho_t[1:-1]) * w_ang[None, :]))
-        boundary = float(np.sum((flux[0] - flux[-1]) * w_ang))
+        boundary = float(np.sum((flux[:w_ang.size] - flux[-w_ang.size:]) * w_ang))
         return interior, boundary
 
 

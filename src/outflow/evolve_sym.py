@@ -136,18 +136,37 @@ def _floatwise(fn, x):
 
 def tridiagonal_solver(d, e):
     """solve(b) for the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e: LAPACK's LDL^T (pttrf/pttrs) when it is real, which must
-    be positive definite, and LU (gttrf/gttrs) when it is complex.  b may
-    hold several right-hand sides as columns."""
+    off-diagonal e: LAPACK's LDL^T (pttrf/pttrs), in place of d and e, when
+    it is real, which must be positive definite, and LU (gttrf/gttrs) when
+    it is complex.  b may hold several right-hand sides as columns."""
     if np.iscomplexobj(d):
         *lu, info = lapack.zgttrf(e, d, e)
         solve = lapack.zgttrs
     else:
-        *lu, info = lapack.dpttrf(d, e)
+        *lu, info = lapack.dpttrf(d, e, overwrite_d=True, overwrite_e=True)
         solve = lapack.dpttrs
     if info != 0:
         raise np.linalg.LinAlgError(f"implicit viscous factor failed (info = {info})")
     return lambda b: solve(*lu, b, overwrite_b=True)[0]
+
+
+def banded_jacobian(residual, z: np.ndarray, f: np.ndarray, lower: int, upper: int):
+    """The finite-difference Jacobian at z of residual, f = residual(z), whose
+    row i depends on z[i - lower..i + upper] alone, in `solve_banded`'s
+    layout.  Columns width = lower + upper + 1 apart share no row, so such a
+    colour takes one residual; column j moves rows j - upper..j + lower, its
+    band column, so the colour's rows, zero past either end, are its block."""
+    width, n = lower + upper + 1, z.size
+    step = 1.5e-8 * np.maximum(np.abs(z), 1.0)
+    band = np.zeros((width, n))
+    for k in range(width):
+        zk = z.copy()
+        zk[k::width] += step[k::width]
+        rows = np.zeros(band[:, k::width].size)  # rows k - upper, k - upper + 1, ...
+        i0, i1 = max(k - upper, 0), min(k - upper + rows.size, n)
+        rows[i0 - k + upper:i1 - k + upper] = (residual(zk) - f)[i0:i1]
+        band[:, k::width] = (rows.reshape(-1, width) / (zk - z)[k::width, None]).T
+    return band
 
 
 class ViscousLine:
@@ -169,7 +188,7 @@ class ViscousLine:
         column = (-1,) + (1,) * (ndim - 1)
         self.scale = sigma.reshape(column)
         self.back = (rho_ref[1:-1] / kappa[1:-1]).reshape(column)  # m = back q
-        self.ends = cond[0] * kappa[0], cond[-1] * kappa[-1]
+        self.ends = float(cond[0] * kappa[0]), float(cond[-1] * kappa[-1])
         c, k = cond, kappa
         self.d_rest = sigma * rho_ref[1:-1] / kappa[1:-1]
         self.d_visc = c[:-1] + c[1:]
@@ -177,6 +196,7 @@ class ViscousLine:
         self.lo = c[:-1] * k[:-2] / sigma
         self.mid = -self.d_visc * k[1:-1] / sigma
         self.up = c[1:] * k[2:] / sigma
+        self._out, self._term = np.empty(self.lo.shape), np.empty(self.lo.shape)
 
     def rows(self):
         """R as a sparse (n, n) CSR matrix."""
@@ -188,8 +208,13 @@ class ViscousLine:
 
     def apply(self, f):
         """R f on the interior rows, summed in the order of a CSR row of
-        `rows()`, so it has the bits of the sparse product."""
-        return self.lo * f[:-2] + self.mid * f[1:-1] + self.up * f[2:]
+        `rows()`, so it has the bits of the sparse product; the next call
+        overwrites it."""
+        out, term = self._out, self._term
+        np.multiply(self.lo, f[:-2], out)
+        out += np.multiply(self.mid, f[1:-1], term)
+        out += np.multiply(self.up, f[2:], term)
+        return out
 
     def diagonals(self, a):
         """(d, e) of sigma rho_ref / kappa - a S on the interior nodes: d =
@@ -226,12 +251,13 @@ class RadialScheme:
     `ops` before calling this constructor.  `r`, the radial nodes, is lifted
     too; `ops.r` keeps the nodes themselves.  The CFL cell `h_cell` and its
     square `h_cfl2` are the radial `h` here; a subclass with more axes
-    overrides both.  A subclass supplies `rhs(state, split)` returning
-    (rho_t, *m_t), one momentum rate per entry of `state.velocity`
-    (split=True leaves out the implicit viscous rows), `_advective_limit`,
-    `cfl_dt`, `state_of(rho, u)`, the state of a radial profile, `lines`,
-    the `ViscousLine` of each velocity component, and `_factor(a)`, the
-    solve of each component's implicit system at a = gamma dt.
+    overrides both.  `step` advances U = (rho, m_1, ..., m_k), m_i = rho u_i
+    for each entry of `state.velocity`, as one (1 + k, *state shape) array.
+    A subclass supplies `rhs(state, split)` returning its rates as one fresh
+    array of that shape (split=True leaves out the implicit viscous rows),
+    `_advective_limit`, `cfl_dt`, `state_of(rho, u)`, the state of a radial
+    profile, `lines`, the `ViscousLine` of each velocity component, and
+    `_factor(a)`, the solve of each component's implicit system at a = gamma dt.
     """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
@@ -251,8 +277,6 @@ class RadialScheme:
         edges = np.concatenate([[r[0]], r_face, [r[-1]]])
         self.dual_vol = lift((edges[2:-1] ** 3 - edges[1:-2] ** 3) / 3.0)
         rf2 = r_face**2
-        self.r2 = lift(r**2)
-        self.face_w = lift(rf2 * 0.5)
         self.dr_pair = lift(r[2:] - r[:-2])  # centred pressure gradient
         # Rhie-Chow weights r_f^2 d_f / dr_f and r_f^2 d_f / 2 on faces
         # 1..M-2, with d_f = beta dr_f / c_f from the profile's sound speed
@@ -260,6 +284,15 @@ class RadialScheme:
         d_face = RHIE_CHOW_BETA * dr[1:-1] / (0.5 * (c[1:-2] + c[2:-1]))
         self.rc_p = lift(rf2[1:-1] * d_face / dr[1:-1])
         self.rc_g = lift(rf2[1:-1] * d_face * 0.5)
+        # face weights and dual volumes over a raveled stack of up to three
+        # fields, w entries a node; a pair across two fields weighs 0
+        w = self._stride = self.r[0].size
+        face_w, dual_vol = np.zeros((3,) + self.r.shape), np.ones((3,) + self.r.shape)
+        face_w[:, :-1], dual_vol[:, 1:-1] = lift(rf2 * 0.5), self.dual_vol
+        self._face_w, self._dual_vol = face_w.reshape(-1)[:-w], dual_vol.reshape(-1)[w:-w]
+        # the pressure, G and the Rhie-Chow gap, which never leave `rhs`
+        self._prs, self._grad = np.empty(self.r.shape), np.empty(self.dr_pair.shape)
+        self._gap, self._mean = np.empty(self.rc_p.shape), np.empty(self.rc_p.shape)
         # CFL cell size: the smaller of the two intervals at each node
         h = np.minimum(np.concatenate([dr[:1], dr]), np.concatenate([dr, dr[-1:]]))
         self.h = self.h_cell = lift(h)
@@ -268,7 +301,7 @@ class RadialScheme:
         h1, h2 = r[1] - r[0], r[2] - r[0]
         self.wall_w = (-(h1 + h2) / (h1 * h2), h2 / (h1 * (h2 - h1)),
                        -h1 / (h2 * (h2 - h1)))
-        self.wall_r2 = r[0] ** 2
+        self.wall_r2, self.wall_rr = float(r[0] ** 2), tuple((r[:3] ** 2).tolist())
         # the truncation row's third-order one-sided stencils: d_r on the last
         # 4 nodes, as floats, and (2 mu + lam)(d_rr + (2/r) d_r - 2/r^2) on 5
         d1 = fornberg_weights(r[-1], r[-4:], 1)[1]
@@ -304,46 +337,44 @@ class RadialScheme:
         """The radial viscous rows as one sparse (N, N) matrix."""
         return (self.K_line.rows() + self.K_far).tocsr()
 
-    def _flux_div(self, flux: np.ndarray) -> np.ndarray:
-        """-(1/r^2)(r^2 F)_r on the interior nodes from the face fluxes
-        r_f^2 F_f; 0 at both ends, which carry boundary rows instead."""
-        out = np.zeros(self.r.shape)
-        inner = out[1:-1]
-        np.subtract(flux[:-1], flux[1:], out=inner)
-        inner /= self.dual_vol
-        return out
+    def _radial_rates(self, g, rho):
+        """(F, raveled face fluxes, p, G) of the stack g = (m_1, m u_1), m_1 =
+        rho u_1 the radial momentum, and of the pressure p of rho.
 
-    def advect(self, g: np.ndarray) -> np.ndarray:
-        """`_flux_div` of the face fluxes r_f^2 (g_i + g_{i+1}) / 2."""
-        return self._flux_div(self.face_w * (g[:-1] + g[1:]))
-
-    def continuity(self, m: np.ndarray, prs: np.ndarray):
-        """(rho_t, face fluxes, G) of the radial continuity row.
-
-        G = (p_{i+1} - p_{i-1}) / (r_{i+1} - r_{i-1}) is the centred pressure
-        gradient on the interior nodes, which the momentum row uses too.  On
-        faces 1..M-2 the flux is the Rhie-Chow face flux
-        r_f^2 [(m_i + m_{i+1})/2 - d_f ((p_{i+1} - p_i)/dr_f - (G_i + G_{i+1})/2)];
-        the two end faces carry the plain average.  The wall row of rho_t is
-        -(r^2 m)_r / r^2 by one-sided into-domain differences, and its far
-        row is left 0 for `far_rates`.
+        F holds -(1/r^2)(r^2 F)_r on the interior nodes of the face fluxes
+        r_f^2 (g_i + g_{i+1})/2 of each row of g: the continuity row, then the
+        radial advection of each momentum.  On faces 1..M-2 the continuity
+        flux carries the Rhie-Chow correction -r_f^2 d_f ((p_{i+1} - p_i)/dr_f
+        - (G_i + G_{i+1})/2), G = (p_{i+1} - p_{i-1}) / (r_{i+1} - r_{i-1})
+        the centred pressure gradient, which the momentum row uses too.  The
+        wall row of rho_t is -(r^2 m_1)_r / r^2 by one-sided into-domain
+        differences; the caller sets the other end rows.
         """
-        grad = (prs[2:] - prs[:-2]) / self.dr_pair
-        flux = self.face_w * (m[:-1] + m[1:])
-        gap = prs[2:-1] - prs[1:-2]
+        prs = pressure_unchecked(rho, self.params, self._prs)
+        grad = np.subtract(prs[2:], prs[:-2], self._grad)
+        grad /= self.dr_pair
+        w = self._stride
+        flat = g.reshape(-1)
+        flux = flat[:-w] + flat[w:]
+        flux *= self._face_w[:flux.size]
+        gap = np.subtract(prs[2:-1], prs[1:-2], self._gap)
         gap *= self.rc_p
-        mean = grad[:-1] + grad[1:]
+        mean = np.add(grad[:-1], grad[1:], self._mean)
         mean *= self.rc_g
         gap -= mean
-        flux[1:-1] -= gap
-        rho_t = self._flux_div(flux)
-        r2m = self.r2[:3] * m[:3]
-        w0, w1, w2 = self.wall_w
-        rho_t[0] = -(w0 * r2m[0] + w1 * r2m[1] + w2 * r2m[2]) / self.wall_r2
-        return rho_t, flux, grad
+        flux[w:w + gap.size] -= gap.reshape(-1)
+        F = np.zeros(g.shape)
+        inner = F.reshape(-1)[w:-w]
+        np.subtract(flux[:-w], flux[w:], inner)
+        inner /= self._dual_vol[:inner.size]
+        m0, m1, m2 = self._rows(g[0, :3], 3)
+        (w0, w1, w2), (r0, r1, r2) = self.wall_w, self.wall_rr
+        F[0, 0] = -(w0 * (r0 * m0) + w1 * (r1 * m1) + w2 * (r2 * m2)) / self.wall_r2
+        return F, flux, prs, grad
 
     def _rows(self, f: np.ndarray, k: int):
-        """The last k radial rows of f, as the far-end arithmetic takes them."""
+        """The last k radial rows of f, as the arithmetic at either end takes
+        them."""
         return f[-k:]
 
     def far_rates(self, rho, u, s_rho, s_m):
@@ -385,13 +416,13 @@ class RadialScheme:
 
     def _viscous_limit(self, rho) -> float:
         """The explicit viscous limit min h_cfl2 rho / (2 mu + lam)."""
-        return float(np.min(self.h_cfl2 * rho)) / self.visc
+        return float((self.h_cfl2 * rho).min()) / self.visc
 
     def _remainder_limit(self, rho) -> float:
         """The limit of the explicit viscous remainder: none while
         rho_ref / rho <= ARS_SPLIT_RATIO at every node, the viscous one past
         that."""
-        if np.min(rho * self.inv_rho_ref) >= 1.0 / ARS_SPLIT_RATIO:
+        if (rho * self.inv_rho_ref).min() >= 1.0 / ARS_SPLIT_RATIO:
             return math.inf
         return self._viscous_limit(rho)
 
@@ -405,7 +436,7 @@ class RadialScheme:
     def steady_residual(self) -> float:
         """max |rhs| on the profile."""
         rates = self.rhs(self.state_of(self.profile.rho_t, self.profile.u_t))
-        return float(max(np.max(np.abs(f)) for f in rates))
+        return float(np.abs(rates).max())
 
     def apply_bc(self, state) -> None:
         """Wall: u_r = u_b.  Far end: the incoming invariant w- takes its
@@ -432,52 +463,53 @@ class RadialScheme:
           U2 = U + a F_E(U) + a F_I(U2),
           U3 = U + dt (delta F_E(U) + (1 - delta) F_E(U2)
                        + (1 - gamma) F_I(U2)) + a F_I(U3),
-        and U3 is the new state.  F_I(U2) is recovered from the stage-2 solve
-        as (m2 - m2*) / a, so each step evaluates `rhs` twice and solves
-        each component's implicit system twice.
+        and U3 is the new state, U = (rho, m_1, ..., m_k) one array, so that
+        each stage sum is one array operation per term.  F_I(U2) is recovered
+        from the stage-2 solve as (m2 - m2*) / a, so each step evaluates `rhs`
+        twice and solves each component's implicit system twice.
 
         limit is cfl_dt(state, 1.0), which also checks the density of state;
         a caller that has just computed it passes it on.
         """
         if limit is None:
             limit = self.cfl_dt(state, 1.0)
-        if dt > safety * limit * 1.05:  # slack for a fixed dt on a drifting state
+        # slack for a fixed dt on a drifting state; a NaN dt or limit fails too
+        if not dt <= safety * limit * 1.05:
             raise CFLViolation(f"dt = {dt:.3e} exceeds {safety:.2f} x {limit:.3e}")
         a = ARS_GAMMA * dt
-        rho0 = state.rho
-        m0 = [rho0 * u for u in state.velocity]
-        r1, *e1 = self.rhs(state, split=True)
-        m2s = [mk + a * e for mk, e in zip(m0, e1)]
-        s2, m2 = self._implicit_stage(state, state.t + a, rho0 + a * r1, m2s, a)
-        r2, *e2 = self.rhs(s2, split=True)
-        c1, c2 = dt * ARS_DELTA, dt * (1.0 - ARS_DELTA)
-        m3s = []
-        for mk, x1, x2, mi, ms in zip(m0, e1, e2, m2, m2s):
-            m = mk + c1 * x1 + c2 * x2
-            m[1:-1] += (1.0 - ARS_GAMMA) / ARS_GAMMA * (mi - ms[1:-1])
-            m3s.append(m)
-        out, _ = self._implicit_stage(state, state.t + dt, rho0 + c1 * r1 + c2 * r2,
-                                      m3s, a)
+        u0 = np.array((state.rho,) + tuple(state.rho * v for v in state.velocity))
+        f1 = self.rhs(state, split=True)
+        u2 = a * f1
+        u2 += u0
+        s2, m2 = self._implicit_stage(state, state.t + a, u2, a)
+        u3, f2 = f1, self.rhs(s2, split=True)  # summed in F_E(U)'s array
+        u3 *= dt * ARS_DELTA
+        u3 += u0
+        f2 *= dt * (1.0 - ARS_DELTA)
+        u3 += f2
+        u3[1:, 1:-1] += (1.0 - ARS_GAMMA) / ARS_GAMMA * (m2 - u2[1:, 1:-1])
+        out, _ = self._implicit_stage(state, state.t + dt, u3, a)
         return out
 
-    def _implicit_stage(self, state, t: float, rho, m_star: list, a: float):
-        """The stage at time t with density rho and explicit momenta m_star:
-        the boundary conditions on m_star / rho, then the implicit solve on
-        the interior rows.  Returns the stage state and its interior momenta."""
+    def _implicit_stage(self, state, t: float, u, a: float):
+        """The stage at time t of the explicit values u = (rho, *m_star): the
+        boundary conditions on m_star / rho, then the implicit solve on the
+        interior rows.  Returns the stage state and its interior momenta."""
+        rho, *m_star = u
         check_positive(rho, t)
         velocity = [np.empty(rho.shape) for _ in m_star]
-        for u, ms in zip(velocity, m_star):
-            u[-1] = ms[-1] / rho[-1]  # `apply_bc` reads the far node and sets both ends
+        for v, ms in zip(velocity, m_star):
+            v[-1] = ms[-1] / rho[-1]  # `apply_bc` reads the far node and sets both ends
         st = state.advanced(t, rho, velocity)
         self.apply_bc(st)
         if a != self._factor_a:  # one factorisation per distinct gamma dt
             self._factor_a, self._solves = a, self._factor(a)
         inv = self.inv_rho_ref
         m = []
-        for line, solve, ms, u in zip(self.lines, self._solves, m_star, velocity):
-            b = line.load(ms, rho[0] * u[0] * inv[0], rho[-1] * u[-1] * inv[-1], a)
+        for line, solve, ms, v in zip(self.lines, self._solves, m_star, velocity):
+            b = line.load(ms, rho[0] * v[0] * inv[0], rho[-1] * v[-1] * inv[-1], a)
             mi = line.back * solve(b)
-            np.divide(mi, rho[1:-1], out=u[1:-1])
+            np.divide(mi, rho[1:-1], v[1:-1])
             m.append(mi)
         return st, m
 
@@ -489,9 +521,11 @@ class SymSolver(RadialScheme):
         self.ops = SymOps(profile.grid, params.dim_n)
         super().__init__(profile, params, forcing)
         self.lines = (self.K_line,)
+        self._remainder = np.empty(self.r.shape)
 
     def rhs(self, state: SymState, split: bool = False):
-        """(rho_t, m_t) with m = rho u; boundary nodes handled one-sided.
+        """(rho_t, m_t) with m = rho u, one fresh (2, N) array; boundary nodes
+        handled one-sided.
 
         split=True, the stage rates of `step`, leaves out the implicit part
         K(m / rho_ref) of the interior viscous rows, so they carry the
@@ -501,25 +535,27 @@ class SymSolver(RadialScheme):
         rho, u = state.rho, state.u_rad
         if not split:
             check_positive(rho, state.t)
-        m = rho * u
-        prs = pressure_unchecked(rho, self.params)
-        rho_t, _, grad = self.continuity(m, prs)
-
-        m_t = self.advect(m * u)
+        g = np.empty((2,) + rho.shape)  # (m, m u)
+        m = np.multiply(rho, u, g[0])
+        np.multiply(m, u, g[1])
+        rates, _, _, grad = self._radial_rates(g, rho)
+        rho_t, m_t = rates[0], rates[1]
         m_t[1:-1] -= grad
-        m_t[1:-1] += self.K_line.apply(u - m * self.inv_rho_ref if split else u)
+        e = self._remainder  # u - m / rho_ref, if split
+        e = np.subtract(u, np.multiply(m, self.inv_rho_ref, e), e) if split else u
+        m_t[1:-1] += self.K_line.apply(e)
         # K's truncation row, summed as a CSR row: the source of `far_rates`
         f0, f1, f2, f3, f4 = self.far_w
         u0, u1, u2, u3, u4 = u[-5:].tolist()
         s_rho, s_m = 0.0, f0 * u0 + f1 * u1 + f2 * u2 + f3 * u3 + f4 * u4
         if self.forcing is not None:
             f_rho, f_m = self.forcing(state.t, self.r)
-            rho_t = rho_t + f_rho
-            m_t = m_t + f_m
+            rho_t += f_rho
+            m_t += f_m
             s_rho, s_m = f_rho[-1], s_m + f_m[-1]
         m_t[0] = 0.0
         rho_t[-1], m_t[-1] = self.far_rates(rho, u, s_rho, s_m)
-        return rho_t, m_t
+        return rates
 
     def _rows(self, f: np.ndarray, k: int):
         return f[-k:].tolist()  # Python floats: faster than numpy scalars
@@ -531,7 +567,7 @@ class SymSolver(RadialScheme):
         """min h / (|u| + c)."""
         speed = np.abs(state.u_rad)
         speed += self._sound_speed(state.rho)
-        return float(np.min(self.h_cell / speed))
+        return float(np.divide(self.h_cell, speed, speed).min())
 
     def cfl_dt(self, state: SymState, safety: float) -> float:
         """safety x the advective and the remainder limit."""
@@ -539,9 +575,8 @@ class SymSolver(RadialScheme):
 
     def mass_balance(self, state: SymState):
         """Rate of change of the finite-volume mass vs boundary fluxes."""
-        rho_t, flux, _ = self.continuity(state.rho * state.u_rad,
-                                         pressure_unchecked(state.rho, self.params))
-        interior = float(np.sum(self.dual_vol * rho_t[1:-1]))
+        rates, flux, *_ = self._radial_rates((state.rho * state.u_rad)[None], state.rho)
+        interior = float(np.sum(self.dual_vol * rates[0, 1:-1]))
         boundary = float(flux[0] - flux[-1])
         return interior, boundary
 
@@ -565,24 +600,25 @@ class SymSolver(RadialScheme):
         grid, u_b = self.profile.grid, self.params.u_b
         rho_far, u_far = self.bc_far(0.0)
         w_in = u_far - self._invariant(rho_far)
-        free = np.ones(2 * self.r.size, bool)  # (rho_i, u_i) node by node
-        free[[1, -1]] = False
+        # z holds (rho_i, u_i) node by node, but u at both ends; perm takes
+        # its entries from, and puts them into, the raveled stack (rho, u)
+        n = self.r.size
+        free = np.delete(np.arange(2 * n), [1, 2 * n - 1])
+        perm = free % 2 * n + free // 2
 
         def state(z):
-            x = np.empty(free.size)
-            x[free] = z
-            rho, u = x[0::2].copy(), x[1::2].copy()
+            x = np.empty(2 * n)
+            x[perm] = z
+            rho, u = x[:n], x[n:]
             u[0], u[-1] = u_b, w_in + self._invariant(rho[-1])
             return SymState(0.0, grid, rho, u)
 
         def residual(z):
-            return np.column_stack(self.rhs(state(z))).ravel()[free]
+            return self.rhs(state(z)).reshape(-1)[perm]
 
         # rows reach 4 columns up (the Rhie-Chow flux) and 8 down (the far row)
         lower, upper = 8, 4
-        width = lower + upper + 1
-        z = np.column_stack([self.profile.rho_t, self.profile.u_t]).ravel()[free]
-        rows = np.arange(z.size)
+        z = np.concatenate((self.profile.rho_t, self.profile.u_t))[perm]
         prev = np.inf
         for it in range(11):
             f = residual(z)
@@ -590,16 +626,8 @@ class SymSolver(RadialScheme):
             if res <= 1e-13 or res > 0.5 * prev or it == 10:
                 break
             prev = res
-            step = 1.5e-8 * np.maximum(np.abs(z), 1.0)
-            band = np.zeros((width, z.size))
-            for k in range(width):
-                zk = z.copy()
-                zk[k::width] += step[k::width]
-                col = rows - lower + (k - rows + lower) % width
-                ok = (col >= 0) & (col < z.size)
-                band[upper + rows[ok] - col[ok], col[ok]] = (
-                    (residual(zk) - f)[ok] / (zk - z)[col[ok]])
-            z = z - solve_banded((lower, upper), band, f)
+            jac = banded_jacobian(residual, z, f, lower, upper)
+            z = z - solve_banded((lower, upper), jac, f)
         if not res <= 1e-10:
             raise NonConvergence(it, res, "the scheme's equilibrium did not "
                                  f"converge (iterations={it}, residual={res:.3e})")

@@ -79,12 +79,15 @@ def _check_positive_density(rho) -> None:
 def pressure(rho, params: FluidParams):
     """P(rho) = K rho^gamma."""
     _check_positive_density(rho)
-    return pressure_unchecked(np.asarray(rho, dtype=float), params)
+    r = np.asarray(rho, dtype=float)
+    return pressure_unchecked(r, params, np.empty(r.shape))[()]  # a scalar for a scalar rho
 
 
-def pressure_unchecked(rho: np.ndarray, params: FluidParams) -> np.ndarray:
-    """P(rho) of a density array the caller has already checked positive."""
-    return params.k_pressure * rho ** params.gamma
+def pressure_unchecked(rho: np.ndarray, params: FluidParams, out: np.ndarray) -> np.ndarray:
+    """P(rho) into out, of a density array the caller has checked positive."""
+    np.power(rho, params.gamma, out)
+    out *= params.k_pressure
+    return out
 
 
 def dpressure(rho, params: FluidParams):

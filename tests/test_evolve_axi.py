@@ -453,6 +453,19 @@ def test_cfl_violation(small_profile, acc_params, agrid):
         solver.step(st, solver.cfl_dt(st, 5.0))
 
 
+def test_a_nan_limit_is_a_cfl_violation(small_profile, acc_params, agrid):
+    """A NaN velocity makes the 2D limit NaN, and the step stops on the CFL
+    check with both values in its message."""
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
+    solver.apply_bc(st)
+    dt = solver.cfl_dt(st, 0.4)
+    st.u_r[40, 3] = np.nan
+    assert np.isnan(solver.cfl_dt(st, 1.0))
+    with pytest.raises(CFLViolation, match=rf"^dt = {dt:.3e} exceeds 0\.40 x nan$"):
+        solver.step(st, dt)
+
+
 def test_positivity_loss_raised(small_profile, acc_params, agrid):
     def drain(t, r, theta):
         shape = (r.size, theta.size)
@@ -605,6 +618,28 @@ def test_rhs_and_mass_balance_do_not_depend_on_memory_order(small_profile, acc_p
     for a, b in zip(solver.rhs(st), solver.rhs(fst)):
         assert a.tobytes() == np.ascontiguousarray(b).tobytes()
     assert solver.mass_balance(st) == solver.mass_balance(fst)
+
+
+def test_step_neither_changes_nor_shares_its_input(small_profile, acc_params, agrid):
+    """The stacked step works on its own arrays: the input state, with a
+    nonzero u_theta, keeps every byte, and the state it returns shares no
+    memory with it."""
+    solver, st = _stepped_state(small_profile, acc_params, agrid)
+    fields = (st.rho, st.u_r, st.u_theta)
+    before = [f.tobytes() for f in fields]
+    out = solver.step(st, solver.cfl_dt(st, 0.4))
+    assert [f.tobytes() for f in fields] == before
+    assert not any(np.shares_memory(a, b) for a in (out.rho, *out.velocity) for b in fields)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_successive_rates_share_no_memory(small_profile, acc_params, agrid, split):
+    """Each rhs is a fresh array, so the memory-order test above compares two
+    results and not one buffer with itself."""
+    solver, st = _stepped_state(small_profile, acc_params, agrid)
+    first, second = solver.rhs(st, split=split), solver.rhs(st, split=split)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
 
 
 def test_theta_flux_divergence_equals_the_zero_filled_flux_form(small_profile,

@@ -200,6 +200,45 @@ def test_cfl_violation_raised(run_profile, acc_params):
         solver.step(st, dt)
 
 
+def test_a_nan_limit_or_step_is_a_cfl_violation(small_profile, acc_params):
+    """A NaN velocity makes the limit NaN, and the step stops on the CFL
+    check with both values in its message, not on a later positivity scan;
+    so does a NaN dt."""
+    solver = SymSolver(small_profile, acc_params)
+    st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
+    solver.apply_bc(st)
+    dt = solver.cfl_dt(st, 0.4)
+    with pytest.raises(CFLViolation, match=r"^dt = nan exceeds 0\.40 x \d"):
+        solver.step(st, float("nan"))
+    st.u_rad[40] = np.nan
+    assert np.isnan(solver.cfl_dt(st, 1.0))
+    with pytest.raises(CFLViolation, match=rf"^dt = {dt:.3e} exceeds 0\.40 x nan$"):
+        solver.step(st, dt)
+
+
+def test_step_neither_changes_nor_shares_its_input(small_profile, acc_params):
+    """The stacked step works on its own arrays: the input state keeps every
+    byte, and the state it returns shares no memory with it."""
+    solver = SymSolver(small_profile, acc_params)
+    st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
+    solver.apply_bc(st)
+    fields = (st.rho, st.u_rad)
+    before = [f.tobytes() for f in fields]
+    out = solver.step(st, solver.cfl_dt(st, 0.4))
+    assert [f.tobytes() for f in fields] == before
+    assert not any(np.shares_memory(a, b) for a in (out.rho, out.u_rad) for b in fields)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_successive_rates_share_no_memory(small_profile, acc_params, split):
+    """Each rhs is a fresh array: no scratch buffer of the solver leaks out."""
+    solver = SymSolver(small_profile, acc_params)
+    st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
+    first, second = solver.rhs(st, split=split), solver.rhs(st, split=split)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
+
+
 def test_positivity_loss_raised(run_profile, acc_params):
     drain = lambda t, r: (np.full_like(r, -1e6), np.zeros_like(r))  # noqa: E731
     solver = SymSolver(run_profile, acc_params, forcing=drain)

@@ -9,8 +9,9 @@ forcing.  The artefacts are the `RunResult` fields of
 three relaxation runs, the scheme's equilibrium that the runs of each
 geometry measure against, the arrays of one reformulation check per geometry,
 the arrays of the stepping kernels on the final states of the `sym_cfl` and
-`axi` runs (`rhs` of both solvers, the forced axisymmetric `rhs`, the angular
-stencil `d_theta` and `mass_balance`), each axisymmetric component's implicit solve
+`axi` runs (`rhs` of both solvers, whole and split, one `step` of each at 0.4
+x its CFL limit, the forced axisymmetric `rhs`, the angular stencil `d_theta`
+and `mass_balance`), each axisymmetric component's implicit solve
 of a seeded right-hand side for lambda = 0 and 2, the raw (lhs, rhs, ratio)
 of `hardy_check` for each field of the Hardy corpus, the per-point arrays
 behind the seed-0 `rr_cancel`
@@ -237,9 +238,6 @@ def equilibrium_results(params, sym_profile, axi_profile, agrid) -> None:
     from outflow.evolve_axi import AxiSolver
     from outflow.evolve_sym import SymSolver
 
-    if not hasattr(SymSolver, "equilibrium"):
-        print("absent  equilibrium")
-        return
     eq = SymSolver(sym_profile, params).equilibrium()
     _emit("equilibrium/sym", [eq.rho_t, eq.u_t])
     eq = SymSolver(axi_profile, params).equilibrium()
@@ -257,27 +255,23 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
     from outflow.evolve_axi import AxiSolver
     from outflow.evolve_sym import SymSolver
 
-    sym_rhs = SymSolver(sym_profile, params).rhs(sym_state)
-    for name, arr in zip(("rho_t", "m_t"), sym_rhs):
-        _emit(f"kernel/sym_cfl/rhs.{name}", arr)
+    _rates_and_step("kernel/sym_cfl", SymSolver(sym_profile, params), sym_state,
+                    ("rho_t", "m_t"))
 
     # the forcing lambdified without common subexpressions, on every tree, so
     # that these lines follow the solver and not the forcing's round-off
-    try:
-        fns = manufactured_axi(params, axi_profile.grid.r_max, cse=False)
-    except TypeError:  # a tree whose manufactured_axi takes no cse
-        fns = manufactured_axi(params, axi_profile.grid.r_max)
+    fns = manufactured_axi(params, axi_profile.grid.r_max, cse=False)
     rr, tt = np.meshgrid(axi_profile.r, agrid.centers, indexing="ij")
 
     def forcing(t, r, theta):
         return fns[3](rr, tt, t), fns[4](rr, tt, t), fns[5](rr, tt, t)
 
     solver = AxiSolver(axi_profile, params, agrid)
-    for label, s in (("rhs", solver),
-                     ("rhs_mms", AxiSolver(axi_profile, params, agrid,
-                                           forcing=forcing))):
-        for name, arr in zip(("rho_t", "mr_t", "mt_t"), s.rhs(axi_state)):
-            _emit(f"kernel/axi/{label}.{name}", arr)
+    names = ("rho_t", "mr_t", "mt_t")
+    _rates_and_step("kernel/axi", solver, axi_state, names)
+    forced = AxiSolver(axi_profile, params, agrid, forcing=forcing)
+    for name, arr in zip(names, forced.rhs(axi_state)):
+        _emit(f"kernel/axi/rhs_mms.{name}", arr)
     ops = solver.ops
     for field in ("rho", "u_r", "u_theta"):
         f = getattr(axi_state, field)
@@ -291,6 +285,19 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
         s = AxiSolver(axi_profile, dataclasses.replace(params, lam=lam), agrid)
         for name, solve in zip(("u_r", "u_theta"), s._factor(0.01)):
             _emit(f"kernel/axi/solve.{name}.lam_{lam:g}", solve(b.copy()))
+
+
+def _rates_and_step(group: str, solver, state, names) -> None:
+    """The rates of `solver.rhs` on state, whole and split, row by row, and
+    the fields of one step from it at 0.4 x its CFL limit."""
+    for label, split in (("rhs", False), ("rhs_split", True)):
+        for name, arr in zip(names, solver.rhs(state, split=split)):
+            _emit(f"{group}/{label}.{name}", arr)
+    out = solver.step(state, 0.4 * solver.cfl_dt(state, 1.0))
+    _emit(f"{group}/step.t", out.t)
+    for f in dataclasses.fields(out):
+        if isinstance(getattr(out, f.name), np.ndarray):
+            _emit(f"{group}/step.{f.name}", getattr(out, f.name))
 
 
 def _r(x):
