@@ -331,7 +331,7 @@ def _failed(man: Manifest, code: int, exc: Exception, label: str = "error",
     return code
 
 
-def dispatch(subcommand: str, cfg: Config, out_dir: str, run_dir: str = ".") -> int:
+def dispatch(subcommand: str, cfg: Config, out_dir: str, run_dir: str) -> int:
     """Run one subcommand; every exit, failed ones included, writes a manifest."""
     os.makedirs(out_dir, exist_ok=True)
     man = Manifest(subcommand, cfg, out_dir)
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         return _failed(Manifest(args.subcommand, None, args.out), EXIT_CONFIG,
                        exc, "config error")
     try:
-        return dispatch(args.subcommand, cfg, args.out, run_dir=args.run_dir)
+        return dispatch(args.subcommand, cfg, args.out, args.run_dir)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

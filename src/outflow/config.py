@@ -114,9 +114,9 @@ def parse_config(path: str) -> Config:
             raise ParseError(ln, raw.rstrip("\n"),
                              f"cannot parse {key} as {typ.__name__}")
     params = FluidParams(**param_kw)
-    report = validate_params(params)
-    if not report.ok:
-        raise ConstraintViolation("; ".join(report.violations))
+    violations = validate_params(params)
+    if violations:
+        raise ConstraintViolation("; ".join(violations))
     cfg = Config(params=params, **conf_kw)
     check_config(cfg)
     return cfg

@@ -9,7 +9,6 @@ it, which is what makes chi_V + chi_H >= 1 hold to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -19,8 +18,10 @@ from .sphops import to_spherical, unit_vectors
 __all__ = [
     "xi_tilde",
     "xi_tilde_prime",
-    "CutoffFamily",
-    "build_cutoffs",
+    "xi",
+    "xi_prime",
+    "chi",
+    "grad_chi",
     "WIDTH",
 ]
 
@@ -73,7 +74,7 @@ def _mollifier():
     """Gauss-Legendre nodes on [-WIDTH, WIDTH] and the quadrature weights of
     the normalised bump eta / (integral of eta), built once.
 
-    Every family and call shares the two arrays, so they are read-only.
+    Every call shares the two arrays, so they are read-only.
     """
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     nodes, weights = nodes * WIDTH, weights * WIDTH
@@ -86,44 +87,39 @@ def _mollifier():
     return nodes, kernel
 
 
-@dataclass(frozen=True)
-class CutoffFamily:
-    """Mollified angular cutoff and the derived chart partition functions."""
-
-    def _convolve(self, theta, kernel_of_base):
-        nodes, kernel = _mollifier()
-        theta = np.asarray(theta, dtype=float)
-        shifted = np.clip(theta[..., None] - nodes, 0.0, _PI)
-        return kernel_of_base(shifted) @ kernel
-
-    def xi(self, theta):
-        """Mollified profile, smooth with support exactly [pi/9, 8pi/9]."""
-        return self._convolve(theta, xi_tilde)
-
-    def xi_prime(self, theta):
-        return self._convolve(theta, xi_tilde_prime)
-
-    def chi(self, pts, chart: str):
-        """The chart's partition function xi(theta) at points (..., 3)."""
-        return self.xi(to_spherical(pts, chart)[1])
-
-    def grad_chi(self, pts, chart: str):
-        """Exact gradient xi'(theta) theta_hat / r, safe on the chart axis.
-
-        Near the axis xi' vanishes identically (outside the cutoff support),
-        so the otherwise-degenerate theta_hat direction is multiplied by zero.
-        """
-        pts = np.asarray(pts, dtype=float)
-        r, theta, _ = to_spherical(pts, chart)
-        coeff = self.xi_prime(theta) / r
-        out = np.zeros_like(pts)
-        live = coeff != 0.0
-        if np.any(live):
-            _, that, _ = unit_vectors(pts[live], chart, guard=False)
-            out[live] = coeff[live][..., None] * that
-        return out
+def _convolve(theta, kernel_of_base):
+    nodes, kernel = _mollifier()
+    theta = np.asarray(theta, dtype=float)
+    shifted = np.clip(theta[..., None] - nodes, 0.0, _PI)
+    return kernel_of_base(shifted) @ kernel
 
 
-def build_cutoffs() -> CutoffFamily:
-    """The mollified cutoff family, of half-width `WIDTH`."""
-    return CutoffFamily()
+def xi(theta):
+    """Mollified profile, smooth with support exactly [pi/9, 8pi/9]."""
+    return _convolve(theta, xi_tilde)
+
+
+def xi_prime(theta):
+    return _convolve(theta, xi_tilde_prime)
+
+
+def chi(pts, chart: str):
+    """The chart's partition function xi(theta) at points (..., 3)."""
+    return xi(to_spherical(pts, chart)[1])
+
+
+def grad_chi(pts, chart: str):
+    """Exact gradient xi'(theta) theta_hat / r, safe on the chart axis.
+
+    Near the axis xi' vanishes identically (outside the cutoff support),
+    so the otherwise-degenerate theta_hat direction is multiplied by zero.
+    """
+    pts = np.asarray(pts, dtype=float)
+    r, theta, _ = to_spherical(pts, chart)
+    coeff = xi_prime(theta) / r
+    out = np.zeros_like(pts)
+    live = coeff != 0.0
+    if np.any(live):
+        _, that, _ = unit_vectors(pts[live], chart)
+        out[live] = coeff[live][..., None] * that
+    return out

@@ -94,7 +94,7 @@ class SymOps:
     code written over `state.velocity` serves both geometries.
     """
 
-    def __init__(self, grid: RadialGrid, dim_n: int = 3):
+    def __init__(self, grid: RadialGrid, dim_n: int):
         self.grid = grid
         self.r = self.r_col = grid.nodes
         self.dim_n = dim_n
@@ -118,18 +118,15 @@ class SymOps:
         """(d_r w_r,): the derivatives `div`, `conv` and `vec_grad_sq` take as `dw`."""
         return (self.d1(w[0]),)
 
-    def div(self, w, dw=None) -> np.ndarray:
-        """Divergence of the radial field w_r(r) r_hat; dw may carry
-        `first_derivs(w)`."""
-        dw = self.first_derivs(w) if dw is None else dw
+    def div(self, w, dw) -> np.ndarray:
+        """Divergence of the radial field w_r(r) r_hat; dw is `first_derivs(w)`."""
         return dw[0] + (self.dim_n - 1) * w[0] / self.r
 
-    def conv(self, a, w, dw=None) -> tuple:
-        """(a . grad) w of radial fields."""
-        dw = self.first_derivs(w) if dw is None else dw
+    def conv(self, a, w, dw) -> tuple:
+        """(a . grad) w of radial fields; dw is `first_derivs(w)`."""
         return (a[0] * dw[0],)
 
-    def visc(self, w, mu: float, lam: float, dw=None, div=None) -> tuple:
+    def visc(self, w, mu: float, lam: float, dw, div) -> tuple:
         """mu lap w + (mu + lam) grad div w of a radial field, which is
         (2 mu + lam) d_r(div w) = (2 mu + lam) (g'' - (n-1) g' / r) / r^(n-1)
         with g = r^(n-1) w_r.  Each derivative of g is one stencil, so no
@@ -140,9 +137,8 @@ class SymOps:
         return ((2.0 * mu + lam) * (self.d2(g) - n1 * self.d1(g) / self.r)
                 / self.r**n1,)
 
-    def vec_grad_sq(self, w, dw=None) -> np.ndarray:
-        """|grad w|^2 of the radial field w_r(r) r_hat."""
-        dw = self.first_derivs(w) if dw is None else dw
+    def vec_grad_sq(self, w, dw) -> np.ndarray:
+        """|grad w|^2 of the radial field w_r(r) r_hat; dw is `first_derivs(w)`."""
         return dw[0] ** 2 + (self.dim_n - 1) * (w[0] / self.r) ** 2
 
     def wall_integral(self, f) -> float:
@@ -185,7 +181,7 @@ class AxiOps:
     # (their neighbours sit in the adjacent rows); those are then written from
     # the reflected value parity * f, the ghost of the padded stencil.
 
-    def d_theta(self, f: np.ndarray, parity: int = 1) -> np.ndarray:
+    def d_theta(self, f: np.ndarray, parity: int) -> np.ndarray:
         flat = np.ravel(f)
         out = np.empty(f.shape)
         np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
@@ -203,7 +199,7 @@ class AxiOps:
         u2 = self.lift(u)
         return (u2, np.zeros_like(u2))
 
-    def div(self, w, dw=None) -> np.ndarray:
+    def div(self, w, dw) -> np.ndarray:
         """Divergence of w = w_r r_hat + w_t theta_hat.  It differentiates
         r^2 w_r and sin(theta) w_t, so the `dw` of the shared signature is
         not used."""
@@ -221,7 +217,7 @@ class AxiOps:
     def first_derivs(self, w):
         """(d_r w_r, d_theta w_r, d_r w_t, d_theta w_t) of w = w_r r_hat + w_t theta_hat.
 
-        `conv`, `visc` and `vec_grad_sq` take them as `dw`, so a
+        `div`, `conv`, `visc` and `vec_grad_sq` take them as `dw`, so a
         caller that applies several of them to one field differentiates it
         once.
         """
@@ -229,16 +225,17 @@ class AxiOps:
         return (self.d_r(w_r), self.d_theta(w_r, parity=1),
                 self.d_r(w_t), self.d_theta(w_t, parity=-1))
 
-    def conv(self, a, w, dw=None):
-        """(a . grad) w plus the curvature couplings of the moving frame."""
+    def conv(self, a, w, dw):
+        """(a . grad) w plus the curvature couplings of the moving frame; dw
+        is `first_derivs(w)`."""
         (a_r, a_t), (w_r, w_t) = a, w
-        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w) if dw is None else dw
+        dr_r, dt_r, dr_t, dt_t = dw
         r = self.r_col
         c_r = a_r * dr_r + a_t * dt_r / r - a_t * w_t / r
         c_t = a_r * dr_t + a_t * dt_t / r + a_t * w_r / r
         return c_r, c_t
 
-    def visc(self, w, mu: float, lam: float, dw=None, div=None):
+    def visc(self, w, mu: float, lam: float, dw, div):
         """Viscous operator mu lap w + (mu + lam) grad div w, written as
         (2 mu + lam) grad div w - mu curl curl w.
 
@@ -248,12 +245,11 @@ class AxiOps:
         w_t and of d_theta w_r, so no radial stencil acts on another's output
         and the wall rows stay second order.  On a theta-independent field om
         and a vanish exactly: the polar row is 0 and the radial row is
-        `SymOps.visc` up to the rounding of the stencil sums.  dw may carry
-        `first_derivs(w)` and div `div(w)`.
+        `SymOps.visc` up to the rounding of the stencil sums.  dw is
+        `first_derivs(w)` and div is `div(w, dw)`.
         """
         w_r, w_t = w
-        _, dt_r, dr_t, _ = self.first_derivs(w) if dw is None else dw
-        d = self.div(w) if div is None else div
+        _, dt_r, dr_t, _ = dw
         r = self.r_col
         s = self.sin[None, :]
         k = 2.0 * mu + lam
@@ -264,14 +260,14 @@ class AxiOps:
         v_r = (k * ((self.d2_r(g) - 2.0 * self.d_r(g) / r) / r**2
                     + (self.d_r(a) - a / r) / r)
                - mu * self.d_theta(s * om, parity=1) / (r * s))
-        v_t = (k * self.d_theta(d, parity=1) / r
+        v_t = (k * self.d_theta(div, parity=1) / r
                + mu * (r * self.d2_r(w_t) + 2.0 * dr_t - self.d_r(dt_r)) / r)
         return v_r, v_t
 
-    def vec_grad_sq(self, w, dw=None) -> np.ndarray:
-        """|grad w|^2 of w = w_r r_hat + w_t theta_hat."""
+    def vec_grad_sq(self, w, dw) -> np.ndarray:
+        """|grad w|^2 of w = w_r r_hat + w_t theta_hat; dw is `first_derivs(w)`."""
         w_r, w_t = w
-        dr_r, dt_r, dr_t, dt_t = self.first_derivs(w) if dw is None else dw
+        dr_r, dt_r, dr_t, dt_t = dw
         r = self.r_col
         return (dr_r**2 + dr_t**2
                 + ((dt_r - w_t) / r) ** 2

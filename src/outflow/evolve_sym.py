@@ -184,7 +184,7 @@ class ViscousLine:
     """
 
     def __init__(self, sigma, kappa, cond, rho_ref, ndim: int):
-        self.sigma, self.kappa, self.cond, self.rho_ref = sigma, kappa, cond, rho_ref
+        self.sigma, self.kappa, self.cond = sigma, kappa, cond
         column = (-1,) + (1,) * (ndim - 1)
         self.scale = sigma.reshape(column)
         self.back = (rho_ref[1:-1] / kappa[1:-1]).reshape(column)  # m = back q
@@ -260,7 +260,7 @@ class RadialScheme:
     `_factor(a)`, the solve of each component's implicit system at a = gamma dt.
     """
 
-    def __init__(self, profile: SteadyProfile, params: FluidParams, forcing=None):
+    def __init__(self, profile: SteadyProfile, params: FluidParams, forcing):
         if params.dim_n != 3:
             raise ValueError("the evolution solver is three-dimensional")
         self.profile = profile
@@ -406,10 +406,8 @@ class RadialScheme:
         return self.inv_a * _floatwise(self._inv_density, rho)
 
     def _sound_speed(self, rho):
-        """c(rho) = c_coeff rho^c_exp; raises ValueError on a nonpositive
-        density (NaN is not positive)."""
-        if not rho.min() > 0.0:
-            raise ValueError("density must be positive")
+        """c(rho) = c_coeff rho^c_exp of a density that has passed
+        `check_positive`."""
         c = rho ** self.c_exp
         c *= self.c_coeff
         return c
@@ -429,8 +427,9 @@ class RadialScheme:
     def cfl_limits(self, state):
         """(advective, viscous): the advective limit and the explicit viscous
         limit, which together bound an explicit scheme's step.  `cfl_dt`
-        takes the advective one with `_remainder_limit`.  Raises ValueError
-        on a nonpositive density."""
+        takes the advective one with `_remainder_limit`.  Like `cfl_dt`, it
+        reads a density that has passed `check_positive`: `_relax` checks the
+        initial state and `_implicit_stage` each new one."""
         return self._advective_limit(state), self._viscous_limit(state.rho)
 
     def steady_residual(self) -> float:
@@ -468,10 +467,12 @@ class RadialScheme:
         from the stage-2 solve as (m2 - m2*) / a, so each step evaluates `rhs`
         twice and solves each component's implicit system twice.
 
-        limit is cfl_dt(state, 1.0), which also checks the density of state;
-        a caller that has just computed it passes it on.
+        limit is cfl_dt(state, 1.0); a caller that has just computed it passes
+        it on.  Without one, step first checks the density of state
+        (`check_positive`), which `cfl_dt` takes as checked.
         """
         if limit is None:
+            check_positive(state.rho, state.t)
             limit = self.cfl_dt(state, 1.0)
         # slack for a fixed dt on a drifting state; a NaN dt or limit fails too
         if not dt <= safety * limit * 1.05:

@@ -20,9 +20,11 @@ class RadialGrid:
         object.__setattr__(self, "nodes", r)
         if r.ndim != 1 or r.size < 17:
             raise ValueError("radial grid needs at least 17 nodes (M >= 16)")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("radial nodes must be finite")
         if r[0] != 1.0:
             raise ValueError("radial grid must start exactly at r = 1")
-        if np.any(np.diff(r) <= 0.0):
+        if not np.all(np.diff(r) > 0.0):  # written so that NaN fails too
             raise ValueError("radial nodes must be strictly increasing")
 
     @property
@@ -51,7 +53,7 @@ class AngularGrid:
     """
 
     nodes: np.ndarray = field(init=False)
-    n_cells: int = 32
+    n_cells: int
 
     def __post_init__(self):
         if self.n_cells < 7:

@@ -8,6 +8,9 @@ Taylor jets (`sphops.chart_jet`), so every equality between two of their
 compositions holds to round-off; the oracles they are compared with
 difference along Cartesian axes.  The radial-radial routes take the chart
 jet that the suite builds once per chart.
+The suite (`run_verify_ops`) varies only its seed: the corpus has
+CORPUS_POINTS points per chart and each commutator check takes the first
+COMMUTATOR_POINTS of them.
 The Hardy corpus carries closed-form gradients (`HARDY_GRADIENTS`);
 `hardy_check` falls back to Cartesian differences for a field given without
 one, and tells a vector field from a scalar one by the shape of its values.
@@ -20,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .cutoffs import CutoffFamily, build_cutoffs
+from . import cutoffs
 from .jets import partial
 from .sphops import (
     CHARTS,
@@ -64,7 +67,7 @@ class CheckRow:
     value: float
     tol: float
     passed: bool
-    note: str = ""
+    note: str
 
 
 def _row(name, value, tol, note=""):
@@ -89,6 +92,10 @@ class OpSample:
     points: dict  # chart -> (n, 3) array
 
 
+# the points per chart of the suite's corpus, and the first of them that
+# each commutator check takes
+CORPUS_POINTS = 100
+COMMUTATOR_POINTS = 20
 _CORPUS_RADII = (1.15, 4.0)
 _CORPUS_MARGIN = 0.15  # polar-angle margin inside each chart's cut-off support
 
@@ -100,7 +107,7 @@ def _corpus_points(rng, chart, n):
     return from_spherical(r, theta, phi, chart)
 
 
-def default_corpus(seed: int = 0, n_points: int = 100) -> OpSample:
+def default_corpus(seed: int, n_points: int = CORPUS_POINTS) -> OpSample:
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5, 8)
     x0 = np.array([1.2, 0.7, -0.5])
@@ -318,8 +325,8 @@ def _string_max(F, length, radial=True):
     return best
 
 
-def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
-                     n_points: int = 24, which=("theta", "phi"), rng_seed: int = 0):
+def commutator_check(kind: str, N: int, sample: OpSample, chart: str,
+                     n_points: int, which, rng_seed: int):
     """Equality and bound test for one commutator kind at one order.
 
     Equality: the commutator evaluated as a difference of operator
@@ -335,8 +342,7 @@ def commutator_check(kind: str, N: int, sample: OpSample, chart: str = "V",
     # the commutator's lhs differentiates N times an operator of order 1 or 2
     fr = chart_jet(pts, chart, N + (2 if kind in ("lap", "graddiv") else 1))
     rng = np.random.default_rng(rng_seed)
-    fam = build_cutoffs()
-    chi = fam.chi(pts, chart)
+    chi = cutoffs.chi(pts, chart)
 
     def draw(fields):
         """One field of the corpus, drawn by the seeded rng, on the chart jet."""
@@ -555,7 +561,7 @@ def _hat_relation_rows(sample):
     rows = []
     for chart in CHARTS:
         fr = chart_jet(sample.points[chart][:40], chart, 1)
-        hats = unit_vectors(fr.x, chart, guard=False)
+        hats = unit_vectors(fr.x, chart)
         _, s, c, rhat, that, phat = _frame(fr)
         ss, cc = s[..., None], c[..., None]
         D = lambda j, o: hats[j].deriv(o)  # noqa: E731
@@ -600,12 +606,12 @@ def _operator_rows(sample):
     return rows
 
 
-def _cutoff_rows(fam: CutoffFamily, rng):
+def _cutoff_rows(rng):
     rows = []
     x = rng.normal(size=(4000, 3))
     x /= radius(x, keepdims=True)
     x *= rng.uniform(1.0, 6.0, (4000, 1))
-    cv, ch = fam.chi(x, "V"), fam.chi(x, "H")
+    cv, ch = cutoffs.chi(x, "V"), cutoffs.chi(x, "H")
     rows.append(_row("cutoff/partition_min", 1.0 - np.min(cv + ch), 1e-10,
                      note="1 - min(chi_V + chi_H)"))
     rows.append(_row("cutoff/range", max(np.max(cv) - 1.0, -np.min(cv),
@@ -618,17 +624,17 @@ def _cutoff_rows(fam: CutoffFamily, rng):
     pts = x[:300]
     rhat = pts / radius(pts, keepdims=True)
     for chart in CHARTS:
-        g = fam.grad_chi(pts, chart)
+        g = cutoffs.grad_chi(pts, chart)
         rows.append(_row(f"cutoff/chi_{chart}_radial_grad",
                          np.max(np.abs(np.sum(rhat * g, axis=1))), 1e-8))
         azim = np.zeros(pts.shape[0])
-        chi = fam.chi(pts, chart)
+        chi = cutoffs.chi(pts, chart)
         sel = chi > 1e-13  # support lies inside the chart band
         if np.any(sel):
-            _, _, phat = unit_vectors(pts[sel], chart, guard=False)
+            _, _, phat = unit_vectors(pts[sel], chart)
             azim[sel] = np.abs(np.sum(phat * g[sel], axis=1))
         rows.append(_row(f"cutoff/chi_{chart}_azimuthal_grad", np.max(azim), 1e-8))
-        gfd = cart_grad(lambda p, c=chart: fam.chi(p, c), pts, h=2e-4)
+        gfd = cart_grad(lambda p, c=chart: cutoffs.chi(p, c), pts, h=2e-4)
         rows.append(_row(f"cutoff/chi_{chart}_grad_fd", np.max(np.abs(g - gfd)), 1e-5))
         cfit = float(np.max(np.sum(g[sel] ** 2, axis=1) / chi[sel])) if sel.any() else 0.0
         rows.append(CheckRow(f"cutoff/chi_{chart}_grad_sq_over_chi", cfit, np.inf, True,
@@ -636,22 +642,22 @@ def _cutoff_rows(fam: CutoffFamily, rng):
     return rows
 
 
-def run_verify_ops(seed: int = 0, n_points: int = 100,
-                   commutator_points: int = 20) -> list[CheckRow]:
-    """Full operator verification suite; returns one row per check."""
-    sample = default_corpus(seed=seed, n_points=n_points)
+def run_verify_ops(seed: int) -> list[CheckRow]:
+    """Full operator verification suite on the seeded corpus of CORPUS_POINTS
+    points per chart; returns one row per check."""
+    sample = default_corpus(seed)
     rng = np.random.default_rng(seed + 1)
     rows = []
     rows += _hat_relation_rows(sample)
     rows += _operator_rows(sample)
-    rows += _cutoff_rows(build_cutoffs(), rng)
+    rows += _cutoff_rows(rng)
 
     for kind in _KINDS:
         for N in (1, 2, 3):
             for chart in CHARTS:
                 which = ("r", "theta", "phi") if kind == "advect" else ("theta", "phi")
                 rep = commutator_check(kind, N, sample, chart=chart,
-                                       n_points=commutator_points, which=which,
+                                       n_points=COMMUTATOR_POINTS, which=which,
                                        rng_seed=seed + N)
                 rows.append(_row(f"commutator/{kind}/N{N}/{chart}",
                                  rep["max_equality_err"], 1e-4,

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "FluidParams",
-    "ValidationReport",
     "validate_params",
     "pressure",
     "dpressure",
@@ -39,15 +38,6 @@ class FluidParams:
     dim_n: int = 3
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 _CONSTRAINTS = (
     ("gamma >= 1", lambda p: p.gamma >= 1.0),
     ("k_pressure > 0", lambda p: p.k_pressure > 0.0),
@@ -59,16 +49,16 @@ _CONSTRAINTS = (
 )
 
 
-def validate_params(params: FluidParams) -> ValidationReport:
-    """Check every admissibility constraint; report all violations."""
-    bad = tuple(name for name, check in _CONSTRAINTS if not check(params))
-    return ValidationReport(ok=not bad, violations=bad)
+def validate_params(params: FluidParams) -> tuple[str, ...]:
+    """The name of every admissibility constraint that params violates;
+    empty, and so false, when they are admissible."""
+    return tuple(name for name, check in _CONSTRAINTS if not check(params))
 
 
 def require_valid(params: FluidParams) -> None:
-    report = validate_params(params)
-    if not report.ok:
-        raise ValueError("invalid fluid parameters: " + "; ".join(report.violations))
+    violations = validate_params(params)
+    if violations:
+        raise ValueError("invalid fluid parameters: " + "; ".join(violations))
 
 
 def _check_positive_density(rho) -> None:

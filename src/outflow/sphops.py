@@ -103,10 +103,12 @@ def from_spherical(r, theta, phi, chart: str):
     return _place(r * np.cos(phi) * s, r * np.sin(phi) * s, r * np.cos(theta), chart)
 
 
-def unit_vectors(pts, chart: str, guard: bool = True):
+def unit_vectors(pts, chart: str):
     """Orthonormal (r_hat, theta_hat, phi_hat) of the chart at each point.
 
-    Cartesian formulas, so they also run on a jet of points (guard=False).
+    Cartesian formulas, so they also run on a jet of points.  theta_hat and
+    phi_hat divide by the distance to the chart's axis, so on the axis they
+    are not finite; `chart_jet` is the guarded entry point.
     """
     _check_chart(chart)
     pts = _points(pts)
@@ -114,11 +116,6 @@ def unit_vectors(pts, chart: str, guard: bool = True):
     rhat = pts / r
     x1, tan, pole = (pts[..., i] for i in _AXES[chart])
     cyl = np.hypot(x1, tan)
-    if guard and np.any(cyl / r[..., 0] < SIN_GUARD):
-        raise AxisDegeneracy(
-            f"point too close to the {chart}-chart axis "
-            f"(sin theta < {SIN_GUARD:.4f})"
-        )
     denom = r[..., 0] * cyl
     that = _place(x1 * pole / denom, tan * pole / denom, -(cyl**2) / denom, chart)
     phat = _place(-tan / cyl, x1 / cyl, np.zeros_like(x1), chart)
@@ -197,7 +194,7 @@ def _stencil(order: int):
     return nodes[keep], w[keep]
 
 
-def cart_partial(field, orders, h: float = 1e-3):
+def cart_partial(field, orders, h: float):
     """Mixed Cartesian partial d_1^a d_2^b d_3^c, axis-aligned fourth-order stencils.
 
     field maps points (m, 3) to scalars (m,) or vectors (m, 3); the partial
@@ -227,17 +224,20 @@ def cart_partial(field, orders, h: float = 1e-3):
     return apply
 
 
-# Cartesian finite-difference oracles (single-level stencils, high accuracy).
+# Cartesian finite-difference oracles (single-level stencils, high accuracy);
+# the ones with no step argument difference at CART_H (times 1 + |x|)
+
+CART_H = 1e-3
 
 _EYE = np.eye(3, dtype=int)  # row i: the orders of a first partial along axis i
 
 
-def cart_grad(f, pts, h: float = 1e-3):
+def cart_grad(f, pts, h: float = CART_H):
     cols = [cart_partial(f, tuple(_EYE[i]), h)(pts) for i in range(3)]
     return np.stack(cols, axis=-1)
 
 
-def cart_grad_sq(f, pts, h: float = 1e-3):
+def cart_grad_sq(f, pts, h: float):
     """|grad F|^2, summed over the components of a vector field.
 
     One Cartesian partial per axis, a vector pass for a vector field, whose
@@ -251,33 +251,33 @@ def cart_grad_sq(f, pts, h: float = 1e-3):
     return s[..., 0] + s[..., 1] + s[..., 2] if s.shape == np.shape(pts) else s
 
 
-def cart_div(v, pts, h: float = 1e-3):
+def cart_div(v, pts):
     out = 0.0
     for i in range(3):
-        out = out + cart_partial(lambda p, i=i: v(p)[..., i], tuple(_EYE[i]), h)(pts)
+        out = out + cart_partial(lambda p, i=i: v(p)[..., i], tuple(_EYE[i]), CART_H)(pts)
     return out
 
 
-def cart_lap(f, pts, h: float = 1e-3):
+def cart_lap(f, pts):
     out = 0.0
     for i in range(3):
-        out = out + cart_partial(f, tuple(2 * _EYE[i]), h)(pts)
+        out = out + cart_partial(f, tuple(2 * _EYE[i]), CART_H)(pts)
     return out
 
 
-def cart_vec_lap(v, pts, h: float = 1e-3):
+def cart_vec_lap(v, pts):
     return np.stack(
-        [cart_lap(lambda p, j=j: v(p)[..., j], pts, h) for j in range(3)], axis=-1
+        [cart_lap(lambda p, j=j: v(p)[..., j], pts) for j in range(3)], axis=-1
     )
 
 
-def cart_grad_div(v, pts, h: float = 1e-3):
+def cart_grad_div(v, pts):
     """grad(div V) via direct mixed second partials (no nesting)."""
     cols = []
     for i in range(3):
         acc = 0.0
         for j in range(3):
             acc = acc + cart_partial(lambda p, j=j: v(p)[..., j],
-                                     tuple(_EYE[i] + _EYE[j]), h)(pts)
+                                     tuple(_EYE[i] + _EYE[j]), CART_H)(pts)
         cols.append(acc)
     return np.stack(cols, axis=-1)

@@ -151,7 +151,7 @@ def _solve_once(params: FluidParams, grid: RadialGrid, tol: float, guess=None):
                      max_nodes=max(4 * grid.nodes.size, 20000), verbose=0)
 
 
-def solve_steady(params: FluidParams, grid: RadialGrid, tol: float = 1e-8) -> SteadyProfile:
+def solve_steady(params: FluidParams, grid: RadialGrid, tol: float) -> SteadyProfile:
     """Solve the stationary boundary-value problem on the given grid.
 
     Raises NonConvergence when the collocation Newton iteration stalls even
@@ -206,12 +206,12 @@ class RateReport:
     slopes: dict
     targets: dict
     prefactor_ratio: dict
-    tolerances: dict
+    slope_tol: float
 
     @property
     def verdicts(self) -> dict:
-        """Per key, whether its slope lies within its tolerance of its target."""
-        return {k: abs(self.slopes[k] - self.targets[k]) <= self.tolerances[k]
+        """Per key, whether its slope lies within slope_tol of its target."""
+        return {k: abs(self.slopes[k] - self.targets[k]) <= self.slope_tol
                 for k in self.targets}
 
     @property
@@ -229,7 +229,7 @@ def _loglog_slope(r, q):
 _MIN_DECADES = 1.0  # the least span of the fit window, in decades of r
 
 
-def verify_decay(profile: SteadyProfile, slope_tol: float = 0.2) -> RateReport:
+def verify_decay(profile: SteadyProfile, slope_tol: float) -> RateReport:
     """Least-squares log-log decay rates over the window [R^0.4, R^0.9].
 
     Fits the far-field rates of the density/velocity derivatives against
@@ -277,9 +277,8 @@ def verify_decay(profile: SteadyProfile, slope_tol: float = 0.2) -> RateReport:
         compensated = q * rw ** float(-targets[key])
         pos = compensated[compensated > 0]
         ratios[key] = float(np.max(pos) / np.min(pos)) if pos.size else np.inf
-    tols = {k: slope_tol for k in targets}
     return RateReport(window=(lo, hi), slopes=slopes, targets=targets,
-                      prefactor_ratio=ratios, tolerances=tols)
+                      prefactor_ratio=ratios, slope_tol=slope_tol)
 
 
 def div_u_profile(profile: SteadyProfile) -> tuple[np.ndarray, np.ndarray]:

@@ -70,7 +70,7 @@ def mms_sym_errors(acc_params):
     """Spherical manufactured-solution errors (e1, e2) on 96 and 192 nodes
     (r_max = 5, dt 2e-4 and 5e-5, t = 0.2), computed once for the order
     test and criterion 10."""
-    prof = solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
+    prof = solve_steady(acc_params, RadialGrid.uniform(5.0, 96), tol=1e-8)
     fns = manufactured_sym(acc_params, 5.0)
     return (mms_error(acc_params, prof, 96, 2.0e-4, 0.2, fns),
             mms_error(acc_params, prof, 192, 0.5e-4, 0.2, fns))

@@ -32,7 +32,7 @@ def manufactured_sym(params, r_max):
 def mms_error(params, profile, m, dt, t_fin, fns):
     rho_f, u_f, s_rho_f, s_m_f = fns
     grid = RadialGrid.uniform(profile.grid.r_max, m)
-    prof = solve_steady(params, grid)
+    prof = solve_steady(params, grid, tol=1e-8)
     forcing = lambda t, r: (s_rho_f(r, t), s_m_f(r, t))  # noqa: E731
     solver = SymSolver(prof, params, forcing=forcing)
     solver.bc_far = lambda t: (rho_f(grid.r_max, t), u_f(grid.r_max, t))
@@ -90,7 +90,7 @@ def mms_error_axi(params, r_max, m_r, n_theta, dt, t_fin, fns):
     rho_f, ur_f, ut_f, s_rho_f, s_mr_f, s_mt_f = fns
     grid = RadialGrid.uniform(r_max, m_r)
     agrid = AngularGrid(n_cells=n_theta)
-    prof = solve_steady(params, grid)
+    prof = solve_steady(params, grid, tol=1e-8)
     rr, tt = np.meshgrid(grid.nodes, agrid.centers, indexing="ij")
 
     def forcing(t, r, theta):

@@ -327,6 +327,18 @@ def test_a_grid_too_small_is_a_config_error(tmp_path, sub, text, key):
     assert key in crit["message"]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # linspace to inf
+def test_an_infinite_truncation_radius_is_a_config_error(tmp_path):
+    """r_max = inf passes the config's own checks; the radial grid refuses
+    it, and the message says why."""
+    conf = _write(tmp_path, "r_max = inf\n")
+    out = tmp_path / "out"
+    assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+    crit = json.loads((out / "manifest.json").read_text())["criteria"]
+    assert crit["error"] == "ConstraintViolation"
+    assert "radial nodes must be finite" in crit["message"]
+
+
 @pytest.mark.parametrize("text, key", [
     ("cfl_safety = 0.0\n", "cfl_safety"),  # dt = 0 would never advance t
     ("cfl_safety = -0.4\n", "cfl_safety"),

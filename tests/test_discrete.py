@@ -145,12 +145,13 @@ def _sym_pairs(ops, field):
     w, w1, w2 = field
     r = ops.r
     v = (w(r),)
+    dv = ops.first_derivs(v)
     return {
-        "div": (ops.div(v), w1(r) + 2.0 * w(r) / r),
-        "visc": (ops.visc(v, MU, LAM)[0],
+        "div": (ops.div(v, dv), w1(r) + 2.0 * w(r) / r),
+        "visc": (ops.visc(v, MU, LAM, dv, ops.div(v, dv))[0],
                  (2.0 * MU + LAM) * (w2(r) + 2.0 * w1(r) / r - 2.0 * w(r) / r**2)),
-        "conv": (ops.conv(v, v)[0], w(r) * w1(r)),
-        "vec_grad_sq": (ops.vec_grad_sq(v), w1(r) ** 2 + 2.0 * (w(r) / r) ** 2),
+        "conv": (ops.conv(v, v, dv)[0], w(r) * w1(r)),
+        "vec_grad_sq": (ops.vec_grad_sq(v, dv), w1(r) ** 2 + 2.0 * (w(r) / r) ** 2),
     }
 
 
@@ -196,12 +197,14 @@ def test_axi_ops_on_a_lifted_radial_field_reduce_to_sym_ops(a, k, b):
         sym, axi = SymOps(grid, 3), AxiOps(grid, agrid)
         v, v2 = (w(sym.r),), axi.lift_velocity(w(sym.r))
         assert np.array_equal(v2[0], np.repeat(v[0][:, None], 8, axis=1))
+        d, d2 = sym.first_derivs(v), axi.first_derivs(v2)
+        div, div2 = sym.div(v, d), axi.div(v2, d2)
         pairs = {
-            "div": (axi.div(v2), sym.div(v)),
-            "visc": (axi.visc(v2, MU, LAM), sym.visc(v, MU, LAM)),
-            "conv": (axi.conv(v2, v2), sym.conv(v, v)),
+            "div": (div2, div),
+            "visc": (axi.visc(v2, MU, LAM, d2, div2), sym.visc(v, MU, LAM, d, div)),
+            "conv": (axi.conv(v2, v2, d2), sym.conv(v, v, d)),
             "grad": (axi.grad(v2[0]), sym.grad(v[0])),
-            "vec_grad_sq": (axi.vec_grad_sq(v2), sym.vec_grad_sq(v)),
+            "vec_grad_sq": (axi.vec_grad_sq(v2, d2), sym.vec_grad_sq(v, d)),
         }
         for name, (ax, sy) in pairs.items():
             if isinstance(ax, tuple):

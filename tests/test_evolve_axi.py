@@ -53,12 +53,12 @@ def _cartesian_visc(ops):
     mu lap u + (mu + lam) grad div u of the field's Cartesian extension."""
     def field(x):
         r, th, _ = to_spherical(x, "V")
-        rhat, that, _ = unit_vectors(x, "V", guard=False)
+        rhat, that, _ = unit_vectors(x, "V")
         return _ur(r, th)[..., None] * rhat + _ut(r, th)[..., None] * that
 
     r, th = np.meshgrid(ops.r, ops.theta, indexing="ij")
     pts = from_spherical(r.ravel(), th.ravel(), np.full(r.size, 0.3), "V")
-    rhat, that, _ = unit_vectors(pts, "V", guard=False)
+    rhat, that, _ = unit_vectors(pts, "V")
     cart = MU * cart_vec_lap(field, pts) + (MU + LAM) * cart_grad_div(field, pts)
     return ((_ur(r, th), _ut(r, th)),
             tuple(np.sum(cart * e, axis=-1).reshape(r.shape) for e in (rhat, that)))
@@ -72,8 +72,9 @@ def test_axi_visc_converges_to_the_cartesian_operator_at_second_order():
     for m, n_cells in ((64, 16), (128, 32), (256, 64)):
         ops = AxiOps(RadialGrid.uniform(5.0, m), AngularGrid(n_cells=n_cells))
         u, want = _cartesian_visc(ops)
+        du = ops.first_derivs(u)
         row = []
-        for g, w in zip(ops.visc(u, MU, LAM), want):
+        for g, w in zip(ops.visc(u, MU, LAM, du, ops.div(u, du)), want):
             err = np.abs(g - w)
             row += [np.max(err), np.max(err[0])]
         errs.append(row)
@@ -475,6 +476,16 @@ def test_positivity_loss_raised(small_profile, acc_params, agrid):
     st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
     with pytest.raises(PositivityLoss):
         solver.step(st, solver.cfl_dt(st, 0.4))
+
+
+def test_step_without_a_limit_checks_the_density(small_profile, acc_params, agrid):
+    """With no limit given, step checks the density before it computes one:
+    a zero density is a PositivityLoss, as on every other path."""
+    solver = AxiSolver(small_profile, acc_params, agrid)
+    st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
+    st.rho[5, 3] = 0.0
+    with pytest.raises(PositivityLoss, match="density hit zero"):
+        solver.step(st, 1e-4)
 
 
 def test_run_config_defaults_and_dt_check():

@@ -44,7 +44,7 @@ def test_rhs_vanishes_on_uniform_rest_state(acc_params):
     import dataclasses
 
     grid = RadialGrid.uniform(30.0, 128)
-    profile = solve_steady(acc_params, grid)
+    profile = solve_steady(acc_params, grid, tol=1e-8)
     solver = SymSolver(profile, acc_params)
     p0 = dataclasses.replace(acc_params, u_b=-1e-300)
     st = SymState(0.0, grid, np.full(grid.nodes.size, acc_params.rho_plus),
@@ -247,13 +247,23 @@ def test_positivity_loss_raised(run_profile, acc_params):
         solver.step(st, solver.cfl_dt(st, 0.4))
 
 
+def test_step_without_a_limit_checks_the_density(run_profile, acc_params):
+    """With no limit given, step checks the density before it computes one:
+    a zero density is a PositivityLoss, as on every other path."""
+    solver = SymSolver(run_profile, acc_params)
+    st = perturb_sym(run_profile, 0.02, (1.5, 3.0))
+    st.rho[5] = 0.0
+    with pytest.raises(PositivityLoss, match="density hit zero"):
+        solver.step(st, 1e-4)
+
+
 
 
 
 
 @pytest.fixture(scope="module")
 def mms_profile(acc_params):
-    return solve_steady(acc_params, RadialGrid.uniform(5.0, 96))
+    return solve_steady(acc_params, RadialGrid.uniform(5.0, 96), tol=1e-8)
 
 
 @pytest.mark.slow
@@ -299,7 +309,7 @@ def test_a_run_that_breaks_the_corridor_fails_on_the_corridor(acc_params):
 def test_amplitude_sweep(acc_params):
     """All sweep amplitudes decay past the target; peak energy is quadratic."""
     grid = RadialGrid.uniform(50.0, 512)
-    prof = solve_steady(acc_params, grid)
+    prof = solve_steady(acc_params, grid, tol=1e-8)
     peaks = []
     for amp in (0.01, 0.02, 0.04):
         cfg = SymRunConfig(t_end=40.0, amplitude=amp, support=(1.5, 3.0),
@@ -322,7 +332,7 @@ def test_truncation_radius_insensitivity(acc_params):
     results = {}
     for r_max, m in ((30.0, 232), (60.0, 472)):
         grid = RadialGrid.uniform(r_max, m)
-        prof = solve_steady(acc_params, grid)
+        prof = solve_steady(acc_params, grid, tol=1e-8)
         cfg = SymRunConfig(t_end=40.0, amplitude=0.02, support=(1.5, 3.0),
                            output_every=10**9, decay_target=1.0)
         res = run_sym_stability(prof, acc_params, cfg)

@@ -25,6 +25,15 @@ def test_radial_grid_invariants():
         RadialGrid(np.concatenate([[1.0], np.full(20, 2.0)]))  # not increasing
 
 
+@pytest.mark.parametrize("nodes", [
+    np.r_[1.0, 2.0, np.nan, 3.0:20.0],  # no order test sees a NaN pair
+    np.r_[np.linspace(1.0, 19.0, 19), np.inf],  # r_max = inf
+], ids=["nan", "inf"])
+def test_radial_grid_refuses_nodes_that_are_not_finite(nodes):
+    with pytest.raises(ValueError, match="radial nodes must be finite"):
+        RadialGrid(nodes)
+
+
 def test_angular_grid_invariants():
     a = AngularGrid(n_cells=16)
     assert a.nodes[0] == 0.0
@@ -101,9 +110,10 @@ def test_compatibility_of_a_lifted_radial_state_equals_the_radial_one(small_prof
                     np.repeat(st.u_rad[:, None], n_cells, 1), np.zeros((n_r, n_cells)))
     res_sym = compatibility_residual(st, small_profile, acc_params)
     res_axi = compatibility_residual(lift, small_profile, acc_params)
-    ops, u = SymOps(st.grid), st.velocity
-    terms = (st.rho * ops.conv(u, u)[0], ops.grad(pressure(st.rho, acc_params))[0],
-             ops.visc(u, acc_params.mu, acc_params.lam)[0])
+    ops, u = SymOps(st.grid, acc_params.dim_n), st.velocity
+    du = ops.first_derivs(u)
+    terms = (st.rho * ops.conv(u, u, du)[0], ops.grad(pressure(st.rho, acc_params))[0],
+             ops.visc(u, acc_params.mu, acc_params.lam, du, ops.div(u, du))[0])
     scale = max(abs(t[0]) for t in terms)
     assert res_axi[0] == res_sym[0] == 0.0
     assert abs(res_axi[1] - res_sym[1]) <= 1e-12 * scale
@@ -125,7 +135,7 @@ def test_states_residuals_do_not_import_the_axisymmetric_solver():
         "from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady",
         "from outflow.states import compatibility_residual, perturb_axi",
         "params = FluidParams(u_b=-0.05)",
-        "profile = solve_steady(params, RadialGrid.uniform(20.0, 32))",
+        "profile = solve_steady(params, RadialGrid.uniform(20.0, 32), tol=1e-8)",
         "state = perturb_axi(profile, AngularGrid(n_cells=8), 0.02, (1.5, 3.0))",
         "compatibility_residual(state, profile, params)",
         "loaded = sorted(m for m in sys.modules if m.startswith('outflow.evolve'))",

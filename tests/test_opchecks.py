@@ -233,7 +233,7 @@ def test_hardy_check_with_the_closed_gradient_matches_the_fallback(name):
 
 
 def test_full_suite_green():
-    rows = run_verify_ops(seed=0, n_points=100, commutator_points=16)
+    rows = run_verify_ops(seed=0)
     bad = [r for r in rows if not r.passed]
     assert not bad, bad
     # exact chart derivatives: each commutator equality holds to round-off
@@ -248,5 +248,5 @@ def test_full_suite_green():
 @settings(max_examples=6, deadline=None)
 def test_same_verdict_on_every_corpus_seed(seed):
     """The verdict does not depend on which smooth fields and points are drawn."""
-    bad = [r for r in run_verify_ops(seed=seed, commutator_points=4) if not r.passed]
+    bad = [r for r in run_verify_ops(seed=seed) if not r.passed]
     assert not bad, bad

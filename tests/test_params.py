@@ -31,7 +31,7 @@ def test_nonpositive_density_rejected():
 def test_validate_accepts_reference_set():
     p = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=0.0,
                     rho_plus=1.0, u_b=-0.01)
-    assert validate_params(p).ok
+    assert validate_params(p) == ()
 
 
 @pytest.mark.parametrize("kwargs,violated", [
@@ -45,9 +45,9 @@ def test_validate_accepts_reference_set():
     (dict(dim_n=1), "dim_n >= 2"),
 ])
 def test_validate_rejects_each_constraint(kwargs, violated):
-    report = validate_params(FluidParams(**kwargs))
-    assert not report.ok
-    assert violated in report.violations
+    violations = validate_params(FluidParams(**kwargs))
+    assert violations
+    assert violated in violations
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -56,7 +56,7 @@ def test_validate_rejects_each_constraint(kwargs, violated):
     dict(dim_n=2),
 ])
 def test_validate_boundary_cases_pass(kwargs):
-    assert validate_params(FluidParams(**kwargs)).ok
+    assert validate_params(FluidParams(**kwargs)) == ()
 
 
 @given(rho=st.floats(0.1, 5.0), gamma=st.floats(1.0, 3.0),

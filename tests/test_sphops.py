@@ -39,11 +39,8 @@ def test_reference_directions():
 def test_axis_degeneracy_raised():
     near_pole = np.array([[1e-3, 1e-3, 2.0]])
     with pytest.raises(AxisDegeneracy):
-        so.unit_vectors(near_pole, "V")
-    # same point is comfortably inside the complementary chart
-    so.unit_vectors(near_pole, "H")
-    with pytest.raises(AxisDegeneracy):
         so.chart_jet(near_pole, "V", 1)
+    # same point is comfortably inside the complementary chart
     assert so.chart_jet(near_pole, "H", 1).x[..., 0].deriv((0, 1, 0)).shape == (1,)
 
 
@@ -121,7 +118,7 @@ def test_frame_derivative_relations():
         _, th, _ = so.to_spherical(pts, chart)
         s, c = np.sin(th)[:, None], np.cos(th)[:, None]
         rhat, that, phat = so.unit_vectors(pts, chart)
-        hats = so.unit_vectors(so.chart_jet(pts, chart, 1).x, chart, guard=False)
+        hats = so.unit_vectors(so.chart_jet(pts, chart, 1).x, chart)
         hat = dict(zip("rtp", hats))
 
         def D(which, orders):

@@ -15,7 +15,7 @@ def test_zero_outflow_gives_constant_state():
     p = FluidParams(u_b=-0.0)
     with pytest.raises(Exception):
         # u_b = 0 violates the admissibility constraints outright
-        solve_steady(p, RadialGrid.uniform(50.0, 64))
+        solve_steady(p, RadialGrid.uniform(50.0, 64), tol=1e-8)
 
 
 def test_mass_flux_identity(acc_profile):
@@ -39,8 +39,8 @@ def test_far_field_value(acc_profile):
 
 def test_refinement_self_consistency(acc_params):
     """Doubling the mesh moves rho(1) by less than 1e-4 relative."""
-    rho1 = solve_steady(acc_params, RadialGrid.geometric(200.0, 1024)).rho_t[0]
-    rho2 = solve_steady(acc_params, RadialGrid.geometric(200.0, 2048)).rho_t[0]
+    rho1 = solve_steady(acc_params, RadialGrid.geometric(200.0, 1024), tol=1e-8).rho_t[0]
+    rho2 = solve_steady(acc_params, RadialGrid.geometric(200.0, 2048), tol=1e-8).rho_t[0]
     assert abs(rho1 - rho2) / rho2 <= 1e-4
 
 
@@ -51,7 +51,7 @@ def test_decay_rates_n3(acc_profile):
     prefactor dominates the second derivative, which therefore decays more
     slowly than the second density derivative (r^-2n).
     """
-    rep = verify_decay(acc_profile)
+    rep = verify_decay(acc_profile, slope_tol=0.2)
     assert abs(rep.slopes["rho_minus_rho_plus"] + 4) <= 0.2
     assert abs(rep.slopes["d_u"] + 3) <= 0.2
     assert abs(rep.slopes["d_rho"] + 5) <= 0.2
@@ -64,8 +64,8 @@ def test_decay_rates_n3(acc_profile):
 
 def test_decay_rates_n2():
     p = FluidParams(gamma=1.4, u_b=-0.03, dim_n=2)
-    prof = solve_steady(p, RadialGrid.geometric(400.0, 1536))
-    rep = verify_decay(prof)
+    prof = solve_steady(p, RadialGrid.geometric(400.0, 1536), tol=1e-8)
+    rep = verify_decay(prof, slope_tol=0.2)
     assert abs(rep.slopes["rho_minus_rho_plus"] + 2) <= 0.2
     assert abs(rep.slopes["d_u"] + 2) <= 0.2
     assert abs(rep.slopes["d_rho"] + 3) <= 0.2
@@ -79,8 +79,8 @@ def test_density_gradient_scales_with_ub_squared(acc_params):
     import dataclasses
 
     grid = RadialGrid.geometric(200.0, 1024)
-    prof1 = solve_steady(acc_params, grid)
-    prof2 = solve_steady(dataclasses.replace(acc_params, u_b=-0.025), grid)
+    prof1 = solve_steady(acc_params, grid, tol=1e-8)
+    prof2 = solve_steady(dataclasses.replace(acc_params, u_b=-0.025), grid, tol=1e-8)
     sel = (grid.nodes >= 8.0) & (grid.nodes <= 118.0)
     q1 = np.max(np.abs(prof1.d_rho[sel]) * grid.nodes[sel] ** 5)
     q2 = np.max(np.abs(prof2.d_rho[sel]) * grid.nodes[sel] ** 5)
@@ -106,9 +106,9 @@ def test_div_u_cubic_ub_scaling(acc_params):
     import dataclasses
 
     grid = RadialGrid.geometric(100.0, 768)
-    d_full = div_u_profile(solve_steady(acc_params, grid))[0]
+    d_full = div_u_profile(solve_steady(acc_params, grid, tol=1e-8))[0]
     half = dataclasses.replace(acc_params, u_b=-0.025)
-    d_half = div_u_profile(solve_steady(half, grid))[0]
+    d_half = div_u_profile(solve_steady(half, grid, tol=1e-8))[0]
     ratio = np.max(d_full * grid.nodes**7) / np.max(d_half * grid.nodes**7)
     assert 8.0 / 2.0 <= ratio <= 8.0 * 2.0  # |u_b|^3 prefactor
 

@@ -350,18 +350,17 @@ def cutoff_point_results() -> None:
     the raw profile xi~ and its derivative, and the mollified xi and xi', on
     the V- and H-chart polar angles of a seeded 4,000-point sample drawn as
     the seed-0 `verify-ops` draws its cut-off sample."""
-    from outflow.cutoffs import build_cutoffs, xi_tilde, xi_tilde_prime
+    from outflow.cutoffs import xi, xi_prime, xi_tilde, xi_tilde_prime
     from outflow.sphops import to_spherical
 
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4000, 3))
     x /= _r(x)[:, None]
     x *= rng.uniform(1.0, 6.0, (4000, 1))
-    fam = build_cutoffs()
     for chart in ("V", "H"):
         theta = to_spherical(x, chart)[1]
         for name, fn in (("xi_tilde", xi_tilde), ("xi_tilde_prime", xi_tilde_prime),
-                         ("xi", fam.xi), ("xi_prime", fam.xi_prime)):
+                         ("xi", xi), ("xi_prime", xi_prime)):
             _emit(f"cutoff_points/{chart}/{name}", fn(theta))
 
 
