@@ -9,6 +9,7 @@ stops on an error writes one too, with the exit code and the error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -29,6 +30,7 @@ from .config import (
     run_config,
 )
 from .energy import (
+    EnergyReport,
     equivalence_constants,
     h_identities,
     potential_energy,
@@ -184,18 +186,9 @@ def _cmd_steady(cfg: Config, man: Manifest) -> int:
 
 
 def _dump_reports(path, reports):
-    _write_csv(
-        path,
-        ["t", "total_relative_energy", "viscous_dissipation", "boundary_H",
-         "weighted_phi", "weighted_radial_psi", "sup_perturbation"],
-        [[r.t for r in reports],
-         [r.total_relative_energy for r in reports],
-         [r.viscous_dissipation for r in reports],
-         [r.boundary_H for r in reports],
-         [r.weighted_phi for r in reports],
-         [r.weighted_radial_psi for r in reports],
-         [r.sup_perturbation for r in reports]],
-    )
+    """One column per `EnergyReport` field, in declaration order."""
+    names = [f.name for f in dataclasses.fields(EnergyReport)]
+    _write_csv(path, names, [[getattr(r, name) for r in reports] for name in names])
 
 
 # the velocity columns of each geometry's state dump `state_<geometry>.csv`,

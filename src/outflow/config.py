@@ -68,18 +68,11 @@ class Config:
     seed: int = 0
 
 
-_PARAM_KEYS = {
-    "gamma": ("gamma", float),
-    "k_pressure": ("k_pressure", float),
-    "mu": ("mu", float),
-    "lambda": ("lam", float),
-    "rho_plus": ("rho_plus", float),
-    "u_b": ("u_b", float),
-    "dim_n": ("dim_n", int),
-}
-
-# every other field of Config is a key, read by the type it is declared with
+# every field of FluidParams and every other field of Config is a key, read
+# by the type it is declared with; the fluid's lam is written `lambda`
 _PARSERS = {"float": float, "float | None": float, "int": int, "str": str}
+_PARAM_KEYS = {{"lam": "lambda"}.get(f.name, f.name): (f.name, _PARSERS[f.type])
+               for f in fields(FluidParams)}
 _CONF_KEYS = {f.name: _PARSERS[f.type] for f in fields(Config) if f.name != "params"}
 
 
@@ -125,6 +118,8 @@ def parse_config(path: str) -> Config:
 def check_config(cfg: Config) -> None:
     """Run-level constraints; every configuration, read from a file or
     changed on the command line, passes through here before it is used."""
+    if not math.isfinite(cfg.r_max):  # before any grid or support is built on it
+        raise ConstraintViolation(f"r_max must be finite, got {cfg.r_max}")
     if cfg.grid_kind not in ("uniform", "geometric"):
         raise ConstraintViolation("grid_kind must be 'uniform' or 'geometric'")
     if not (1.0 < cfg.support_lo < cfg.support_hi < cfg.r_max):

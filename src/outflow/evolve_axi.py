@@ -159,11 +159,8 @@ class AxiSolver(RadialScheme):
         r, s, n_t = ops.r, ops.sin, ops.theta.size
         diag, eye_t = sparse.diags_array, sparse.eye_array(n_t)
         kron = partial(sparse.kron, format="csr")  # CSR terms, int32 indices: least memory
-
-        def d_theta(parity):  # the pole rows reflect f with the parity
-            ends = np.r_[-parity, np.zeros(n_t - 2), parity]
-            return diag([-1.0, ends, 1.0], offsets=[-1, 0, 1], shape=(n_t, n_t)) / (2.0 * ops.dtheta)
-        dp, dm = d_theta(1), d_theta(-1)
+        # `ops.d_theta` of each parity as a matrix, from the rows of the identity
+        dp, dm = (sparse.csr_array(ops.d_theta(np.eye(n_t), parity).T) for parity in (1, -1))
         div_t = diag(1.0 / s) @ dp @ diag(s)  # d_theta(sin f) / sin
         ring_r = (div_t @ dp).toarray()
         ring_t = (mu * (diag(1.0 / s) @ dm @ diag(s) @ dm - diag(1.0 / s**2))
@@ -175,7 +172,7 @@ class AxiSolver(RadialScheme):
         inner, far = np.r_[wall[:-1], 0.0], np.r_[np.zeros(r.size - 1), 1.0]
         r_face = 0.5 * (r[:-1] + r[1:])
         self.lines = (self.K_line,
-                      ViscousLine(r[1:-1] ** 2 * np.diff(r_face), np.ones(r.size),
+                      ViscousLine(r[1:-1] ** 2 * self.K_line.sigma, np.ones(r.size),
                                   mu * r_face**2 / np.diff(r), self.profile.rho_t, 2))
         # (g, L) of each component's ring part g (x) L
         self.rings = ((mu * inner / r**2, ring_r), (inner / r**2, ring_t))
@@ -221,10 +218,8 @@ class AxiSolver(RadialScheme):
         return [partial(_split_solve, radial, modal[0]), modal[1]]
 
     def rhs(self, state: AxiState, split: bool = False):
-        """(rho_t, mr_t, mt_t), one fresh (3, n_r, n_theta) array.  The wall
-        momentum rows and the far polar row are zeroed for BC application;
-        the far density and radial momentum rows are `far_rates`, with the
-        far radial viscous row as a source.
+        """(rho_t, mr_t, mt_t), one fresh (3, n_r, n_theta) array, finished
+        by `_close_rates` with the far radial viscous row as its source.
 
         split=True, the stage rates of `step`, leaves out the implicit part
         V_I(m / rho_ref) of the viscous rows, so V_I carries the remainder
@@ -248,7 +243,7 @@ class AxiSolver(RadialScheme):
         else:
             x[:3] = x[3:]
         visc_r, visc_t = (self.visc_split @ x.reshape(-1)).reshape((2,) + r.shape)
-        rho_t, mr_t, mt_t = rates
+        _, mr_t, mt_t = rates
         mr_t += rho * u_t**2 / r
         mr_t[1:-1] -= grad
         mr_t += visc_r
@@ -257,16 +252,7 @@ class AxiSolver(RadialScheme):
         mt_t -= ops.d_theta(prs, parity=1) / r
         mt_t += visc_t
 
-        s_rho, s_m = 0.0, visc_r[-1]
-        if self.forcing is not None:
-            sources = self.forcing(state.t, ops.r, ops.theta)
-            for f, s in zip(rates, sources):
-                f += s
-            s_rho, s_m = sources[0][-1], s_m + sources[1][-1]
-        mr_t[0] = 0.0
-        mt_t[0] = mt_t[-1] = 0.0
-        rho_t[-1], mr_t[-1] = self.far_rates(rho, u_r, s_rho, s_m)
-        return rates
+        return self._close_rates(state, rates, visc_r[-1])
 
     def _advective_limit(self, state: AxiState) -> float:
         """min h / (|u| + c) on the cell size h = min(dr, r dtheta)."""
@@ -291,7 +277,7 @@ class AxiSolver(RadialScheme):
         """FV mass rate against boundary fluxes (theta fluxes telescope away)."""
         rates, flux, *_ = self._radial_rates((state.rho * state.u_r)[None], state.rho)
         rho_t = rates[0] - self._theta_flux_div(state.rho, state.u_theta)
-        w_ang = 2.0 * np.pi * self.ops.sin * self.agrid.dtheta
+        w_ang = self.ops.boundary_w
         interior = float(np.sum((self.dual_vol * rho_t[1:-1]) * w_ang[None, :]))
         boundary = float(np.sum((flux[:w_ang.size] - flux[-w_ang.size:]) * w_ang))
         return interior, boundary

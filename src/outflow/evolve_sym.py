@@ -253,11 +253,11 @@ class RadialScheme:
     square `h_cfl2` are the radial `h` here; a subclass with more axes
     overrides both.  `step` advances U = (rho, m_1, ..., m_k), m_i = rho u_i
     for each entry of `state.velocity`, as one (1 + k, *state shape) array.
-    A subclass supplies `rhs(state, split)` returning its rates as one fresh
-    array of that shape (split=True leaves out the implicit viscous rows),
-    `_advective_limit`, `cfl_dt`, `state_of(rho, u)`, the state of a radial
-    profile, `lines`, the `ViscousLine` of each velocity component, and
-    `_factor(a)`, the solve of each component's implicit system at a = gamma dt.
+    A subclass supplies `rhs(state, split)`, its rates as one fresh array of
+    that shape closed by `_close_rates` (split=True leaves out the implicit
+    viscous rows), `_advective_limit`, `cfl_dt`, `state_of(rho, u)`, the
+    state of a radial profile, `lines`, the `ViscousLine` of each velocity
+    component, and `_factor(a)`, each component's implicit solve at gamma dt.
     """
 
     def __init__(self, profile: SteadyProfile, params: FluidParams, forcing):
@@ -401,6 +401,27 @@ class RadialScheme:
         rho_t = 0.5 * rho_n * w_t / c
         return rho_t, rho_t * speed  # m_t = rho u_t + u rho_t
 
+    def _close_rates(self, state, rates, s_m):
+        """Add the forcing's sources to rates, zero the rows whose values
+        `apply_bc` imposes (wall momenta, far tangential momenta), then set the
+        far density and radial momentum rows by `far_rates`, the far radial
+        viscous row s_m their momentum source with the forcing's."""
+        s_rho = 0.0
+        if self.forcing is not None:
+            sources = self.forcing(state.t)
+            for f, s in zip(rates, sources):
+                f += s
+            s_rho, s_m = sources[0][-1], s_m + sources[1][-1]
+        rates[1:, 0] = 0.0
+        rates[2:, -1] = 0.0
+        rates[0, -1], rates[1, -1] = self.far_rates(state.rho, state.velocity[0], s_rho, s_m)
+        return rates
+
+    def _incoming(self, t: float):
+        """The incoming invariant w- = u - int c/rho drho of bc_far(t)."""
+        rho_far, u_far = self.bc_far(t)
+        return u_far - self._invariant(rho_far)
+
     def _invariant(self, rho):
         """int c(rho)/rho drho, the density part of the Riemann invariants."""
         return self.inv_a * _floatwise(self._inv_density, rho)
@@ -439,16 +460,19 @@ class RadialScheme:
 
     def apply_bc(self, state) -> None:
         """Wall: u_r = u_b.  Far end: the incoming invariant w- takes its
-        value at bc_far(t) and the outgoing w+ keeps the state's.  No
-        tangential velocity at either end."""
-        rho_far, u_far = self.bc_far(state.t)
+        value at bc_far(t) and the outgoing w+ keeps the state's, and the
+        density they give must be positive (PositivityLoss).  No tangential
+        velocity at either end."""
         u_r, *tangential = state.velocity
         u_r[0] = self.params.u_b
         (rho_n,), (u_n,) = self._rows(state.rho, 1), self._rows(u_r, 1)
-        w_in = u_far - self._invariant(rho_far)
+        w_in = self._incoming(state.t)
         w_out = u_n + self._invariant(rho_n)
         u_r[-1] = 0.5 * (w_out + w_in)
-        state.rho[-1] = _floatwise(self._density, (w_out - w_in) * (0.5 / self.inv_a))
+        gap = w_out - w_in  # the density is gap^(1/p) at gamma > 1
+        if self.c_exp and not (gap > 0.0 if isinstance(gap, float) else np.all(gap > 0.0)):
+            raise PositivityLoss(f"far-end invariants w+ <= w- at t = {state.t:.6g}")
+        state.rho[-1] = _floatwise(self._density, gap * (0.5 / self.inv_a))
         for u in tangential:
             u[0] = 0.0
             u[-1] = 0.0
@@ -540,7 +564,7 @@ class SymSolver(RadialScheme):
         m = np.multiply(rho, u, g[0])
         np.multiply(m, u, g[1])
         rates, _, _, grad = self._radial_rates(g, rho)
-        rho_t, m_t = rates[0], rates[1]
+        m_t = rates[1]
         m_t[1:-1] -= grad
         e = self._remainder  # u - m / rho_ref, if split
         e = np.subtract(u, np.multiply(m, self.inv_rho_ref, e), e) if split else u
@@ -548,15 +572,8 @@ class SymSolver(RadialScheme):
         # K's truncation row, summed as a CSR row: the source of `far_rates`
         f0, f1, f2, f3, f4 = self.far_w
         u0, u1, u2, u3, u4 = u[-5:].tolist()
-        s_rho, s_m = 0.0, f0 * u0 + f1 * u1 + f2 * u2 + f3 * u3 + f4 * u4
-        if self.forcing is not None:
-            f_rho, f_m = self.forcing(state.t, self.r)
-            rho_t += f_rho
-            m_t += f_m
-            s_rho, s_m = f_rho[-1], s_m + f_m[-1]
-        m_t[0] = 0.0
-        rho_t[-1], m_t[-1] = self.far_rates(rho, u, s_rho, s_m)
-        return rates
+        s_m = f0 * u0 + f1 * u1 + f2 * u2 + f3 * u3 + f4 * u4
+        return self._close_rates(state, rates, s_m)
 
     def _rows(self, f: np.ndarray, k: int):
         return f[-k:].tolist()  # Python floats: faster than numpy scalars
@@ -599,8 +616,7 @@ class SymSolver(RadialScheme):
         residual_rst2.
         """
         grid, u_b = self.profile.grid, self.params.u_b
-        rho_far, u_far = self.bc_far(0.0)
-        w_in = u_far - self._invariant(rho_far)
+        w_in = self._incoming(0.0)
         # z holds (rho_i, u_i) node by node, but u at both ends; perm takes
         # its entries from, and puts them into, the raveled stack (rho, u)
         n = self.r.size

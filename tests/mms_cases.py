@@ -33,7 +33,7 @@ def mms_error(params, profile, m, dt, t_fin, fns):
     rho_f, u_f, s_rho_f, s_m_f = fns
     grid = RadialGrid.uniform(profile.grid.r_max, m)
     prof = solve_steady(params, grid, tol=1e-8)
-    forcing = lambda t, r: (s_rho_f(r, t), s_m_f(r, t))  # noqa: E731
+    forcing = lambda t: (s_rho_f(grid.nodes, t), s_m_f(grid.nodes, t))  # noqa: E731
     solver = SymSolver(prof, params, forcing=forcing)
     solver.bc_far = lambda t: (rho_f(grid.r_max, t), u_f(grid.r_max, t))
     st = SymState(0.0, grid, rho_f(grid.nodes, 0.0), u_f(grid.nodes, 0.0))
@@ -93,7 +93,7 @@ def mms_error_axi(params, r_max, m_r, n_theta, dt, t_fin, fns):
     prof = solve_steady(params, grid, tol=1e-8)
     rr, tt = np.meshgrid(grid.nodes, agrid.centers, indexing="ij")
 
-    def forcing(t, r, theta):
+    def forcing(t):
         return (s_rho_f(rr, tt, t), s_mr_f(rr, tt, t), s_mt_f(rr, tt, t))
 
     solver = AxiSolver(prof, params, agrid, forcing=forcing)

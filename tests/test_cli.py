@@ -327,16 +327,17 @@ def test_a_grid_too_small_is_a_config_error(tmp_path, sub, text, key):
     assert key in crit["message"]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # linspace to inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no grid is built on it
 def test_an_infinite_truncation_radius_is_a_config_error(tmp_path):
-    """r_max = inf passes the config's own checks; the radial grid refuses
-    it, and the message says why."""
-    conf = _write(tmp_path, "r_max = inf\n")
-    out = tmp_path / "out"
-    assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
-    crit = json.loads((out / "manifest.json").read_text())["criteria"]
-    assert crit["error"] == "ConstraintViolation"
-    assert "radial nodes must be finite" in crit["message"]
+    """A non-finite r_max, inf or NaN, is refused by the config's own
+    checks, by name, before a grid or the support is built on it."""
+    for value in ("inf", "nan"):
+        conf = _write(tmp_path, f"r_max = {value}\n")
+        out = tmp_path / f"out_{value}"
+        assert main(["steady", "--config", conf, "--out", str(out)]) == EXIT_CONFIG
+        crit = json.loads((out / "manifest.json").read_text())["criteria"]
+        assert crit["error"] == "ConstraintViolation"
+        assert f"r_max must be finite, got {value}" in crit["message"]
 
 
 @pytest.mark.parametrize("text, key", [

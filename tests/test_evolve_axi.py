@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mms_cases import manufactured_axi
+from mms_cases import manufactured_axi, manufactured_sym
 
 from outflow import AngularGrid, FluidParams, RadialGrid, solve_steady
 from outflow.discrete import AxiOps
@@ -120,16 +120,32 @@ def test_rhs_of_a_lifted_radial_state_is_the_radial_rhs_bit_for_bit(lam, agrid):
     """On theta-independent data d_theta u_r and u_theta are exactly 0, so
     the assembled polar rows are sums of zeros and the radial rows sum the
     entries of the radial solver's K in K's order: every rate is the radial
-    one bit for bit and the polar rate is exactly 0."""
+    one bit for bit and the polar rate is exactly 0, whole and split,
+    unforced and under the spherical MMS forcing and its lift with no polar
+    source."""
     params = FluidParams(gamma=1.4, k_pressure=1.0, mu=1.0, lam=lam,
                          rho_plus=1.0, u_b=-0.05, dim_n=3)
     profile = solve_steady(params, RadialGrid.uniform(20.0, 128), tol=1e-8)
     st1, st2 = _theta_independent_pair(profile, params, agrid)
-    rt1, mt1 = SymSolver(profile, params).rhs(st1)
-    rt2, mrt2, mtt2 = AxiSolver(profile, params, agrid).rhs(st2)
-    assert np.max(np.abs(rt2 - rt1[:, None])) == 0.0
-    assert np.max(np.abs(mrt2 - mt1[:, None])) == 0.0
-    assert np.all(mtt2 == 0.0)
+    st1.t = st2.t = 0.3
+    fns, r = manufactured_sym(params, profile.grid.r_max), profile.grid.nodes
+
+    def sym_forcing(t):
+        return fns[2](r, t), fns[3](r, t)
+
+    def axi_forcing(t):
+        f_rho, f_m = (np.repeat(f[:, None], agrid.n_cells, 1) for f in sym_forcing(t))
+        return f_rho, f_m, np.zeros(f_rho.shape)
+
+    for forcings in ((None, None), (sym_forcing, axi_forcing)):
+        sym = SymSolver(profile, params, forcing=forcings[0])
+        axi = AxiSolver(profile, params, agrid, forcing=forcings[1])
+        for split in (False, True):
+            rt1, mt1 = sym.rhs(st1, split=split)
+            rt2, mrt2, mtt2 = axi.rhs(st2, split=split)
+            assert np.max(np.abs(rt2 - rt1[:, None])) == 0.0
+            assert np.max(np.abs(mrt2 - mt1[:, None])) == 0.0
+            assert np.all(mtt2 == 0.0)
 
 
 def _theta_independent_pair(profile, params, agrid):
@@ -468,13 +484,31 @@ def test_a_nan_limit_is_a_cfl_violation(small_profile, acc_params, agrid):
 
 
 def test_positivity_loss_raised(small_profile, acc_params, agrid):
-    def drain(t, r, theta):
-        shape = (r.size, theta.size)
+    def drain(t):
+        shape = (small_profile.r.size, agrid.n_cells)
         return np.full(shape, -1e6), np.zeros(shape), np.zeros(shape)
 
     solver = AxiSolver(small_profile, acc_params, agrid, forcing=drain)
     st = perturb_axi(small_profile, agrid, 0.02, (1.5, 3.0), ell=1)
     with pytest.raises(PositivityLoss):
+        solver.step(st, solver.cfl_dt(st, 0.4))
+
+
+def test_crossed_far_invariants_are_a_positivity_loss(axi_profile, acc_params):
+    """A far-end pair with w+ <= w- has no positive density at gamma > 1:
+    a bare apply_bc and a step raise PositivityLoss, not the TypeError of a
+    complex power."""
+    solver = AxiSolver(axi_profile, acc_params, AngularGrid(n_cells=16))
+
+    def crossed():
+        st = solver.state_of(axi_profile.rho_t, axi_profile.u_t)
+        st.u_r[-8:] = -20.0
+        return st
+
+    with pytest.raises(PositivityLoss, match="far-end invariants"):
+        solver.apply_bc(crossed())
+    st = crossed()
+    with pytest.raises(PositivityLoss, match="far-end invariants"):
         solver.step(st, solver.cfl_dt(st, 0.4))
 
 
@@ -569,7 +603,7 @@ def test_step_with_given_limit_is_bitwise_the_same(small_profile, acc_params, ag
         fns = manufactured_axi(acc_params, small_profile.grid.r_max)
         rr, tt = np.meshgrid(small_profile.r, agrid.centers, indexing="ij")
 
-        def forcing(t, r, theta):
+        def forcing(t):
             return fns[3](rr, tt, t), fns[4](rr, tt, t), fns[5](rr, tt, t)
 
     solver = AxiSolver(small_profile, acc_params, agrid, forcing=forcing)

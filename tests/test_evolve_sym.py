@@ -240,10 +240,29 @@ def test_successive_rates_share_no_memory(small_profile, acc_params, split):
 
 
 def test_positivity_loss_raised(run_profile, acc_params):
-    drain = lambda t, r: (np.full_like(r, -1e6), np.zeros_like(r))  # noqa: E731
+    r = run_profile.grid.nodes
+    drain = lambda t: (np.full_like(r, -1e6), np.zeros_like(r))  # noqa: E731
     solver = SymSolver(run_profile, acc_params, forcing=drain)
     st = perturb_sym(run_profile, 0.02, (1.5, 3.0))
     with pytest.raises(PositivityLoss):
+        solver.step(st, solver.cfl_dt(st, 0.4))
+
+
+def test_crossed_far_invariants_are_a_positivity_loss(axi_profile, acc_params):
+    """A far-end pair with w+ <= w- has no positive density at gamma > 1:
+    a bare apply_bc and a step raise PositivityLoss, not the TypeError of a
+    complex power."""
+    solver = SymSolver(axi_profile, acc_params)
+
+    def crossed():
+        st = solver.state_of(axi_profile.rho_t, axi_profile.u_t)
+        st.u_rad[-8:] = -20.0
+        return st
+
+    with pytest.raises(PositivityLoss, match="far-end invariants"):
+        solver.apply_bc(crossed())
+    st = crossed()
+    with pytest.raises(PositivityLoss, match="far-end invariants"):
         solver.step(st, solver.cfl_dt(st, 0.4))
 
 
@@ -352,7 +371,8 @@ def test_step_with_given_limit_is_bitwise_the_same(small_profile, acc_params, fo
     forcing = None
     if forced:
         fns = manufactured_sym(acc_params, small_profile.grid.r_max)
-        forcing = lambda t, r: (fns[2](r, t), fns[3](r, t))  # noqa: E731
+        r = small_profile.grid.nodes
+        forcing = lambda t: (fns[2](r, t), fns[3](r, t))  # noqa: E731
     solver = SymSolver(small_profile, acc_params, forcing=forcing)
     st = perturb_sym(small_profile, 0.02, (1.5, 3.0))
     solver.apply_bc(st)

@@ -177,16 +177,15 @@ def drift(before: str, after: str) -> None:
         print(f"added  {label}")
 
 
-# the columns of `energy_<geometry>.csv`: what the CLI writes of each report
-REPORT_COLUMNS = ("t", "total_relative_energy", "viscous_dissipation", "boundary_H",
-                  "weighted_phi", "weighted_radial_psi", "sup_perturbation")
-
-
 def _emit_result(label: str, res) -> None:
+    from outflow.energy import EnergyReport
+
+    # the columns of `energy_<geometry>.csv`: what the CLI writes of each report
+    columns = [f.name for f in dataclasses.fields(EnergyReport)]
     for f in dataclasses.fields(res):
         value = getattr(res, f.name)
         if f.name == "reports":
-            value = [[getattr(rep, k) for k in REPORT_COLUMNS] for rep in value]
+            value = [[getattr(rep, k) for k in columns] for rep in value]
         _emit(f"{label}.{f.name}", value)
 
 
@@ -263,7 +262,7 @@ def kernel_results(params, sym_profile, sym_state, axi_profile, agrid,
     fns = manufactured_axi(params, axi_profile.grid.r_max, cse=False)
     rr, tt = np.meshgrid(axi_profile.r, agrid.centers, indexing="ij")
 
-    def forcing(t, r, theta):
+    def forcing(t):
         return fns[3](rr, tt, t), fns[4](rr, tt, t), fns[5](rr, tt, t)
 
     solver = AxiSolver(axi_profile, params, agrid)
@@ -300,26 +299,11 @@ def _rates_and_step(group: str, solver, state, names) -> None:
             _emit(f"{group}/step.{f.name}", getattr(out, f.name))
 
 
-def _r(x):
-    return np.linalg.norm(x, axis=-1)
-
-
-# the Hardy corpus of `verify-ops`, copied here so that any checkout's
-# hardy_check can be fingerprinted on the same fields
-HARDY_FIELDS = {
-    "inv_r2": lambda x: _r(x) ** -2.0,
-    "radial_exp": lambda x: np.exp(1.0 - _r(x)),
-    "dipole": lambda x: x[..., 2] / _r(x) ** 3,
-    "skewed_exp": lambda x: np.exp(1.0 - _r(x)) * (1 + x[..., 0] / (2 * _r(x))),
-    "swirl_vec": lambda x: (np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])],
-                                     axis=-1) / _r(x)[..., None] ** 3),
-}
-
-
 def hardy_results() -> None:
     """The verification table prints a passing Hardy row as 0.0 and its
-    sides to 6 digits; these lines see every bit of them."""
-    from outflow.opchecks import hardy_check
+    sides to 6 digits; these lines see every bit of them, for each field of
+    the Hardy corpus of `verify-ops`."""
+    from outflow.opchecks import HARDY_FIELDS, hardy_check
 
     for name, u in HARDY_FIELDS.items():
         _emit(f"hardy/{name}", hardy_check(u))
@@ -351,11 +335,11 @@ def cutoff_point_results() -> None:
     the V- and H-chart polar angles of a seeded 4,000-point sample drawn as
     the seed-0 `verify-ops` draws its cut-off sample."""
     from outflow.cutoffs import xi, xi_prime, xi_tilde, xi_tilde_prime
-    from outflow.sphops import to_spherical
+    from outflow.sphops import radius, to_spherical
 
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4000, 3))
-    x /= _r(x)[:, None]
+    x /= radius(x, keepdims=True)
     x *= rng.uniform(1.0, 6.0, (4000, 1))
     for chart in ("V", "H"):
         theta = to_spherical(x, chart)[1]
