@@ -1,5 +1,10 @@
 """Exterior-domain compressible outflow laboratory."""
 
+import os
+# Set before numpy loads: starting numpy's and scipy's OpenBLAS thread pools costs ~0.05 s,
+# and _modal_solve, legendre_amplitudes and cutoffs._convolve are too small to fill them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .grids import AngularGrid, RadialGrid
 from .params import (
     FluidParams,

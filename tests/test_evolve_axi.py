@@ -160,19 +160,6 @@ def _theta_independent_pair(profile, params, agrid):
     return SymState(0.0, grid, rho, u), st2
 
 
-def test_reduction_to_radial_solver(small_profile, acc_params, agrid):
-    """theta-independent states drive the axisymmetric operator onto the
-    radial one exactly, including the shared viscous kernel."""
-    solver = AxiSolver(small_profile, acc_params, agrid)
-    sym = SymSolver(small_profile, acc_params)
-    st1, st2 = _theta_independent_pair(small_profile, acc_params, agrid)
-    rt1, mt1 = sym.rhs(st1)
-    rt2, mrt2, mtt2 = solver.rhs(st2)
-    assert np.max(np.abs(rt2 - rt1[:, None])) <= 1e-10
-    assert np.max(np.abs(mrt2 - mt1[:, None])) <= 1e-10
-    assert np.max(np.abs(mtt2)) == 0.0
-
-
 def test_lifted_equilibrium_is_stationary(small_profile, acc_params, agrid):
     """The radial equilibrium, lifted, is a stationary state of the
     axisymmetric scheme too: the run's reference serves both geometries."""

@@ -141,9 +141,56 @@ def test_states_residuals_do_not_import_the_axisymmetric_solver():
         "loaded = sorted(m for m in sys.modules if m.startswith('outflow.evolve'))",
         "assert not loaded, loaded",
     ])
+    _run_python(code)
+
+
+def _run_python(code: str, openblas_threads: str | None = None) -> str:
+    """Standard output of `code` in a fresh interpreter that imports this
+    package, with OPENBLAS_NUM_THREADS as given (None: removed)."""
     src = os.path.dirname(os.path.dirname(outflow.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_importing_the_package_defaults_openblas_to_one_thread():
+    """Imported before numpy, the package starts OpenBLAS with one thread
+    unless the environment names a count, which then wins."""
+    code = "\n".join([
+        "import os",
+        "import outflow.cli",
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)",
+    ])
+    assert _run_python(code).split() == ["1", "1"]
+    assert _run_python(code, "2").split()[0] == "2"
+
+
+def test_results_do_not_depend_on_the_openblas_thread_count():
+    """A few axisymmetric steps (the ring basis inverse and the modal solves),
+    their Legendre amplitudes and the mollified cut-off hash the same on one
+    OpenBLAS thread and on two."""
+    code = "\n".join([
+        "import hashlib",
+        "from outflow import AngularGrid, FluidParams, RadialGrid, perturb_axi, solve_steady",
+        "from outflow import cutoffs",
+        "from outflow.evolve_axi import AxiSolver, legendre_amplitudes",
+        "import numpy as np",
+        "params = FluidParams(u_b=-0.05)",
+        "profile = solve_steady(params, RadialGrid.uniform(20.0, 32), tol=1e-8)",
+        "agrid = AngularGrid(n_cells=16)",
+        "solver = AxiSolver(profile, params, agrid)",
+        "state = perturb_axi(profile, agrid, 0.02, (1.5, 3.0))",
+        "for _ in range(4):",
+        "    state = solver.step(state, solver.cfl_dt(state, 0.4))",
+        "arrays = [state.rho, state.u_r, state.u_theta, legendre_amplitudes(state.rho, agrid),",
+        "          cutoffs.xi(np.linspace(0.0, np.pi, 101))]",
+        "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())",
+    ])
+    assert _run_python(code, "1") == _run_python(code, "2")
