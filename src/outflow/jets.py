@@ -1,15 +1,16 @@
-"""Truncated Taylor jets in the chart offsets (dr, dtheta, dphi).
+"""Truncated Taylor jets in three coordinate offsets: a chart's (dr, dtheta,
+dphi) or the Cartesian (dx1, dx2, dx3).
 
 A `Jet` of degree d holds, for each point of a batch, the Taylor polynomial
-of total degree <= d of a quantity in the offsets of the chart coordinates
-from that point: C(d + 3, 3) coefficients (1, 4, 10, 20, 35, 56 for d = 0..5)
+of total degree <= d of a quantity in the offsets of the coordinates from
+that point: C(d + 3, 3) coefficients (1, 4, 10, 20, 35, 56 for d = 0..5)
 on a leading axis, the quantity's own shape after it.  `variables` seeds the
 degree; a sum or product of two jets truncates to the lower one, a constant
 pads to the jet's.  Arithmetic, powers, exp, sqrt, sin, cos and hypot reach
 it through NumPy's ufunc protocol, and np.stack, np.sum and np.zeros_like
 through the function protocol, so a field written for point arrays (..., 3)
 runs unchanged on a jet of points (Griewank & Walther 2008, Evaluating
-Derivatives, ch. 13).  A chart partial of order k is the jet's exact
+Derivatives, ch. 13).  A partial of order k is the jet's exact
 polynomial derivative, a jet k degrees lower, and a product's coefficients
 of degree m need only its factors' up to m: at most d partials of a degree-d
 jet compose exactly to round-off, with no step size, bit for bit as at any
@@ -144,7 +145,7 @@ _FUNCTIONS = {
 
 
 class Jet(np.lib.mixins.NDArrayOperatorsMixin):
-    """Truncated Taylor polynomial in (dr, dtheta, dphi), coefficients first.
+    """Truncated Taylor polynomial in three offsets, coefficients first.
 
     Python's operators go through the ufuncs; an in-place one (out=(self,))
     binds its name to a new jet.
@@ -166,7 +167,7 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         return self.c[0]
 
     def deriv(self, orders):
-        """d_r^a d_theta^b d_phi^c at the base points, orders = (a, b, c)."""
+        """d_1^a d_2^b d_3^c along the offsets at the base points, orders = (a, b, c)."""
         orders = tuple(orders)
         if sum(orders) > self.degree:
             raise ValueError(f"a degree-{self.degree} jet has no derivative of order {orders}")
@@ -188,10 +189,10 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
 
 
 def variables(*base, degree):
-    """One degree-`degree` jet per chart coordinate, base + its own offset
+    """One degree-`degree` jet per coordinate, base + its own offset
     (broadcast arrays).
 
-    The graded order puts the monomials dr, dtheta, dphi at indices 1 to 3.
+    The graded order puts the three first-degree monomials at indices 1 to 3.
     """
     base = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in base))
     c = np.zeros((comb(degree + 3, 3), 3) + base[0].shape)
@@ -201,8 +202,8 @@ def variables(*base, degree):
 
 
 def partial(x, orders):
-    """The exact chart partial d_r^a d_theta^b d_phi^c of a jet, as a jet
-    `sum(orders)` degrees lower."""
+    """The exact partial d_1^a d_2^b d_3^c of a jet along its offsets, as a
+    jet `sum(orders)` degrees lower."""
     orders = tuple(orders)
     if sum(orders) > x.degree:
         raise ValueError(f"a degree-{x.degree} jet has no partial of order {orders}")

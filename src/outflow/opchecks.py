@@ -4,16 +4,16 @@ Covers the unit-vector derivative relations, spherical-vs-Cartesian operator
 agreement, the commutator expansions and bounds, the radial-radial
 cancellation in r_hat . lap V - d_r div V, and the Hardy inequality with
 constant 2n.  The operators under test take exact chart derivatives of
-Taylor jets (`sphops.chart_jet`), so every equality between two of their
-compositions holds to round-off; the oracles they are compared with
-difference along Cartesian axes.  The radial-radial routes take the chart
-jet that the suite builds once per chart.
+Taylor jets (`sphops.chart_jet`) and their oracles exact Cartesian ones
+(`sphops.cart_jet`), so every equality between two of their compositions,
+or with an oracle, holds to round-off.  The radial-radial routes take the
+chart jet that the suite builds once per chart.
 The suite (`run_verify_ops`) varies only its seed: the corpus has
 CORPUS_POINTS points per chart and each commutator check takes the first
 COMMUTATOR_POINTS of them.
-The Hardy corpus carries closed-form gradients (`HARDY_GRADIENTS`);
-`hardy_check` falls back to Cartesian differences for a field given without
-one, and tells a vector field from a scalar one by the shape of its values.
+The Hardy corpus carries closed-form gradients (`HARDY_GRADIENTS`), which
+`hardy_check` takes with each field; it tells a vector field from a scalar
+one by the shape of its values.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .sphops import (
     ChartJet,
     cart_div,
     cart_grad,
-    cart_grad_div,
-    cart_grad_sq,
+    cart_jet,
     cart_lap,
     chart_jet,
     from_spherical,
@@ -82,9 +81,8 @@ def _row(name, value, tol, note=""):
 class OpSample:
     """Manufactured smooth fields plus chart-valid evaluation points.
 
-    Fields are entire away from the origin, so the Cartesian oracles'
-    stencil samples slightly outside the exterior domain are harmless.
-    Points keep a margin from the chart axes and from r = 1.
+    Fields are smooth away from the origin and run on chart and Cartesian
+    jets alike.  Points keep a margin from the chart axes and from r = 1.
     """
 
     scalar_fields: dict
@@ -447,15 +445,15 @@ def _doubled_radius(quad, r_max: float):
     return lhs2, rhs2, ratio
 
 
-def hardy_check(u, r_max: float = 60.0, grad=None,
+def hardy_check(u, grad, r_max: float = 60.0,
                 n_panels: int = 20, n_theta: int = 24, n_phi: int = 24):
     """Hardy inequality ∫|u|^2/|x|^2 + ∮_{|x|=1}|u|^2 <= 2n ∫|grad u|^2 in
     n = 3 dimensions.
 
     u is a vectorized Cartesian field, scalar or vector, which the shape of
-    its values tells; the gradient falls back to Cartesian finite
-    differences when not supplied.  The volume rule is n_panels geometric
-    radial panels of HARDY_GAUSS Gauss radii times an n_theta x n_phi
+    its values tells, and grad its Cartesian gradient, a vector field's
+    d_j u_i at [..., i, j].  The volume rule is n_panels geometric radial
+    panels of HARDY_GAUSS Gauss radii times an n_theta x n_phi
     Gauss-trapezoid angular rule; u and |grad u|^2 are evaluated one panel
     at a time, and the sums still run one radius at a time, in order.
     Raises TailNotConverged when doubling the truncation radius moves either
@@ -474,12 +472,6 @@ def hardy_check(u, r_max: float = 60.0, grad=None,
     def sq(val):  # a vector field's values carry an axis more than its points'
         return np.sum(val**2, axis=-1) if val.ndim > 1 else val**2
 
-    def gradsq(pts):
-        if grad is None:
-            return cart_grad_sq(u, pts, h=2e-4)
-        g = grad(pts)
-        return np.sum(g.reshape(g.shape[0], -1) ** 2, axis=1)
-
     def quad(rm):
         rr, wr = _radial_panels(rm, n_panels)
         vol_lhs = 0.0
@@ -487,7 +479,7 @@ def hardy_check(u, r_max: float = 60.0, grad=None,
         for r_pan, w_pan in zip(rr.reshape(n_panels, -1), wr.reshape(n_panels, -1)):
             cloud = (r_pan[:, None, None] * unit).reshape(-1, 3)
             u_sq = sq(u(cloud)).reshape(r_pan.size, -1)
-            g_sq = gradsq(cloud).reshape(r_pan.size, -1)
+            g_sq = np.sum(grad(cloud).reshape(r_pan.size, unit.shape[0], -1) ** 2, axis=-1)
             for r, w, u_r, g_r in zip(r_pan, w_pan, u_sq, g_sq):
                 vol_lhs += w * r**2 * np.sum(ang_w * u_r / r**2)
                 vol_rhs += w * r**2 * np.sum(ang_w * g_r)
@@ -589,21 +581,30 @@ def _operator_rows(sample):
     rows = []
     for chart in CHARTS:
         pts = sample.points[chart]
-        fr = chart_jet(pts, chart, 2)
+        fr, X = chart_jet(pts, chart, 2), cart_jet(pts, 2)
         worst_g = worst_d = worst_l = 0.0
         for F in sample.scalar_fields.values():
-            FJ = F(fr.x)
-            g = sph_grad(FJ, fr).value - cart_grad(F, pts)
-            l = sph_lap(FJ, fr).value - cart_lap(F, pts)
+            FJ, FX = F(fr.x), F(X)
+            g = sph_grad(FJ, fr).value - cart_grad(FX).value
+            l = sph_lap(FJ, fr).value - cart_lap(FX).value
             worst_g = max(worst_g, float(np.max(np.abs(g))))
             worst_l = max(worst_l, float(np.max(np.abs(l))))
         for V in sample.vector_fields.values():
-            d = sph_div(V(fr.x), fr).value - cart_div(V, pts)
+            d = sph_div(V(fr.x), fr).value - cart_div(V(X)).value
             worst_d = max(worst_d, float(np.max(np.abs(d))))
-        rows.append(_row(f"operators/{chart}/grad", worst_g, 1e-5))
-        rows.append(_row(f"operators/{chart}/div", worst_d, 1e-5))
-        rows.append(_row(f"operators/{chart}/lap", worst_l, 1e-5))
+        rows.append(_row(f"operators/{chart}/grad", worst_g, 1e-12))
+        rows.append(_row(f"operators/{chart}/div", worst_d, 1e-12))
+        rows.append(_row(f"operators/{chart}/lap", worst_l, 1e-12))
     return rows
+
+
+def _central_grad(f, pts):
+    """grad of a scalar field at points (n, 3) by fourth-order central
+    differences with step 2e-4 (1 + |x|), for the cut-off, which jets do not take."""
+    h = 2e-4 * (1.0 + radius(pts))
+    w = {-2: 1.0 / 12.0, -1: -2.0 / 3.0, 1: 2.0 / 3.0, 2: -1.0 / 12.0}  # offset: weight
+    return np.stack([sum(w[k] * f(pts + k * h[:, None] * e) for k in w) / h
+                     for e in np.eye(3)], axis=-1)
 
 
 def _cutoff_rows(rng):
@@ -634,7 +635,7 @@ def _cutoff_rows(rng):
             _, _, phat = unit_vectors(pts[sel], chart)
             azim[sel] = np.abs(np.sum(phat * g[sel], axis=1))
         rows.append(_row(f"cutoff/chi_{chart}_azimuthal_grad", np.max(azim), 1e-8))
-        gfd = cart_grad(lambda p, c=chart: cutoffs.chi(p, c), pts, h=2e-4)
+        gfd = _central_grad(lambda p, c=chart: cutoffs.chi(p, c), pts)
         rows.append(_row(f"cutoff/chi_{chart}_grad_fd", np.max(np.abs(g - gfd)), 1e-5))
         cfit = float(np.max(np.sum(g[sel] ** 2, axis=1) / chi[sel])) if sel.any() else 0.0
         rows.append(CheckRow(f"cutoff/chi_{chart}_grad_sq_over_chi", cfit, np.inf, True,
@@ -666,12 +667,12 @@ def run_verify_ops(seed: int) -> list[CheckRow]:
     # grad div expansion against the Cartesian oracle
     for chart in CHARTS:
         pts = sample.points[chart][:30]
-        fr = chart_jet(pts, chart, 2)
+        fr, X = chart_jet(pts, chart, 2), cart_jet(pts, 2)
         worst = 0.0
         for V in sample.vector_fields.values():
-            e = graddiv_expansion(V(fr.x), fr).value - cart_grad_div(V, pts)
+            e = graddiv_expansion(V(fr.x), fr).value - cart_grad(cart_div(V(X))).value
             worst = max(worst, float(np.max(np.abs(e))))
-        rows.append(_row(f"graddiv_expansion/{chart}", worst, 1e-4))
+        rows.append(_row(f"graddiv_expansion/{chart}", worst, 1e-12))
 
     # radial-radial cancellation, on one chart jet per chart
     for chart in CHARTS:

@@ -12,17 +12,16 @@ The spherical operators act on Taylor jets (`jets.Jet`) around a batch of
 points: a field, a vectorized callable from points (..., 3) to scalars or
 vectors, evaluated on `chart_jet(pts, chart, d).x` is its degree-d jet, and
 a chart partial is its exact polynomial derivative.  The Cartesian operators,
-the checks' independent oracles, difference with fourth-order stencils.
+the checks' independent oracles, take the same exact partials of a field's
+jet in the Cartesian offsets, evaluated on `cart_jet(pts, d)`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import fornberg_weights
 from .jets import Jet, partial, variables
 
 __all__ = [
@@ -37,13 +36,10 @@ __all__ = [
     "sph_grad",
     "sph_div",
     "sph_lap",
-    "cart_partial",
+    "cart_jet",
     "cart_grad",
-    "cart_grad_sq",
     "cart_div",
     "cart_lap",
-    "cart_vec_lap",
-    "cart_grad_div",
 ]
 
 CHARTS = ("V", "H")
@@ -156,6 +152,13 @@ def chart_jet(pts, chart: str, degree: int) -> ChartJet:
     return ChartJet(r[..., None] * rhat, r, s, c, inv_r, inv_r / s, rhat, that, phat)
 
 
+def cart_jet(pts, degree: int) -> Jet:
+    """Points (..., 3) as a degree-`degree` jet in the Cartesian offsets
+    (dx1, dx2, dx3) around each: a field evaluated on it is its Cartesian
+    jet, and a partial of that is the exact Cartesian partial."""
+    return np.stack(variables(*np.moveaxis(pts, -1, 0), degree=degree), axis=-1)
+
+
 def sph_grad(f: Jet, fr: ChartJet) -> Jet:
     """grad F from the spherical formula, F a scalar jet on the chart jet fr."""
     return (fr.rhat * partial(f, (1, 0, 0))[..., None]
@@ -177,107 +180,20 @@ def sph_lap(f: Jet, fr: ChartJet) -> Jet:
             + partial(f, (0, 0, 2)) * fr.inv_rs**2)
 
 
-@lru_cache(maxsize=None)
-def _stencil(order: int):
-    """Central nodes and unit-spacing weights, fourth-order accurate.
-
-    Nodes of weight exactly 0.0 (the centre of orders 1 and 3) are dropped:
-    such a node adds exactly zero to a stencil sum, so leaving it out saves a
-    field evaluation and changes no result.
-    """
-    if order == 0:
-        return np.array([0]), np.array([1.0])
-    half = (order + 3) // 2
-    nodes = np.arange(-half, half + 1)
-    w = fornberg_weights(0.0, nodes.astype(float), order)[order]
-    keep = w != 0.0
-    return nodes[keep], w[keep]
+_AXIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the orders of d_1, d_2 and d_3
 
 
-def cart_partial(field, orders, h: float):
-    """Mixed Cartesian partial d_1^a d_2^b d_3^c, axis-aligned fourth-order stencils.
-
-    field maps points (m, 3) to scalars (m,) or vectors (m, 3); the partial
-    has the same trailing shape."""
-    a, b, c = orders
-    n1, w1 = _stencil(a)
-    n2, w2 = _stencil(b)
-    n3, w3 = _stencil(c)
-
-    def apply(pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        p = np.atleast_2d(pts)
-        step = h * (1.0 + radius(p))
-        # coordinate c of each node is p_c + n_c * step, written in place
-        grid = np.empty((n1.size, n2.size, n3.size, p.shape[0], 3))
-        grid[..., 0] = p[:, 0] + n1[:, None, None, None] * step
-        grid[..., 1] = p[:, 1] + n2[None, :, None, None] * step
-        grid[..., 2] = p[:, 2] + n3[None, None, :, None] * step
-        vals = field(grid.reshape(-1, 3))
-        vals = vals.reshape(grid.shape[:-1] + vals.shape[1:])
-        out = np.einsum("i,j,k,ijkb...->b...", w1, w2, w3, vals)
-        scale = step ** (a + b + c)
-        out = out / (scale[:, None] if out.ndim > 1 else scale)  # a step per point
-        return out[0] if single else out
-
-    return apply
+def cart_grad(f: Jet) -> Jet:
+    """grad F from the Cartesian jet of F (`cart_jet`), a jet one degree
+    lower; a vector field's d_j F_i at [..., i, j]."""
+    return np.stack([partial(f, e) for e in _AXIS], axis=-1)
 
 
-# Cartesian finite-difference oracles (single-level stencils, high accuracy);
-# the ones with no step argument difference at CART_H (times 1 + |x|)
-
-CART_H = 1e-3
-
-_EYE = np.eye(3, dtype=int)  # row i: the orders of a first partial along axis i
+def cart_div(v: Jet) -> Jet:
+    """div V from the Cartesian jet of a vector field."""
+    return sum(partial(v[..., i], e) for i, e in enumerate(_AXIS))
 
 
-def cart_grad(f, pts, h: float = CART_H):
-    cols = [cart_partial(f, tuple(_EYE[i]), h)(pts) for i in range(3)]
-    return np.stack(cols, axis=-1)
-
-
-def cart_grad_sq(f, pts, h: float):
-    """|grad F|^2, summed over the components of a vector field.
-
-    One Cartesian partial per axis, a vector pass for a vector field, whose
-    partials have the shape of pts.  The squares are added in axis order per
-    component, then the components in order: the order of summing
-    np.sum(cart_grad(F_j, pts, h)**2, axis=-1) over j, so the result is
-    bitwise that sum.
-    """
-    d = [cart_partial(f, tuple(_EYE[i]), h)(pts) for i in range(3)]
-    s = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
-    return s[..., 0] + s[..., 1] + s[..., 2] if s.shape == np.shape(pts) else s
-
-
-def cart_div(v, pts):
-    out = 0.0
-    for i in range(3):
-        out = out + cart_partial(lambda p, i=i: v(p)[..., i], tuple(_EYE[i]), CART_H)(pts)
-    return out
-
-
-def cart_lap(f, pts):
-    out = 0.0
-    for i in range(3):
-        out = out + cart_partial(f, tuple(2 * _EYE[i]), CART_H)(pts)
-    return out
-
-
-def cart_vec_lap(v, pts):
-    return np.stack(
-        [cart_lap(lambda p, j=j: v(p)[..., j], pts) for j in range(3)], axis=-1
-    )
-
-
-def cart_grad_div(v, pts):
-    """grad(div V) via direct mixed second partials (no nesting)."""
-    cols = []
-    for i in range(3):
-        acc = 0.0
-        for j in range(3):
-            acc = acc + cart_partial(lambda p, j=j: v(p)[..., j],
-                                     tuple(_EYE[i] + _EYE[j]), CART_H)(pts)
-        cols.append(acc)
-    return np.stack(cols, axis=-1)
+def cart_lap(f: Jet) -> Jet:
+    """Laplacian from a Cartesian jet, componentwise for a vector field."""
+    return partial(f, (2, 0, 0)) + partial(f, (0, 2, 0)) + partial(f, (0, 0, 2))

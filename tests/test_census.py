@@ -35,8 +35,6 @@ KEPT = {
                                          "fingerprint tool check",
     "energy.ReformResult.reform_res": "the linearised side's residual, which "
                                       "the tests compare with orig_res",
-    "sphops.cart_vec_lap": "the Cartesian vector Laplacian, the tests' oracle "
-                           "for the 2D viscous rows",
 }
 
 # "module.qualified.name(parameter)" -> why its body may leave it unread; a

@@ -19,6 +19,12 @@ from outflow.opchecks import (
 )
 
 
+def _jet_grad(u):
+    """The Cartesian gradient of the field u from its degree-1 Cartesian jet,
+    a vector field's d_j u_i at [..., i, j]."""
+    return lambda x: so.cart_grad(u(so.cart_jet(x, 1))).value
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return default_corpus(seed=0, n_points=60)
@@ -78,11 +84,11 @@ def test_advect_identity_single_term(corpus):
 def test_graddiv_expansion_matches_cartesian(corpus):
     for chart in ("V", "H"):
         pts = corpus.points[chart][:20]
-        fr = so.chart_jet(pts, chart, 2)
+        fr, X = so.chart_jet(pts, chart, 2), so.cart_jet(pts, 2)
         for V in corpus.vector_fields.values():
             err = np.max(np.abs(graddiv_expansion(V(fr.x), fr).value
-                                - so.cart_grad_div(V, pts)))
-            assert err <= 1e-4
+                                - so.cart_grad(so.cart_div(V(X))).value))
+            assert err <= 1e-12
 
 
 def test_rr_cancellation_routes(corpus):
@@ -109,8 +115,8 @@ def test_rr_blind_to_pure_radial_content(corpus):
 
 
 def test_hardy_closed_form():
-    r_of = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
-    lhs, rhs, ratio = hardy_check(lambda x: r_of(x) ** -2.0)
+    u = lambda x: so.radius(x) ** -2.0  # noqa: E731
+    lhs, rhs, ratio = hardy_check(u, _jet_grad(u))
     assert lhs == pytest.approx(16 * np.pi / 3, rel=1e-3)
     assert rhs == pytest.approx(32 * np.pi, rel=1e-3)
     assert ratio == pytest.approx(1.0 / 6.0, rel=1e-3)
@@ -119,25 +125,23 @@ def test_hardy_closed_form():
 
 def test_hardy_zero_field():
     zero = lambda x: np.zeros(x.shape[:-1])  # noqa: E731
-    lhs, rhs, ratio = hardy_check(zero)
+    lhs, rhs, ratio = hardy_check(zero, lambda x: np.zeros(x.shape))
     assert lhs == 0.0 and rhs == 0.0 and ratio == 0.0
 
 
 def test_hardy_exponential_two_resolutions():
-    r_of = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
-    u = lambda x: np.exp(1.0 - r_of(x))  # noqa: E731
-    lhs1, rhs1, _ = hardy_check(u, n_panels=20, n_theta=16, n_phi=16)
-    lhs2, rhs2, _ = hardy_check(u, n_panels=30, n_theta=32, n_phi=32)
+    u = lambda x: np.exp(1.0 - so.radius(x))  # noqa: E731
+    lhs1, rhs1, _ = hardy_check(u, _jet_grad(u), n_panels=20, n_theta=16, n_phi=16)
+    lhs2, rhs2, _ = hardy_check(u, _jet_grad(u), n_panels=30, n_theta=32, n_phi=32)
     assert lhs1 == pytest.approx(lhs2, rel=1e-6)
     assert rhs1 == pytest.approx(rhs2, rel=1e-6)
     assert lhs2 <= rhs2
 
 
 def test_hardy_tail_guard():
-    r_of = lambda x: np.linalg.norm(x, axis=-1)  # noqa: E731
-    slow = lambda x: r_of(x) ** -0.6  # not square-integrable against r^-2  # noqa: E731
+    slow = lambda x: so.radius(x) ** -0.6  # not square-integrable against r^-2  # noqa: E731
     with pytest.raises(TailNotConverged):
-        hardy_check(slow, r_max=30.0)
+        hardy_check(slow, _jet_grad(slow), r_max=30.0)
 
 
 def _is_vector(u) -> bool:
@@ -145,9 +149,14 @@ def _is_vector(u) -> bool:
     return u(np.ones((1, 3))).ndim > 1
 
 
-def _hardy_sides_one_radius_at_a_time(u, r_max, n_panels, n_theta, n_phi):
-    """Reference volume and surface sums: one angular cloud per radius and the
-    gradient of a vector field one component at a time."""
+def _grad_sq(grad, pts):
+    """|grad u|^2 at each point, summed over a vector field's components."""
+    g = grad(pts)
+    return np.sum(g.reshape(len(pts), -1) ** 2, axis=1)
+
+
+def _hardy_sides_one_radius_at_a_time(u, grad, r_max, n_panels, n_theta, n_phi):
+    """Reference volume and surface sums: one angular cloud per radius."""
     vector = _is_vector(u)
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
@@ -159,19 +168,12 @@ def _hardy_sides_one_radius_at_a_time(u, r_max, n_panels, n_theta, n_phi):
     def sq(val):
         return np.sum(val**2, axis=-1) if vector else val**2
 
-    def gradsq(pts):
-        if vector:
-            return sum(np.sum(so.cart_grad(lambda p, j=j: u(p)[..., j], pts,
-                                           h=2e-4) ** 2, axis=-1)
-                       for j in range(3))
-        return np.sum(so.cart_grad(u, pts, h=2e-4) ** 2, axis=-1)
-
     rr, wr = _radial_panels(r_max, n_panels)
     vol_lhs = vol_rhs = 0.0
     for r, w in zip(rr, wr):
         cloud = (r * unit).reshape(-1, 3)
         vol_lhs += w * r**2 * np.sum(ang_w * sq(u(cloud)) / r**2)
-        vol_rhs += w * r**2 * np.sum(ang_w * gradsq(cloud))
+        vol_rhs += w * r**2 * np.sum(ang_w * _grad_sq(grad, cloud))
     surface = np.sum(ang_w * sq(u((1.0 * unit).reshape(-1, 3))))
     return vol_lhs + surface, 6.0 * vol_rhs
 
@@ -184,9 +186,9 @@ def test_hardy_panels_sum_like_one_radius_at_a_time(name):
     move them, so the per-radius values of |u|^2 and |grad u|^2 on one panel
     cloud are compared with those of each radius on its own as well.
     """
-    u = HARDY_FIELDS[name]
-    lhs, rhs, _ = hardy_check(u, r_max=30.0, n_panels=20, n_theta=12, n_phi=12)
-    ref = _hardy_sides_one_radius_at_a_time(u, 60.0, 20, 12, 12)
+    u, grad = HARDY_FIELDS[name], HARDY_GRADIENTS[name]
+    lhs, rhs, _ = hardy_check(u, grad, r_max=30.0, n_panels=20, n_theta=12, n_phi=12)
+    ref = _hardy_sides_one_radius_at_a_time(u, grad, 60.0, 20, 12, 12)
     assert (lhs, rhs) == ref
 
     unit = so.from_spherical(1.0, *np.meshgrid(np.linspace(0.1, 3.0, 12),
@@ -195,10 +197,10 @@ def test_hardy_panels_sum_like_one_radius_at_a_time(name):
     radii = np.geomspace(1.0, 120.0, 8)
     panel = (radii[:, None, None] * unit).reshape(-1, 3)
     u_pan = u(panel).reshape((8, -1) + u(unit).shape[1:])
-    g_pan = so.cart_grad_sq(u, panel, h=2e-4).reshape(8, -1)
+    g_pan = _grad_sq(grad, panel).reshape(8, -1)
     for k, r in enumerate(radii):
         assert np.array_equal(u_pan[k], u(r * unit))
-        assert np.array_equal(g_pan[k], so.cart_grad_sq(u, r * unit, h=2e-4))
+        assert np.array_equal(g_pan[k], _grad_sq(grad, r * unit))
 
 
 def test_hardy_gradients_cover_the_corpus():
@@ -207,29 +209,23 @@ def test_hardy_gradients_cover_the_corpus():
 
 @pytest.mark.parametrize("name", list(HARDY_FIELDS))
 def test_hardy_gradient_matches_cartesian_differences(name):
-    """The closed form against the Cartesian difference oracle, a vector
-    field component by component, on a seeded cloud with r in [1, 120]."""
-    u = HARDY_FIELDS[name]
+    """The closed form against the exact partials of the field's Cartesian
+    jet, on a seeded cloud with r in [1, 120]."""
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 3))
     x *= rng.uniform(1.0, 120.0, (400, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
     g = HARDY_GRADIENTS[name](x)
-    if _is_vector(u):
-        fd = np.stack([so.cart_grad(lambda p, i=i: u(p)[..., i], x)
-                       for i in range(3)], axis=-2)
-    else:
-        fd = so.cart_grad(u, x)
-    assert g.shape == fd.shape
-    assert np.max(np.abs(g - fd)) <= 1e-7 * np.max(np.abs(g))
+    exact = _jet_grad(HARDY_FIELDS[name])(x)
+    assert g.shape == exact.shape
+    assert np.max(np.abs(g - exact)) <= 1e-12 * np.max(np.abs(g))
 
 
 @pytest.mark.parametrize("name", list(HARDY_FIELDS))
 def test_hardy_check_with_the_closed_gradient_matches_the_fallback(name):
+    """The closed-form gradient and the field's degree-1 Cartesian jet give
+    bitwise the same sides and ratio."""
     u = HARDY_FIELDS[name]
-    lhs_fd, rhs_fd, _ = hardy_check(u)
-    lhs, rhs, _ = hardy_check(u, grad=HARDY_GRADIENTS[name])
-    assert lhs == pytest.approx(lhs_fd, rel=1e-10)
-    assert rhs == pytest.approx(rhs_fd, rel=1e-10)
+    assert hardy_check(u, HARDY_GRADIENTS[name]) == hardy_check(u, _jet_grad(u))
 
 
 def test_full_suite_green():

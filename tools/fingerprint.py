@@ -13,8 +13,8 @@ the arrays of the stepping kernels on the final states of the `sym_cfl` and
 x its CFL limit, the forced axisymmetric `rhs`, the angular stencil `d_theta`
 and `mass_balance`), each axisymmetric component's implicit solve
 of a seeded right-hand side for lambda = 0 and 2, the raw (lhs, rhs, ratio)
-of `hardy_check` for each field of the Hardy corpus, the per-point arrays
-behind the seed-0 `rr_cancel`
+of `hardy_check` for each field of the Hardy corpus with its closed-form
+gradient, the per-point arrays behind the seed-0 `rr_cancel`
 and `graddiv_expansion` rows, the cut-off profile and its
 mollified form on the polar angles of the seed-0 cut-off sample, each row of
 `run_verify_ops` for seeds 0, 99 and 12345 and the
@@ -302,11 +302,12 @@ def _rates_and_step(group: str, solver, state, names) -> None:
 def hardy_results() -> None:
     """The verification table prints a passing Hardy row as 0.0 and its
     sides to 6 digits; these lines see every bit of them, for each field of
-    the Hardy corpus of `verify-ops`."""
-    from outflow.opchecks import HARDY_FIELDS, hardy_check
+    the Hardy corpus of `verify-ops` with the closed-form gradient that
+    `verify-ops` passes."""
+    from outflow.opchecks import HARDY_FIELDS, HARDY_GRADIENTS, hardy_check
 
     for name, u in HARDY_FIELDS.items():
-        _emit(f"hardy/{name}", hardy_check(u))
+        _emit(f"hardy/{name}", hardy_check(u, HARDY_GRADIENTS[name]))
 
 
 def jet_point_results() -> None:
