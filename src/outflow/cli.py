@@ -43,7 +43,7 @@ from .evolve_sym import (CFLViolation, PositivityLoss, SymSolver, odd_even_conte
 from .grids import AngularGrid, RadialGrid
 from .opchecks import TailNotConverged, run_verify_ops
 from .params import FluidParams, sound_speed
-from .states import AxiState, SymState
+from .states import AxiState, SymState, ops_for
 from .steady import (FitWindowTooSmall, NonConvergence, div_u_profile, div_u_route_gap,
                      solve_steady, verify_decay)
 
@@ -309,7 +309,7 @@ def _cmd_report(cfg: Config, man: Manifest, run_dir: str) -> int:
     # the reference of the run: the scheme's own equilibrium
     profile = solve_steady(cfg.params, grid, tol=cfg.steady_tol)
     reference = SymSolver(profile, cfg.params).equilibrium()
-    rep = relative_energy(state, reference, cfg.params)
+    rep = relative_energy(state, reference, cfg.params, ops_for(state, cfg.params))
     _dump_reports(man.add("energy_report.csv"), [rep])
     man.finish(True, {"source": run_dir})
     return EXIT_OK

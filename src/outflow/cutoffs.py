@@ -31,6 +31,7 @@ _Q = 32.0 / _PI**2
 # to exactly [pi/9, 8pi/9]
 WIDTH = _PI / 72.0
 _QUAD_POINTS = 96  # Gauss-Legendre nodes of the convolution
+_BLOCK = 256  # points whose shifted profiles are evaluated at once
 
 
 # the profile's pieces between consecutive edges: (centre, offset, sign) is
@@ -41,11 +42,16 @@ _PIECES = ((0.0, 0.0, 0), (_PI / 8, 0.0, 1), (3 * _PI / 8, 1.0, -1),
            (0.0, 1.0, 0), (5 * _PI / 8, 1.0, -1), (7 * _PI / 8, 0.0, 1))
 
 
+def _check_polar(theta) -> None:
+    """Raise ValueError unless every angle lies in [0, pi]; NaN does not."""
+    if not np.all((theta >= -1e-12) & (theta <= _PI + 1e-12)):
+        raise ValueError("polar angle must lie in [0, pi]")
+
+
 def _profile(theta, derivative: bool):
     """xi~ or its derivative, each point evaluated on its own piece only."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta > _PI + 1e-12):
-        raise ValueError("polar angle must lie in [0, pi]")
+    _check_polar(theta)
     t = np.clip(theta, 0.0, _PI)
     piece = np.searchsorted(_EDGES, t, side="right")  # the first edge above t
     out = np.zeros_like(t)
@@ -88,10 +94,22 @@ def _mollifier():
 
 
 def _convolve(theta, kernel_of_base):
+    """The kernel-weighted sum of kernel_of_base(theta - s) over the nodes s.
+
+    The shifted profiles are evaluated _BLOCK points at a time into one
+    array, so the profile's temporaries stay a block's size, but summed by
+    a single product over all points: BLAS groups the rows of a product, so
+    one product per block would move the last bit of some values.
+    """
     nodes, kernel = _mollifier()
     theta = np.asarray(theta, dtype=float)
-    shifted = np.clip(theta[..., None] - nodes, 0.0, _PI)
-    return kernel_of_base(shifted) @ kernel
+    _check_polar(theta)
+    vals = np.empty(theta.shape + nodes.shape)
+    flat_theta, flat_vals = theta.reshape(-1), vals.reshape(-1, nodes.size)
+    for start in range(0, flat_theta.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        flat_vals[rows] = kernel_of_base(np.clip(flat_theta[rows, None] - nodes, 0.0, _PI))
+    return vals @ kernel
 
 
 def xi(theta):

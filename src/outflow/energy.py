@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from .discrete import AxiOps, SymOps
 from .params import FluidParams, dpressure, pressure, q_coeff
-from .states import ops_for
 from .steady import SteadyProfile
 
 __all__ = [
@@ -156,11 +155,14 @@ def _dot(start, a, b):
     return start
 
 
-def relative_energy(state, profile: SteadyProfile, params: FluidParams) -> EnergyReport:
-    """Relative energy and dissipation functionals of a state snapshot."""
-    ops = ops_for(state, params)
-    _check_grids(state.grid, profile.grid)
+def relative_energy(state, profile: SteadyProfile, params: FluidParams,
+                    ops) -> EnergyReport:
+    """Relative energy and dissipation functionals of a state snapshot, on
+    `ops`, the operators of the state's geometry and grids."""
+    _check_grids(state.grid, profile.grid, ops.grid)
     rt = ops.lift(profile.rho_t)
+    if rt.shape != state.rho.shape:
+        raise ValueError("the operators are of another geometry or angular grid")
     phi = state.rho - rt
     psi = tuple(u - ut for u, ut in
                 zip(state.velocity, ops.lift_velocity(profile.u_t)))

@@ -769,7 +769,7 @@ def _relax(solver, state, reference: SteadyProfile, config, measure=None) -> Run
         times.append(st.t)
         if measure is not None:
             samples.append(measure(st))
-        reports.append(relative_energy(st, reference, params))
+        reports.append(relative_energy(st, reference, params, solver.ops))
         corridor_ok = corridor_ok and density_corridor(st, params)
 
     sample(state)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,22 @@ from outflow import sphops as so
 from outflow import cutoffs
 from outflow.cutoffs import xi_tilde, xi_tilde_prime
 from outflow.opchecks import _central_grad
+from outflow.sphops import radius
+
+
+def _cutoff_sample(seed):
+    """The 4,000 points on which `verify-ops` checks the partition."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(4000, 3))
+    x /= radius(x, keepdims=True)
+    return x * rng.uniform(1.0, 6.0, (4000, 1))
+
+
+def _one_shot(theta, kernel_of_base):
+    """The convolution as one evaluation of every shifted profile."""
+    nodes, kernel = cutoffs._mollifier()
+    theta = np.asarray(theta, dtype=float)
+    return kernel_of_base(np.clip(theta[..., None] - nodes, 0, np.pi)) @ kernel
 
 
 def test_reference_values():
@@ -20,6 +38,14 @@ def test_domain_error():
         xi_tilde(-0.1)
     with pytest.raises(ValueError):
         xi_tilde(np.pi + 0.1)
+    # NaN fails the range check, and xi checks the angle before shifting it
+    for f, theta in ((xi_tilde, np.nan), (cutoffs.xi, np.nan), (cutoffs.xi, 4.0),
+                     (cutoffs.xi, -1.0), (cutoffs.xi_prime, 7.0),
+                     (cutoffs.xi, [0.5, np.nan, 1.0])):
+        with pytest.raises(ValueError, match=r"polar angle must lie in \[0, pi\]"):
+            f(theta)
+    with pytest.raises(ValueError, match="polar angle"):
+        cutoffs.chi(np.array([[2.0, np.nan, 0.5]]), "V")
 
 
 @given(theta=st.floats(0.0, float(np.pi)))
@@ -45,6 +71,36 @@ def test_mollified_support_and_width_guard():
     outside = (th < np.pi / 9 - 1e-12) | (th > 8 * np.pi / 9 + 1e-12)
     assert np.all(xi[outside] == 0.0)
     assert np.all((xi >= 0.0) & (xi <= 1.0 + 1e-15))
+
+
+def test_blocked_quadrature_keeps_the_one_shot_bits(monkeypatch):
+    rng = np.random.default_rng(3)
+    B = cutoffs._BLOCK
+    for theta in [rng.uniform(0, np.pi, n) for n in (1, B - 1, B, B + 1, 4000)] + [
+            rng.uniform(0, np.pi, (7, 11, 13))]:
+        xi, xi_prime = cutoffs.xi(theta), cutoffs.xi_prime(theta)
+        assert xi.shape == xi_prime.shape == theta.shape
+        assert np.array_equal(xi, _one_shot(theta, xi_tilde))
+        assert np.array_equal(xi_prime, _one_shot(theta, xi_tilde_prime))
+    x = _cutoff_sample(1)
+    blocked = [f(x, c) for c in ("V", "H") for f in (cutoffs.chi, cutoffs.grad_chi)]
+    monkeypatch.setattr(cutoffs, "_convolve", _one_shot)
+    one_shot = [f(x, c) for c in ("V", "H") for f in (cutoffs.chi, cutoffs.grad_chi)]
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, one_shot))
+
+
+def test_chi_transient_stays_a_few_blocks():
+    x = _cutoff_sample(1)
+    cutoffs.chi(x, "V")  # the mollifier is built once, outside the trace
+    tracemalloc.start()
+    try:
+        cutoffs.chi(x, "V")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (4000, 96) array of shifted profiles is 3.1 MB; the profile's
+    # temporaries stay the size of one block
+    assert peak < 6e6
 
 
 def test_partition_of_unity():

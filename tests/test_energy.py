@@ -124,7 +124,7 @@ def test_equivalence_degenerate_range():
 def test_relative_energy_zero_on_profile(small_profile, acc_params):
     st = SymState(0.0, small_profile.grid, small_profile.rho_t.copy(),
                   small_profile.u_t.copy())
-    rep = relative_energy(st, small_profile, acc_params)
+    rep = relative_energy(st, small_profile, acc_params, ops_for(st, acc_params))
     assert rep.total_relative_energy == 0.0
     assert rep.sup_perturbation == 0.0
     assert rep.boundary_H == 0.0
@@ -138,8 +138,8 @@ def test_relative_energy_kinetic_window(small_profile, acc_params):
     window = (r >= 8.0) & (r <= 14.0)
     c = 0.01
     st.u_rad = st.u_rad + np.where(window, c, 0.0)
-    rep = relative_energy(st, small_profile, acc_params)
     ops = SymOps(small_profile.grid, 3)
+    rep = relative_energy(st, small_profile, acc_params, ops)
     expected = 0.5 * c**2 * float(
         np.sum(ops.w_vol[window] * small_profile.rho_t[window]))
     assert rep.total_relative_energy == pytest.approx(expected, rel=1e-12)

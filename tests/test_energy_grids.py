@@ -15,10 +15,10 @@ def wide_profile(acc_params):
 
 
 def _check(name, state, profile, params):
+    ops = ops_for(state, params)
     if name == "relative_energy":
-        return relative_energy(state, profile, params)
-    return reformulation_residual(state, state, 1e-3,
-                                  reformulation_terms(profile, params, ops_for(state, params)))
+        return relative_energy(state, profile, params, ops)
+    return reformulation_residual(state, state, 1e-3, reformulation_terms(profile, params, ops))
 
 
 @pytest.mark.parametrize("geometry", ["sym", "axi"])
@@ -48,3 +48,17 @@ def test_reformulation_terms_reject_operators_of_another_grid(axi_profile, wide_
     terms = reformulation_terms(wide_profile, acc_params, ops)
     with pytest.raises(ValueError, match="grids differ"):
         reformulation_residual(state, state, 1e-3, terms)
+
+
+def test_relative_energy_rejects_operators_of_another_grid_or_geometry(axi_profile,
+                                                                       wide_profile,
+                                                                       acc_params):
+    sym = perturb_sym(axi_profile, 0.02, (1.5, 3.0))
+    axi = perturb_axi(axi_profile, AngularGrid(n_cells=16), 0.02, (1.5, 3.0))
+    with pytest.raises(ValueError, match="grids differ"):
+        relative_energy(sym, axi_profile, acc_params, SymOps(wide_profile.grid, acc_params.dim_n))
+    for state, ops in ((sym, ops_for(axi, acc_params)), (axi, ops_for(sym, acc_params)),
+                       (axi, ops_for(perturb_axi(axi_profile, AngularGrid(n_cells=8), 0.02,
+                                                 (1.5, 3.0)), acc_params))):
+        with pytest.raises(ValueError, match="another geometry or angular grid"):
+            relative_energy(state, axi_profile, acc_params, ops)
